@@ -20,12 +20,12 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import KramersSpdeError
-from .kramers import RegimeTag, predict_time
+from .errors import KramersSpdeError, UnsupportedRegime
+from .kramers import RegimeTag, _label_mu, _mu_log_sum, predict_time
 from .potential import LocalPotential, quartic
 from .simulate import SimConfig, mc_stats, run_replicas, _stats_from_samples
 from .spectra import det_ratio, eigs_constant, eigs_profile
-from .spectral import BoundaryCondition, NEUMANN, write_profile_csv
+from .spectral import BoundaryCondition, write_profile_csv
 from .stationary import barrier_height, instanton
 from . import validate as validate_mod
 
@@ -96,15 +96,23 @@ def _threads(requested) -> int:
     return os.cpu_count() or 1
 
 
+_NOT_CONFIG = ("config", "func", "subcommand", "defaults")  # argparse plumbing
+
+
 def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
-    """Start from --config JSON (or a manifest), overlay explicitly set flags."""
+    """Start from --config JSON (or a manifest), overlay explicitly set flags.
+
+    Keys of the loaded file that the subcommand does not know (such as the
+    start-ball radius "r" of older manifests) are dropped.
+    """
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             loaded = json.load(fh)
-        cfg = loaded.get("config", loaded)
+        known = (vars(args).keys() | parser_defaults.keys()) - set(_NOT_CONFIG)
+        cfg = {k: v for k, v in loaded.get("config", loaded).items() if k in known}
     for key, val in vars(args).items():
-        if key in ("config", "func", "subcommand", "defaults"):
+        if key in _NOT_CONFIG:
             continue
         if val is not None or key not in cfg:
             if val is not None:
@@ -133,9 +141,11 @@ def _write_manifest(out_prefix: str, subcommand: str, config: dict,
 
 
 def _write_csv(path: str, manifest: str, header: list[str], rows) -> None:
+    """Write the header, then each row as it arrives (rows may be a generator)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# manifest: {manifest}\n")
         fh.write(",".join(header) + "\n")
+        fh.flush()
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
             fh.flush()
@@ -179,12 +189,20 @@ def _cmd_simulate(cfg: dict) -> int:
     pot = _parse_potential(cfg["potential"])
     bc = _parse_bc(cfg["bc"])
     sim = SimConfig(pot=pot, bc=bc, L=cfg["L"], d=int(cfg["d"]), eps=cfg["eps"],
-                    dt=cfg["dt"], t_max=cfg["tmax"], r=cfg["r"], rho=cfg["rho"],
+                    dt=cfg["dt"], t_max=cfg["tmax"], rho=cfg["rho"],
                     check_every=cfg["check_every"], refine=cfg["refine"],
                     seed=cfg["seed"], scheme=cfg["scheme"])
     samples = run_replicas(sim, cfg["n"], threads=_threads(cfg.get("threads")))
     stats = _stats_from_samples(samples, sim)
-    pred = predict_time(pot, cfg["L"], bc, cfg["eps"], d=int(cfg["d"]))
+    # keep the finished Monte Carlo where predict_time refuses the configuration
+    pred, refused = None, f"d = {sim.d}, the prediction needs d >= 1"
+    if sim.d >= 1:
+        try:
+            pred = predict_time(pot, cfg["L"], bc, cfg["eps"], d=sim.d)
+        except UnsupportedRegime as exc:
+            refused = str(exc)
+    if pred is None:
+        print(f"no prediction: {refused}", file=sys.stderr)
     out = cfg["out"]
     manifest = _write_manifest(out, "simulate", cfg, [f"{out}.csv", f"{out}.json"])
     _write_csv(f"{out}.csv", manifest, ["replica", "seed", "tau", "censored", "steps"],
@@ -192,11 +210,13 @@ def _cmd_simulate(cfg: dict) -> int:
                 for i, s in enumerate(samples)])
     _write_json(f"{out}.json", manifest, {
         "stats": stats.__dict__,
-        "prediction": {k: (v.value if isinstance(v, (RegimeTag, BoundaryCondition)) else v)
-                       for k, v in pred.__dict__.items()},
+        "prediction": None if pred is None else {
+            k: (v.value if isinstance(v, (RegimeTag, BoundaryCondition)) else v)
+            for k, v in pred.__dict__.items()},
     })
     print(f"n={stats.n} mean={_fmt(stats.mean)} stderr={_fmt(stats.stderr)} "
-          f"censored={stats.censored} predicted={_fmt(pred.expected_time)}")
+          f"censored={stats.censored} "
+          f"predicted={_fmt(None if pred is None else pred.expected_time)}")
     return 0
 
 
@@ -223,23 +243,13 @@ def _cmd_eigen(cfg: dict) -> int:
     pot = _parse_potential(cfg["potential"])
     bc = _parse_bc(cfg["bc"])
     L, kmax = cfg["L"], cfg["kmax"]
-    minus = eigs_constant(pot, L, bc, "minus", kmax)
     if cfg["which"] == "instanton":
-        prof = instanton(pot, L, bc)
-        rep = eigs_profile(prof, kmax=kmax, grid_n=cfg["grid_n"])
-        ev = rep.eigenvalues
-        if bc is NEUMANN:
-            num = ev[1 : kmax + 1]
-            den = minus.eigenvalues[1 : kmax + 1]
-            ratio = float(np.exp(np.sum(np.log(num) - np.log(den))))
-        else:
-            mu1 = ev[2]
-            pairs = np.sqrt(ev[3 : 3 + 2 * (kmax - 1) : 2] * ev[4 : 3 + 2 * (kmax - 1) : 2])
-            base = np.array([(2 * k * math.pi / L) ** 2 for k in range(1, kmax + 1)]) \
-                + pot.derivative(pot.u_minus, 2)
-            ratio = float(np.exp(math.log(mu1 / base[0])
-                                 + np.sum(np.log(pairs) - np.log(base[1:]))))
+        rep = eigs_profile(instanton(pot, L, bc), kmax=kmax, grid_n=cfg["grid_n"])
+        mu = _label_mu(rep.eigenvalues, bc, kmax)
+        ratio = math.exp(_mu_log_sum(mu, pot, L, bc, k_from=1, d=kmax, kmax_eig=kmax,
+                                     wbar=None))
     else:
+        minus = eigs_constant(pot, L, bc, "minus", kmax)
         rep = eigs_constant(pot, L, bc, cfg["which"], kmax)
         n_use = min(len(rep.eigenvalues), len(minus.eigenvalues)) - 1
         mask = np.arange(1, n_use + 1)
@@ -294,24 +304,22 @@ def _cmd_sweep(cfg: dict) -> int:
     out = cfg["out"]
     manifest = _write_manifest(out, "sweep", cfg, [f"{out}.csv"])
     threads = _threads(cfg.get("threads"))
-    with open(f"{out}.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# manifest: {manifest}\n")
-        fh.write(",".join(header) + "\n")
-        fh.flush()
+
+    def rows():
         for L in Ls:
             for eps in epss:
                 p = predict_time(pot, L, bc, eps, d=d,
                                  lambda_switch=cfg["lambda_switch"])
                 row = _prediction_row(p)
                 if with_mc:
-                    sim = SimConfig(pot=pot, bc=bc, L=L,
-                                    d=int(cfg["mc_d"] if cfg.get("mc_d") else 15),
-                                    eps=eps, dt=cfg["dt"], t_max=cfg["tmax"],
-                                    r=cfg["r"], rho=cfg["rho"], seed=cfg["seed"])
+                    sim = SimConfig(pot=pot, bc=bc, L=L, d=int(cfg["mc_d"]), eps=eps,
+                                    dt=cfg["dt"], t_max=cfg["tmax"], rho=cfg["rho"],
+                                    seed=cfg["seed"])
                     stats = mc_stats(sim, cfg["n"], threads=threads)
                     row += [stats.mean, stats.stderr, stats.censored]
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-                fh.flush()
+                yield row
+
+    _write_csv(f"{out}.csv", manifest, header, rows())
     print(f"wrote {out}.csv ({len(Ls) * len(epss)} rows)")
     return 0
 
@@ -353,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--tmax", type=float, default=None)
     p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--r", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--scheme", default=None, choices=["semi_implicit", "exponential"])
     p.add_argument("--check-every", dest="check_every", type=int, default=None)
@@ -361,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_simulate,
                    defaults=dict(bc="neumann", L=1.0, eps=0.05, d=15, dt=1e-3,
-                                 tmax=1e4, rho=0.3, r=0.3, n=100, seed=0,
+                                 tmax=1e4, rho=0.3, n=100, seed=0,
                                  scheme="semi_implicit", check_every=10, refine=8,
                                  threads=None, out="kramers_simulate",
                                  potential="quartic"))
@@ -418,13 +425,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--tmax", type=float, default=None)
     p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--r", type=float, default=None)
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_sweep,
                    defaults=dict(bc="neumann", L=1.0, eps=0.05, L_grid=None,
                                  eps_grid=None, d="inf", lambda_switch=0.1,
                                  with_mc=False, mc_d=15, n=50, dt=1e-3, tmax=1e4,
-                                 rho=0.3, r=0.3, seed=0, threads=None,
+                                 rho=0.3, seed=0, threads=None,
                                  out="kramers_sweep", potential="quartic"))
     return ap
 

@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import OutOfRegime, UnsupportedRegime, WrongBoundaryCondition
 from .potential import LocalPotential
-from .spectral import BoundaryCondition, NEUMANN, PERIODIC, TransformPlan
+from .spectral import (BoundaryCondition, NEUMANN, PERIODIC, TransformPlan,
+                       mode_frequencies)
 from .spectra import eigs_profile, lambda_ratio_log_sum, lambda_ratio_product_infinite
 from .stationary import InstantonProfile, instanton
 from .specialfn import psi, theta
@@ -107,11 +108,7 @@ def saddle_length(profile: InstantonProfile) -> float:
     d = (n - 2) // 2
     plan = TransformPlan(PERIODIC, profile.L, d, n)
     coef = plan.analyze(profile.u[:n])
-    k = np.empty(2 * d + 1)
-    k[0] = 0.0
-    k[1::2] = np.arange(1, d + 1)
-    k[2::2] = np.arange(1, d + 1)
-    nu_k = (2.0 * k * math.pi / profile.L) ** 2
+    nu_k = mode_frequencies(PERIODIC, profile.L, d)
     return profile.L * math.sqrt(float(np.dot(nu_k, coef ** 2)))
 
 
@@ -131,56 +128,44 @@ def _far_remainder(eps: float) -> float:
 
 
 def _select_regime(bc: BoundaryCondition, lam1: float, switch: float) -> RegimeTag:
-    if bc is NEUMANN:
-        if lam1 > switch:
-            return RegimeTag.NEUMANN_SMALL_L
-        if lam1 >= 0.0:
-            return RegimeTag.NEUMANN_NEAR_BELOW
-        if lam1 >= -switch:
-            return RegimeTag.NEUMANN_NEAR_ABOVE
-        return RegimeTag.NEUMANN_LARGE_L
     if lam1 > switch:
-        return RegimeTag.PERIODIC_SMALL_L
-    if lam1 >= 0.0:
-        return RegimeTag.PERIODIC_NEAR_BELOW
-    if lam1 >= -switch:
-        return RegimeTag.PERIODIC_NEAR_ABOVE
-    return RegimeTag.PERIODIC_LARGE_L
+        side = "small_l"
+    elif lam1 >= 0.0:
+        side = "near_below"
+    elif lam1 >= -switch:
+        side = "near_above"
+    else:
+        side = "large_l"
+    return RegimeTag(f"{bc.value}_{side}")
+
+
+def _label_mu(ev: np.ndarray, bc: BoundaryCondition, kmax_eig: int) -> np.ndarray:
+    """Ascending eigenvalues by mode label, up to k = kmax_eig.
+
+    mu_k itself for Neumann; for periodic the list
+    [mu_0, mu_-1, mu_1, sqrt(mu_2 mu_-2), sqrt(mu_3 mu_-3), ...] built by
+    pairing consecutive eigenvalues beyond the first three.
+    """
+    if bc is NEUMANN:
+        return ev[: kmax_eig + 1]
+    pairs = ev[3 : 3 + 2 * (kmax_eig - 1)]
+    return np.concatenate((ev[:3], np.sqrt(pairs[0::2] * pairs[1::2])))
 
 
 def _mu_spectrum(pot: LocalPotential, L: float, bc: BoundaryCondition,
                  kmax_eig: int, grid_n: int):
     """Instanton spectrum data, falling back to the constant saddle at threshold.
 
-    Returns (profile_or_None, mu_array_by_label, mean_curvature) where
-    mu_array_by_label[k] is mu_k for Neumann; for periodic it is the list
-    [mu_0, mu_-1, mu_1, sqrt(mu_2 mu_-2), sqrt(mu_3 mu_-3), ...] built by
-    pairing consecutive eigenvalues beyond the first three.
+    Returns (profile_or_None, _label_mu(eigenvalues), mean_curvature).
     """
-    threshold = math.pi if bc is NEUMANN else 2.0 * math.pi
-    if L <= threshold:
+    if L <= bc.bifurcation_length:
         # degenerate instanton: the uniform saddle; continuity limit mu_k = lambda_k
-        k = np.arange(kmax_eig + 1, dtype=float)
-        lam = (bc.mode_factor * k * math.pi / L) ** 2 - 1.0
-        if bc is NEUMANN:
-            return None, lam, -1.0
-        labeled = np.empty(kmax_eig + 2)
-        labeled[0] = lam[0]      # mu_0
-        labeled[1] = lam[1]      # mu_-1 (zero at L = 2 pi exactly)
-        labeled[2] = lam[1]      # mu_1
-        labeled[3:] = lam[2:kmax_eig + 1]
-        return None, labeled, -1.0
+        lam = mode_frequencies(bc, L, kmax_eig) - 1.0
+        return None, _label_mu(lam, bc, kmax_eig), -1.0
     prof = instanton(pot, L, bc)
-    rep = eigs_profile(prof, kmax=kmax_eig, grid_n=grid_n)
-    ev = rep.eigenvalues
+    ev = eigs_profile(prof, kmax=kmax_eig, grid_n=grid_n).eigenvalues
     wbar = float(np.mean(pot.derivative(prof.u[:prof.n_samples], 2)))
-    if bc is NEUMANN:
-        return prof, ev[: kmax_eig + 1], wbar
-    labeled = np.empty(kmax_eig + 2)
-    labeled[0], labeled[1], labeled[2] = ev[0], ev[1], ev[2]
-    pairs = ev[3 : 3 + 2 * (kmax_eig - 1)]
-    labeled[3:] = np.sqrt(pairs[0::2] * pairs[1::2])
-    return prof, labeled, wbar
+    return prof, _label_mu(ev, bc, kmax_eig), wbar
 
 
 def _mu_log_sum(mu_by_label, pot, L, bc, k_from, d, kmax_eig, wbar):
@@ -248,14 +233,14 @@ def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: floa
         d = int(d)
         if d < 1:
             raise ValueError("d must be >= 1 or math.inf")
-    second = 2.0 * math.pi if bc is NEUMANN else 4.0 * math.pi
+    second = 2.0 * bc.bifurcation_length
     if L > second:
         raise UnsupportedRegime(
             f"L = {L} beyond the second bifurcation ({second:.6g}); higher saddles untreated")
 
     w_minus = float(pot.derivative(pot.u_minus, 2))
-    lam1 = (bc.mode_factor * math.pi / L) ** 2 - 1.0
-    nu1m = (bc.mode_factor * math.pi / L) ** 2 + w_minus
+    lam1 = (bc.bifurcation_length / L) ** 2 - 1.0
+    nu1m = (bc.bifurcation_length / L) ** 2 + w_minus
     regime = force_regime or _select_regime(bc, lam1, lambda_switch)
     try:
         C = c4(pot, L, bc)

@@ -16,13 +16,13 @@ least 2 p0 (d+1) points, which is exact for polynomial U up to roundoff.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidPotential
-from .spectral import BoundaryCondition, FourierState, TransformPlan, default_grid_size
+from .spectral import (BoundaryCondition, FourierState, TransformPlan, default_grid_size,
+                       mode_indices)
 
 _ROOT_IMAG_TOL = 1e-9
 _NORMALIZATION_TOL = 1e-9
@@ -225,17 +225,11 @@ def energy_lower_bound_constants(pot: LocalPotential, L: float,
     crit = diff.deriv().roots()
     crit = crit[np.abs(crit.imag) < 1e-9].real
     alpha = -float(min(diff(crit).min(), 0.0))
-    beta_prime = min(0.5 * (bc.mode_factor * math.pi / L) ** 2, beta)
+    beta_prime = min(0.5 * (bc.bifurcation_length / L) ** 2, beta)
     return alpha * L, beta_prime
 
 
 def h1_norm_squared(state: FourierState) -> float:
     """||z||_H1^2 = sum (1 + k^2) |z_k|^2 in the stored real coordinates."""
-    if state.bc is BoundaryCondition.NEUMANN:
-        k = np.arange(state.d + 1)
-    else:
-        k = np.empty(2 * state.d + 1)
-        k[0] = 0.0
-        k[1::2] = np.arange(1, state.d + 1)
-        k[2::2] = np.arange(1, state.d + 1)
+    k = mode_indices(state.bc, state.d)
     return float(np.sum((1.0 + k ** 2) * state.coeffs ** 2))

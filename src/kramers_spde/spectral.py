@@ -42,6 +42,11 @@ class BoundaryCondition(Enum):
         """b in nu_k = (b k pi / L)^2: 1 for Neumann, 2 for periodic."""
         return 1 if self is BoundaryCondition.NEUMANN else 2
 
+    @property
+    def bifurcation_length(self) -> float:
+        """L at which lambda_1 = (b pi / L)^2 - 1 vanishes: pi (Neumann), 2 pi (periodic)."""
+        return self.mode_factor * math.pi
+
     def n_coeffs(self, d: int) -> int:
         return d + 1 if self is BoundaryCondition.NEUMANN else 2 * d + 1
 
@@ -72,16 +77,15 @@ def linearized_eigenvalue(bc: BoundaryCondition, L: float, k: int,
     raise ValueError(f"unknown linearization point {at!r}")
 
 
+def mode_indices(bc: BoundaryCondition, d: int) -> np.ndarray:
+    """Wavenumber k per stored coordinate (cos/sin pairs share their k)."""
+    k = np.arange(d + 1)
+    return k if bc is NEUMANN else np.concatenate(([0], np.repeat(k[1:], 2)))
+
+
 def mode_frequencies(bc: BoundaryCondition, L: float, d: int) -> np.ndarray:
     """nu_k per stored coordinate (cos/sin pairs share their nu_k)."""
-    if bc is NEUMANN:
-        k = np.arange(d + 1)
-    else:
-        k = np.empty(2 * d + 1)
-        k[0] = 0.0
-        k[1::2] = np.arange(1, d + 1)
-        k[2::2] = np.arange(1, d + 1)
-    return (bc.mode_factor * k * math.pi / L) ** 2
+    return (bc.mode_factor * mode_indices(bc, d) * math.pi / L) ** 2
 
 
 def default_grid_size(d: int, p0: int = 2) -> int:

@@ -254,10 +254,9 @@ def instanton(pot: LocalPotential, L: float, bc: BoundaryCondition,
     by bisection on the monotone period map, refines with Newton using dT/dE,
     then integrates u'' = U'(u) from (u2(E*), 0) with RK4.
     """
-    threshold = math.pi if bc is NEUMANN else 2.0 * math.pi
-    if L <= threshold:
-        raise NoInstanton(
-            f"{bc.value} instantons exist only for L > {threshold:.6g}, got L = {L}")
+    if L <= bc.bifurcation_length:
+        raise NoInstanton(f"{bc.value} instantons exist only for "
+                          f"L > {bc.bifurcation_length:.6g}, got L = {L}")
     target = 2.0 * L if bc is NEUMANN else L
     E0 = pot.orbit_energy_cap
 
@@ -309,9 +308,8 @@ def barrier_height(pot: LocalPotential, L: float,
     Below the bifurcation threshold the uniform saddle u*_0 carries the
     barrier, H0 = -L U(u_-); above it the instanton does.
     """
-    threshold = math.pi if bc is NEUMANN else 2.0 * math.pi
     v_minus = L * float(pot.derivative(pot.u_minus, 0))
-    if L <= threshold:
+    if L <= bc.bifurcation_length:
         return -v_minus, "constant"
     prof = instanton(pot, L, bc)
     return prof.V_value - v_minus, "instanton"

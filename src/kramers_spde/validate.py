@@ -168,11 +168,10 @@ def _check_specialfn() -> CheckResult:
 def _check_kramers() -> CheckResult:
     q = quartic()
     res = []
-    for bc, Lc in ((NEUMANN, math.pi), (PERIODIC, 2 * math.pi)):
-        below = RegimeTag.NEUMANN_NEAR_BELOW if bc is NEUMANN else RegimeTag.PERIODIC_NEAR_BELOW
-        above = RegimeTag.NEUMANN_NEAR_ABOVE if bc is NEUMANN else RegimeTag.PERIODIC_NEAR_ABOVE
-        lo = predict_time(q, Lc, bc, 0.01, force_regime=below)
-        hi = predict_time(q, Lc, bc, 0.01, force_regime=above)
+    for bc in (NEUMANN, PERIODIC):
+        Lc = bc.bifurcation_length
+        lo = predict_time(q, Lc, bc, 0.01, force_regime=RegimeTag(f"{bc.value}_near_below"))
+        hi = predict_time(q, Lc, bc, 0.01, force_regime=RegimeTag(f"{bc.value}_near_above"))
         res.append(abs(lo.expected_time - hi.expected_time) / lo.expected_time)
     pinf = predict_time(q, 1.0, NEUMANN, 0.05)
     gaps = [abs(predict_time(q, 1.0, NEUMANN, 0.05, d=dd).expected_time
@@ -193,15 +192,14 @@ def _check_sim_determinism() -> CheckResult:
     grid_ok = a.tau is not None and abs(a.tau / (cfg.check_every * cfg.dt)
                                         - round(a.tau / (cfg.check_every * cfg.dt))) < 1e-9
     try:
-        SimConfig(pot=q, bc=NEUMANN, L=1.0, d=3, eps=0.1, dt=1e-3, t_max=1.0,
-                  r=1.0, rho=1.1)
-        disjoint = False
+        SimConfig(pot=q, bc=NEUMANN, L=1.0, d=3, eps=0.1, dt=1e-3, t_max=1.0, rho=2.5)
+        rejected = False
     except ValueError:
-        disjoint = True
-    ok = (a == b) and grid_ok and disjoint
+        rejected = True
+    ok = (a == b) and grid_ok and rejected
     return CheckResult("simulate.determinism", ok,
                        f"bit-identical {a == b}, tau on check grid {grid_ok}, "
-                       f"overlapping balls rejected {disjoint}")
+                       f"target ball wider than the wells rejected {rejected}")
 
 
 def _check_scheme_consistency() -> CheckResult:

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from kramers_spde import NEUMANN, QuadratureNotConverged, SimConfig, cli, mc_stats, quartic
 from kramers_spde.cli import main
 
 
@@ -159,3 +160,172 @@ def test_validate_quick(tmp_path, capsys):
     assert rc == 0
     assert "invariant groups passed" in out
     assert "FAIL" not in out
+
+
+def test_sweep_mc_d_zero_runs_d_zero(tmp_path):
+    rc = run(tmp_path, "sweep", "--L", "1", "--eps", "0.3", "--with-mc", "--n", "6",
+             "--mc-d", "0", "--tmax", "200", "--seed", "3", "--threads", "1", "--out", "sw")
+    assert rc == 0
+    row = (tmp_path / "sw.csv").read_text().splitlines()[2].split(",")
+    cfg = SimConfig(pot=quartic(), bc=NEUMANN, L=1.0, d=0, eps=0.3, dt=1e-3,
+                    t_max=200.0, seed=3)
+    assert float(row[10]) == mc_stats(cfg, 6).mean
+
+
+def test_simulate_keeps_mc_when_prediction_refused(tmp_path, capsys):
+    # predict_time needs d >= 1; the d = 0 Monte Carlo is still written
+    rc = run(tmp_path, "simulate", "--L", "1", "--eps", "0.3", "--d", "0", "--tmax", "50",
+             "--n", "3", "--seed", "5", "--threads", "1", "--out", "s")
+    assert rc == 0
+    assert capsys.readouterr().out.rstrip().endswith("predicted=")
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 2 + 3
+    payload = json.loads((tmp_path / "s.json").read_text())
+    assert payload["prediction"] is None and payload["stats"]["d"] == 0
+
+
+def test_simulate_keeps_mc_beyond_second_bifurcation(tmp_path, capsys):
+    # L = 7 > 2 pi is past the second Neumann bifurcation: predict_time refuses it
+    rc = run(tmp_path, "simulate", "--L", "7", "--eps", "2", "--d", "1", "--tmax", "50",
+             "--n", "3", "--seed", "5", "--threads", "1", "--out", "s")
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.out.rstrip().endswith("predicted=")
+    assert "second bifurcation" in captured.err
+    assert json.loads((tmp_path / "s.json").read_text())["prediction"] is None
+
+
+def test_simulate_prediction_failure_exits_nonzero(tmp_path, monkeypatch):
+    # only refused configurations keep the Monte Carlo; a failing prediction is an error
+    def fail(*args, **kwargs):
+        raise QuadratureNotConverged("forced")
+
+    monkeypatch.setattr(cli, "predict_time", fail)
+    rc = run(tmp_path, "simulate", "--L", "1", "--eps", "0.3", "--d", "1", "--tmax", "50",
+             "--n", "3", "--seed", "5", "--threads", "1", "--out", "s")
+    assert rc == 3
+
+
+def test_old_manifest_with_start_radius_still_runs(tmp_path):
+    # manifests used to record a start-ball radius "r"; it is ignored on reload
+    argv = ["simulate", "--L", "1", "--eps", "0.3", "--d", "2", "--tmax", "50", "--n", "3",
+            "--seed", "5", "--threads", "1"]
+    assert run(tmp_path, *argv, "--out", "first") == 0
+    manifest = json.loads((tmp_path / "first_manifest.json").read_text())
+    assert "r" not in manifest["config"]
+    manifest["config"]["r"] = 0.3
+    (tmp_path / "old_manifest.json").write_text(json.dumps(manifest))
+    assert run(tmp_path, "simulate", "--config", "old_manifest.json", "--out", "second") == 0
+    a = (tmp_path / "first.csv").read_text().splitlines()[1:]
+    b = (tmp_path / "second.csv").read_text().splitlines()[1:]
+    assert a == b
+    second = json.loads((tmp_path / "second_manifest.json").read_text())
+    assert "r" not in second["config"]
+
+
+# CSV data rows recorded before the Galerkin transform, the replica fan-out
+# and the instanton eigenvalue pairing were each merged into one definition;
+# a refactor must reproduce them.  Entries: (id, argv, stride, rows), where
+# stride keeps every stride-th data row.
+GOLDEN = [
+    ('predict-neumann', ['predict', '--bc', 'neumann', '--L', '1,3.0,3.3,4.5', '--eps', '0.05'], 1, [
+        '1,0.050000000000000003,neumann_small_l,8.869604401089358,,1.5,0.25,3.4841268529728091,2.7135663682925224,1.1594165608104088',
+        '3,0.050000000000000003,neumann_near_below,0.096622711232150715,,0.5,0.75,0.57249496731639871,6.272188901785464,1.8636795888007989',
+        '3.2999999999999998,0.050000000000000003,neumann_near_above,-0.093700238651114875,0.18660017310879651,0.45454545454545459,0.82015736761100133,0.45318997358832386,6.7800766738464509,1.8636795888007989',
+        '4.5,0.050000000000000003,neumann_large_l,-0.51261212834126635,0.98431208881290855,0.33333333333333331,0.92253815440265063,1.2563137104224427,8.1121626953939217,1.1594165608104088',
+    ]),
+    ('predict-periodic-d15', ['predict', '--bc', 'periodic', '--L', '6.5,9', '--eps', '0.05', '--d', '15'], 1, [
+        '6.5,0.050000000000000003,periodic_near_above,-0.065599583328818323,0.13081763335034222,0.23076923076923078,1.620329034398081,0.062899605085122517,12.872647088872162,1.8636795888007989',
+        '9,0.050000000000000003,periodic_large_l,-0.51261212834126635,0.98431208884003929,0.16666666666666666,1.8450763088054492,0.035790684341123445,14.579899194554409,1.1594165608104088',
+    ]),
+    ('sweep', ['sweep', '--bc', 'neumann', '--L-grid', '2.9:0.2:3.3', '--eps', '0.01'], 1, [
+        '2.8999999999999999,0.01,neumann_small_l,0.17355581463607117,,0.51724137931034486,0.72499999999999998,0.47027703629655876,31.158703710580067,0.98825387644110385',
+        '3.1000000000000001,0.01,neumann_near_below,0.027013985545198738,,0.48387096774193544,0.77500000000000002,0.34673343175956778,33.197818065503121,2.1333254060207807',
+        '3.2999999999999998,0.01,neumann_near_above,-0.093700238651114875,0.18660017310879651,0.45454545454545459,0.82015736761100133,0.2865181490237651,35.076134041424183,2.1333254060207807',
+    ]),
+    ('sweep-with-mc', ['sweep', '--L', '1', '--eps-grid', '0.3:0.1:0.4', '--with-mc', '--n', '6', '--mc-d', '15', '--tmax', '200', '--seed', '3', '--threads', '1'], 1, [
+        '1,0.29999999999999999,neumann_small_l,8.869604401089358,,1.5,0.25,3.4841268529728091,0.90400602702897337,0.7235784816076285,5.0433333333333339,1.42437042622736,0',
+        '1,0.40000000000000002,neumann_small_l,8.869604401089358,,1.5,0.25,3.4841268529728091,0.81352800996579577,0.55472780686370482,4.416666666666667,1.3160893248982422,0',
+    ]),
+    ('eigen-origin', ['eigen', '--bc', 'neumann', '--L', '1', '--which', 'origin', '--kmax', '4'], 1, [
+        '0,-1',
+        '1,8.869604401089358',
+        '2,38.478417604357432',
+        '3,87.826439609804225',
+        '4,156.91367041742973',
+    ]),
+    ('eigen-instanton-neumann', ['eigen', '--bc', 'neumann', '--L', '4', '--which', 'instanton', '--kmax', '4'], 1, [
+        '0,-0.32475884064641458',
+        '1,0.74751113654152668',
+        '2,2.324758840693943',
+        '3,5.3508450109354442',
+        '4,9.6622368152157154',
+        '5,15.211073071258845',
+    ]),
+    ('eigen-instanton-periodic', ['eigen', '--bc', 'periodic', '--L', '7', '--which', 'instanton', '--kmax', '4'], 1, [
+        '0,-0.63039852474517499',
+        '1,-1.0239957030459361e-12',
+        '2,0.38480965206941037',
+        '3,2.6151903478831535',
+        '4,2.6303985246952397',
+        '5,6.6464705105703743',
+        '6,6.6464705105699666',
+        '7,12.284905726023576',
+        '8,12.28490572602349',
+        '9,19.535469753945321',
+        '10,19.535469753945975',
+    ]),
+    ('stationary', ['stationary', '--bc', 'periodic', '--L', '7'], 512, [
+        '0,-0.50649754989142748',
+        '0.875,-0.36520021647145245',
+        '1.75,-3.4692301115191171e-14',
+        '2.625,0.36520021647140621',
+        '3.5,0.50649754989142848',
+        '4.375,0.36520021647149942',
+        '5.25,1.0492117157728797e-13',
+        '6.125,-0.36520021647135981',
+        '7,-0.50649754989142748',
+    ]),
+    ('simulate-d15', ['simulate', '--L', '1', '--eps', '0.3', '--d', '15', '--tmax', '200', '--n', '6', '--seed', '7', '--threads', '1'], 1, [
+        '0,7,1.6500000000000001,0,1650',
+        '1,6,8.5800000000000001,0,8580',
+        '2,5,14.790000000000001,0,14790',
+        '3,4,10.450000000000001,0,10450',
+        '4,3,1.26,0,1260',
+        '5,2,2.8199999999999998,0,2820',
+    ]),
+    ('simulate-d40-periodic', ['simulate', '--bc', 'periodic', '--L', '1', '--eps', '0.3', '--d', '40', '--tmax', '200', '--n', '4', '--seed', '7', '--threads', '1'], 1, [
+        '0,7,18.18,0,18180',
+        '1,6,3.4399999999999999,0,3440',
+        '2,5,3.2000000000000002,0,3200',
+        '3,4,8.1600000000000001,0,8160',
+    ]),
+]
+
+
+def _same_field(got: str, want: str) -> bool:
+    """Integers and strings exactly, floats to 1e-12 relative.
+
+    The 1e-12 absolute floor only matters for entries that are zero up to
+    roundoff, such as the periodic translation zero mode.
+    """
+    try:
+        return int(got) == int(want)
+    except ValueError:
+        pass
+    try:
+        return float(got) == pytest.approx(float(want), rel=1e-12, abs=1e-12)
+    except ValueError:
+        return got == want
+
+
+@pytest.mark.parametrize("argv, stride, want", [g[1:] for g in GOLDEN],
+                         ids=[g[0] for g in GOLDEN])
+def test_golden_csv_rows(tmp_path, argv, stride, want):
+    assert run(tmp_path, *argv, "--out", "g") == 0
+    lines = (tmp_path / "g.csv").read_text().splitlines()
+    rows = [line for line in lines if not line.startswith("#")][1:][::stride]
+    assert len(rows) == len(want)
+    for got_row, want_row in zip(rows, want):
+        got, exp = got_row.split(","), want_row.split(",")
+        assert len(got) == len(exp), (got_row, want_row)
+        assert all(_same_field(g, w) for g, w in zip(got, exp)), (got_row, want_row)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from kramers_spde import (AllCensored, FourierState, NEUMANN, PERIODIC,
-                          SimConfig, galerkin_error, mc_stats, oracle_identity_1d,
-                          oracle_mfpt_1d, reduced_potential_1d, run_replicas,
-                          sample_path, sample_transition, step, sup_dist)
-from kramers_spde.simulate import _run_batch
+                          SimConfig, TransformPlan, galerkin_error, mc_stats,
+                          oracle_identity_1d, oracle_mfpt_1d, reduced_potential_1d,
+                          run_replicas, sample_path, sample_transition, step, sup_dist)
+from kramers_spde.simulate import _Engine, _run_batch, _stats_from_samples
+from kramers_spde.spectral import default_grid_size
 
 
 def _cfg(pot, **kw):
@@ -27,7 +28,6 @@ def test_stationary_point_is_fixed_without_noise(pot):
 
 def test_linear_mode_decay_semi_implicit(pot):
     # with the nonlinearity off, a single mode follows y (1 + nu dt)^{-n}
-    from kramers_spde.simulate import _Engine
     cfg = _cfg(pot, d=2, eps=0.0, dt=1e-2)
     path = sample_path(cfg, 50, linear_only=True)
     # start coeffs: (u_minus sqrt(L), 0, 0); mode 0 has nu = 0 and stays put
@@ -85,8 +85,32 @@ def test_batch_matches_single_replicas(pot):
 
 def test_forced_duplicate_streams_give_zero_stderr(pot):
     cfg = _cfg(pot, seed=9)
-    stats = mc_stats(cfg, 2, _replica_indices=[1, 1])
+    stats = _stats_from_samples(_run_batch(cfg, [1, 1]), cfg)
     assert stats.stderr == 0.0 and stats.min == stats.max
+
+
+def test_threads_do_not_change_samples(pot):
+    # 5 replicas over 2 workers: uneven round-robin chunks, reassembled in order
+    cfg = _cfg(pot, seed=7)
+    assert run_replicas(cfg, 5, threads=2) == run_replicas(cfg, 5, threads=1)
+    assert mc_stats(cfg, 5, threads=2) == mc_stats(cfg, 5, threads=1)
+
+
+@pytest.mark.parametrize("bc, d", [(NEUMANN, 15), (PERIODIC, 64)])
+def test_engine_transforms_match_transform_plan(pot, bc, d):
+    # the engine's transforms are TransformPlan, on both sides of its
+    # matrix/FFT cutoff
+    cfg = _cfg(pot, bc=bc, d=d)
+    eng = _Engine(cfg)
+    plan = TransformPlan(bc, cfg.L, d, default_grid_size(d, pot.p0))
+    y = np.random.default_rng(d).normal(scale=0.5, size=(7, bc.n_coeffs(d)))
+    y[:, 0] += pot.u_minus
+    want = -plan.analyze(pot.derivative(plan.synthesize(y), 1))
+    got = eng.drift_nonlinear(y)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    target = FourierState.constant(pot.u_plus, bc, cfg.L, d)
+    ref = [sup_dist(FourierState(bc, cfg.L, d, row), target, cfg.refine) for row in y]
+    assert eng.sup_to_target(y) == pytest.approx(ref, rel=1e-12)
 
 
 def test_censoring(pot):
@@ -107,7 +131,7 @@ def test_symmetric_potential_both_directions(pot):
 def test_large_target_ball_hits_fast(pot):
     # a roomy (still disjoint) target ball turns the transition into a small
     # excursion; at eps = 0.3 the hit comes within a few time units
-    cfg = _cfg(pot, rho=1.5, r=0.3, t_max=100.0)
+    cfg = _cfg(pot, rho=1.5, t_max=100.0)
     s = sample_transition(cfg)
     tight = sample_transition(_cfg(pot, t_max=100.0))
     assert not s.censored
@@ -129,8 +153,9 @@ def test_scheme_consistency_order(pot):
 
 
 def test_ball_overlap_rejected(pot):
-    with pytest.raises(ValueError):
-        _cfg(pot, r=1.0, rho=1.1)
+    # rho must stay below u_+ - u_- = 2, or the target ball swallows the start
+    with pytest.raises(ValueError, match="rho"):
+        _cfg(pot, rho=2.5)
 
 
 def test_galerkin_deterministic_spectral_decay(pot):
