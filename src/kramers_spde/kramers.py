@@ -26,10 +26,12 @@ spectra).
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import zeta
 
 from .errors import OutOfRegime, UnsupportedRegime, WrongBoundaryCondition
 from .potential import LocalPotential
@@ -152,20 +154,37 @@ def _label_mu(ev: np.ndarray, bc: BoundaryCondition, kmax_eig: int) -> np.ndarra
     return np.concatenate((ev[:3], np.sqrt(pairs[0::2] * pairs[1::2])))
 
 
+_MU_MEMO_SIZE = 64
+_mu_memo: OrderedDict = OrderedDict()
+
+
 def _mu_spectrum(pot: LocalPotential, L: float, bc: BoundaryCondition,
                  kmax_eig: int, grid_n: int):
     """Instanton spectrum data, falling back to the constant saddle at threshold.
 
-    Returns (profile_or_None, _label_mu(eigenvalues), mean_curvature).
+    Returns (profile_or_None, _label_mu(eigenvalues), mean_curvature), with
+    read-only arrays.  None of it depends on eps, so the last _MU_MEMO_SIZE
+    results are kept, keyed on (pot.coefficients, L, bc, kmax_eig, grid_n)
+    (a LocalPotential is not hashable): a sweep solves each instanton once.
     """
+    key = (pot.coefficients, L, bc, kmax_eig, grid_n)
+    if key in _mu_memo:
+        _mu_memo.move_to_end(key)
+        return _mu_memo[key]
     if L <= bc.bifurcation_length:
         # degenerate instanton: the uniform saddle; continuity limit mu_k = lambda_k
-        lam = mode_frequencies(bc, L, kmax_eig) - 1.0
-        return None, _label_mu(lam, bc, kmax_eig), -1.0
-    prof = instanton(pot, L, bc)
-    ev = eigs_profile(prof, kmax=kmax_eig, grid_n=grid_n).eigenvalues
-    wbar = float(np.mean(pot.derivative(prof.u[:prof.n_samples], 2)))
-    return prof, _label_mu(ev, bc, kmax_eig), wbar
+        prof, wbar = None, -1.0
+        ev = mode_frequencies(bc, L, kmax_eig) - 1.0
+    else:
+        prof = instanton(pot, L, bc)
+        ev = eigs_profile(prof, kmax=kmax_eig, grid_n=grid_n).eigenvalues
+        wbar = float(np.mean(pot.derivative(prof.u[:prof.n_samples], 2)))
+    mu = _label_mu(ev, bc, kmax_eig)
+    mu.flags.writeable = False
+    _mu_memo[key] = prof, mu, wbar
+    if len(_mu_memo) > _MU_MEMO_SIZE:
+        _mu_memo.popitem(last=False)
+    return prof, mu, wbar
 
 
 def _mu_log_sum(mu_by_label, pot, L, bc, k_from, d, kmax_eig, wbar):
@@ -173,8 +192,8 @@ def _mu_log_sum(mu_by_label, pot, L, bc, k_from, d, kmax_eig, wbar):
 
     Beyond the resolved eigenvalues, mu_k ~ nu_k(0) + mean(U''(u*)) (Weyl
     plus first-order perturbation), so the tail factors are
-    (nu_k0 + wbar)/(nu_k0 + U''(u_-)); for d = inf the tail has a sinh/sin
-    closed form.
+    (nu_k0 + wbar)/(nu_k0 + U''(u_-)); for d = inf the tail has a closed
+    form in Hurwitz zeta values (_asymptotic_tail_log_inf).
     """
     w_minus = pot.derivative(pot.u_minus, 2)
     b = bc.mode_factor
@@ -197,22 +216,22 @@ def _mu_log_sum(mu_by_label, pot, L, bc, k_from, d, kmax_eig, wbar):
 
 
 def _asymptotic_tail_log_inf(L, b, w_num, w_den, k_from):
-    """log prod_{k >= k_from} (nu_k0 + w_num)/(nu_k0 + w_den).
+    """log prod_{k >= k_from} (nu_k0 + w_num)/(nu_k0 + w_den), in closed form.
 
-    Written as sum log((k^2+p)/(k^2+q)); summed exactly to K = 1e5 and closed
-    with the analytic remainder (p-q) sum_{k>K} 1/k^2 + O(K^-3) corrections,
-    giving ~1e-14 absolute accuracy.
+    Written as sum_{k >= k_from} log((k^2+p)/(k^2+q)).  Past N, with
+    N^2 >= 64 max(|p|, |q|), the log1p series sums over k to Hurwitz zeta
+    values: sum_{k >= N} log(1 + p/k^2) = sum_m (-1)^(m+1) p^m zeta(2m, N)/m,
+    whose terms fall by 64 or more each; the terms k_from <= k < N are summed
+    directly.  No factor below k_from enters, so the zero factor at the
+    bifurcation length (p = -1, k = 1) does no harm.
     """
     s = (L / (b * math.pi)) ** 2
     p, q = w_num * s, w_den * s
-    K = max(100_000, 10 * k_from)
-    k = np.arange(k_from, K + 1, dtype=float)
-    k2 = k * k
-    total = math.fsum(np.log1p(p / k2) - np.log1p(q / k2))
-    s2 = 1.0 / K - 1.0 / (2.0 * K * K) + 1.0 / (6.0 * K ** 3)
-    s4 = 1.0 / (3.0 * K ** 3)
-    total += (p - q) * s2 - 0.5 * (p * p - q * q) * s4
-    return total
+    N = max(k_from, math.ceil(8.0 * math.sqrt(max(abs(p), abs(q)))))
+    k2 = np.arange(k_from, N, dtype=float) ** 2
+    m = np.arange(1, 13)
+    series = (-1.0) ** (m + 1) * (p ** m - q ** m) / m * zeta(2.0 * m, N)
+    return math.fsum(np.log1p(p / k2) - np.log1p(q / k2)) + math.fsum(series)
 
 
 def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: float,

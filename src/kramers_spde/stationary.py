@@ -31,7 +31,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .errors import EnergyOutOfRange, NoInstanton, NotMonotone, QuadratureNotConverged
-from .potential import LocalPotential
+from .potential import LocalPotential, horner
 from .spectral import BoundaryCondition, NEUMANN, PERIODIC
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -66,9 +66,11 @@ def _check_energy(pot: LocalPotential, E: float) -> float:
 def turning_points(pot: LocalPotential, E: float) -> tuple[float, float]:
     """Inner roots u2 < 0 < u3 of U(u) = -E, by bracketed bisection + Newton."""
     _check_energy(pot, E)
+    E = float(E)
+    d0, d1 = pot._deriv_scalar[0], pot._deriv_scalar[1]
 
     def solve(lo: float, hi: float) -> float:
-        f = lambda u: pot.derivative(u, 0) + E
+        f = lambda u: horner(d0, u) + E
         a, b = lo, hi
         fa = f(a)
         for _ in range(90):
@@ -80,7 +82,7 @@ def turning_points(pot: LocalPotential, E: float) -> tuple[float, float]:
                 a, fa = m, fm
         r = 0.5 * (a + b)
         for _ in range(4):
-            fp = pot.derivative(r, 1)
+            fp = horner(d1, r)
             if fp == 0.0:
                 break
             r -= f(r) / fp
@@ -228,18 +230,17 @@ class InstantonProfile:
 
 
 def _rk4_profile(pot: LocalPotential, u0: float, L: float, n: int):
-    h = L / n
+    h = float(L) / n
     u = np.empty(n + 1)
     v = np.empty(n + 1)
     u[0], v[0] = u0, 0.0
     ui, vi = u0, 0.0
-    d1 = pot._deriv[1]
-    pv = np.polyval
+    d1 = pot._deriv_scalar[1]
     for i in range(n):
-        k1u = vi;               k1v = pv(d1, ui)
-        k2u = vi + 0.5 * h * k1v; k2v = pv(d1, ui + 0.5 * h * k1u)
-        k3u = vi + 0.5 * h * k2v; k3v = pv(d1, ui + 0.5 * h * k2u)
-        k4u = vi + h * k3v;       k4v = pv(d1, ui + h * k3u)
+        k1u = vi;               k1v = horner(d1, ui)
+        k2u = vi + 0.5 * h * k1v; k2v = horner(d1, ui + 0.5 * h * k1u)
+        k3u = vi + 0.5 * h * k2v; k3v = horner(d1, ui + 0.5 * h * k2u)
+        k4u = vi + h * k3v;       k4v = horner(d1, ui + h * k3u)
         ui += h / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
         vi += h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
         u[i + 1], v[i + 1] = ui, vi

@@ -1,13 +1,17 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kramers_spde import (KramersPrediction, NEUMANN, PERIODIC, RegimeTag,
                           UnsupportedRegime, WrongBoundaryCondition, c4,
                           closed_form_product, eigs_profile, instanton,
                           predict_time, saddle_length)
+from kramers_spde import kramers
 from kramers_spde.kramers import remainder_scale
+from kramers_spde.spectra import lambda_ratio_product_infinite
 from kramers_spde.stationary import InstantonProfile
 
 
@@ -173,3 +177,80 @@ def test_prediction_fields(pot):
         (math.log(p.prefactor) + 0.25 / 3e-4) / math.log(10.0), rel=1e-12)
     assert p.remainder_scale >= 0.0
     assert p.d_used == math.inf
+
+
+_K_BRUTE = 2_000_000
+
+
+def _brute_tail(p, q, k_from):
+    """sum_{k >= k_from} log((k^2+p)/(k^2+q)): fsum to K = 2e6, then the 1/k^2 remainder."""
+    k2 = np.arange(k_from, _K_BRUTE + 1, dtype=float) ** 2
+    K = float(_K_BRUTE)
+    total = math.fsum(np.log1p(p / k2) - np.log1p(q / k2))
+    return total + (p - q) * (1.0 / K - 1.0 / (2.0 * K * K) + 1.0 / (6.0 * K ** 3))
+
+
+@settings(max_examples=20, deadline=None)
+@given(b=st.sampled_from([1, 2]), s=st.floats(0.1, 3.9),
+       w_num=st.floats(-1.0, 2.0), w_den=st.floats(0.5, 4.0),
+       k_from=st.sampled_from([2, 3, 41]))
+def test_tail_closed_form_matches_brute_force(b, s, w_num, w_den, k_from):
+    L = b * math.pi * math.sqrt(s)
+    got = kramers._asymptotic_tail_log_inf(L, b, w_num, w_den, k_from)
+    assert got == pytest.approx(_brute_tail(w_num * s, w_den * s, k_from), abs=1e-12)
+
+
+@pytest.mark.parametrize("bc", [NEUMANN, PERIODIC])
+def test_tail_finite_at_constant_saddle_fallback(pot, bc):
+    # at the bifurcation length mu_k = lambda_k and the k = 1 factor is exactly 0
+    L = bc.bifurcation_length
+    prof, mu, wbar = kramers._mu_spectrum(pot, L, bc, 40, 1024)
+    assert prof is None and wbar == -1.0
+    s = kramers._mu_log_sum(mu, pot, L, bc, 2, math.inf, 40, wbar)
+    assert math.isfinite(s)
+    assert s == pytest.approx(math.log(lambda_ratio_product_infinite(pot, L, bc, 2)),
+                              abs=1e-12)
+
+
+@pytest.fixture()
+def cold_memo():
+    kramers._mu_memo.clear()
+    yield
+    kramers._mu_memo.clear()
+
+
+def test_instanton_and_spectrum_solved_once_per_length(pot, monkeypatch, cold_memo):
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(kramers, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("instanton", "eigs_profile"):
+        monkeypatch.setattr(kramers, name, counted(name))
+    for eps in (0.02, 0.05, 0.1):
+        assert predict_time(pot, 5.0, NEUMANN, eps).regime is RegimeTag.NEUMANN_LARGE_L
+    assert calls == {"instanton": 1, "eigs_profile": 1}
+
+
+@pytest.mark.parametrize("bc, L", [(NEUMANN, 4.0), (PERIODIC, 7.0), (NEUMANN, math.pi)])
+def test_memoised_spectrum_is_read_only(pot, bc, L, cold_memo):
+    prof, mu, _ = kramers._mu_spectrum(pot, L, bc, 40, 1024)
+    assert not mu.flags.writeable
+    if prof is not None:
+        assert not any(a.flags.writeable for a in (prof.x, prof.u, prof.du))
+    with pytest.raises(ValueError):
+        mu[0] = 0.0
+
+
+@pytest.mark.parametrize("bc, L", [(NEUMANN, 4.0), (PERIODIC, 7.0)])
+def test_memo_does_not_change_predictions(pot, bc, L, cold_memo):
+    cold = predict_time(pot, L, bc, 0.05)
+    warm = predict_time(pot, L, bc, 0.05)
+    kramers._mu_memo.clear()
+    again = predict_time(pot, L, bc, 0.05)
+    assert cold.log10_expected_time == warm.log10_expected_time == again.log10_expected_time

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from kramers_spde import (FourierState, InvalidPotential, LocalPotential, NEUMANN,
                           PERIODIC, check_assumptions, critical_points, energy_V,
@@ -167,3 +168,17 @@ def test_energy_lower_bound(pot, rng):
             d = int(rng.integers(0, 12))
             st = FourierState(bc, L, d, rng.uniform(-2, 2, bc.n_coeffs(d)))
             assert energy_V(st, pot) >= beta * h1_norm_squared(st) - alpha - 1e-9
+
+
+_SEXTIC = LocalPotential.from_coefficients([0, 0, -0.5, 0.1, 0.2, -0.03, 0.05])
+
+
+@settings(max_examples=200, deadline=None)
+@given(which=strategies.sampled_from(["quartic", "sextic"]),
+       order=strategies.integers(0, 5), u=strategies.floats(-3.0, 3.0))
+def test_scalar_derivative_is_bit_identical_to_array_path(pot, which, order, u):
+    p = pot if which == "quartic" else _SEXTIC
+    scalar = p.derivative(u, order)
+    assert type(scalar) is float and type(p.derivative(np.float64(u), order)) is float
+    for arr in (np.array(u), np.array([u])):
+        assert np.float64(scalar).tobytes() == p.derivative(arr, order).reshape(()).tobytes()
