@@ -2,7 +2,9 @@
 validate, sweep.
 
 Every run writes a JSON manifest (tool version, timestamp, seed, merged
-configuration, output paths); CSV outputs carry a `# manifest:` comment line
+configuration, output paths; simulate adds the Monte Carlo's wall time under
+"timings" and its step counts and censored fraction under "diagnostics",
+which --config ignores on reload); CSV outputs carry a `# manifest:` comment line
 and use '.'-decimal '.17g' floats with '\n' line endings, so reruns with the
 same configuration reproduce them byte for byte.  A previous manifest can be
 fed back through --config (flags win over file values).
@@ -15,6 +17,7 @@ import json
 import math
 import os
 import sys
+import time
 from datetime import datetime, timezone
 
 import numpy as np
@@ -123,7 +126,8 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
 
 
 def _write_manifest(out_prefix: str, subcommand: str, config: dict,
-                    outputs: list[str]) -> str:
+                    outputs: list[str], **record) -> str:
+    """The run's manifest; record adds top-level keys such as timings and diagnostics."""
     path = f"{out_prefix}_manifest.json"
     payload = {
         "tool": "kramers-spde",
@@ -133,6 +137,7 @@ def _write_manifest(out_prefix: str, subcommand: str, config: dict,
         "seed": config.get("seed"),
         "config": {k: v for k, v in config.items() if k != "out"},
         "outputs": outputs,
+        **record,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -192,7 +197,9 @@ def _cmd_simulate(cfg: dict) -> int:
                     dt=cfg["dt"], t_max=cfg["tmax"], rho=cfg["rho"],
                     check_every=cfg["check_every"], refine=cfg["refine"],
                     seed=cfg["seed"], scheme=cfg["scheme"])
+    t0 = time.perf_counter()
     samples = run_replicas(sim, cfg["n"], threads=_threads(cfg.get("threads")))
+    mc_s = time.perf_counter() - t0
     stats = _stats_from_samples(samples, sim)
     # keep the finished Monte Carlo where predict_time refuses the configuration
     pred, refused = None, f"d = {sim.d}, the prediction needs d >= 1"
@@ -204,7 +211,13 @@ def _cmd_simulate(cfg: dict) -> int:
     if pred is None:
         print(f"no prediction: {refused}", file=sys.stderr)
     out = cfg["out"]
-    manifest = _write_manifest(out, "simulate", cfg, [f"{out}.csv", f"{out}.json"])
+    steps = [s.steps for s in samples]
+    manifest = _write_manifest(
+        out, "simulate", cfg, [f"{out}.csv", f"{out}.json"],
+        timings={"mc_s": mc_s},
+        diagnostics={"replica_steps": sum(steps), "batch_steps": max(steps),
+                     "replica_steps_per_s": sum(steps) / mc_s,
+                     "censored_fraction": stats.censored / len(samples)})
     _write_csv(f"{out}.csv", manifest, ["replica", "seed", "tau", "censored", "steps"],
                [[i, s.seed_used, s.tau, int(s.censored), s.steps]
                 for i, s in enumerate(samples)])

@@ -40,6 +40,31 @@ def horner(coef_desc: tuple[float, ...], u: float) -> float:
     return y
 
 
+def horner_into(coef_desc: tuple[float, ...], x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.polyval(coef_desc, x) written into out, which must not share memory with x.
+
+    The same y = y*x + c steps as np.polyval, by in-place ufuncs, except
+    the exact ones: the leading 0*x + c, a product with a leading 1 and a
+    sum with 0.0.  For finite x these differ from np.polyval at most in the
+    sign of a zero.  For quartic() (U' = u^3 - u) that leaves 3 ufunc calls.
+    """
+    y = None  # the array holding y, or None while y is the leading coefficient
+    for c in coef_desc[1:]:
+        if y is not None:
+            y = np.multiply(y, x, out=out)
+        elif coef_desc[0] != 1.0:
+            y = np.multiply(x, coef_desc[0], out=out)
+        else:
+            y = x
+        if c != 0.0:
+            y = np.add(y, c, out=out)
+    if y is None:
+        out.fill(coef_desc[0])
+    elif y is not out:
+        np.copyto(out, y)
+    return out
+
+
 def _polish_root(dcoef_desc: np.ndarray, d2coef_desc: np.ndarray, r: float) -> float:
     for _ in range(8):
         f = np.polyval(dcoef_desc, r)

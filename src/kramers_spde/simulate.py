@@ -10,9 +10,10 @@ Replica streams come from counter-based Philox generators keyed by
 seed XOR replica_index, consumed strictly sequentially per replica, so a
 replica's trajectory is bit-identical whether it runs alone or inside a
 vectorized batch.  Hitting of the sup-norm ball around u*_+ is checked every
-check_every steps on a refined evaluation grid; the recorded tau is the
-first checked time.  Replicas that reach t_max are censored and reported
-separately (their exclusion makes the mean a lower bound).
+check_every steps, and at the last step ceil(t_max/dt), on a refined
+evaluation grid; the recorded tau is the first checked time.  Replicas that
+reach t_max are censored and reported separately (their exclusion makes the
+mean a lower bound).
 
 Also here: the exact 1D potential-theory oracles used to validate the d=0
 reduction (mean first passage by double quadrature, and the
@@ -29,7 +30,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import AllCensored, NonFinite, QuadratureNotConverged
-from .potential import LocalPotential
+from .potential import LocalPotential, horner_into
 from .spectral import (BoundaryCondition, FourierState, TransformPlan,
                        default_grid_size, mode_frequencies, next_fast_len, sup_dist)
 
@@ -98,20 +99,25 @@ class _MatrixForm:
     """A TransformPlan evaluated as matrix products.
 
     The matrices are the plan applied to identity matrices, so the Galerkin
-    basis keeps its one definition in TransformPlan.
+    basis keeps its one definition in TransformPlan.  work is the output
+    buffer of synthesize.
     """
 
     def __init__(self, plan: TransformPlan):
         ncf = plan.bc.n_coeffs(plan.d)
+        self.n = plan.n
         self._synth = plan.synthesize(np.eye(ncf))        # (ncf, n)
         self._proj = plan.analyze(np.eye(plan.n))         # (n, ncf)
         self._ends = plan.endpoint_values(np.eye(ncf))    # (ncf, 2)
 
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs @ self._synth
+    def work(self, rows: int) -> np.ndarray:
+        return np.empty((rows, self.n))
 
-    def analyze(self, values: np.ndarray) -> np.ndarray:
-        return values @ self._proj
+    def synthesize(self, coeffs: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+        return np.matmul(coeffs, self._synth, out=None if work is None else work[: len(coeffs)])
+
+    def analyze(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.matmul(values, self._proj, out=out)
 
     def endpoint_values(self, coeffs: np.ndarray) -> np.ndarray:
         return coeffs @ self._ends
@@ -128,6 +134,17 @@ class _Engine:
     at d = 32, but 37.3 s against 18.1 s at d = 40.  One d = 64 drift over
     200 replicas: 1.41 ms against 1.30 ms on a quiet host, 22.6 ms against
     1.07 ms while another process held one core.
+
+    step() writes into a caller's buffer and works in scratch buffers the
+    engine owns (the transform's work buffer, the grid values of U', the
+    noise term), grown to the widest batch seen, so a batch step allocates
+    nothing but the FFTs' outputs.  Its arithmetic is the textbook update
+    (y + dt N + sqrt(2 eps dt) xi) / (1 + nu dt), or
+    e^{-nu dt} y + phi1(nu dt) dt N + sd xi, in that order of operations,
+    with N = -analyze(U'(synthesize(y))) and U' by Horner.  So a replica's
+    trajectory is the same to the bit whatever the buffers; folding dt or
+    the denominators into the transform matrices would change the roundoff
+    and move hits by a check.
     """
 
     def __init__(self, cfg: SimConfig, nonlinear: bool = True):
@@ -141,7 +158,8 @@ class _Engine:
             self.plan, self.ref_plan = _MatrixForm(self.plan), _MatrixForm(self.ref_plan)
         self.nu = mode_frequencies(cfg.bc, cfg.L, cfg.d)
         self.nonlinear = nonlinear
-        self._dU = pot._deriv[1]
+        self._dU = pot._deriv_scalar[1]
+        self._rows = 0
         start_u = pot.u_minus if cfg.start_well == "minus" else pot.u_plus
         target_u = pot.u_plus if cfg.start_well == "minus" else pot.u_minus
         self.start = FourierState.constant(start_u, cfg.bc, cfg.L, cfg.d).coeffs
@@ -153,6 +171,7 @@ class _Engine:
         self.noise_base = math.sqrt(2.0 * cfg.eps * dt)
         if cfg.scheme == "semi_implicit":
             self.denom = 1.0 + self.nu * dt
+            self._drift_mul = -dt  # dt N = -dt analyze(U'(u)) to the bit: negation is exact
         else:
             em = np.exp(-self.nu * dt)
             self.exp_mul = em
@@ -163,23 +182,50 @@ class _Engine:
                 var = np.where(small, 2.0 * cfg.eps * dt * (1.0 - self.nu * dt),
                                cfg.eps * (-np.expm1(-2.0 * self.nu * dt))
                                / np.where(small, 1.0, self.nu))
+            self._drift_mul = -self.phi1dt
             self.noise_std = np.sqrt(var)
 
-    def drift_nonlinear(self, y: np.ndarray) -> np.ndarray:
-        if not self.nonlinear:
-            return np.zeros_like(y)
-        if self.cfg.d == 0:  # constant field: the transform collapses
-            s = math.sqrt(self.cfg.L)
-            return -s * np.polyval(self._dU, y / s)
-        u = self.plan.synthesize(y)
-        return -self.plan.analyze(np.polyval(self._dU, u))
+    def _scratch(self, rows: int) -> None:
+        if rows > self._rows:
+            self._rows = rows
+            self._work = self.plan.work(rows)
+            self._grid = np.empty((rows, self.plan.n))
+            self._term = np.empty((rows, len(self.nu)))
 
-    def step(self, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        cfg = self.cfg
-        N = self.drift_nonlinear(y)
-        if cfg.scheme == "semi_implicit":
-            return (y + cfg.dt * N + self.noise_base * xi) / self.denom
-        return self.exp_mul * y + self.phi1dt * N + self.noise_std * xi
+    def potential_gradient(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """analyze(U'(synthesize(y))) into out: minus the nonlinear drift N."""
+        k = len(y)
+        self._scratch(k)
+        if not self.nonlinear:
+            out.fill(0.0)
+        elif self.cfg.d == 0:  # constant field: the transform collapses
+            s = math.sqrt(self.cfg.L)
+            x = np.divide(y, s, out=self._term[:k])
+            horner_into(self._dU, x, out)
+            out *= s
+        else:
+            u = self.plan.synthesize(y, self._work)
+            self.plan.analyze(horner_into(self._dU, u, self._grid[:k]), out=out)
+        return out
+
+    def step(self, y: np.ndarray, xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The state after one step from y driven by the normals xi, written into out.
+
+        out (allocated when None) must not share memory with y or xi.
+        """
+        if out is None:
+            out = np.empty(y.shape)
+        self.potential_gradient(y, out)
+        out *= self._drift_mul
+        term = self._term[: len(y)]
+        if self.cfg.scheme == "semi_implicit":
+            out += y
+            out += np.multiply(xi, self.noise_base, out=term)
+            out /= self.denom
+        else:
+            out += np.multiply(y, self.exp_mul, out=term)
+            out += np.multiply(xi, self.noise_std, out=term)
+        return out
 
     def sup_to_target(self, y: np.ndarray) -> np.ndarray:
         if self.cfg.d == 0:
@@ -221,48 +267,58 @@ def _replica_generator(seed: int, index: int) -> np.random.Generator:
 
 
 def _run_batch(cfg: SimConfig, replica_indices: list[int]) -> list[TransitionSample]:
+    """Samples of the given replicas, run side by side.
+
+    The k live replicas are the first k rows of the state, of its swap
+    buffer and of the noise block, in replica order.  Each replica's block
+    of normals is contiguous, drawn in one call from its own stream; a hit
+    moves the later rows up in place.  Checks come every check_every steps
+    and at max_steps, where the run ends.
+    """
     eng = _Engine(cfg)
     m = len(replica_indices)
     gens = [_replica_generator(cfg.seed, i) for i in replica_indices]
     order = np.arange(m)
     y = np.tile(eng.start, (m, 1))
-    ncf = y.shape[1]
+    y_next = np.empty_like(y)
     max_steps = int(math.ceil(cfg.t_max / cfg.dt))
+    noise = np.empty((m, min(cfg.check_every * _BLOCK_CHECKS, max_steps), y.shape[1]))
     results: dict[int, TransitionSample] = {}
-    block = cfg.check_every * _BLOCK_CHECKS
+    k = m
     step_no = 0
-    while len(order) and step_no < max_steps:
-        b = min(block, max_steps - step_no)
-        b -= b % cfg.check_every
-        b = b or cfg.check_every
-        noise = np.empty((b, len(order), ncf))
-        for row, pos in enumerate(order):
-            noise[:, row, :] = gens[pos].standard_normal((b, ncf))
+    while k and step_no < max_steps:
+        b = min(noise.shape[1], max_steps - step_no)
+        for row in range(k):
+            gens[order[row]].standard_normal(out=noise[row, :b])
         j = 0
         while j < b:
-            for _ in range(cfg.check_every):
-                y = eng.step(y, noise[j])
+            for _ in range(min(cfg.check_every, b - j)):
+                eng.step(y[:k], noise[:k, j], out=y_next[:k])
+                y, y_next = y_next, y
                 j += 1
             step_no_check = step_no + j
-            if not np.all(np.isfinite(y)):
-                bad = order[~np.all(np.isfinite(y), axis=1)][0]
+            live = y[:k]
+            if not np.all(np.isfinite(live)):
+                bad = order[~np.all(np.isfinite(live), axis=1)][0]
                 raise NonFinite(
                     f"replica {replica_indices[bad]} diverged at step {step_no_check}")
-            hit = eng.hit_mask(y, cfg.rho)
+            hit = eng.hit_mask(live, cfg.rho)
             if np.any(hit):
-                for pos in order[hit]:
+                for pos in order[:k][hit]:
                     results[pos] = TransitionSample(
                         tau=step_no_check * cfg.dt, censored=False,
                         steps=step_no_check,
                         seed_used=(cfg.seed ^ replica_indices[pos]) & _MASK64)
-                keep = ~hit
-                y = y[keep]
-                noise = noise[:, keep, :]
-                order = order[keep]
-                if not len(order):
+                kept = np.flatnonzero(~hit)
+                for row in range(int(np.argmax(hit)), len(kept)):
+                    noise[row, j:b] = noise[kept[row], j:b]
+                k = len(kept)
+                y[:k] = live[kept]
+                order[:k] = order[kept]
+                if not k:
                     break
         step_no += b
-    for pos in order:
+    for pos in order[:k]:
         results[pos] = TransitionSample(
             tau=None, censored=True, steps=max_steps,
             seed_used=(cfg.seed ^ replica_indices[pos]) & _MASK64)
@@ -322,9 +378,11 @@ def sample_path(cfg: SimConfig, n_steps: int, record_every: int = 1,
     eng = _Engine(cfg, nonlinear=not linear_only)
     gen = _replica_generator(cfg.seed, 0)
     y = eng.start[None, :].copy()
+    y_next, xi = np.empty_like(y), np.empty_like(y)
     out = np.empty((n_steps // record_every, y.shape[1]))
     for i in range(n_steps):
-        y = eng.step(y, gen.standard_normal((1, y.shape[1])))
+        eng.step(y, gen.standard_normal(out=xi), out=y_next)
+        y, y_next = y_next, y
         if (i + 1) % record_every == 0:
             out[(i + 1) // record_every - 1] = y[0]
     if not np.all(np.isfinite(y)):

@@ -148,40 +148,55 @@ class TransformPlan:
         self.L = float(L)
         self.d = d
         self.n = int(n_grid)
+        # periodic pairs (a_k, b_k) sit at (Re, Im) of rfft bin k, the b_k with a minus sign
+        signs = np.tile([1.0, -1.0], d)
+        self._pair_synth = 0.5 * self.n * math.sqrt(2.0 / self.L) * signs
+        self._pair_analyze = math.sqrt(2.0 * self.L) / self.n * signs
 
     def grid(self) -> np.ndarray:
         if self.bc is NEUMANN:
             return (np.arange(self.n) + 0.5) * (self.L / self.n)
         return np.arange(self.n) * (self.L / self.n)
 
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+    def work(self, *lead: int) -> np.ndarray:
+        """A zeroed spectrum buffer of shape (*lead, width), for synthesize(..., work=)."""
+        if self.bc is NEUMANN:
+            return np.zeros((*lead, self.n))
+        return np.zeros((*lead, self.n // 2 + 1), dtype=complex)
+
+    def synthesize(self, coeffs: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+        """Grid samples of the states in coeffs.
+
+        work, from self.work(rows) with rows >= len(coeffs), is reused for
+        the spectrum of 2-D coeffs: only its first d+1 columns are written,
+        so the rest stays zero.
+        """
         c = np.atleast_2d(np.asarray(coeffs, dtype=float))
         n, L, d = self.n, self.L, self.d
+        spec = self.work(*c.shape[:-1]) if work is None else work[: len(c)]
         if self.bc is NEUMANN:
-            buf = np.zeros((*c.shape[:-1], n))
-            buf[..., : d + 1] = c * math.sqrt(n / L)
-            out = idct(buf, type=2, norm="ortho", axis=-1)
+            np.multiply(c, math.sqrt(n / L), out=spec[..., : d + 1])
+            out = idct(spec, type=2, norm="ortho", axis=-1)
         else:
-            spec = np.zeros((*c.shape[:-1], n // 2 + 1), dtype=complex)
-            spec[..., 0] = c[..., 0] * (n / math.sqrt(L))
-            scale = 0.5 * n * math.sqrt(2.0 / L)
-            spec[..., 1 : d + 1] = scale * (c[..., 1::2] - 1j * c[..., 2::2])
+            interleaved = spec.view(float)  # Re, Im of bin 0, then of bin 1, ...
+            np.multiply(c[..., 0], n / math.sqrt(L), out=interleaved[..., 0])
+            np.multiply(c[..., 1:], self._pair_synth, out=interleaved[..., 2 : 2 * d + 2])
             out = irfft(spec, n, axis=-1)
         return out[0] if np.asarray(coeffs).ndim == 1 else out
 
-    def analyze(self, values: np.ndarray) -> np.ndarray:
+    def analyze(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Coefficients of grid samples; out, if given, receives those of 2-D values."""
         v = np.atleast_2d(np.asarray(values, dtype=float))
         n, L, d = self.n, self.L, self.d
+        if out is None:
+            out = np.empty((*v.shape[:-1], self.bc.n_coeffs(d)))
         if self.bc is NEUMANN:
             spec = dct(v, type=2, norm="ortho", axis=-1)
-            out = spec[..., : d + 1] * math.sqrt(L / n)
+            np.multiply(spec[..., : d + 1], math.sqrt(L / n), out=out)
         else:
-            spec = rfft(v, axis=-1)
-            out = np.empty((*v.shape[:-1], 2 * d + 1))
-            out[..., 0] = spec[..., 0].real * (math.sqrt(L) / n)
-            scale = math.sqrt(2.0 * L) / n
-            out[..., 1::2] = scale * spec[..., 1 : d + 1].real
-            out[..., 2::2] = -scale * spec[..., 1 : d + 1].imag
+            interleaved = rfft(v, axis=-1).view(float)
+            np.multiply(interleaved[..., 0], math.sqrt(L) / n, out=out[..., 0])
+            np.multiply(interleaved[..., 2 : 2 * d + 2], self._pair_analyze, out=out[..., 1:])
         return out[0] if np.asarray(values).ndim == 1 else out
 
     def endpoint_values(self, coeffs: np.ndarray) -> np.ndarray:

@@ -222,6 +222,36 @@ def test_old_manifest_with_start_radius_still_runs(tmp_path):
     assert "r" not in second["config"]
 
 
+def test_simulate_manifest_records_mc_time_and_steps(tmp_path, capsys):
+    argv = ["simulate", "--L", "1", "--eps", "1", "--d", "2", "--tmax", "3", "--n", "5",
+            "--seed", "5", "--threads", "1"]
+    assert run(tmp_path, *argv, "--out", "first") == 0
+    first_stdout = capsys.readouterr().out
+    manifest = json.loads((tmp_path / "first_manifest.json").read_text())
+    rows = [line.split(",") for line in (tmp_path / "first.csv").read_text().splitlines()[2:]]
+    steps = [int(r[4]) for r in rows]
+    censored = sum(int(r[3]) for r in rows)
+    assert 0 < censored < 5
+    mc_s = manifest["timings"]["mc_s"]
+    assert mc_s > 0
+    diag = manifest["diagnostics"]
+    assert diag["replica_steps"] == sum(steps) and diag["batch_steps"] == max(steps)
+    assert diag["replica_steps_per_s"] == pytest.approx(sum(steps) / mc_s)
+    assert diag["censored_fraction"] == censored / 5
+    # reloaded through --config (whole or flattened), the record keys are dropped
+    flat = dict(manifest["config"], timings=manifest["timings"], diagnostics=diag)
+    (tmp_path / "flat.json").write_text(json.dumps(flat))
+    for source, out in (("first_manifest.json", "second"), ("flat.json", "third")):
+        assert run(tmp_path, "simulate", "--config", source, "--out", out) == 0
+        assert capsys.readouterr().out == first_stdout
+        again = json.loads((tmp_path / f"{out}_manifest.json").read_text())
+        assert again["config"] == manifest["config"]
+        assert ({k: v for k, v in again["diagnostics"].items() if k != "replica_steps_per_s"}
+                == {k: v for k, v in diag.items() if k != "replica_steps_per_s"})
+        assert ((tmp_path / f"{out}.csv").read_text().splitlines()[1:]
+                == (tmp_path / "first.csv").read_text().splitlines()[1:])
+
+
 # CSV data rows recorded before the Galerkin transform, the replica fan-out
 # and the instanton eigenvalue pairing were each merged into one definition;
 # a refactor must reproduce them.  Entries: (id, argv, stride, rows), where

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies
 from kramers_spde import (FourierState, InvalidPotential, LocalPotential, NEUMANN,
                           PERIODIC, check_assumptions, critical_points, energy_V,
                           eval_U, grad_V)
-from kramers_spde.potential import energy_lower_bound_constants, h1_norm_squared
+from kramers_spde.potential import energy_lower_bound_constants, h1_norm_squared, horner_into
 
 
 def test_eval_quartic_values(pot):
@@ -182,3 +182,15 @@ def test_scalar_derivative_is_bit_identical_to_array_path(pot, which, order, u):
     assert type(scalar) is float and type(p.derivative(np.float64(u), order)) is float
     for arr in (np.array(u), np.array([u])):
         assert np.float64(scalar).tobytes() == p.derivative(arr, order).reshape(()).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(coef=strategies.lists(strategies.sampled_from([0.0, 1.0, -1.0, 0.25, -0.7, 3.0]),
+                             min_size=1, max_size=7),
+       seed=strategies.integers(0, 2**32 - 1))
+def test_in_place_horner_is_polyval(coef, seed):
+    # the skipped steps (0*x + c, 1*x, y + 0.0) are exact, so only a zero's sign may differ
+    x = np.random.default_rng(seed).uniform(-3.0, 3.0, (5, 9))
+    out = np.full_like(x, np.nan)
+    assert horner_into(tuple(coef), x, out) is out
+    assert np.array_equal(out, np.polyval(coef, x))

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.fft import dct, idct, irfft, rfft
 
 from kramers_spde import (AllCensored, FourierState, NEUMANN, PERIODIC,
                           SimConfig, TransformPlan, galerkin_error, mc_stats,
-                          oracle_identity_1d, oracle_mfpt_1d, reduced_potential_1d,
+                          oracle_identity_1d, oracle_mfpt_1d, quartic, reduced_potential_1d,
                           run_replicas, sample_path, sample_transition, step, sup_dist)
 from kramers_spde.simulate import _Engine, _run_batch, _stats_from_samples
 from kramers_spde.spectral import default_grid_size
@@ -106,11 +108,130 @@ def test_engine_transforms_match_transform_plan(pot, bc, d):
     y = np.random.default_rng(d).normal(scale=0.5, size=(7, bc.n_coeffs(d)))
     y[:, 0] += pot.u_minus
     want = -plan.analyze(pot.derivative(plan.synthesize(y), 1))
-    got = eng.drift_nonlinear(y)
+    got = -eng.potential_gradient(y, np.empty_like(y))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     target = FourierState.constant(pot.u_plus, bc, cfg.L, d)
     ref = [sup_dist(FourierState(bc, cfg.L, d, row), target, cfg.refine) for row in y]
     assert eng.sup_to_target(y) == pytest.approx(ref, rel=1e-12)
+
+
+def _fresh_transforms(eng):
+    """(synthesize, analyze) of the engine's transform as plain expressions on fresh arrays."""
+    plan = eng.plan
+    if not isinstance(plan, TransformPlan):  # the matrix form
+        return plan.synthesize, plan.analyze
+    n, L, d = plan.n, plan.L, plan.d
+    if plan.bc is NEUMANN:
+        def synth(c):
+            buf = np.zeros((len(c), n))
+            buf[:, : d + 1] = c * math.sqrt(n / L)
+            return idct(buf, type=2, norm="ortho", axis=-1)
+
+        def ana(v):
+            return dct(v, type=2, norm="ortho", axis=-1)[:, : d + 1] * math.sqrt(L / n)
+        return synth, ana
+
+    def synth(c):
+        spec = np.zeros((len(c), n // 2 + 1), dtype=complex)
+        spec[:, 0] = c[:, 0] * (n / math.sqrt(L))
+        spec[:, 1 : d + 1] = 0.5 * n * math.sqrt(2.0 / L) * (c[:, 1::2] - 1j * c[:, 2::2])
+        return irfft(spec, n, axis=-1)
+
+    def ana(v):
+        spec = rfft(v, axis=-1)
+        out = np.empty((len(v), 2 * d + 1))
+        out[:, 0] = spec[:, 0].real * (math.sqrt(L) / n)
+        out[:, 1::2] = math.sqrt(2.0 * L) / n * spec[:, 1 : d + 1].real
+        out[:, 2::2] = -math.sqrt(2.0 * L) / n * spec[:, 1 : d + 1].imag
+        return out
+    return synth, ana
+
+
+def _reference_step(eng, y, xi):
+    cfg = eng.cfg
+    dU = cfg.pot._deriv[1]
+    synth, ana = _fresh_transforms(eng)
+    if not eng.nonlinear:
+        N = np.zeros_like(y)
+    elif cfg.d == 0:
+        s = math.sqrt(cfg.L)
+        N = -s * np.polyval(dU, y / s)
+    else:
+        N = -ana(np.polyval(dU, synth(y)))
+    if cfg.scheme == "semi_implicit":
+        return (y + cfg.dt * N + math.sqrt(2.0 * cfg.eps * cfg.dt) * xi) / (1.0 + eng.nu * cfg.dt)
+    return eng.exp_mul * y + eng.phi1dt * N + eng.noise_std * xi
+
+
+@settings(max_examples=80, deadline=None)
+@given(bc=st.sampled_from([NEUMANN, PERIODIC]), d=st.sampled_from([0, 3, 15, 40, 64]),
+       m=st.sampled_from([1, 7, 200]), scheme=st.sampled_from(["semi_implicit", "exponential"]),
+       linear_only=st.booleans(), L=st.floats(0.5, 8.0), eps=st.floats(0.0, 2.0),
+       dt=st.floats(1e-4, 1e-2), seed=st.integers(0, 2**32 - 1))
+def test_step_is_the_reference_formula_bit_for_bit(bc, d, m, scheme, linear_only, L, eps, dt,
+                                                   seed):
+    pot = quartic()
+    cfg = SimConfig(pot=pot, bc=bc, L=L, d=d, eps=eps, dt=dt, t_max=1.0, scheme=scheme)
+    eng = _Engine(cfg, nonlinear=not linear_only)
+    gen = np.random.default_rng(seed)
+    y = eng.start + gen.normal(scale=0.5, size=(m, bc.n_coeffs(d)))
+    other = eng.start + gen.normal(scale=0.5, size=y.shape)  # another live state
+    xi = gen.standard_normal(y.shape)
+    y0, other0, xi0 = y.copy(), other.copy(), xi.copy()
+    want = _reference_step(eng, y, xi)
+    # a fresh result, then one written into a stale buffer, then a step of
+    # another state: none may change an earlier result or the inputs
+    fresh = eng.step(y, xi)
+    stale = np.full_like(y, np.nan)
+    assert eng.step(y, xi, out=stale) is stale
+    moved = eng.step(other, xi)
+    for got in (fresh, stale):
+        assert np.array_equal(got, want)
+        assert not np.shares_memory(got, y) and not np.shares_memory(got, moved)
+    assert np.array_equal(moved, _reference_step(eng, other, xi))
+    assert np.array_equal(y, y0) and np.array_equal(other, other0) and np.array_equal(xi, xi0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), d=st.sampled_from([0, 15, 40]), check_every=st.sampled_from([1, 3, 10]),
+       seed=st.integers(0, 2**63 - 1))
+def test_batch_samples_do_not_depend_on_batch_or_subset(data, d, check_every, seed):
+    # t_max ends 1497 steps in, off the check grid: some replicas are censored
+    cfg = SimConfig(pot=quartic(), bc=NEUMANN, L=1.0, d=d, eps=0.5, dt=1e-3, t_max=1.497,
+                    rho=1.5, check_every=check_every, seed=seed)
+    full = _run_batch(cfg, list(range(8)))
+    assume(len({s.steps for s in full if not s.censored}) >= 2)  # hits at different checks
+    subset = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True))
+    assert _run_batch(cfg, subset) == [full[i] for i in subset]
+
+
+@pytest.mark.parametrize("scheme", ["semi_implicit", "exponential"])
+@pytest.mark.parametrize("d", [0, 15, 40])
+def test_sample_path_is_replica_zero_step_for_step(pot, monkeypatch, d, scheme):
+    cfg = _cfg(pot, d=d, eps=0.5, rho=1.5, seed=11, scheme=scheme)
+    states = []
+    engine_step = _Engine.step
+
+    def recording_step(self, y, xi, out=None):
+        out = engine_step(self, y, xi, out)
+        states.append(out[0].copy())
+        return out
+
+    monkeypatch.setattr(_Engine, "step", recording_step)
+    sample = _run_batch(cfg, [0])[0]
+    monkeypatch.undo()
+    assert not sample.censored and len(states) == sample.steps
+    assert np.array_equal(sample_path(cfg, sample.steps), np.array(states))
+
+
+def test_no_transition_recorded_after_t_max(pot):
+    # t_max = 5 steps, half a check interval: the run ends, and checks, at step 5
+    cfg = SimConfig(pot=pot, bc=NEUMANN, L=1.0, d=0, eps=5.0, dt=1e-3, t_max=0.005,
+                    rho=1.99, seed=1)
+    samples = run_replicas(cfg, 50)
+    hits = [s for s in samples if not s.censored]
+    assert hits and all(s.steps == 5 and s.tau <= cfg.t_max for s in hits)
+    assert all(s.steps == 5 for s in samples if s.censored)
 
 
 def test_censoring(pot):
