@@ -91,9 +91,6 @@ def _parse_d(text) -> float:
 
 
 def _threads(requested) -> int:
-    env = os.environ.get("KRAMERS_SPDE_THREADS")
-    if env is not None:
-        return max(1, int(env))
     if requested is not None:
         return max(1, int(requested))
     return os.cpu_count() or 1
@@ -117,11 +114,10 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
     for key, val in vars(args).items():
         if key in _NOT_CONFIG:
             continue
-        if val is not None or key not in cfg:
-            if val is not None:
-                cfg[key] = val
-            elif key not in cfg:
-                cfg[key] = parser_defaults.get(key)
+        if val is not None:
+            cfg[key] = val
+        elif key not in cfg:
+            cfg[key] = parser_defaults.get(key)
     return cfg
 
 
@@ -337,114 +333,69 @@ def _cmd_sweep(cfg: dict) -> int:
     return 0
 
 
+# (name, handler, help, defaults): a subcommand takes exactly one flag per key
+# of its defaults, "--" + key with "_" as "-", typed like the default.
+_COMMANDS = (
+    ("predict", _cmd_predict, "Kramers-law expected transition times",
+     dict(bc="neumann", L="1.0", eps="0.05", d="inf", lambda_switch=0.1,
+          out="kramers_predict", potential="quartic")),
+    ("simulate", _cmd_simulate, "Monte Carlo first-hitting times",
+     dict(bc="neumann", L=1.0, eps=0.05, d=15, dt=1e-3, tmax=1e4, rho=0.3, n=100, seed=0,
+          scheme="semi_implicit", check_every=10, refine=8, threads=None,
+          out="kramers_simulate", potential="quartic")),
+    ("stationary", _cmd_stationary, "instanton profile and barrier height",
+     dict(bc="neumann", L=4.0, samples=4096, out="kramers_stationary", potential="quartic")),
+    ("eigen", _cmd_eigen, "linearization spectra and determinant ratios",
+     dict(bc="neumann", L=1.0, which="origin", kmax=16, grid_n=1024, out="kramers_eigen",
+          potential="quartic")),
+    ("specialfn", _cmd_specialfn, "crossover functions Psi/Theta on a grid",
+     dict(grid="0:0.1:10", out="kramers_specialfn")),
+    ("validate", _cmd_validate, "run the module invariant suite", dict(full=False)),
+    ("sweep", _cmd_sweep, "parameter sweeps with crash-safe CSV output",
+     dict(bc="neumann", L=1.0, eps=0.05, L_grid=None, eps_grid=None, d="inf",
+          lambda_switch=0.1, with_mc=False, mc_d=15, n=50, dt=1e-3, tmax=1e4, rho=0.3,
+          seed=0, threads=None, out="kramers_sweep", potential="quartic")),
+)
+
+_TYPES = {"threads": int}  # for options whose default is None (otherwise strings)
+_CHOICES = {
+    "bc": ["neumann", "periodic"],
+    "scheme": ["semi_implicit", "exponential"],
+    "which": ["origin", "minus", "plus", "instanton"],
+}
+_HELP = {
+    "potential": "preset name ('quartic') or ascending comma coefficients",
+    "out": "output path prefix",
+    "L": "domain length (predict: comma list)",
+    "eps": "noise strength (predict: comma list)",
+    "d": "Galerkin truncation ('inf' for predict and sweep)",
+    "grid": "start:step:stop or comma list",
+    "L_grid": "start:step:stop",
+    "eps_grid": "start:step:stop",
+    "full": "include the slow Monte Carlo invariants",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="kramers-spde",
         description="Metastable transition times for the 1D stochastic "
                     "Allen-Cahn equation: predictions and Monte Carlo.")
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, seed=False):
-        p.add_argument("--potential", default=None,
-                       help="preset name ('quartic') or ascending comma coefficients")
+    for name, func, help_text, defaults in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None,
                        help="JSON config or manifest; explicit flags win")
-        p.add_argument("--out", default=None, help="output path prefix")
-        if seed:
-            p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("predict", help="Kramers-law expected transition times")
-    common(p)
-    p.add_argument("--bc", default=None, choices=["neumann", "periodic"])
-    p.add_argument("--L", default=None, help="domain length (comma list for sweeps)")
-    p.add_argument("--eps", default=None, help="noise strength (comma list)")
-    p.add_argument("--d", default=None, help="Galerkin truncation or 'inf'")
-    p.add_argument("--lambda-switch", dest="lambda_switch", type=float, default=None)
-    p.set_defaults(func=_cmd_predict,
-                   defaults=dict(bc="neumann", L="1.0", eps="0.05", d="inf",
-                                 lambda_switch=0.1, out="kramers_predict",
-                                 potential="quartic"))
-
-    p = sub.add_parser("simulate", help="Monte Carlo first-hitting times")
-    common(p, seed=True)
-    p.add_argument("--bc", default=None, choices=["neumann", "periodic"])
-    p.add_argument("--L", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--scheme", default=None, choices=["semi_implicit", "exponential"])
-    p.add_argument("--check-every", dest="check_every", type=int, default=None)
-    p.add_argument("--refine", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.set_defaults(func=_cmd_simulate,
-                   defaults=dict(bc="neumann", L=1.0, eps=0.05, d=15, dt=1e-3,
-                                 tmax=1e4, rho=0.3, n=100, seed=0,
-                                 scheme="semi_implicit", check_every=10, refine=8,
-                                 threads=None, out="kramers_simulate",
-                                 potential="quartic"))
-
-    p = sub.add_parser("stationary", help="instanton profile and barrier height")
-    common(p)
-    p.add_argument("--bc", default=None, choices=["neumann", "periodic"])
-    p.add_argument("--L", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.set_defaults(func=_cmd_stationary,
-                   defaults=dict(bc="neumann", L=4.0, samples=4096,
-                                 out="kramers_stationary", potential="quartic"))
-
-    p = sub.add_parser("eigen", help="linearization spectra and determinant ratios")
-    common(p)
-    p.add_argument("--bc", default=None, choices=["neumann", "periodic"])
-    p.add_argument("--L", type=float, default=None)
-    p.add_argument("--which", default=None,
-                   choices=["origin", "minus", "plus", "instanton"])
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--grid-n", dest="grid_n", type=int, default=None)
-    p.set_defaults(func=_cmd_eigen,
-                   defaults=dict(bc="neumann", L=1.0, which="origin", kmax=16,
-                                 grid_n=1024, out="kramers_eigen",
-                                 potential="quartic"))
-
-    p = sub.add_parser("specialfn", help="crossover functions Psi/Theta on a grid")
-    common(p)
-    p.add_argument("--grid", default=None, help="start:step:stop or comma list")
-    p.set_defaults(func=_cmd_specialfn,
-                   defaults=dict(grid="0:0.1:10", out="kramers_specialfn",
-                                 potential="quartic"))
-
-    p = sub.add_parser("validate", help="run the module invariant suite")
-    common(p)
-    p.add_argument("--full", action="store_true", default=None,
-                   help="include the slow Monte Carlo invariants")
-    p.set_defaults(func=_cmd_validate,
-                   defaults=dict(full=False, out="kramers_validate",
-                                 potential="quartic"))
-
-    p = sub.add_parser("sweep", help="parameter sweeps with crash-safe CSV output")
-    common(p, seed=True)
-    p.add_argument("--bc", default=None, choices=["neumann", "periodic"])
-    p.add_argument("--L", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--L-grid", dest="L_grid", default=None, help="start:step:stop")
-    p.add_argument("--eps-grid", dest="eps_grid", default=None, help="start:step:stop")
-    p.add_argument("--d", default=None)
-    p.add_argument("--lambda-switch", dest="lambda_switch", type=float, default=None)
-    p.add_argument("--with-mc", dest="with_mc", action="store_true", default=None)
-    p.add_argument("--mc-d", dest="mc_d", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.set_defaults(func=_cmd_sweep,
-                   defaults=dict(bc="neumann", L=1.0, eps=0.05, L_grid=None,
-                                 eps_grid=None, d="inf", lambda_switch=0.1,
-                                 with_mc=False, mc_d=15, n=50, dt=1e-3, tmax=1e4,
-                                 rho=0.3, seed=0, threads=None,
-                                 out="kramers_sweep", potential="quartic"))
+        for key, default in defaults.items():
+            flag = "--" + key.replace("_", "-")
+            # default=None everywhere: _merge_config tells set flags from unset ones
+            if isinstance(default, bool):
+                p.add_argument(flag, action="store_true", default=None, help=_HELP.get(key))
+            else:
+                kind = _TYPES.get(key) if default is None else type(default)
+                p.add_argument(flag, type=kind, default=None, choices=_CHOICES.get(key),
+                               help=_HELP.get(key))
+        p.set_defaults(func=func, defaults=defaults)
     return ap
 
 

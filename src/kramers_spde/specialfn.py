@@ -8,17 +8,18 @@ Everything here is scalar double precision. The two crossover families are
     theta(-, a) = sqrt(pi/2) Phi(a/2)
 
 evaluated through scaled Bessel / scaled-erfc kernels so the exponential
-factors cancel analytically and nothing overflows.  All four are defined on
-a >= 0, are bounded between positive constants, share the value at a = 0, and
-tend to (1, 2, 1, sqrt(pi/2)) respectively as a -> +infinity.
+factors cancel analytically and nothing overflows: scipy.special.kve for
+e^x K_{1/4}(x), ive for e^{-x} I_{+-1/4}(x), erfcx for e^{x^2} erfc(x), and
+ndtr for Phi.  All four are defined on a >= 0, are bounded between positive
+constants, share the value at a = 0, and tend to (1, 2, 1, sqrt(pi/2))
+respectively as a -> +infinity.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
-import numpy as np
+from scipy import special
 
 from .errors import DomainError
 
@@ -29,71 +30,17 @@ GAMMA_QUARTER = math.gamma(0.25)
 PSI_AT_ZERO = GAMMA_QUARTER / (2.0**1.25 * SQRT_PI)
 THETA_AT_ZERO = math.sqrt(math.pi / 8.0)
 
-_I_SERIES_SWITCH = 15.0
-_K_SERIES_MAX = 2.0
-_K_ASYMPTOTIC_MIN = 30.0
-_K_QUAD_NODES = 256
-
 
 def erfcx(x: float) -> float:
-    """Scaled complementary error function exp(x^2) erfc(x) for x >= 0.
-
-    Stdlib erfc carries the accuracy up to x = 20; beyond that the classical
-    continued fraction sqrt(pi) erfcx(x) = 1/(x + (1/2)/(x + 1/(x + ...)))
-    takes over.  Relative accuracy ~1e-14 on the whole half line.
-    """
+    """Scaled complementary error function exp(x^2) erfc(x) for x >= 0."""
     if x < 0.0:
         raise DomainError(f"erfcx defined here for x >= 0, got {x}")
-    if x <= 20.0:
-        return math.exp(x * x) * math.erfc(x)
-    cf = 0.0
-    for n in range(60, 0, -1):
-        cf = (0.5 * n) / (x + cf)
-    return 1.0 / (SQRT_PI * (x + cf))
+    return float(special.erfcx(x))
 
 
 def normal_cdf(y: float) -> float:
     """Standard Gaussian distribution function Phi(y)."""
-    return 0.5 * math.erfc(-y / math.sqrt(2.0))
-
-
-def _iv_scaled_series(nu: float, x: float) -> float:
-    # e^{-x} sum_k (x/2)^{2k+nu} / (k! Gamma(k+nu+1)); all terms positive.
-    term = (0.5 * x) ** nu / math.gamma(1.0 + nu) if x > 0.0 else (1.0 if nu == 0.0 else 0.0)
-    if x == 0.0:
-        return math.inf if nu < 0.0 else term
-    q = 0.25 * x * x
-    total = term
-    k = 0
-    while True:
-        k += 1
-        term *= q / (k * (k + nu))
-        total += term
-        if term < 1e-18 * total or k > 400:
-            break
-    return total * math.exp(-x)
-
-
-def _asymptotic_sum(nu: float, x: float) -> tuple[float, float]:
-    """Large-x series sum_k s_k a_k(nu)/x^k with a_k = prod(4 nu^2-(2j-1)^2)/(8^k k!).
-
-    Returns (alternating sum for I, same-sign sum for K); truncates at the
-    smallest term.
-    """
-    mu = 4.0 * nu * nu
-    term = 1.0
-    alt, pos = 1.0, 1.0
-    prev = abs(term)
-    for k in range(1, 60):
-        term *= (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if abs(term) >= prev:
-            break
-        prev = abs(term)
-        alt += term if k % 2 == 0 else -term
-        pos += term
-        if prev < 1e-18:
-            break
-    return alt, pos
+    return float(special.ndtr(y))
 
 
 def bessel_iv_scaled(nu: float, x: float) -> float:
@@ -102,31 +49,10 @@ def bessel_iv_scaled(nu: float, x: float) -> float:
         raise DomainError(f"bessel_iv_scaled requires x >= 0, got {x}")
     if abs(abs(nu) - 0.25) > 1e-12:
         raise DomainError(f"only nu = +-1/4 supported, got {nu}")
-    if x < _I_SERIES_SWITCH:
-        return _iv_scaled_series(nu, x)
-    alt, _ = _asymptotic_sum(nu, x)
-    val = alt / math.sqrt(2.0 * math.pi * x)
-    if nu < 0.0:
-        # I_{-nu} = I_nu + (2/pi) sin(nu pi) K_nu; exact, exponentially small here
-        val += (2.0 / math.pi) * math.sin(0.25 * math.pi) * math.exp(-2.0 * x) \
-            * bessel_k_scaled(0.25, x)
-    return val
-
-
-@functools.lru_cache(maxsize=4)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _kv_scaled_quadrature(nu: float, x: float) -> float:
-    # e^{x} K_nu(x) = int_0^T e^{-x(cosh t - 1)} cosh(nu t) dt, integrand
-    # analytic and below 1e-20 of its peak beyond T.
-    t_max = math.acosh(1.0 + 50.0 / x)
-    nodes, weights = _gauss_legendre(_K_QUAD_NODES)
-    t = 0.5 * t_max * (nodes + 1.0)
-    w = 0.5 * t_max * weights
-    vals = np.exp(-x * (np.cosh(t) - 1.0)) * np.cosh(nu * t)
-    return float(np.sum(w * vals))
+    if x == 0.0:
+        # I_{-1/4} ~ x^{-1/4} diverges; scipy returns nan there
+        return math.inf if nu < 0.0 else 0.0
+    return float(special.ive(nu, x))
 
 
 def bessel_k_scaled(nu: float, x: float) -> float:
@@ -135,16 +61,7 @@ def bessel_k_scaled(nu: float, x: float) -> float:
         raise DomainError(f"bessel_k_scaled requires x >= 0, got {x}")
     if abs(nu - 0.25) > 1e-12:
         raise DomainError(f"only nu = 1/4 supported, got {nu}")
-    if x == 0.0:
-        return math.inf
-    if x < _K_SERIES_MAX:
-        # K_nu = pi (I_{-nu} - I_nu) / (2 sin(nu pi)); <2 digits cancellation here
-        diff = _iv_scaled_series(-nu, x) - _iv_scaled_series(nu, x)
-        return math.pi * diff * math.exp(2.0 * x) / (2.0 * math.sin(nu * math.pi))
-    if x < _K_ASYMPTOTIC_MIN:
-        return _kv_scaled_quadrature(nu, x)
-    _, pos = _asymptotic_sum(nu, x)
-    return math.sqrt(math.pi / (2.0 * x)) * pos
+    return float(special.kve(nu, x))
 
 
 def psi(branch: str, alpha: float) -> float:

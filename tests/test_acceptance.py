@@ -231,6 +231,7 @@ def test_criterion_7_1d_oracle_agreement(pot):
     assert residual <= 1e-6
 
 
+@pytest.mark.slow
 def test_criterion_8_kramers_law_consistency(pot):
     t0 = time.time()
     stats = []

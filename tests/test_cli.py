@@ -154,6 +154,22 @@ def test_usage_error_exit_2(tmp_path):
     assert run(tmp_path, "nonexistent") == 2
 
 
+def test_flags_outside_the_config_keys_are_usage_errors(tmp_path):
+    # a subcommand's flags are its configuration keys: validate writes no
+    # output and takes no potential, specialfn takes no potential
+    assert run(tmp_path, "validate", "--out", "v") == 2
+    assert run(tmp_path, "validate", "--potential", "quartic") == 2
+    assert run(tmp_path, "specialfn", "--potential", "quartic", "--out", "sf") == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_thread_count_comes_from_flag_or_config_only(monkeypatch):
+    # explicit flags win: no environment variable overrides --threads
+    monkeypatch.setenv("KRAMERS_SPDE_THREADS", "7")
+    assert cli._threads(3) == 3
+    assert cli._threads(None) == (os.cpu_count() or 1)
+
+
 def test_validate_quick(tmp_path, capsys):
     rc = run(tmp_path, "validate")
     out = capsys.readouterr().out
@@ -253,9 +269,10 @@ def test_simulate_manifest_records_mc_time_and_steps(tmp_path, capsys):
 
 
 # CSV data rows recorded before the Galerkin transform, the replica fan-out
-# and the instanton eigenvalue pairing were each merged into one definition;
-# a refactor must reproduce them.  Entries: (id, argv, stride, rows), where
-# stride keeps every stride-th data row.
+# and the instanton eigenvalue pairing were each merged into one definition
+# (the specialfn rows before Psi/Theta moved onto scipy.special); a refactor
+# must reproduce them.  Entries: (id, argv, stride, rows), where stride keeps
+# every stride-th data row.
 GOLDEN = [
     ('predict-neumann', ['predict', '--bc', 'neumann', '--L', '1,3.0,3.3,4.5', '--eps', '0.05'], 1, [
         '1,0.050000000000000003,neumann_small_l,8.869604401089358,,1.5,0.25,3.4841268529728091,2.7135663682925224,1.1594165608104088',
@@ -329,7 +346,81 @@ GOLDEN = [
         '2,5,3.2000000000000002,0,3200',
         '3,4,8.1600000000000001,0,8160',
     ]),
+    ('specialfn', ['specialfn', '--grid', '0:0.5:10'], 1, [
+        '0,0.86003998732451969,0.86003998732451969,0.62665706865775006,0.62665706865775006',
+        '0.5,0.94214582351689835,1.1119181550713746,0.77836843189029514,0.75036710207862634',
+        '1,0.98673638496452354,1.3406167316368527,0.87636445645369221,0.86661967813769214',
+        '1.5,1.012179457428305,1.548791113392687,0.94071397382925992,0.96927887267918966',
+        '2,1.0270233835602345,1.7359087547926026,0.98351931362819767,1.0544692646038243',
+        '2.5,1.0356941950703977,1.9007145087366766,1.0122531055833544,1.1209017823746477',
+        '3,1.0406421054092774,2.0421586118114052,1.0316312764359266,1.1695837274907583',
+        '3.5,1.0432891411805831,2.1597954217172002,1.0446905880887447,1.2031074296891389',
+        '4,1.0444905767672232,2.2539320998960259,1.0534230732201362,1.2248010753190541',
+        '4.5,1.0447754094933375,2.3256316225583107,1.0591577996956953,1.2379930329157058',
+        '5,1.0444782117107996,2.3766231316119932,1.0627953339893812,1.2455314759747069',
+        '5.5,1.0438143806202926,2.4091552953187527,1.0649545227442938,1.2495795579271534',
+        '6,1.0429245174551045,2.4258209632568337,1.0660660454853614,1.2516222910285237',
+        '6.5,1.0419013332238569,2.4293764560391633,1.0664330503068491,1.2525909436722866',
+        '7,1.0408063514245782,2.4225739746225425,1.066271075872895,1.2530225800019943',
+        '7.5,1.0396804919763709,2.4080203709423582,1.0657347236368515,1.253203322681975',
+        '8,1.0385508994474215,2.3880701364530252,1.0649357231110226,1.2532744433003644',
+        '8.5,1.0374354183433454,2.3647554099423753,1.0639553246056859,1.2533007412350394',
+        '9,1.0363455672072059,2.3397515342066471,1.0628529022101594,1.2533098789637389',
+        '9.5,1.0352885392387414,2.3143735158672607,1.0616719923235363,1.2533128625906935',
+        '10,1.0342685623503667,2.2895967912828112,1.0604445759342371,1.2533137780510326',
+    ]),
 ]
+
+
+# Each case's manifest "config", recorded before the option table replaced the
+# hand-built subparsers: it pins every option's type per subcommand (L is the
+# string "1,3.0,3.3,4.5" for predict and the float 1.0 for simulate).
+# specialfn no longer takes --potential, so its config has no "potential".
+GOLDEN_CONFIG = {
+    'predict-neumann': {
+        'L': '1,3.0,3.3,4.5', 'bc': 'neumann', 'd': 'inf', 'eps': '0.05', 'lambda_switch': 0.1,
+        'potential': 'quartic',
+    },
+    'predict-periodic-d15': {
+        'L': '6.5,9', 'bc': 'periodic', 'd': '15', 'eps': '0.05', 'lambda_switch': 0.1,
+        'potential': 'quartic',
+    },
+    'sweep': {
+        'L': 1.0, 'L_grid': '2.9:0.2:3.3', 'bc': 'neumann', 'd': 'inf', 'dt': 0.001, 'eps': 0.01,
+        'eps_grid': None, 'lambda_switch': 0.1, 'mc_d': 15, 'n': 50, 'potential': 'quartic',
+        'rho': 0.3, 'seed': 0, 'threads': None, 'tmax': 10000.0, 'with_mc': False,
+    },
+    'sweep-with-mc': {
+        'L': 1.0, 'L_grid': None, 'bc': 'neumann', 'd': 'inf', 'dt': 0.001, 'eps': 0.05,
+        'eps_grid': '0.3:0.1:0.4', 'lambda_switch': 0.1, 'mc_d': 15, 'n': 6,
+        'potential': 'quartic', 'rho': 0.3, 'seed': 3, 'threads': 1, 'tmax': 200.0,
+        'with_mc': True,
+    },
+    'eigen-origin': {
+        'L': 1.0, 'bc': 'neumann', 'grid_n': 1024, 'kmax': 4, 'potential': 'quartic',
+        'which': 'origin',
+    },
+    'eigen-instanton-neumann': {
+        'L': 4.0, 'bc': 'neumann', 'grid_n': 1024, 'kmax': 4, 'potential': 'quartic',
+        'which': 'instanton',
+    },
+    'eigen-instanton-periodic': {
+        'L': 7.0, 'bc': 'periodic', 'grid_n': 1024, 'kmax': 4, 'potential': 'quartic',
+        'which': 'instanton',
+    },
+    'stationary': {'L': 7.0, 'bc': 'periodic', 'potential': 'quartic', 'samples': 4096},
+    'simulate-d15': {
+        'L': 1.0, 'bc': 'neumann', 'check_every': 10, 'd': 15, 'dt': 0.001, 'eps': 0.3, 'n': 6,
+        'potential': 'quartic', 'refine': 8, 'rho': 0.3, 'scheme': 'semi_implicit', 'seed': 7,
+        'threads': 1, 'tmax': 200.0,
+    },
+    'simulate-d40-periodic': {
+        'L': 1.0, 'bc': 'periodic', 'check_every': 10, 'd': 40, 'dt': 0.001, 'eps': 0.3, 'n': 4,
+        'potential': 'quartic', 'refine': 8, 'rho': 0.3, 'scheme': 'semi_implicit', 'seed': 7,
+        'threads': 1, 'tmax': 200.0,
+    },
+    'specialfn': {'grid': '0:0.5:10'},
+}
 
 
 def _same_field(got: str, want: str) -> bool:
@@ -348,10 +439,11 @@ def _same_field(got: str, want: str) -> bool:
         return got == want
 
 
-@pytest.mark.parametrize("argv, stride, want", [g[1:] for g in GOLDEN],
-                         ids=[g[0] for g in GOLDEN])
-def test_golden_csv_rows(tmp_path, argv, stride, want):
+@pytest.mark.parametrize("case, argv, stride, want", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_csv_rows(tmp_path, case, argv, stride, want):
     assert run(tmp_path, *argv, "--out", "g") == 0
+    manifest = json.loads((tmp_path / "g_manifest.json").read_text())
+    assert manifest["config"] == GOLDEN_CONFIG[case]
     lines = (tmp_path / "g.csv").read_text().splitlines()
     rows = [line for line in lines if not line.startswith("#")][1:][::stride]
     assert len(rows) == len(want)

@@ -301,6 +301,7 @@ def test_galerkin_coupled_noise_decreasing(pot):
     assert tab.d_reference == 32
 
 
+@pytest.mark.slow
 def test_mc_vs_prediction_asymmetric_potential():
     # end-to-end check away from the symmetric special case: the barrier is
     # taken from the starting well u_-, and the measured/predicted ratio
@@ -317,6 +318,7 @@ def test_mc_vs_prediction_asymmetric_potential():
     assert abs(math.log(st.mean / pred.expected_time)) <= pred.remainder_scale
 
 
+@pytest.mark.slow
 def test_mc_vs_prediction_periodic():
     # periodic pair-basis noise and doubled-mode prefactor, end to end
     from kramers_spde import predict_time, quartic
@@ -331,6 +333,7 @@ def test_mc_vs_prediction_periodic():
     assert abs(math.log(st.mean / pred.expected_time)) <= pred.remainder_scale
 
 
+@pytest.mark.slow
 def test_equilibrium_histogram_ks(pot):
     # long-run law of the d = 0 coordinate vs exp(-V1/eps)/Z at a small
     # barrier; samples are correlated, hence the coarse 0.02 tolerance

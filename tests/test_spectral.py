@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kramers_spde import (FourierState, GridTooSmall, NEUMANN, PERIODIC,
                           from_grid, linearized_eigenvalue, sup_dist, to_grid)
@@ -39,23 +40,34 @@ def test_grid_too_small():
         to_grid(s, 9)
 
 
-def test_round_trip_matches_direct_summation(rng):
+@st.composite
+def transform_cases(draw):
+    """(bc, L, d, n, seed) with any grid n >= 2d+2 the transforms accept."""
+    d = draw(st.integers(0, 40))
+    return (draw(st.sampled_from([NEUMANN, PERIODIC])), draw(st.floats(0.3, 20.0)), d,
+            draw(st.integers(2 * d + 2, 4 * d + 70)), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=transform_cases())
+@example(case=(NEUMANN, 1.9, 6, 32, 20260808))
+@example(case=(PERIODIC, 1.9, 6, 32, 20260808))
+def test_round_trip_matches_direct_summation(case):
     # oracle: direct O(d n) basis summation
-    for bc in (NEUMANN, PERIODIC):
-        d, L, n = 6, 1.9, 32
-        st = FourierState(bc, L, d, rng.normal(size=bc.n_coeffs(d)))
-        plan = TransformPlan(bc, L, d, n)
-        x = plan.grid()
-        direct = np.full(n, st.coeffs[0] / math.sqrt(L))
-        for k in range(1, d + 1):
-            if bc is NEUMANN:
-                direct += st.coeffs[k] * math.sqrt(2 / L) * np.cos(k * math.pi * x / L)
-            else:
-                direct += st.coeffs[2 * k - 1] * math.sqrt(2 / L) * np.cos(2 * math.pi * k * x / L)
-                direct += st.coeffs[2 * k] * math.sqrt(2 / L) * np.sin(2 * math.pi * k * x / L)
-        assert np.abs(plan.synthesize(st.coeffs) - direct).max() <= 1e-12
-        back = from_grid(plan.synthesize(st.coeffs), bc, L, d)
-        assert np.abs(back.coeffs - st.coeffs).max() <= 1e-12
+    bc, L, d, n, seed = case
+    state = FourierState(bc, L, d, np.random.default_rng(seed).normal(size=bc.n_coeffs(d)))
+    plan = TransformPlan(bc, L, d, n)
+    x = plan.grid()
+    direct = np.full(n, state.coeffs[0] / math.sqrt(L))
+    for k in range(1, d + 1):
+        if bc is NEUMANN:
+            direct += state.coeffs[k] * math.sqrt(2 / L) * np.cos(k * math.pi * x / L)
+        else:
+            direct += state.coeffs[2 * k - 1] * math.sqrt(2 / L) * np.cos(2 * math.pi * k * x / L)
+            direct += state.coeffs[2 * k] * math.sqrt(2 / L) * np.sin(2 * math.pi * k * x / L)
+    assert np.abs(plan.synthesize(state.coeffs) - direct).max() <= 1e-12
+    back = from_grid(plan.synthesize(state.coeffs), bc, L, d)
+    assert np.abs(back.coeffs - state.coeffs).max() <= 1e-12
 
 
 def test_projection_kills_high_modes():
@@ -96,13 +108,15 @@ def test_from_grid_matches_quadrature_inner_products(rng):
     assert np.abs(st.coeffs - np.array(ref)).max() <= 1e-10
 
 
-def test_parseval(rng):
-    for bc in (NEUMANN, PERIODIC):
-        d, L = 8, 2.2
-        st = FourierState(bc, L, d, rng.normal(size=bc.n_coeffs(d)))
-        n = default_grid_size(d)
-        g = to_grid(st, n)
-        assert math.sqrt(L / n * float(np.sum(g * g))) == pytest.approx(st.l2_norm(), abs=1e-12)
+@settings(max_examples=200, deadline=None)
+@given(case=transform_cases())
+@example(case=(NEUMANN, 2.2, 8, default_grid_size(8), 20260808))
+@example(case=(PERIODIC, 2.2, 8, default_grid_size(8), 20260808))
+def test_parseval(case):
+    bc, L, d, n, seed = case
+    state = FourierState(bc, L, d, np.random.default_rng(seed).normal(size=bc.n_coeffs(d)))
+    g = to_grid(state, n)
+    assert math.sqrt(L / n * float(np.sum(g * g))) == pytest.approx(state.l2_norm(), abs=1e-12)
 
 
 def test_sup_dist_basic(rng):
