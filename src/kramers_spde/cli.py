@@ -2,9 +2,11 @@
 validate, sweep.
 
 Every run writes a JSON manifest (tool version, timestamp, seed, merged
-configuration, output paths; simulate adds the Monte Carlo's wall time under
-"timings" and its step counts and censored fraction under "diagnostics",
-which --config ignores on reload); CSV outputs carry a `# manifest:` comment line
+configuration, output paths, and under "environment" the Python, numpy and
+scipy versions, the CPU and affinity counts and the resolved thread count;
+simulate adds the Monte Carlo's wall time under "timings" and its step counts
+and censored fraction under "diagnostics"; --config ignores all but
+"config" on reload); CSV outputs carry a `# manifest:` comment line
 and use '.'-decimal '.17g' floats with '\n' line endings, so reruns with the
 same configuration reproduce them byte for byte.  A previous manifest can be
 fed back through --config (flags win over file values).
@@ -16,14 +18,16 @@ import argparse
 import json
 import math
 import os
+import platform
 import sys
 import time
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy
 
 from . import __version__
-from .errors import KramersSpdeError, UnsupportedRegime
+from .errors import AllCensored, KramersSpdeError, UnsupportedRegime
 from .kramers import RegimeTag, _label_mu, _mu_log_sum, predict_time
 from .potential import LocalPotential, quartic
 from .simulate import SimConfig, mc_stats, run_replicas, _stats_from_samples
@@ -94,6 +98,17 @@ def _threads(requested) -> int:
     if requested is not None:
         return max(1, int(requested))
     return os.cpu_count() or 1
+
+
+def _environment(threads: int | None = None) -> dict:
+    """What a run's timings depend on besides its configuration."""
+    affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    env = {"python": platform.python_version(), "numpy": np.__version__,
+           "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+           "affinity_cpus": None if affinity is None else len(affinity)}
+    if threads is not None:
+        env["threads"] = threads
+    return env
 
 
 _NOT_CONFIG = ("config", "func", "subcommand", "defaults")  # argparse plumbing
@@ -179,7 +194,8 @@ def _cmd_predict(cfg: dict) -> int:
             p = predict_time(pot, L, bc, eps, d=d, lambda_switch=cfg["lambda_switch"])
             rows.append(_prediction_row(p))
     out = cfg["out"]
-    manifest = _write_manifest(out, "predict", cfg, [f"{out}.csv"])
+    manifest = _write_manifest(out, "predict", cfg, [f"{out}.csv"],
+                               environment=_environment())
     _write_csv(f"{out}.csv", manifest, _PREDICT_HEADER, rows)
     for row in rows:
         print(",".join(_fmt(v) for v in row))
@@ -193,8 +209,9 @@ def _cmd_simulate(cfg: dict) -> int:
                     dt=cfg["dt"], t_max=cfg["tmax"], rho=cfg["rho"],
                     check_every=cfg["check_every"], refine=cfg["refine"],
                     seed=cfg["seed"], scheme=cfg["scheme"])
+    threads = _threads(cfg.get("threads"))
     t0 = time.perf_counter()
-    samples = run_replicas(sim, cfg["n"], threads=_threads(cfg.get("threads")))
+    samples = run_replicas(sim, cfg["n"], threads=threads)
     mc_s = time.perf_counter() - t0
     stats = _stats_from_samples(samples, sim)
     # keep the finished Monte Carlo where predict_time refuses the configuration
@@ -210,7 +227,7 @@ def _cmd_simulate(cfg: dict) -> int:
     steps = [s.steps for s in samples]
     manifest = _write_manifest(
         out, "simulate", cfg, [f"{out}.csv", f"{out}.json"],
-        timings={"mc_s": mc_s},
+        environment=_environment(threads), timings={"mc_s": mc_s},
         diagnostics={"replica_steps": sum(steps), "batch_steps": max(steps),
                      "replica_steps_per_s": sum(steps) / mc_s,
                      "censored_fraction": stats.censored / len(samples)})
@@ -236,7 +253,8 @@ def _cmd_stationary(cfg: dict) -> int:
     prof = instanton(pot, L, bc, n_samples=cfg["samples"])
     H0, tag = barrier_height(pot, L, bc)
     out = cfg["out"]
-    manifest = _write_manifest(out, "stationary", cfg, [f"{out}.csv", f"{out}.json"])
+    manifest = _write_manifest(out, "stationary", cfg, [f"{out}.csv", f"{out}.json"],
+                               environment=_environment())
     write_profile_csv(f"{out}.csv", prof.x, prof.u, manifest=manifest,
                       bc=bc.value, L=_fmt(L), d=prof.n_samples)
     _write_json(f"{out}.json", manifest, {
@@ -264,7 +282,8 @@ def _cmd_eigen(cfg: dict) -> int:
         mask = np.arange(1, n_use + 1)
         ratio = det_ratio(rep, minus, n_use, num_mask=mask, den_mask=mask)
     out = cfg["out"]
-    manifest = _write_manifest(out, "eigen", cfg, [f"{out}.csv", f"{out}.json"])
+    manifest = _write_manifest(out, "eigen", cfg, [f"{out}.csv", f"{out}.json"],
+                               environment=_environment())
     _write_csv(f"{out}.csv", manifest, ["index", "eigenvalue"],
                list(enumerate(rep.eigenvalues)))
     _write_json(f"{out}.json", manifest, {
@@ -283,7 +302,8 @@ def _cmd_specialfn(cfg: dict) -> int:
     grid = _parse_grid(cfg["grid"])
     rows = [[a, psi("+", a), psi("-", a), theta("+", a), theta("-", a)] for a in grid]
     out = cfg["out"]
-    manifest = _write_manifest(out, "specialfn", cfg, [f"{out}.csv"])
+    manifest = _write_manifest(out, "specialfn", cfg, [f"{out}.csv"],
+                               environment=_environment())
     _write_csv(f"{out}.csv", manifest,
                ["alpha", "psi_plus", "psi_minus", "theta_plus", "theta_minus"], rows)
     for row in rows:
@@ -311,8 +331,10 @@ def _cmd_sweep(cfg: dict) -> int:
     if with_mc:
         header += ["mc_mean", "mc_stderr", "censored"]
     out = cfg["out"]
-    manifest = _write_manifest(out, "sweep", cfg, [f"{out}.csv"])
     threads = _threads(cfg.get("threads"))
+    manifest = _write_manifest(out, "sweep", cfg, [f"{out}.csv"],
+                               environment=_environment(threads))
+    censored = []  # (L, eps) of the rows whose replicas were all censored
 
     def rows():
         for L in Ls:
@@ -324,13 +346,22 @@ def _cmd_sweep(cfg: dict) -> int:
                     sim = SimConfig(pot=pot, bc=bc, L=L, d=int(cfg["mc_d"]), eps=eps,
                                     dt=cfg["dt"], t_max=cfg["tmax"], rho=cfg["rho"],
                                     seed=cfg["seed"])
-                    stats = mc_stats(sim, cfg["n"], threads=threads)
-                    row += [stats.mean, stats.stderr, stats.censored]
+                    try:
+                        stats = mc_stats(sim, cfg["n"], threads=threads)
+                    except AllCensored:
+                        # keep the prediction, leave the MC columns empty, go on
+                        print(f"error: all {cfg['n']} replicas censored at L = {_fmt(L)}, "
+                              f"eps = {_fmt(eps)} (t_max = {_fmt(sim.t_max)}); "
+                              "raise --tmax", file=sys.stderr)
+                        censored.append((L, eps))
+                        row += [None, None, cfg["n"]]
+                    else:
+                        row += [stats.mean, stats.stderr, stats.censored]
                 yield row
 
     _write_csv(f"{out}.csv", manifest, header, rows())
     print(f"wrote {out}.csv ({len(Ls) * len(epss)} rows)")
-    return 0
+    return 3 if censored else 0
 
 
 # (name, handler, help, defaults): a subcommand takes exactly one flag per key

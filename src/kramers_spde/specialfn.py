@@ -9,10 +9,11 @@ Everything here is scalar double precision. The two crossover families are
 
 evaluated through scaled Bessel / scaled-erfc kernels so the exponential
 factors cancel analytically and nothing overflows: scipy.special.kve for
-e^x K_{1/4}(x), ive for e^{-x} I_{+-1/4}(x), erfcx for e^{x^2} erfc(x), and
-ndtr for Phi.  All four are defined on a >= 0, are bounded between positive
-constants, share the value at a = 0, and tend to (1, 2, 1, sqrt(pi/2))
-respectively as a -> +infinity.
+e^x K_{1/4}(x), ive for e^{-x} I_{+-1/4}(x) and erfcx for e^{x^2} erfc(x);
+theta(-) takes Phi(a/2) = 1 - erfc(a/(2 sqrt 2))/2 from math.erfc.  All
+four are defined on a >= 0, are bounded between positive constants, share
+the value at a = 0, and tend to (1, 2, 1, sqrt(pi/2)) respectively as
+a -> +infinity.
 """
 
 from __future__ import annotations
@@ -36,11 +37,6 @@ def erfcx(x: float) -> float:
     if x < 0.0:
         raise DomainError(f"erfcx defined here for x >= 0, got {x}")
     return float(special.erfcx(x))
-
-
-def normal_cdf(y: float) -> float:
-    """Standard Gaussian distribution function Phi(y)."""
-    return float(special.ndtr(y))
 
 
 def bessel_iv_scaled(nu: float, x: float) -> float:

@@ -94,7 +94,8 @@ def _fd_smallest(W: np.ndarray, L: float, bc: BoundaryCondition, m: int) -> np.n
         diag[0] -= inv   # ghost reflection at the midpoint boundary
         diag[-1] -= inv
         off = np.full(n - 1, -inv)
-        return eigh_tridiagonal(diag, off, select="i", select_range=(0, m - 1))[0]
+        return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                select_range=(0, m - 1))
     diag = 2.0 * inv + W
     off = np.full(n - 1, -inv)
     A = sp.diags([off, diag, off], [-1, 0, 1], format="lil")

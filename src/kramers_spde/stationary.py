@@ -20,30 +20,39 @@ in length L (so T(E*) = 2L, requiring L > pi); the periodic one is a full
 orbit (T(E*) = L, requiring L > 2 pi).  Profiles are integrated with RK4 from
 (u2(E*), 0), which fixes the phase conventions u(0) = u2 (Neumann) and
 "minimum at x = 0" (periodic, one representative of the translation family).
+
+Root solves: each energy the E* solve visits gets one root solve, that is
+its turning points once and the orbit nodes f_E of the n and 2n node rules
+in one vectorized bisection, shared by T and T' (a 4n rule only when a
+doubling check needs it).  The bracket periods, which do not depend on L,
+are computed once per potential.  The roots are passed explicitly, so a
+public period_T or dT_dE call always solves its own.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import simpson
 
 from .errors import EnergyOutOfRange, NoInstanton, NotMonotone, QuadratureNotConverged
-from .potential import LocalPotential, horner
+from .potential import LocalPotential, horner, horner_into
 from .spectral import BoundaryCondition, NEUMANN, PERIODIC
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 _GL_PANEL = 64
 
 
-def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule on [0, pi]: n/64 panels of 64 nodes.
 
-    Fixed panel order keeps construction linear in n (a single high-order
-    rule would cost O(n^3) to build) while retaining spectral accuracy per
-    panel for the analytic integrands used here.
+    Returns (nodes, weights, cos(nodes)).  Fixed panel order keeps
+    construction linear in n (a single high-order rule would cost O(n^3) to
+    build) while retaining spectral accuracy per panel for the analytic
+    integrands used here.
     """
     if n not in _GL_CACHE:
         m = max(1, n // _GL_PANEL)
@@ -52,7 +61,7 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
         starts = h * np.arange(m)[:, None]
         nodes = (starts + 0.5 * h * (x + 1.0)[None, :]).ravel()
         weights = np.tile(0.5 * h * w, m)
-        _GL_CACHE[n] = (nodes, weights)
+        _GL_CACHE[n] = (nodes, weights, np.cos(nodes))
     return _GL_CACHE[n]
 
 
@@ -91,35 +100,48 @@ def turning_points(pot: LocalPotential, E: float) -> tuple[float, float]:
     return solve(pot.u_minus, 0.0), solve(pot.u_plus, 0.0)
 
 
-def _branch_values(pot: LocalPotential, E: float, phi: np.ndarray,
-                   u2: float, u3: float) -> np.ndarray:
-    """f_E(phi): solve -U(f) = E cos^2 phi on the monotone brackets, vectorized."""
-    target = E * np.cos(phi) ** 2
-    lo = np.where(phi < 0.5 * math.pi, u2, 0.0)
-    hi = np.where(phi < 0.5 * math.pi, 0.0, u3)
-    # -U is decreasing on [u2,0] and increasing on [0,u3]; bisect on sign of (-U - target)
+def _orbit_nodes(pot: LocalPotential, E: float, turning: tuple[float, float],
+                 ns: tuple[int, ...]) -> dict[int, np.ndarray]:
+    """f_E(phi) at the nodes of each rule n in ns: -U(f) = E cos^2 phi.
+
+    One vectorized bisection on the monotone brackets [u2, 0] and [0, u3]
+    (52 halvings, then 3 Newton polishes) runs over the rules' concatenated
+    nodes.  The arithmetic is elementwise, so each node gets the same bits
+    whichever rules it is solved with.
+    """
+    rules = [_gl_nodes(n) for n in ns]
+    phi = np.concatenate([r[0] for r in rules])
+    target = E * np.concatenate([r[2] for r in rules]) ** 2
+    left = phi < 0.5 * math.pi
+    lo = np.where(left, turning[0], 0.0)
+    hi = np.where(left, 0.0, turning[1])
+    # -U is decreasing on [u2,0] and increasing on [0,u3], so the root lies
+    # above mid where (U(mid) + target) * side > 0, side = -1 left, +1 right
+    side = np.where(left, -1.0, 1.0)
+    mid, g = np.empty_like(phi), np.empty_like(phi)
+    go_right, go_left = np.empty(len(phi), bool), np.empty(len(phi), bool)
+    d0 = pot._deriv_scalar[0]
     for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        g = -pot.derivative(mid, 0) - target
-        left = phi < 0.5 * math.pi
-        go_right = np.where(left, g > 0.0, g < 0.0)
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
+        np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)
+        np.add(horner_into(d0, mid, g), target, out=g)
+        np.greater(np.multiply(g, side, out=g), 0.0, out=go_right)
+        np.logical_not(go_right, out=go_left)
+        np.copyto(lo, mid, where=go_right)
+        np.copyto(hi, mid, where=go_left)
     f = 0.5 * (lo + hi)
     for _ in range(3):  # Newton polish, guarded against the U'(0) = 0 point
         du = pot.derivative(f, 1)
         safe = np.abs(du) > 1e-14
         step = np.where(safe, (-pot.derivative(f, 0) - target) / np.where(safe, -du, 1.0), 0.0)
         f = f - step
-    return f
+    splits = np.cumsum([len(r[0]) for r in rules])[:-1]
+    return dict(zip(ns, np.split(f, splits)))
 
 
-def _period_integral(pot: LocalPotential, E: float, n: int, derivative: bool) -> float:
-    phi, w = _gl_nodes(n)
-    u2, u3 = turning_points(pot, E)
-    f = _branch_values(pot, E, phi, u2, u3)
+def _period_integral(pot: LocalPotential, E: float, n: int, f: np.ndarray,
+                     derivative: bool) -> float:
+    _, w, c = _gl_nodes(n)
     du = pot.derivative(f, 1)
-    c = np.cos(phi)
     if not derivative:
         vals = math.sqrt(2.0 * E) * c / du
     else:
@@ -128,36 +150,71 @@ def _period_integral(pot: LocalPotential, E: float, n: int, derivative: bool) ->
     return 2.0 * float(np.sum(w * vals))
 
 
-def _doubling(pot: LocalPotential, E: float, derivative: bool,
-              n0: int = 128, target: float = 1e-8,
-              n_max: int = 8192) -> float:
-    prev = _period_integral(pot, E, n0, derivative)
-    n = 2 * n0
-    while n <= n_max:
-        cur = _period_integral(pot, E, n, derivative)
-        rel = abs(cur - prev) / max(abs(cur), 1e-300)
-        if rel <= target:
-            return cur
-        prev = cur
-        n *= 2
-    if rel <= max(1e-6, 10.0 * target):
-        return cur
-    raise QuadratureNotConverged(
-        f"period quadrature not converged at {n_max} nodes (rel change {rel:.2e})")
+def _doubling(pot: LocalPotential, E: float, turning: tuple[float, float],
+              derivatives: tuple[bool, ...], n0: int = 128, target: float = 1e-8,
+              n_max: int = 8192) -> list[float]:
+    """T(E) (derivative False) or T'(E) (True) for each entry, by node doubling.
+
+    All of them share the orbit nodes at this E: the n0 and 2 n0 rules are
+    solved together, a finer rule only when a doubling check needs it.
+    """
+    nodes = _orbit_nodes(pot, E, turning, (n0, 2 * n0))
+    values = []
+    for derivative in derivatives:
+        prev = _period_integral(pot, E, n0, nodes[n0], derivative)
+        n = 2 * n0
+        while n <= n_max:
+            if n not in nodes:
+                nodes.update(_orbit_nodes(pot, E, turning, (n,)))
+            cur = _period_integral(pot, E, n, nodes[n], derivative)
+            rel = abs(cur - prev) / max(abs(cur), 1e-300)
+            if rel <= target:
+                break
+            prev = cur
+            n *= 2
+        else:
+            if rel > max(1e-6, 10.0 * target):
+                raise QuadratureNotConverged(
+                    f"period quadrature not converged at {n_max} nodes "
+                    f"(rel change {rel:.2e})")
+        values.append(cur)
+    return values
 
 
 def period_T(pot: LocalPotential, E: float, n_nodes: int = 128,
              rtol: float = 1e-8) -> float:
     """Orbit period T(E); node doubling validates the requested tolerance."""
     _check_energy(pot, E)
-    return _doubling(pot, E, derivative=False, n0=n_nodes, target=rtol)
+    return _doubling(pot, E, turning_points(pot, E), (False,), n_nodes, rtol)[0]
 
 
 def dT_dE(pot: LocalPotential, E: float, n_nodes: int = 128,
           rtol: float = 1e-8) -> float:
     """Derivative T'(E); positive whenever the monotonicity condition holds."""
     _check_energy(pot, E)
-    return _doubling(pot, E, derivative=True, n0=n_nodes, target=rtol)
+    return _doubling(pot, E, turning_points(pot, E), (True,), n_nodes, rtol)[0]
+
+
+_BRACKET_MEMO_SIZE = 512
+_bracket_memo: OrderedDict = OrderedDict()
+
+
+def _bracket_period(pot: LocalPotential, E: float) -> float:
+    """period_T(pot, E) at one of instanton's bracket energies.
+
+    Those energies, 1e-13 E0 and E0 (1 - 2^-j), do not depend on L, so the
+    last _BRACKET_MEMO_SIZE values are kept, keyed on (pot.coefficients, E)
+    (a LocalPotential is not hashable): a sweep over L brackets once per
+    potential.
+    """
+    key = (pot.coefficients, E)
+    if key in _bracket_memo:
+        _bracket_memo.move_to_end(key)
+        return _bracket_memo[key]
+    T = _bracket_memo[key] = period_T(pot, E)
+    if len(_bracket_memo) > _BRACKET_MEMO_SIZE:
+        _bracket_memo.popitem(last=False)
+    return T
 
 
 @dataclass(frozen=True)
@@ -253,7 +310,10 @@ def instanton(pot: LocalPotential, L: float, bc: BoundaryCondition,
 
     Solves T(E*) = 2L (Neumann half orbit) or T(E*) = L (periodic full orbit)
     by bisection on the monotone period map, refines with Newton using dT/dE,
-    then integrates u'' = U'(u) from (u2(E*), 0) with RK4.
+    then integrates u'' = U'(u) from (u2(E*), 0) with RK4.  The bracket
+    periods at 1e-13 E0 and E0 (1 - 2^-j) are computed once per potential
+    (_bracket_period).  Every other energy gets one root solve: its turning
+    points once, and the orbit nodes once for T and T' together.
     """
     if L <= bc.bifurcation_length:
         raise NoInstanton(f"{bc.value} instantons exist only for "
@@ -262,12 +322,12 @@ def instanton(pot: LocalPotential, L: float, bc: BoundaryCondition,
     E0 = pot.orbit_energy_cap
 
     lo = 1e-13 * E0
-    if period_T(pot, lo) >= target:
+    if _bracket_period(pot, lo) >= target:
         raise NotMonotone("period at the harmonic end already exceeds the target")
     hi = None
     for j in range(1, 46):
         cand = E0 * (1.0 - 0.5 ** j)
-        if period_T(pot, cand) > target:
+        if _bracket_period(pot, cand) > target:
             hi = cand
             break
         lo = cand
@@ -284,7 +344,9 @@ def instanton(pot: LocalPotential, L: float, bc: BoundaryCondition,
             break
     E = 0.5 * (lo + hi)
     for _ in range(40):
-        step = (period_T(pot, E) - target) / dT_dE(pot, E)
+        solved, turning = E, turning_points(pot, E)
+        T, slope = _doubling(pot, E, turning, (False, True))
+        step = (T - target) / slope
         En = E - step
         if not lo * 0.5 <= En <= min(2.0 * hi, E0 * (1 - 1e-15)):
             En = 0.5 * (lo + hi)  # fall back inside the bracket
@@ -292,7 +354,8 @@ def instanton(pot: LocalPotential, L: float, bc: BoundaryCondition,
         if abs(step) <= 1e-10 * E:
             break
 
-    u2, u3 = turning_points(pot, E)
+    # a zero last step (about one solve in five) leaves E at the solved energy
+    u2, u3 = turning if E == solved else turning_points(pot, E)
     u, v = _rk4_profile(pot, u2, L, n_samples)
     x = np.linspace(0.0, L, n_samples + 1)
     energy_density = 0.5 * v ** 2 + pot.derivative(u, 0)

@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from kramers_spde import NEUMANN, QuadratureNotConverged, SimConfig, cli, mc_stats, quartic
 from kramers_spde.cli import main
@@ -176,6 +178,43 @@ def test_validate_quick(tmp_path, capsys):
     assert rc == 0
     assert "invariant groups passed" in out
     assert "FAIL" not in out
+
+
+def test_sweep_with_mc_writes_every_row_past_an_all_censored_one(tmp_path, capsys):
+    # at eps = 0.02 no replica leaves the well by t_max = 20; the eps = 0.3
+    # row is still written, with the Monte Carlo of the golden sweep-with-mc
+    rc = run(tmp_path, "sweep", "--L", "1", "--eps-grid", "0.02,0.3", "--with-mc", "--n", "6",
+             "--mc-d", "15", "--tmax", "20", "--seed", "3", "--threads", "1", "--out", "sw")
+    assert rc == 3
+    assert "censored at L = 1, eps = 0.02" in capsys.readouterr().err
+    rows = [line.split(",") for line in (tmp_path / "sw.csv").read_text().splitlines()[2:]]
+    assert len(rows) == 2
+    assert rows[0][1] == "0.02" and rows[0][10:] == ["", "", "6"]
+    assert rows[0][8] != ""  # the prediction is kept
+    assert rows[1][1] == "0.29999999999999999"
+    assert rows[1][10:] == ["5.0433333333333339", "1.42437042622736", "0"]
+
+
+@pytest.mark.parametrize("argv, threads", [
+    (["predict", "--L", "1"], None),
+    (["simulate", "--L", "1", "--eps", "0.3", "--d", "2", "--tmax", "50", "--n", "3",
+      "--threads", "1"], 1),
+    (["stationary", "--L", "4", "--samples", "256"], None),
+    (["eigen", "--L", "1", "--kmax", "4"], None),
+    (["specialfn", "--grid", "0:1:2"], None),
+    (["sweep", "--L", "1", "--threads", "2"], 2),
+], ids=lambda v: v[0] if isinstance(v, list) else "")
+def test_manifest_records_environment(tmp_path, argv, threads):
+    # every subcommand that writes a manifest (all but validate) records the
+    # environment beside the configuration, which stays free of it
+    assert run(tmp_path, *argv, "--out", "m") == 0
+    manifest = json.loads((tmp_path / "m_manifest.json").read_text())
+    env = manifest["environment"]
+    assert env["python"] == platform.python_version()
+    assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+    assert env["cpu_count"] == os.cpu_count() and env["affinity_cpus"] >= 1
+    assert env.get("threads") == threads
+    assert "environment" not in manifest["config"]
 
 
 def test_sweep_mc_d_zero_runs_d_zero(tmp_path):

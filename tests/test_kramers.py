@@ -1,12 +1,14 @@
+import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kramers_spde import (KramersPrediction, NEUMANN, PERIODIC, RegimeTag,
-                          UnsupportedRegime, WrongBoundaryCondition, c4,
+from kramers_spde import (BoundaryCondition, KramersPrediction, NEUMANN, PERIODIC,
+                          RegimeTag, UnsupportedRegime, WrongBoundaryCondition, c4,
                           closed_form_product, eigs_profile, instanton,
                           predict_time, saddle_length)
 from kramers_spde import kramers
@@ -254,3 +256,24 @@ def test_memo_does_not_change_predictions(pot, bc, L, cold_memo):
     kramers._mu_memo.clear()
     again = predict_time(pot, L, bc, 0.05)
     assert cold.log10_expected_time == warm.log10_expected_time == again.log10_expected_time
+
+
+_BENCHMARK_PREDICTIONS = (Path(__file__).resolve().parents[1]
+                          / "perfbench" / "reference" / "predictions.json")
+
+
+@pytest.mark.slow
+def test_benchmark_reference_predictions(pot):
+    # the benchmark's prediction gate, run as a test: every stored
+    # (bc, L, eps, d) row keeps its regime and log10_expected_time to 1e-9
+    reference = json.loads(_BENCHMARK_PREDICTIONS.read_text())
+    assert len(reference) == 554
+    drifted = []
+    for key, (log10_time, regime) in reference.items():
+        bc, L, eps, d = key.split("|")
+        p = predict_time(pot, float(L), BoundaryCondition(bc), float(eps),
+                         d=math.inf if d == "inf" else int(d))
+        if (p.regime.value != regime
+                or abs(p.log10_expected_time - log10_time) > 1e-9 * abs(log10_time)):
+            drifted.append((key, p.regime.value, p.log10_expected_time))
+    assert drifted == []

@@ -9,7 +9,7 @@ from kramers_spde import (AllCensored, FourierState, NEUMANN, PERIODIC,
                           SimConfig, TransformPlan, galerkin_error, mc_stats,
                           oracle_identity_1d, oracle_mfpt_1d, quartic, reduced_potential_1d,
                           run_replicas, sample_path, sample_transition, step, sup_dist)
-from kramers_spde.simulate import _Engine, _run_batch, _stats_from_samples
+from kramers_spde.simulate import _Engine, _MatrixForm, _run_batch, _stats_from_samples
 from kramers_spde.spectral import default_grid_size
 
 
@@ -113,6 +113,28 @@ def test_engine_transforms_match_transform_plan(pot, bc, d):
     target = FourierState.constant(pot.u_plus, bc, cfg.L, d)
     ref = [sup_dist(FourierState(bc, cfg.L, d, row), target, cfg.refine) for row in y]
     assert eng.sup_to_target(y) == pytest.approx(ref, rel=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bc=st.sampled_from([NEUMANN, PERIODIC]), L=st.floats(0.3, 20.0),
+       d=st.integers(0, 32), n_extra=st.integers(0, 70), rows=st.integers(1, 64),
+       seed=st.integers(0, 2**32 - 1))
+def test_matrix_form_matches_transform_plan(bc, L, d, n_extra, rows, seed):
+    # the engine's matrix products are the plan's transforms up to summation
+    # order, with and without the caller's buffers
+    plan = TransformPlan(bc, L, d, 2 * d + 2 + n_extra)
+    mat = _MatrixForm(plan)
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(rows, bc.n_coeffs(d)))
+    v = rng.normal(size=(rows, plan.n))
+    pairs = [(mat.synthesize(y), plan.synthesize(y)),
+             (mat.synthesize(y, mat.work(rows + 3)), plan.synthesize(y, plan.work(rows + 3))),
+             (mat.analyze(v), plan.analyze(v)),
+             (mat.analyze(v, np.empty_like(y)), plan.analyze(v, np.empty_like(y))),
+             (mat.endpoint_values(y), plan.endpoint_values(y))]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def _fresh_transforms(eng):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from kramers_spde import DomainError, bessel_iv_scaled, bessel_k_scaled, erfcx, psi, theta
-from kramers_spde.specialfn import normal_cdf
 
 mp.mp.dps = 40
 
@@ -63,11 +62,6 @@ def test_erfcx_against_oracle():
         ref = float(mp.exp(mp.mpf(float(x)) ** 2) * mp.erfc(mp.mpf(float(x))))
         assert erfcx(float(x)) == pytest.approx(ref, rel=1e-12)
     assert erfcx(0.0) == 1.0
-
-
-def test_normal_cdf():
-    assert normal_cdf(0.0) == 0.5
-    assert normal_cdf(1.0) == pytest.approx(float(mp.ncdf(1)), rel=1e-14)
 
 
 def test_psi_endpoint_value():

@@ -1,12 +1,21 @@
 import math
+from collections import Counter, OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kramers_spde import (EnergyOutOfRange, InstantonProfile, NEUMANN, NoInstanton,
-                          PERIODIC, barrier_height, dT_dE, instanton, period_T,
+from kramers_spde import (EnergyOutOfRange, InstantonProfile, LocalPotential, NEUMANN,
+                          NoInstanton, NotMonotone, PERIODIC, QuadratureNotConverged,
+                          barrier_height, dT_dE, instanton, period_T, stationary,
                           turning_points)
 from kramers_spde.kramers import c4
+
+# U = -u^2/2 + u^3/8 + u^4/16 + u^6/16: asymmetric, sextic, and its shallower
+# well is the quartic's (U(1) = -1/4), so both potentials share E0 = 1/4 and
+# every bracket energy of instanton
+SAME_CAP = LocalPotential.from_coefficients([0, 0, -0.5, 0.125, 0.0625, 0, 0.0625],
+                                            normalize=False)
 
 
 def quartic_turning_oracle(E):
@@ -161,3 +170,176 @@ def test_constant_profile_helper(pot):
     prof = InstantonProfile.constant(pot.u_minus, pot, NEUMANN, 2.0)
     assert prof.V_value == pytest.approx(2.0 * pot.derivative(pot.u_minus, 0))
     assert prof.deriv_L2 == 0.0
+
+
+# --- the energy solve against the algorithm it replaced: one root solve per
+# --- rule, per call of period_T and dT_dE, written out here as the reference
+
+def _reference_branch_values(pot, E, phi, u2, u3):
+    """f_E(phi) for one rule: bisection with np.where and np.polyval, Newton polish."""
+    target = E * np.cos(phi) ** 2
+    lo = np.where(phi < 0.5 * math.pi, u2, 0.0)
+    hi = np.where(phi < 0.5 * math.pi, 0.0, u3)
+    for _ in range(52):
+        mid = 0.5 * (lo + hi)
+        g = -pot.derivative(mid, 0) - target
+        left = phi < 0.5 * math.pi
+        go_right = np.where(left, g > 0.0, g < 0.0)
+        lo = np.where(go_right, mid, lo)
+        hi = np.where(go_right, hi, mid)
+    f = 0.5 * (lo + hi)
+    for _ in range(3):
+        du = pot.derivative(f, 1)
+        safe = np.abs(du) > 1e-14
+        step = np.where(safe, (-pot.derivative(f, 0) - target) / np.where(safe, -du, 1.0), 0.0)
+        f = f - step
+    return f
+
+
+def _reference_period(pot, E, derivative, n0=128, target=1e-8, n_max=8192):
+    """period_T (derivative False) or dT_dE (True), solving the roots afresh for every rule."""
+    def integral(n):
+        phi, w = stationary._gl_nodes(n)[:2]
+        u2, u3 = turning_points(pot, E)
+        f = _reference_branch_values(pot, E, phi, u2, u3)
+        du = pot.derivative(f, 1)
+        c = np.cos(phi)
+        if not derivative:
+            vals = math.sqrt(2.0 * E) * c / du
+        else:
+            expr = du ** 2 - 2.0 * pot.derivative(f, 0) * pot.derivative(f, 2)
+            vals = expr * c / (math.sqrt(2.0 * E) * du ** 3)
+        return 2.0 * float(np.sum(w * vals))
+
+    prev = integral(n0)
+    n = 2 * n0
+    while n <= n_max:
+        cur = integral(n)
+        rel = abs(cur - prev) / max(abs(cur), 1e-300)
+        if rel <= target:
+            return cur
+        prev = cur
+        n *= 2
+    if rel <= max(1e-6, 10.0 * target):
+        return cur
+    raise QuadratureNotConverged(f"rel change {rel:.2e}")
+
+
+def _reference_instanton_energy(pot, L, bc):
+    """E* by period calls at every bracket, bisection and Newton step."""
+    target = 2.0 * L if bc is NEUMANN else L
+    E0 = pot.orbit_energy_cap
+    lo = 1e-13 * E0
+    for j in range(1, 46):
+        cand = E0 * (1.0 - 0.5 ** j)
+        if _reference_period(pot, cand, False) > target:
+            hi = cand
+            break
+        lo = cand
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _reference_period(pot, mid, False) > target:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-3 * max(hi, 1e-300):
+            break
+    E = 0.5 * (lo + hi)
+    for _ in range(40):
+        step = (_reference_period(pot, E, False) - target) / _reference_period(pot, E, True)
+        En = E - step
+        if not lo * 0.5 <= En <= min(2.0 * hi, E0 * (1 - 1e-15)):
+            En = 0.5 * (lo + hi)
+        E = En
+        if abs(step) <= 1e-10 * E:
+            break
+    return E
+
+
+_open_unit = st.floats(1e-13, 1.0, exclude_max=True)  # E / E0, from the bracket's low end
+
+
+@settings(max_examples=150, deadline=None)
+@given(which=st.sampled_from(["quartic", "asymmetric sextic"]), frac=_open_unit,
+       n0=st.sampled_from([64, 128]),
+       mult=st.lists(st.sampled_from([1, 2, 4]), min_size=1, max_size=3, unique=True))
+def test_orbit_nodes_match_one_rule_at_a_time(pot, which, frac, n0, mult):
+    # the n0, 2 n0 and 4 n0 rules solved together, in any order, give the
+    # bits of each rule solved alone by the reference bisection
+    p = pot if which == "quartic" else SAME_CAP
+    E = frac * p.orbit_energy_cap
+    turning = turning_points(p, E)
+    ns = tuple(m * n0 for m in mult)
+    got = stationary._orbit_nodes(p, E, turning, ns)
+    for n in ns:
+        want = _reference_branch_values(p, E, stationary._gl_nodes(n)[0], *turning)
+        assert got[n].tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(which=st.sampled_from(["quartic", "asymmetric sextic"]), frac=_open_unit)
+def test_period_and_slope_match_one_solve_per_call(pot, which, frac):
+    p = pot if which == "quartic" else SAME_CAP
+    E = frac * p.orbit_energy_cap
+    try:
+        want = (_reference_period(p, E, False), _reference_period(p, E, True))
+    except QuadratureNotConverged:
+        with pytest.raises(QuadratureNotConverged):
+            stationary._doubling(p, E, turning_points(p, E), (False, True))
+        return
+    assert stationary._doubling(p, E, turning_points(p, E), (False, True)) == list(want)
+    assert (period_T(p, E), dT_dE(p, E)) == want
+
+
+@pytest.mark.parametrize("bc, L", [(NEUMANN, 3.3), (NEUMANN, 4.5), (NEUMANN, 6.1),
+                                   (PERIODIC, 6.5), (PERIODIC, 9.0), (PERIODIC, 12.3)])
+def test_instanton_energy_matches_reference_solve(pot, bc, L, monkeypatch):
+    want = _reference_instanton_energy(pot, L, bc)
+    monkeypatch.setattr(stationary, "_bracket_memo", OrderedDict())
+    cold = instanton(pot, L, bc, n_samples=256)
+    warm = instanton(pot, L, bc, n_samples=256)  # bracket periods from the memo
+    assert cold.E == warm.E == want
+    assert cold.turning == warm.turning == turning_points(pot, want)
+
+
+def test_instanton_root_solves_counted(pot, monkeypatch):
+    assert SAME_CAP.orbit_energy_cap == pot.orbit_energy_cap
+    solve_turning, solve_period = stationary.turning_points, stationary.period_T
+    solve_nodes = stationary._orbit_nodes
+    turning_calls, period_calls = [], []
+
+    def counted_turning(p, E):
+        turning_calls.append(E)
+        return solve_turning(p, E)
+
+    def counted_period(p, E, *args, **kwargs):
+        period_calls.append((p.coefficients, E))
+        return solve_period(p, E, *args, **kwargs)
+
+    def checked_nodes(p, E, turning, ns):
+        assert turning == solve_turning(p, E)  # the roots passed are this energy's
+        return solve_nodes(p, E, turning, ns)
+
+    monkeypatch.setattr(stationary, "turning_points", counted_turning)
+    monkeypatch.setattr(stationary, "period_T", counted_period)
+    monkeypatch.setattr(stationary, "_orbit_nodes", checked_nodes)
+    monkeypatch.setattr(stationary, "_bracket_memo", OrderedDict())
+    for L in (3.5, 4.5, 6.0):
+        for p in (pot, SAME_CAP):
+            turning_calls.clear()
+            instanton(p, L, NEUMANN, n_samples=256)
+            assert turning_calls and max(Counter(turning_calls).values()) == 1
+    for p in (pot, SAME_CAP):
+        E0 = p.orbit_energy_cap
+        bracket = {1e-13 * E0} | {E0 * (1.0 - 0.5 ** j) for j in range(1, 46)}
+        counts = Counter(E for key, E in period_calls if key == p.coefficients and E in bracket)
+        assert counts and set(counts.values()) == {1}  # once per potential, not per L
+
+
+def test_instanton_bracket_refusals(pot, monkeypatch):
+    # both refusals of the bracket step, with the periods it reads stubbed
+    for period, message in ((7.0, "harmonic end"), (1.0, "could not bracket")):
+        monkeypatch.setattr(stationary, "period_T", lambda p, E, T=period: T)
+        monkeypatch.setattr(stationary, "_bracket_memo", OrderedDict())
+        with pytest.raises(NotMonotone, match=message):
+            instanton(pot, 3.3, NEUMANN)
