@@ -33,7 +33,7 @@ from .potential import LocalPotential, quartic
 from .simulate import SimConfig, mc_stats, run_replicas, _stats_from_samples
 from .spectra import det_ratio, eigs_constant, eigs_profile
 from .spectral import BoundaryCondition, write_profile_csv
-from .stationary import barrier_height, instanton
+from .stationary import instanton
 from . import validate as validate_mod
 
 _FLOAT_FMT = ".17g"
@@ -251,14 +251,14 @@ def _cmd_stationary(cfg: dict) -> int:
     bc = _parse_bc(cfg["bc"])
     L = cfg["L"]
     prof = instanton(pot, L, bc, n_samples=cfg["samples"])
-    H0, tag = barrier_height(pot, L, bc)
+    H0 = prof.V_value - L * float(pot.derivative(pot.u_minus, 0))
     out = cfg["out"]
     manifest = _write_manifest(out, "stationary", cfg, [f"{out}.csv", f"{out}.json"],
                                environment=_environment())
     write_profile_csv(f"{out}.csv", prof.x, prof.u, manifest=manifest,
                       bc=bc.value, L=_fmt(L), d=prof.n_samples)
     _write_json(f"{out}.json", manifest, {
-        "E": prof.E, "H0": H0, "transition_state": tag, "V_value": prof.V_value,
+        "E": prof.E, "H0": H0, "transition_state": "instanton", "V_value": prof.V_value,
         "deriv_L2": prof.deriv_L2, "turning": list(prof.turning),
     })
     print(f"E={_fmt(prof.E)} H0={_fmt(H0)} V={_fmt(prof.V_value)} "
@@ -271,7 +271,10 @@ def _cmd_eigen(cfg: dict) -> int:
     bc = _parse_bc(cfg["bc"])
     L, kmax = cfg["L"], cfg["kmax"]
     if cfg["which"] == "instanton":
-        rep = eigs_profile(instanton(pot, L, bc), kmax=kmax, grid_n=cfg["grid_n"])
+        if cfg["grid_n"] < 256:
+            raise ValueError(f"--grid-n must be >= 256, got {cfg['grid_n']}")
+        prof = instanton(pot, L, bc, n_samples=4 * cfg["grid_n"])
+        rep = eigs_profile(prof, kmax=kmax)
         mu = _label_mu(rep.eigenvalues, bc, kmax)
         ratio = math.exp(_mu_log_sum(mu, pot, L, bc, k_from=1, d=kmax, kmax_eig=kmax,
                                      wbar=None))
@@ -404,6 +407,7 @@ _HELP = {
     "L_grid": "start:step:stop",
     "eps_grid": "start:step:stop",
     "full": "include the slow Monte Carlo invariants",
+    "grid_n": "coarse FD grid of --which instanton; the instanton is sampled at 4 * grid_n",
 }
 
 

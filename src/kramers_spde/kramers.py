@@ -20,15 +20,18 @@ produced by the translation zero mode.
 C is the quartic normal-form coefficient c4().  All products are carried in
 log space; d is the Galerkin truncation (math.inf sums the tail to closed
 form for the constant spectra and to a Weyl-asymptotic tail for instanton
-spectra).
+spectra).  Instanton spectra are finite differences on the instanton's own
+4096 samples (spectra.eigs_profile); the instanton and its spectrum do not
+depend on eps, so _mu_spectrum keeps the last 64 in a functools.lru_cache
+keyed on (U, L, bc, kmax_eig).
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import zeta
@@ -154,36 +157,24 @@ def _label_mu(ev: np.ndarray, bc: BoundaryCondition, kmax_eig: int) -> np.ndarra
     return np.concatenate((ev[:3], np.sqrt(pairs[0::2] * pairs[1::2])))
 
 
-_MU_MEMO_SIZE = 64
-_mu_memo: OrderedDict = OrderedDict()
-
-
-def _mu_spectrum(pot: LocalPotential, L: float, bc: BoundaryCondition,
-                 kmax_eig: int, grid_n: int):
+@lru_cache(maxsize=64)
+def _mu_spectrum(pot: LocalPotential, L: float, bc: BoundaryCondition, kmax_eig: int):
     """Instanton spectrum data, falling back to the constant saddle at threshold.
 
     Returns (profile_or_None, _label_mu(eigenvalues), mean_curvature), with
-    read-only arrays.  None of it depends on eps, so the last _MU_MEMO_SIZE
-    results are kept, keyed on (pot.coefficients, L, bc, kmax_eig, grid_n)
-    (a LocalPotential is not hashable): a sweep solves each instanton once.
+    read-only arrays.  None of it depends on eps, so the last 64 results are
+    kept: a sweep solves each instanton once.
     """
-    key = (pot.coefficients, L, bc, kmax_eig, grid_n)
-    if key in _mu_memo:
-        _mu_memo.move_to_end(key)
-        return _mu_memo[key]
     if L <= bc.bifurcation_length:
         # degenerate instanton: the uniform saddle; continuity limit mu_k = lambda_k
         prof, wbar = None, -1.0
         ev = mode_frequencies(bc, L, kmax_eig) - 1.0
     else:
         prof = instanton(pot, L, bc)
-        ev = eigs_profile(prof, kmax=kmax_eig, grid_n=grid_n).eigenvalues
+        ev = eigs_profile(prof, kmax=kmax_eig).eigenvalues
         wbar = float(np.mean(pot.derivative(prof.u[:prof.n_samples], 2)))
     mu = _label_mu(ev, bc, kmax_eig)
     mu.flags.writeable = False
-    _mu_memo[key] = prof, mu, wbar
-    if len(_mu_memo) > _MU_MEMO_SIZE:
-        _mu_memo.popitem(last=False)
     return prof, mu, wbar
 
 
@@ -237,7 +228,7 @@ def _asymptotic_tail_log_inf(L, b, w_num, w_den, k_from):
 def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: float,
                  d: float = math.inf, lambda_switch: float = 0.1,
                  force_regime: RegimeTag | None = None,
-                 kmax_eig: int = 40, grid_n: int = 1024) -> KramersPrediction:
+                 kmax_eig: int = 40) -> KramersPrediction:
     """Expected transition time E[tau_+] with regime dispatch on lambda_1.
 
     d is the Galerkin truncation of the eigenvalue-ratio products (math.inf
@@ -271,7 +262,7 @@ def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: floa
     need_mu = regime in (RegimeTag.NEUMANN_NEAR_ABOVE, RegimeTag.NEUMANN_LARGE_L,
                          RegimeTag.PERIODIC_NEAR_ABOVE, RegimeTag.PERIODIC_LARGE_L)
     if need_mu:
-        prof, mu_lab, wbar = _mu_spectrum(pot, L, bc, kmax_eig, grid_n)
+        prof, mu_lab, wbar = _mu_spectrum(pot, L, bc, kmax_eig)
         H0 = (prof.V_value - L * float(pot.derivative(pot.u_minus, 0))) \
             if prof is not None else H0_const
     else:

@@ -80,15 +80,20 @@ def _polish_root(dcoef_desc: np.ndarray, d2coef_desc: np.ndarray, r: float) -> f
 
 @dataclass(frozen=True)
 class LocalPotential:
-    """Normalized polynomial double well; immutable and safe to share."""
+    """Normalized polynomial double well; immutable and safe to share.
+
+    Equality and hashing ignore the derivative tables, which follow from
+    the coefficients, so a potential can key a functools cache.
+    """
 
     coefficients: tuple[float, ...]
     u_minus: float
     u_plus: float
     p0: int
     normalization: tuple[float, float] = (0.0, 1.0)  # (shift, scale) applied to input
-    _deriv: tuple[np.ndarray, ...] = field(repr=False, default=())
-    _deriv_scalar: tuple[tuple[float, ...], ...] = field(repr=False, default=())
+    _deriv: tuple[np.ndarray, ...] = field(repr=False, compare=False, default=())
+    _deriv_scalar: tuple[tuple[float, ...], ...] = field(repr=False, compare=False,
+                                                         default=())
 
     @classmethod
     def from_coefficients(cls, coefficients, normalize: bool = True) -> "LocalPotential":

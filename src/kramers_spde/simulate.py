@@ -55,7 +55,6 @@ class SimConfig:
     refine: int = 8
     seed: int = 0
     scheme: str = "semi_implicit"
-    n_grid: int | None = None
     start_well: str = "minus"
 
     def __post_init__(self):
@@ -150,9 +149,8 @@ class _Engine:
     def __init__(self, cfg: SimConfig, nonlinear: bool = True):
         self.cfg = cfg
         pot = cfg.pot
-        n_grid = cfg.n_grid or default_grid_size(cfg.d, pot.p0)
         n_ref = next_fast_len(cfg.refine * (2 * cfg.d + 2), real=True)
-        self.plan = TransformPlan(cfg.bc, cfg.L, cfg.d, n_grid)
+        self.plan = TransformPlan(cfg.bc, cfg.L, cfg.d, default_grid_size(cfg.d, pot.p0))
         self.ref_plan = TransformPlan(cfg.bc, cfg.L, cfg.d, n_ref)
         if cfg.d <= _MATRIX_MAX_D:
             self.plan, self.ref_plan = _MatrixForm(self.plan), _MatrixForm(self.ref_plan)
@@ -417,7 +415,7 @@ def galerkin_error(cfg: SimConfig, d_list: list[int], T: float,
         raise ValueError("d_list must be ascending with at least two entries")
     d_ref = 2 * max(d_list)
     dims = list(d_list) + [d_ref]
-    engines = [_Engine(replace(cfg, d=di, n_grid=None)) for di in dims]
+    engines = [_Engine(replace(cfg, d=di)) for di in dims]
     if u0 is None:
         states = [e.start[None, :].copy() for e in engines]
     else:

@@ -8,8 +8,9 @@ symmetry).
 
 Constant profiles have closed-form spectra.  Instanton profiles are
 discretized with second-order central differences (midpoint grid with ghost
-reflection for Neumann, cyclic wrap for periodic) on grid_n and 2*grid_n
-points, followed by one Richardson extrapolation step in h^2.
+reflection for Neumann, cyclic wrap for periodic) on the profile's own
+samples: every 4th and every 2nd of its n_samples points (N/4 and N/2 grid
+points), followed by one Richardson extrapolation step in h^2.
 
 Products of eigenvalue ratios (truncated functional determinants) are summed
 in log space with compensated summation and sign tracking; for the constant
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import eigsh
 
@@ -37,7 +37,7 @@ _ZERO_MODE_FACTOR = 1e-6
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Ascending eigenvalues of -Q[u0] with counts and resolution metadata."""
+    """Ascending eigenvalues of -Q[u0] with their sign counts and kmax."""
 
     bc: BoundaryCondition
     L: float
@@ -46,8 +46,6 @@ class SpectrumReport:
     negative_count: int
     zero_modes: int
     kmax: int
-    grid_n: int | None = None
-    richardson: bool = False
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
@@ -98,52 +96,48 @@ def _fd_smallest(W: np.ndarray, L: float, bc: BoundaryCondition, m: int) -> np.n
                                 select_range=(0, m - 1))
     diag = 2.0 * inv + W
     off = np.full(n - 1, -inv)
-    A = sp.diags([off, diag, off], [-1, 0, 1], format="lil")
-    A[0, -1] = -inv
-    A[-1, 0] = -inv
+    corner = [-inv]  # cyclic wrap
+    A = sp.diags([off, diag, off, corner, corner], [-1, 0, 1, n - 1, 1 - n], format="csc")
     sigma = float(W.min()) - 1.0
     v0 = np.full(n, 1.0 / math.sqrt(n))
-    vals = eigsh(A.tocsc(), k=m, sigma=sigma, which="LM", v0=v0,
+    vals = eigsh(A, k=m, sigma=sigma, which="LM", v0=v0,
                  return_eigenvectors=False, tol=0)
     return np.sort(vals)
 
 
-def _sample_curvature(profile: InstantonProfile, n: int) -> np.ndarray:
-    """U''(u*(x)) on the n-point FD grid, via a spline of the profile."""
-    if profile.bc is PERIODIC:
-        u = profile.u.copy()
-        u[-1] = u[0]  # close the orbit; the E-solve leaves an O(1e-10) gap
-        spline = CubicSpline(profile.x, u, bc_type="periodic")
-        xs = np.arange(n) * (profile.L / n)
-    else:
-        spline = CubicSpline(profile.x, profile.u,
-                             bc_type=((1, profile.du[0]), (1, profile.du[-1])))
-        xs = (np.arange(n) + 0.5) * (profile.L / n)
-    return profile.pot.derivative(spline(xs), 2)
+def _sample_curvature(profile: InstantonProfile, step: int) -> np.ndarray:
+    """U''(u*(x)) on the grid of every step-th profile sample.
+
+    Periodic grids start at x = 0; Neumann grids are the cell midpoints,
+    which are the samples at odd multiples of step/2.
+    """
+    start = 0 if profile.bc is PERIODIC else step // 2
+    return profile.pot.derivative(profile.u[start:profile.n_samples:step], 2)
 
 
-def eigs_profile(profile: InstantonProfile, kmax: int, grid_n: int = 1024) -> SpectrumReport:
+def eigs_profile(profile: InstantonProfile, kmax: int) -> SpectrumReport:
     """Discretized spectrum at a sampled profile, Richardson-extrapolated.
 
     Computes the smallest eigenvalues covering mode labels |k| <= kmax
-    (kmax+2 values for Neumann, 2*kmax+3 for periodic) on grid_n and
-    2*grid_n points; the h^2 error model gives the extrapolation
-    (4 mu_{2n} - mu_n)/3.  Raises ResolutionTooLow if the two grids disagree
-    by more than 1% after extrapolation.
+    (kmax+2 values for Neumann, 2*kmax+3 for periodic) on the n = N/4 and
+    2n = N/2 point grids of the profile's N = n_samples samples, which must
+    be a multiple of 4 and at least 1024; the h^2 error model gives the
+    extrapolation (4 mu_{2n} - mu_n)/3.  Raises ResolutionTooLow if the two
+    grids disagree by more than 1% after extrapolation.
     """
-    if grid_n < 256:
-        raise ValueError("grid_n must be >= 256")
+    N = profile.n_samples
+    if N % 4 or N < 1024:
+        raise ValueError(f"profile n_samples must be a multiple of 4 and >= 1024, got {N}")
     m = kmax + 2 if profile.bc is NEUMANN else 2 * kmax + 3
-    coarse = _fd_smallest(_sample_curvature(profile, grid_n), profile.L, profile.bc, m)
-    fine = _fd_smallest(_sample_curvature(profile, 2 * grid_n), profile.L, profile.bc, m)
+    coarse = _fd_smallest(_sample_curvature(profile, 4), profile.L, profile.bc, m)
+    fine = _fd_smallest(_sample_curvature(profile, 2), profile.L, profile.bc, m)
     extrap = (4.0 * fine - coarse) / 3.0
     scale = max(1.0, float(np.abs(extrap).max()))
     if np.any(np.abs(fine - coarse) > 0.01 * np.maximum(np.abs(extrap), 0.01 * scale)):
         raise ResolutionTooLow(
-            f"grids {grid_n}/{2*grid_n} disagree beyond 1% of the eigenvalue scale")
+            f"grids {N // 4}/{N // 2} disagree beyond 1% of the eigenvalue scale")
     neg, zero = _classify(extrap)
-    return SpectrumReport(profile.bc, profile.L, "instanton", extrap, neg, zero,
-                          kmax, grid_n=grid_n, richardson=True)
+    return SpectrumReport(profile.bc, profile.L, "instanton", extrap, neg, zero, kmax)
 
 
 def det_ratio(numerator: SpectrumReport, denominator: SpectrumReport, d: int,

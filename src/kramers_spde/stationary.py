@@ -25,15 +25,16 @@ Root solves: each energy the E* solve visits gets one root solve, that is
 its turning points once and the orbit nodes f_E of the n and 2n node rules
 in one vectorized bisection, shared by T and T' (a 4n rule only when a
 doubling check needs it).  The bracket periods, which do not depend on L,
-are computed once per potential.  The roots are passed explicitly, so a
-public period_T or dT_dE call always solves its own.
+are computed once per potential (a functools.lru_cache keyed on the
+potential itself).  The roots are passed explicitly, so a public period_T
+or dT_dE call always solves its own.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy.integrate import simpson
@@ -42,10 +43,10 @@ from .errors import EnergyOutOfRange, NoInstanton, NotMonotone, QuadratureNotCon
 from .potential import LocalPotential, horner, horner_into
 from .spectral import BoundaryCondition, NEUMANN, PERIODIC
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 _GL_PANEL = 64
 
 
+@cache
 def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule on [0, pi]: n/64 panels of 64 nodes.
 
@@ -54,15 +55,13 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     build) while retaining spectral accuracy per panel for the analytic
     integrands used here.
     """
-    if n not in _GL_CACHE:
-        m = max(1, n // _GL_PANEL)
-        x, w = np.polynomial.legendre.leggauss(_GL_PANEL)
-        h = math.pi / m
-        starts = h * np.arange(m)[:, None]
-        nodes = (starts + 0.5 * h * (x + 1.0)[None, :]).ravel()
-        weights = np.tile(0.5 * h * w, m)
-        _GL_CACHE[n] = (nodes, weights, np.cos(nodes))
-    return _GL_CACHE[n]
+    m = max(1, n // _GL_PANEL)
+    x, w = np.polynomial.legendre.leggauss(_GL_PANEL)
+    h = math.pi / m
+    starts = h * np.arange(m)[:, None]
+    nodes = (starts + 0.5 * h * (x + 1.0)[None, :]).ravel()
+    weights = np.tile(0.5 * h * w, m)
+    return nodes, weights, np.cos(nodes)
 
 
 def _check_energy(pot: LocalPotential, E: float) -> float:
@@ -195,26 +194,14 @@ def dT_dE(pot: LocalPotential, E: float, n_nodes: int = 128,
     return _doubling(pot, E, turning_points(pot, E), (True,), n_nodes, rtol)[0]
 
 
-_BRACKET_MEMO_SIZE = 512
-_bracket_memo: OrderedDict = OrderedDict()
-
-
+@lru_cache(maxsize=512)
 def _bracket_period(pot: LocalPotential, E: float) -> float:
     """period_T(pot, E) at one of instanton's bracket energies.
 
     Those energies, 1e-13 E0 and E0 (1 - 2^-j), do not depend on L, so the
-    last _BRACKET_MEMO_SIZE values are kept, keyed on (pot.coefficients, E)
-    (a LocalPotential is not hashable): a sweep over L brackets once per
-    potential.
+    last 512 values are kept: a sweep over L brackets once per potential.
     """
-    key = (pot.coefficients, E)
-    if key in _bracket_memo:
-        _bracket_memo.move_to_end(key)
-        return _bracket_memo[key]
-    T = _bracket_memo[key] = period_T(pot, E)
-    if len(_bracket_memo) > _BRACKET_MEMO_SIZE:
-        _bracket_memo.popitem(last=False)
-    return T
+    return period_T(pot, E)
 
 
 @dataclass(frozen=True)
@@ -225,7 +212,6 @@ class InstantonProfile:
     bc: BoundaryCondition
     L: float
     E: float
-    n_kinks: int
     x: np.ndarray = field(repr=False)
     u: np.ndarray = field(repr=False)
     du: np.ndarray = field(repr=False)
@@ -280,7 +266,7 @@ class InstantonProfile:
                  L: float, n_samples: int = 4096) -> "InstantonProfile":
         x = np.linspace(0.0, L, n_samples + 1)
         u = np.full(n_samples + 1, float(value))
-        return cls(pot, bc, L, E=0.0, n_kinks=0, x=x, u=u,
+        return cls(pot, bc, L, E=0.0, x=x, u=u,
                    du=np.zeros(n_samples + 1),
                    V_value=L * float(pot.derivative(value, 0)),
                    deriv_L2=0.0, turning=(value, value))
@@ -313,7 +299,10 @@ def instanton(pot: LocalPotential, L: float, bc: BoundaryCondition,
     then integrates u'' = U'(u) from (u2(E*), 0) with RK4.  The bracket
     periods at 1e-13 E0 and E0 (1 - 2^-j) are computed once per potential
     (_bracket_period).  Every other energy gets one root solve: its turning
-    points once, and the orbit nodes once for T and T' together.
+    points once, and the orbit nodes once for T and T' together.  Newton
+    narrows the bracket by the sign of each T - target, bisects it when a
+    step leaves it, and stops on a small step or on T within 4 ulps of the
+    target; NotMonotone if 40 steps do not converge.
     """
     if L <= bc.bifurcation_length:
         raise NoInstanton(f"{bc.value} instantons exist only for "
@@ -346,13 +335,21 @@ def instanton(pot: LocalPotential, L: float, bc: BoundaryCondition,
     for _ in range(40):
         solved, turning = E, turning_points(pot, E)
         T, slope = _doubling(pot, E, turning, (False, True))
+        if T > target:
+            hi = min(hi, E)
+        else:
+            lo = max(lo, E)
+        # below E ~ 2e-6 the step test is out of reach; T itself then decides
+        close = abs(T - target) <= 4.0 * math.ulp(target)
         step = (T - target) / slope
-        En = E - step
-        if not lo * 0.5 <= En <= min(2.0 * hi, E0 * (1 - 1e-15)):
-            En = 0.5 * (lo + hi)  # fall back inside the bracket
-        E = En
-        if abs(step) <= 1e-10 * E:
+        E -= step
+        if not lo * 0.5 <= E <= min(2.0 * hi, E0 * (1 - 1e-15)):
+            E = solved if close else 0.5 * (lo + hi)  # fall back inside the bracket
+        if close or abs(step) <= 1e-10 * E:
             break
+    else:
+        raise NotMonotone(f"Newton solve of T(E) = {target:.17g} did not converge "
+                          f"in 40 steps ({bc.value}, L = {L})")
 
     # a zero last step (about one solve in five) leaves E at the solved energy
     u2, u3 = turning if E == solved else turning_points(pot, E)
@@ -361,7 +358,7 @@ def instanton(pot: LocalPotential, L: float, bc: BoundaryCondition,
     energy_density = 0.5 * v ** 2 + pot.derivative(u, 0)
     V_value = float(simpson(energy_density, dx=L / n_samples))
     deriv_L2 = math.sqrt(float(simpson(v ** 2, dx=L / n_samples)))
-    return InstantonProfile(pot, bc, L, E=E, n_kinks=1, x=x, u=u, du=v,
+    return InstantonProfile(pot, bc, L, E=E, x=x, u=u, du=v,
                             V_value=V_value, deriv_L2=deriv_L2, turning=(u2, u3))
 
 

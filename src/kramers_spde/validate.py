@@ -133,8 +133,8 @@ def _check_product_convergence() -> CheckResult:
         mask = np.arange(1, d + 1)
         pref = 2 * math.pi * math.sqrt(det_ratio(ro, rm, d, mask, mask) / 2.0)
         gaps.append(abs(pref - cf) / cf)
-    prof = instanton(q, 4.0, NEUMANN)
-    rep = eigs_profile(prof, kmax=8, grid_n=512)
+    prof = instanton(q, 4.0, NEUMANN, n_samples=2048)
+    rep = eigs_profile(prof, kmax=8)
     nu0 = np.array([(k * math.pi / 4.0) ** 2 for k in range(9)])
     W = q.derivative(prof.u, 2)
     interlace = bool(np.all((rep.eigenvalues[:9] >= nu0 + W.min() - 1e-9)

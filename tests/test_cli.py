@@ -2,12 +2,15 @@ import json
 import math
 import os
 import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy
 
-from kramers_spde import NEUMANN, QuadratureNotConverged, SimConfig, cli, mc_stats, quartic
+from kramers_spde import (NEUMANN, QuadratureNotConverged, SimConfig, cli, mc_stats, quartic,
+                          stationary)
 from kramers_spde.cli import main
 
 
@@ -99,6 +102,36 @@ def test_stationary_outputs(tmp_path):
     for key in ("E", "H0", "V_value", "deriv_L2", "turning"):
         assert key in payload
     assert payload["transition_state"] == "instanton"
+
+
+def test_stationary_solves_the_instanton_once(tmp_path, monkeypatch):
+    # H0 comes from the profile written out, at its own sample count
+    solve, lengths = stationary.instanton, []
+
+    def counted(*args, **kwargs):
+        lengths.append(args[1])
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(cli, "instanton", counted)
+    monkeypatch.setattr(stationary, "instanton", counted)
+    assert run(tmp_path, "stationary", "--L", "4", "--samples", "1024", "--out", "st") == 0
+    assert lengths == [4.0]
+    payload = json.loads((tmp_path / "st.json").read_text())
+    pot = quartic()
+    assert payload["H0"] == payload["V_value"] - 4.0 * pot.derivative(pot.u_minus, 0)
+
+
+def test_eigen_grid_n_below_256_is_a_usage_error(tmp_path, capsys):
+    # the instanton is sampled at 4 * grid_n, and the refusal names the flag
+    rc = run(tmp_path, "eigen", "--L", "4", "--which", "instanton", "--grid-n", "100")
+    assert rc == 2 and "--grid-n must be >= 256" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    code = "import sys, kramers_spde.cli; print('scipy.interpolate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_stationary_below_threshold_exit_code(tmp_path):

@@ -206,7 +206,7 @@ def test_tail_closed_form_matches_brute_force(b, s, w_num, w_den, k_from):
 def test_tail_finite_at_constant_saddle_fallback(pot, bc):
     # at the bifurcation length mu_k = lambda_k and the k = 1 factor is exactly 0
     L = bc.bifurcation_length
-    prof, mu, wbar = kramers._mu_spectrum(pot, L, bc, 40, 1024)
+    prof, mu, wbar = kramers._mu_spectrum(pot, L, bc, 40)
     assert prof is None and wbar == -1.0
     s = kramers._mu_log_sum(mu, pot, L, bc, 2, math.inf, 40, wbar)
     assert math.isfinite(s)
@@ -216,9 +216,9 @@ def test_tail_finite_at_constant_saddle_fallback(pot, bc):
 
 @pytest.fixture()
 def cold_memo():
-    kramers._mu_memo.clear()
+    kramers._mu_spectrum.cache_clear()
     yield
-    kramers._mu_memo.clear()
+    kramers._mu_spectrum.cache_clear()
 
 
 def test_instanton_and_spectrum_solved_once_per_length(pot, monkeypatch, cold_memo):
@@ -241,7 +241,7 @@ def test_instanton_and_spectrum_solved_once_per_length(pot, monkeypatch, cold_me
 
 @pytest.mark.parametrize("bc, L", [(NEUMANN, 4.0), (PERIODIC, 7.0), (NEUMANN, math.pi)])
 def test_memoised_spectrum_is_read_only(pot, bc, L, cold_memo):
-    prof, mu, _ = kramers._mu_spectrum(pot, L, bc, 40, 1024)
+    prof, mu, _ = kramers._mu_spectrum(pot, L, bc, 40)
     assert not mu.flags.writeable
     if prof is not None:
         assert not any(a.flags.writeable for a in (prof.x, prof.u, prof.du))
@@ -253,7 +253,7 @@ def test_memoised_spectrum_is_read_only(pot, bc, L, cold_memo):
 def test_memo_does_not_change_predictions(pot, bc, L, cold_memo):
     cold = predict_time(pot, L, bc, 0.05)
     warm = predict_time(pot, L, bc, 0.05)
-    kramers._mu_memo.clear()
+    kramers._mu_spectrum.cache_clear()
     again = predict_time(pot, L, bc, 0.05)
     assert cold.log10_expected_time == warm.log10_expected_time == again.log10_expected_time
 

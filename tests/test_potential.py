@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from kramers_spde import (FourierState, InvalidPotential, LocalPotential, NEUMANN,
-                          PERIODIC, TransformPlan, check_assumptions, critical_points,
-                          energy_V, eval_U, grad_V)
+                          PERIODIC, SimConfig, TransformPlan, check_assumptions,
+                          critical_points, energy_V, eval_U, grad_V, quartic)
 from kramers_spde.potential import energy_lower_bound_constants, h1_norm_squared, horner_into
 from kramers_spde.spectral import default_grid_size
 
@@ -16,6 +16,17 @@ def test_eval_quartic_values(pot):
     assert eval_U(pot, 2, 0.0) == -1.0
     assert eval_U(pot, 4, 0.7) == 6.0
     assert eval_U(pot, 5, 0.3) == 0.0
+
+
+def test_potentials_compare_and_hash_on_coefficients():
+    # the derivative tables follow from the coefficients and take no part,
+    # so a potential can key a functools cache
+    assert quartic() == quartic()
+    assert hash(quartic()) == hash(quartic())
+    other = LocalPotential.from_coefficients([0, 0, -0.5, 0.1, 0.25])
+    assert other != quartic() and other.coefficients != quartic().coefficients
+    config = dict(bc=NEUMANN, L=1.0, d=4, eps=0.1, dt=1e-3, t_max=1.0)
+    assert SimConfig(pot=quartic(), **config) == SimConfig(pot=quartic(), **config)
 
 
 def test_eval_order_range(pot):

@@ -2,6 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
+from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import eigsh
 
 from kramers_spde import (NEUMANN, OutOfRegime, PERIODIC, ZeroDenominator,
                           closed_form_product, det_ratio, eigs_constant,
@@ -35,10 +40,66 @@ def test_eigs_constant_periodic_degeneracy(pot):
 def test_eigs_profile_matches_constant_closed_form(pot):
     rep_c = eigs_constant(pot, 1.0, NEUMANN, "minus", 6)
     prof = InstantonProfile.constant(pot.u_minus, pot, NEUMANN, 1.0)
-    rep_f = eigs_profile(prof, kmax=4, grid_n=1024)
+    rep_f = eigs_profile(prof, kmax=4)
     m = len(rep_f.eigenvalues)
     rel = np.abs(rep_f.eigenvalues - rep_c.eigenvalues[:m]) / rep_c.eigenvalues[:m]
     assert rel.max() <= 1e-6
+
+
+def _reference_eigs_profile(profile, kmax, grid_n):
+    """The Richardson spectrum as it was computed before: U'' from a cubic
+    spline of the profile, resampled on grid_n and 2 grid_n points, and the
+    cyclic matrix assembled in LIL form with its two corners written after."""
+    def curvature(n):
+        if profile.bc is PERIODIC:
+            u = profile.u.copy()
+            u[-1] = u[0]
+            spline = CubicSpline(profile.x, u, bc_type="periodic")
+            xs = np.arange(n) * (profile.L / n)
+        else:
+            spline = CubicSpline(profile.x, profile.u,
+                                 bc_type=((1, profile.du[0]), (1, profile.du[-1])))
+            xs = (np.arange(n) + 0.5) * (profile.L / n)
+        return profile.pot.derivative(spline(xs), 2)
+
+    def smallest(W, m):
+        n = len(W)
+        inv = 1.0 / (profile.L / n) ** 2
+        diag = 2.0 * inv + W
+        off = np.full(n - 1, -inv)
+        if profile.bc is NEUMANN:
+            diag[0] -= inv
+            diag[-1] -= inv
+            return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                    select_range=(0, m - 1))
+        A = sp.diags([off, diag, off], [-1, 0, 1], format="lil")
+        A[0, -1] = -inv
+        A[-1, 0] = -inv
+        vals = eigsh(A.tocsc(), k=m, sigma=float(W.min()) - 1.0, which="LM",
+                     v0=np.full(n, 1.0 / math.sqrt(n)), return_eigenvectors=False, tol=0)
+        return np.sort(vals)
+
+    m = kmax + 2 if profile.bc is NEUMANN else 2 * kmax + 3
+    coarse, fine = smallest(curvature(grid_n), m), smallest(curvature(2 * grid_n), m)
+    return (4.0 * fine - coarse) / 3.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(bc=st.sampled_from([NEUMANN, PERIODIC]), above=st.floats(1e-4, 1.0),
+       n_samples=st.sampled_from([1024, 2048, 4096]))
+def test_eigs_profile_runs_on_the_profile_samples(pot, bc, above, n_samples):
+    # the FD grids are slices of the samples, where the spline reproduced
+    # the samples themselves: the spectrum keeps every bit
+    prof = instanton(pot, bc.bifurcation_length * (1.0 + above), bc, n_samples=n_samples)
+    want = _reference_eigs_profile(prof, 6, n_samples // 4)
+    assert eigs_profile(prof, kmax=6).eigenvalues.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_samples", [1000, 2050])
+def test_eigs_profile_needs_a_multiple_of_four_samples(pot, n_samples):
+    prof = InstantonProfile.constant(pot.u_minus, pot, NEUMANN, 1.0, n_samples=n_samples)
+    with pytest.raises(ValueError, match="n_samples"):
+        eigs_profile(prof, kmax=4)
 
 
 def test_eigs_profile_instanton_counts(pot):

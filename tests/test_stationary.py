@@ -1,5 +1,5 @@
 import math
-from collections import Counter, OrderedDict
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -295,7 +295,7 @@ def test_period_and_slope_match_one_solve_per_call(pot, which, frac):
                                    (PERIODIC, 6.5), (PERIODIC, 9.0), (PERIODIC, 12.3)])
 def test_instanton_energy_matches_reference_solve(pot, bc, L, monkeypatch):
     want = _reference_instanton_energy(pot, L, bc)
-    monkeypatch.setattr(stationary, "_bracket_memo", OrderedDict())
+    stationary._bracket_period.cache_clear()
     cold = instanton(pot, L, bc, n_samples=256)
     warm = instanton(pot, L, bc, n_samples=256)  # bracket periods from the memo
     assert cold.E == warm.E == want
@@ -323,7 +323,7 @@ def test_instanton_root_solves_counted(pot, monkeypatch):
     monkeypatch.setattr(stationary, "turning_points", counted_turning)
     monkeypatch.setattr(stationary, "period_T", counted_period)
     monkeypatch.setattr(stationary, "_orbit_nodes", checked_nodes)
-    monkeypatch.setattr(stationary, "_bracket_memo", OrderedDict())
+    stationary._bracket_period.cache_clear()
     for L in (3.5, 4.5, 6.0):
         for p in (pot, SAME_CAP):
             turning_calls.clear()
@@ -340,6 +340,59 @@ def test_instanton_bracket_refusals(pot, monkeypatch):
     # both refusals of the bracket step, with the periods it reads stubbed
     for period, message in ((7.0, "harmonic end"), (1.0, "could not bracket")):
         monkeypatch.setattr(stationary, "period_T", lambda p, E, T=period: T)
-        monkeypatch.setattr(stationary, "_bracket_memo", OrderedDict())
+        stationary._bracket_period.cache_clear()
         with pytest.raises(NotMonotone, match=message):
             instanton(pot, 3.3, NEUMANN)
+
+
+def _count_newton_steps(monkeypatch, transform=None):
+    """Patch _doubling so the Newton loop's (T, T') evaluations are counted,
+    and optionally rewritten by transform(E, [T, T'])."""
+    solve, newton = stationary._doubling, []
+
+    def counted(p, E, turning, derivatives, *args, **kwargs):
+        values = solve(p, E, turning, derivatives, *args, **kwargs)
+        if derivatives == (False, True):
+            newton.append(E)
+            if transform is not None:
+                values = transform(E, values)
+        return values
+    monkeypatch.setattr(stationary, "_doubling", counted)
+    return newton
+
+
+@pytest.mark.parametrize("bc, L", [(PERIODIC, 2.0 * math.pi + 1e-6),
+                                   (NEUMANN, math.pi + 1e-8)])
+def test_instanton_newton_stops_near_the_bifurcation(pot, bc, L, monkeypatch):
+    # E* is about 2e-7 and 4e-9 here, where the step test |step| <= 1e-10 E
+    # is out of reach; T within a few ulps of its target ends the loop
+    newton = _count_newton_steps(monkeypatch)
+    prof = instanton(pot, L, bc, n_samples=256)
+    assert 1 <= len(newton) <= 5
+    target = 2.0 * L if bc is NEUMANN else L
+    assert abs(period_T(pot, prof.E) - target) <= 8.0 * math.ulp(target)
+
+
+def test_instanton_newton_falls_back_to_bisection(pot, monkeypatch):
+    # a vanishing slope throws every Newton step out of the bracket; the loop
+    # then bisects the bracket it narrows, and either converges or refuses
+    newton = _count_newton_steps(
+        monkeypatch, lambda E, values: [values[0], math.copysign(1e-300, values[1])])
+    target = 8.0
+    try:
+        prof = instanton(pot, 4.0, NEUMANN, n_samples=256)
+    except NotMonotone as exc:
+        assert "neumann, L = 4.0" in str(exc) and len(newton) == 40
+    else:
+        assert abs(period_T(pot, prof.E) - target) <= 4.0 * math.ulp(target)
+        assert prof.E == newton[-1]  # the bisection point, not a step from it
+    assert len(set(newton)) == len(newton)  # each fallback bisects a narrower bracket
+
+
+def test_instanton_newton_refuses_when_unconverged(pot, monkeypatch):
+    # a period that never meets its target: after 40 steps the loop raises
+    # NotMonotone naming the length and boundary condition
+    newton = _count_newton_steps(monkeypatch, lambda E, values: [values[0] + 1.0, values[1]])
+    with pytest.raises(NotMonotone, match=r"periodic, L = 7\.0"):
+        instanton(pot, 7.0, PERIODIC, n_samples=256)
+    assert len(newton) == 40
