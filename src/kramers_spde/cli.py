@@ -150,9 +150,7 @@ def _write_manifest(out_prefix: str, subcommand: str, config: dict,
         "outputs": outputs,
         **record,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, None, payload)
     return path
 
 
@@ -167,9 +165,9 @@ def _write_csv(path: str, manifest: str, header: list[str], rows) -> None:
             fh.flush()
 
 
-def _write_json(path: str, manifest: str, payload: dict) -> None:
-    payload = dict(payload)
-    payload["manifest"] = manifest
+def _write_json(path: str, manifest: str | None, payload: dict) -> None:
+    if manifest is not None:
+        payload = dict(payload, manifest=manifest)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -438,9 +436,11 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        cfg = _merge_config(args, args.defaults)
+        if getattr(args, "grid_n", None) is not None and cfg["which"] != "instanton":
+            ap.error("--grid-n applies only with --which instanton")
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = _merge_config(args, args.defaults)
     try:
         return args.func(cfg)
     except KramersSpdeError as exc:

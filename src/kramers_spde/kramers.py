@@ -21,9 +21,10 @@ C is the quartic normal-form coefficient c4().  All products are carried in
 log space; d is the Galerkin truncation (math.inf sums the tail to closed
 form for the constant spectra and to a Weyl-asymptotic tail for instanton
 spectra).  Instanton spectra are finite differences on the instanton's own
-4096 samples (spectra.eigs_profile); the instanton and its spectrum do not
-depend on eps, so _mu_spectrum keeps the last 64 in a functools.lru_cache
-keyed on (U, L, bc, kmax_eig).
+4096 samples (spectra.eigs_profile; periodic: its even and odd sectors, the
+zero mode the odd ground state).  They do not depend on eps, so
+_mu_spectrum keeps the last 64 in a functools.lru_cache keyed on
+(U, L, bc, kmax_eig).
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import AllCensored, NonFinite, QuadratureNotConverged
 from .potential import LocalPotential, horner_into
@@ -459,6 +458,7 @@ def reduced_potential_1d(pot: LocalPotential, L: float):
 
 
 def _quad(f, a, b, rtol, points=None) -> float:
+    from scipy.integrate import quad  # only the d = 0 oracles integrate
     val, err = quad(f, a, b, epsabs=0.0, epsrel=rtol, limit=400, points=points)
     if err > 50 * rtol * max(abs(val), 1e-300):
         raise QuadratureNotConverged(

@@ -7,10 +7,13 @@ eigenvalue, plus one zero mode in the periodic case from translation
 symmetry).
 
 Constant profiles have closed-form spectra.  Instanton profiles are
-discretized with second-order central differences (midpoint grid with ghost
-reflection for Neumann, cyclic wrap for periodic) on the profile's own
+discretized with second-order central differences on the profile's own
 samples: every 4th and every 2nd of its n_samples points (N/4 and N/2 grid
-points), followed by one Richardson extrapolation step in h^2.
+points), then one Richardson step in h^2.  Neumann uses the midpoint grid
+with ghost reflection.  The periodic instanton is even about x = 0 (its
+minimum; u'' = U'(u) is reversible), so its cyclic matrix splits exactly
+into an even (cosine) and an odd (sine) tridiagonal sector on the nodes
+0..n/2; the odd sector's ground state is the translation zero mode.
 
 Products of eigenvalue ratios (truncated functional determinants) are summed
 in log space with compensated summation and sign tracking; for the constant
@@ -23,9 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import eigsh
 
 from .errors import OutOfRegime, ResolutionTooLow, ZeroDenominator
 from .potential import LocalPotential
@@ -56,9 +57,7 @@ class SpectrumReport:
 def _classify(ev: np.ndarray) -> tuple[int, int]:
     positives = ev[ev > _ZERO_MODE_FACTOR]
     scale = _ZERO_MODE_FACTOR * max(1.0, positives[0] if len(positives) else 1.0)
-    zero = int(np.sum(np.abs(ev) <= scale))
-    neg = int(np.sum(ev < -scale))
-    return neg, zero
+    return int(np.sum(ev < -scale)), int(np.sum(np.abs(ev) <= scale))
 
 
 def eigs_constant(pot: LocalPotential, L: float, bc: BoundaryCondition,
@@ -75,42 +74,46 @@ def eigs_constant(pot: LocalPotential, L: float, bc: BoundaryCondition,
              "plus": pot.derivative(pot.u_plus, 2)}[which]
     k = np.arange(kmax + 1)
     base = (bc.mode_factor * k * math.pi / L) ** 2 + shift
-    if bc is PERIODIC:
-        ev = np.sort(np.concatenate([base, base[1:]]))
-    else:
-        ev = base  # already ascending
-    neg, zero = _classify(ev)
-    return SpectrumReport(bc, L, which, ev, neg, zero, kmax)
+    ev = np.sort(np.concatenate([base, base[1:]])) if bc is PERIODIC else base
+    return SpectrumReport(bc, L, which, ev, *_classify(ev), kmax)
+
+
+def _lowest(diag: np.ndarray, off: np.ndarray, m: int) -> np.ndarray:
+    return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                            select_range=(0, m - 1))
 
 
 def _fd_smallest(W: np.ndarray, L: float, bc: BoundaryCondition, m: int) -> np.ndarray:
     n = len(W)
-    h = L / n
-    inv = 1.0 / h ** 2
+    inv = 1.0 / (L / n) ** 2
     if bc is NEUMANN:
         diag = 2.0 * inv + W
-        diag[0] -= inv   # ghost reflection at the midpoint boundary
+        diag[[0, -1]] -= inv  # ghost reflection at the midpoint boundary
+        return _lowest(diag, np.full(n - 1, -inv), m)
+    # periodic: W[j] = W[n - j], so the cyclic matrix splits into an even
+    # sector (v[j] = v[n - j]) on nodes 0..n//2 and an odd one on 1..(n-1)//2
+    mirror = np.roll(W[::-1], 1)
+    if np.abs(W - mirror).max() > 1e-3 * max(1.0, float(np.abs(W).max())):
+        raise ValueError("periodic spectra need a profile even about x = 0 "
+                         "(the instanton's phase convention: minimum at x = 0)")
+    half = n // 2
+    diag = 2.0 * inv + 0.5 * (W + mirror)[: half + 1]
+    off = np.full(half, -inv)
+    off[0] *= math.sqrt(2.0)  # even: node 0 meets node 1 on both sides
+    odd = diag[1 : n - half].copy()
+    if n % 2:  # the middle nodes mirror each other
         diag[-1] -= inv
-        off = np.full(n - 1, -inv)
-        return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                                select_range=(0, m - 1))
-    diag = 2.0 * inv + W
-    off = np.full(n - 1, -inv)
-    corner = [-inv]  # cyclic wrap
-    A = sp.diags([off, diag, off, corner, corner], [-1, 0, 1, n - 1, 1 - n], format="csc")
-    sigma = float(W.min()) - 1.0
-    v0 = np.full(n, 1.0 / math.sqrt(n))
-    vals = eigsh(A, k=m, sigma=sigma, which="LM", v0=v0,
-                 return_eigenvectors=False, tol=0)
-    return np.sort(vals)
+        odd[-1] += inv
+    else:  # even: node n/2 meets node n/2 - 1 on both sides
+        off[-1] *= math.sqrt(2.0)
+    k = m // 2 + 1  # the lowest m hold at most m // 2 + 1 modes of each sector
+    both = [_lowest(d, e, min(k, len(d))) for d, e in ((diag, off), (odd, off[1:len(odd)]))]
+    return np.sort(np.concatenate(both))[:m]
 
 
 def _sample_curvature(profile: InstantonProfile, step: int) -> np.ndarray:
-    """U''(u*(x)) on the grid of every step-th profile sample.
-
-    Periodic grids start at x = 0; Neumann grids are the cell midpoints,
-    which are the samples at odd multiples of step/2.
-    """
+    """U''(u*(x)) on every step-th sample: from x = 0 (periodic), or at the
+    Neumann cell midpoints, the samples at odd multiples of step/2."""
     start = 0 if profile.bc is PERIODIC else step // 2
     return profile.pot.derivative(profile.u[start:profile.n_samples:step], 2)
 
@@ -123,7 +126,8 @@ def eigs_profile(profile: InstantonProfile, kmax: int) -> SpectrumReport:
     2n = N/2 point grids of the profile's N = n_samples samples, which must
     be a multiple of 4 and at least 1024; the h^2 error model gives the
     extrapolation (4 mu_{2n} - mu_n)/3.  Raises ResolutionTooLow if the two
-    grids disagree by more than 1% after extrapolation.
+    grids disagree by more than 1% after extrapolation, and ValueError for
+    a periodic profile that is not even about x = 0.
     """
     N = profile.n_samples
     if N % 4 or N < 1024:
@@ -136,8 +140,7 @@ def eigs_profile(profile: InstantonProfile, kmax: int) -> SpectrumReport:
     if np.any(np.abs(fine - coarse) > 0.01 * np.maximum(np.abs(extrap), 0.01 * scale)):
         raise ResolutionTooLow(
             f"grids {N // 4}/{N // 2} disagree beyond 1% of the eigenvalue scale")
-    neg, zero = _classify(extrap)
-    return SpectrumReport(profile.bc, profile.L, "instanton", extrap, neg, zero, kmax)
+    return SpectrumReport(profile.bc, profile.L, "instanton", extrap, *_classify(extrap), kmax)
 
 
 def det_ratio(numerator: SpectrumReport, denominator: SpectrumReport, d: int,
@@ -157,56 +160,38 @@ def det_ratio(numerator: SpectrumReport, denominator: SpectrumReport, d: int,
     num, den = num[:d], den[:d]
     if np.any(den == 0.0):
         raise ZeroDenominator("denominator spectrum contains an exact zero")
-    sign = 1.0
-    neg = int(np.sum(num < 0)) + int(np.sum(den < 0))
-    if neg % 2:
-        sign = -1.0
+    sign = -1.0 if (np.sum(num < 0) + np.sum(den < 0)) % 2 else 1.0
     if np.any(num == 0.0):
         return 0.0
     log_sum = math.fsum(np.log(np.abs(num)) - np.log(np.abs(den)))
     return sign * math.exp(log_sum)
 
 
-def _sin_ratio(t: float) -> float:
-    """sin(pi t)/(pi t), stable through t = 0."""
-    if t == 0.0:
-        return 1.0
-    return math.sin(math.pi * t) / (math.pi * t)
-
-
-def _sinh_ratio(t: float) -> float:
-    """sinh(pi t)/(pi t), stable through t = 0."""
-    if t == 0.0:
-        return 1.0
-    return math.sinh(math.pi * t) / (math.pi * t)
+def _pi_ratio(f, t: float, s: float | None = None) -> float:
+    """f(pi s)/(pi t), s = t unless given; 1 at t = 0 (f is sin or sinh)."""
+    return 1.0 if t == 0.0 else f(math.pi * (t if s is None else s)) / (math.pi * t)
 
 
 def lambda_ratio_product_infinite(pot: LocalPotential, L: float,
                                   bc: BoundaryCondition, k_from: int) -> float:
     """prod_{k >= k_from} lambda_k / nu_k^- in closed form (k_from in {1, 2}).
 
-    lambda_k/nu_k^- = (k^2 - a^2)/(k^2 + b^2) with a = bL/(b_mode pi) ... here
-    a = L/(pi) for Neumann, L/(2 pi) for periodic, b = a sqrt(U''(u_-)).
-    Uses sin(pi a)/(pi a) and sinh products; the k=1 factor is divided out
-    through the cancellation-free grouping sin(pi(1-a))/(pi(1-a)) * 1/(a(1+a)).
+    lambda_k/nu_k^- = (k^2 - a^2)/(k^2 + b^2) with a = L/pi (Neumann) or
+    L/(2 pi) (periodic) and b = a sqrt(U''(u_-)): sin(pi a)/(pi a) over
+    sinh(pi b)/(pi b); the k=1 factor is divided out through the
+    cancellation-free grouping sin(pi(1-a))/(pi(1-a)) * 1/(a(1+a)).
     """
     a = L / (bc.mode_factor * math.pi)
     w = pot.derivative(pot.u_minus, 2)
     b = a * math.sqrt(w)
     if k_from == 1:
-        return _sin_full(a) / _sinh_ratio(b)
+        # sin(pi a)/(pi a) as sin(pi (1 - a))/(pi a): no cancellation for a in (0, 2)
+        return _pi_ratio(math.sin, a, 1.0 - a) / _pi_ratio(math.sinh, b)
     if k_from == 2:
-        num = _sin_ratio(1.0 - a) / (a * (1.0 + a))
-        den = _sinh_ratio(b) / (1.0 + b * b)
+        num = _pi_ratio(math.sin, 1.0 - a) / (a * (1.0 + a))
+        den = _pi_ratio(math.sinh, b) / (1.0 + b * b)
         return num / den
     raise ValueError("k_from must be 1 or 2")
-
-
-def _sin_full(a: float) -> float:
-    """sin(pi a)/(pi a) evaluated without cancellation for a in (0, 2)."""
-    if a == 0.0:
-        return 1.0
-    return math.sin(math.pi * (1.0 - a)) / (math.pi * a)
 
 
 def lambda_ratio_log_sum(pot: LocalPotential, L: float, bc: BoundaryCondition,

@@ -8,7 +8,8 @@ skips the two multi-minute Monte Carlo invariants, which run under --full.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .potential import (quartic, energy_V, grad_V,
                         energy_lower_bound_constants, h1_norm_squared)
 from .spectral import (NEUMANN, PERIODIC, FourierState, from_grid, to_grid,
                        sup_dist, linearized_eigenvalue)
-from .stationary import dT_dE, instanton
+from .stationary import InstantonProfile, dT_dE, instanton
 from .spectra import closed_form_product, eigs_constant, eigs_profile, det_ratio
 from .specialfn import psi, theta, PSI_AT_ZERO, THETA_AT_ZERO
 from .kramers import RegimeTag, predict_time
@@ -109,12 +110,17 @@ def _check_spectral() -> CheckResult:
                        f"eigenvalue identity {ident:.1e}")
 
 
+@cache
+def _neumann_l4() -> InstantonProfile:  # 4096 samples, shared by two checks
+    return instanton(quartic(), 4.0, NEUMANN)
+
+
 def _check_period_monotone() -> CheckResult:
     q = quartic()
     E0 = q.orbit_energy_cap
     grid = np.geomspace(1e-6 * E0, 0.999 * E0, 20)
     ds = [dT_dE(q, float(E)) for E in grid]
-    prof = instanton(q, 4.0, NEUMANN)
+    prof = _neumann_l4()
     drift = prof.first_integral_variation()
     refl = abs(prof.reflected().V_value - prof.V_value)
     ok = all(v > 0 for v in ds) and drift <= 1e-8 * prof.E and refl == 0.0
@@ -133,8 +139,8 @@ def _check_product_convergence() -> CheckResult:
         mask = np.arange(1, d + 1)
         pref = 2 * math.pi * math.sqrt(det_ratio(ro, rm, d, mask, mask) / 2.0)
         gaps.append(abs(pref - cf) / cf)
-    prof = instanton(q, 4.0, NEUMANN, n_samples=2048)
-    rep = eigs_profile(prof, kmax=8)
+    prof = _neumann_l4()  # every second sample: the 512/1024 FD grids
+    rep = eigs_profile(replace(prof, x=prof.x[::2], u=prof.u[::2], du=prof.du[::2]), kmax=8)
     nu0 = np.array([(k * math.pi / 4.0) ** 2 for k in range(9)])
     W = q.derivative(prof.u, 2)
     interlace = bool(np.all((rep.eigenvalues[:9] >= nu0 + W.min() - 1e-9)

@@ -126,12 +126,23 @@ def test_eigen_grid_n_below_256_is_a_usage_error(tmp_path, capsys):
     assert rc == 2 and "--grid-n must be >= 256" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", ["origin", "minus", "plus"])
+def test_eigen_grid_n_without_instanton_is_a_usage_error(tmp_path, capsys, which):
+    # the flag sizes only the instanton's grids; elsewhere it would do nothing
+    rc = run(tmp_path, "eigen", "--L", "1", "--which", which, "--grid-n", "512")
+    err = capsys.readouterr().err
+    assert rc == 2 and "--grid-n" in err and "--which instanton" in err
+    assert not (tmp_path / "kramers_eigen.csv").exists()
+
+
 def test_cli_import_leaves_scipy_interpolate_unloaded():
-    code = "import sys, kramers_spde.cli; print('scipy.interpolate' in sys.modules)"
+    # nor the other scipy submodules the import path no longer needs
+    lazy = ["scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.sparse"]
+    code = f"import sys, kramers_spde.cli; print([m in sys.modules for m in {lazy!r}])"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == str([False] * len(lazy))
 
 
 def test_stationary_below_threshold_exit_code(tmp_path):
@@ -342,8 +353,9 @@ def test_simulate_manifest_records_mc_time_and_steps(tmp_path, capsys):
 
 # CSV data rows recorded before the Galerkin transform, the replica fan-out
 # and the instanton eigenvalue pairing were each merged into one definition
-# (the specialfn rows before Psi/Theta moved onto scipy.special); a refactor
-# must reproduce them.  Entries: (id, argv, stride, rows), where stride keeps
+# (the specialfn rows before Psi/Theta moved onto scipy.special, the periodic
+# instanton rows after its spectrum was split into even and odd sectors); a
+# refactor must reproduce them.  Entries: (id, argv, stride, rows), where stride keeps
 # every stride-th data row.
 GOLDEN = [
     ('predict-neumann', ['predict', '--bc', 'neumann', '--L', '1,3.0,3.3,4.5', '--eps', '0.05'], 1, [
@@ -353,8 +365,8 @@ GOLDEN = [
         '4.5,0.050000000000000003,neumann_large_l,-0.51261212834126635,0.98431208881290855,0.33333333333333331,0.92253815440265063,1.2563137104224427,8.1121626953939217,1.1594165608104088',
     ]),
     ('predict-periodic-d15', ['predict', '--bc', 'periodic', '--L', '6.5,9', '--eps', '0.05', '--d', '15'], 1, [
-        '6.5,0.050000000000000003,periodic_near_above,-0.065599583328818323,0.13081763335034222,0.23076923076923078,1.620329034398081,0.062899605085122517,12.872647088872162,1.8636795888007989',
-        '9,0.050000000000000003,periodic_large_l,-0.51261212834126635,0.98431208884003929,0.16666666666666666,1.8450763088054492,0.035790684341123445,14.579899194554409,1.1594165608104088',
+        '6.5,0.050000000000000003,periodic_near_above,-0.065599583328818323,0.13081763333771954,0.23076923076923078,1.620329034398081,0.062899605085260338,12.872647088873114,1.8636795888007989',
+        '9,0.050000000000000003,periodic_large_l,-0.51261212834126635,0.98431208882581289,0.16666666666666666,1.8450763088054492,0.035790684342142776,14.579899194566776,1.1594165608104088',
     ]),
     ('sweep', ['sweep', '--bc', 'neumann', '--L-grid', '2.9:0.2:3.3', '--eps', '0.01'], 1, [
         '2.8999999999999999,0.01,neumann_small_l,0.17355581463607117,,0.51724137931034486,0.72499999999999998,0.47027703629655876,31.158703710580067,0.98825387644110385',
@@ -381,17 +393,17 @@ GOLDEN = [
         '5,15.211073071258845',
     ]),
     ('eigen-instanton-periodic', ['eigen', '--bc', 'periodic', '--L', '7', '--which', 'instanton', '--kmax', '4'], 1, [
-        '0,-0.63039852474517499',
-        '1,-1.0239957030459361e-12',
-        '2,0.38480965206941037',
-        '3,2.6151903478831535',
-        '4,2.6303985246952397',
-        '5,6.6464705105703743',
-        '6,6.6464705105699666',
-        '7,12.284905726023576',
-        '8,12.28490572602349',
-        '9,19.535469753945321',
-        '10,19.535469753945975',
+        '0,-0.63039852472204283',
+        '1,2.4609017747400136e-12',
+        '2,0.38480965210918966',
+        '3,2.6151903478900267',
+        '4,2.6303985246812869',
+        '5,6.6464705105807527',
+        '6,6.6464705105466573',
+        '7,12.284905726013106',
+        '8,12.284905726042666',
+        '9,19.535469753906771',
+        '10,19.535469753961092',
     ]),
     ('stationary', ['stationary', '--bc', 'periodic', '--L', '7'], 512, [
         '0,-0.50649754989142748',

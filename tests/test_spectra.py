@@ -5,12 +5,12 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh
 from scipy.sparse.linalg import eigsh
 
-from kramers_spde import (NEUMANN, OutOfRegime, PERIODIC, ZeroDenominator,
+from kramers_spde import (NEUMANN, LocalPotential, OutOfRegime, PERIODIC, ZeroDenominator,
                           closed_form_product, det_ratio, eigs_constant,
-                          eigs_profile, instanton)
+                          eigs_profile, instanton, spectra)
 from kramers_spde.spectra import (lambda_ratio_log_sum,
                                   lambda_ratio_product_infinite)
 from kramers_spde.stationary import InstantonProfile
@@ -47,9 +47,10 @@ def test_eigs_profile_matches_constant_closed_form(pot):
 
 
 def _reference_eigs_profile(profile, kmax, grid_n):
-    """The Richardson spectrum as it was computed before: U'' from a cubic
-    spline of the profile, resampled on grid_n and 2 grid_n points, and the
-    cyclic matrix assembled in LIL form with its two corners written after."""
+    """The Richardson spectrum computed from a cubic spline of the profile,
+    resampled on grid_n and 2 grid_n points; the periodic matrix is split
+    by hand into its cosine block (nodes 0..n/2, the two end couplings
+    scaled by sqrt 2) and its sine block (nodes 1..n/2 - 1)."""
     def curvature(n):
         if profile.bc is PERIODIC:
             u = profile.u.copy()
@@ -62,22 +63,25 @@ def _reference_eigs_profile(profile, kmax, grid_n):
             xs = (np.arange(n) + 0.5) * (profile.L / n)
         return profile.pot.derivative(spline(xs), 2)
 
+    def lowest(diag, off, k):
+        return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                select_range=(0, k - 1))
+
     def smallest(W, m):
         n = len(W)
         inv = 1.0 / (profile.L / n) ** 2
-        diag = 2.0 * inv + W
-        off = np.full(n - 1, -inv)
         if profile.bc is NEUMANN:
+            diag = 2.0 * inv + W
             diag[0] -= inv
             diag[-1] -= inv
-            return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                                    select_range=(0, m - 1))
-        A = sp.diags([off, diag, off], [-1, 0, 1], format="lil")
-        A[0, -1] = -inv
-        A[-1, 0] = -inv
-        vals = eigsh(A.tocsc(), k=m, sigma=float(W.min()) - 1.0, which="LM",
-                     v0=np.full(n, 1.0 / math.sqrt(n)), return_eigenvectors=False, tol=0)
-        return np.sort(vals)
+            return lowest(diag, np.full(n - 1, -inv), m)
+        half = n // 2
+        Ws = 0.5 * (W[: half + 1] + W[np.r_[0, n - 1:half - 1:-1]])
+        cos_off = np.full(half, -inv)
+        cos_off[[0, -1]] = -inv * math.sqrt(2.0)
+        cos_vals = lowest(2.0 * inv + Ws, cos_off, m // 2 + 1)
+        sin_vals = lowest(2.0 * inv + Ws[1:half], np.full(half - 2, -inv), m // 2 + 1)
+        return np.sort(np.concatenate([cos_vals, sin_vals]))[:m]
 
     m = kmax + 2 if profile.bc is NEUMANN else 2 * kmax + 3
     coarse, fine = smallest(curvature(grid_n), m), smallest(curvature(2 * grid_n), m)
@@ -93,6 +97,70 @@ def test_eigs_profile_runs_on_the_profile_samples(pot, bc, above, n_samples):
     prof = instanton(pot, bc.bifurcation_length * (1.0 + above), bc, n_samples=n_samples)
     want = _reference_eigs_profile(prof, 6, n_samples // 4)
     assert eigs_profile(prof, kmax=6).eigenvalues.tobytes() == want.tobytes()
+
+
+def _cyclic(W, L):
+    n = len(W)
+    inv = 1.0 / (L / n) ** 2
+    return sp.diags([np.full(n - 1, -inv), 2.0 * inv + W, np.full(n - 1, -inv),
+                     [-inv], [-inv]], [-1, 0, 1, n - 1, 1 - n], format="csc")
+
+
+ASYMMETRIC = LocalPotential.from_coefficients([0, 0, -0.5, 0.1, 0.25])
+
+
+@settings(max_examples=12, deadline=None)
+@given(L=st.floats(2 * math.pi + 1e-3, 4 * math.pi - 1e-3),
+       n_samples=st.sampled_from([1024, 2048, 4096]),
+       asymmetric=st.booleans())
+def test_periodic_split_matches_the_cyclic_matrix(pot, L, n_samples, asymmetric):
+    # the even/odd split against an independent solve of the whole cyclic
+    # matrix: dense eigvalsh up to 1024 nodes, ARPACK shift-invert beyond
+    prof = instanton(ASYMMETRIC if asymmetric else pot, L, PERIODIC, n_samples=n_samples)
+    m = 83
+    for step in (4, 2):
+        W = spectra._sample_curvature(prof, step)
+        A = _cyclic(W, L)
+        if len(W) <= 1024:
+            want = eigvalsh(A.toarray(), subset_by_index=(0, m - 1))
+        else:
+            want = np.sort(eigsh(A, k=m, sigma=float(W.min()) - 1.0, which="LM",
+                                 v0=np.full(len(W), len(W) ** -0.5),
+                                 return_eigenvectors=False, tol=0))
+        norm = 4.0 / (L / len(W)) ** 2 + float(np.abs(W).max())  # >= ||A||_2
+        got = spectra._fd_smallest(W, L, PERIODIC, m)
+        assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * norm
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(8, 80), m=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_periodic_split_keeps_the_smallest_of_both_sectors(n, m, seed):
+    # any W even about node 0 (either parity of n, any m): the merged
+    # selection is the smallest m of the two full sector spectra
+    m = min(m, n)
+    W = np.random.default_rng(seed).uniform(-30.0, 30.0, n)
+    W = 0.5 * (W + np.roll(W[::-1], 1))
+    L = 3.0
+    A = _cyclic(W, L).toarray()
+    half = n // 2
+    even = np.zeros((n, half + 1))  # orthonormal bases of the two sectors
+    odd = np.zeros((n, (n - 1) // 2))
+    for j in range(half + 1):
+        even[[j, -j % n], j] = 1.0
+        even[:, j] /= np.linalg.norm(even[:, j])
+    for j in range(1, (n - 1) // 2 + 1):
+        odd[j, j - 1], odd[n - j, j - 1] = 2 ** -0.5, -(2 ** -0.5)
+    sectors = np.concatenate([eigvalsh(even.T @ A @ even), eigvalsh(odd.T @ A @ odd)])
+    want = np.sort(sectors)[:m]
+    got = spectra._fd_smallest(W, L, PERIODIC, m)
+    norm = 4.0 / (L / n) ** 2 + float(np.abs(W).max())
+    assert np.abs(got - want).max() <= 32 * np.finfo(float).eps * norm
+
+
+def test_periodic_spectrum_needs_the_instanton_phase(pot):
+    prof = instanton(pot, 7.0, PERIODIC, n_samples=1024)
+    with pytest.raises(ValueError, match="minimum at x = 0"):
+        eigs_profile(prof.translated(1.0), kmax=6)
 
 
 @pytest.mark.parametrize("n_samples", [1000, 2050])
