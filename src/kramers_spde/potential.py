@@ -184,6 +184,11 @@ class LocalPotential:
         return np.polyval(self._deriv[order], u)
 
     @property
+    def is_even(self) -> bool:
+        """U(-u) = U(u) exactly: every odd-power coefficient is 0.0."""
+        return not any(self.coefficients[1::2])
+
+    @property
     def well_depths(self) -> tuple[float, float]:
         return (float(self.derivative(self.u_minus)), float(self.derivative(self.u_plus)))
 

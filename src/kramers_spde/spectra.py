@@ -15,6 +15,17 @@ minimum; u'' = U'(u) is reversible), so its cyclic matrix splits exactly
 into an even (cosine) and an odd (sine) tridiagonal sector on the nodes
 0..n/2; the odd sector's ground state is the translation zero mode.
 
+An even potential (LocalPotential.is_even: every odd-power coefficient is
+exactly 0.0, as for quartic()) gives the instanton one more mirror
+symmetry: u(L - x) = -u(x) (Neumann) and u(x + L/2) = -u(x) (periodic), so
+U''(u*) is even about L/2, and for even n each periodic sector reads the
+same backwards about node n/4.  Such a tridiagonal (the n-node Neumann
+matrix, and the (n/2 + 1)- and (n/2 - 1)-node periodic sectors) is solved
+as its two halves, v = reversed v and v = -reversed v, of about half its
+size, each giving m // 2 + 1 of its lowest m values.  The choice follows
+the coefficients, never a tolerance on U''(u*): a nearly even potential
+keeps the unsplit solves, as does a periodic grid of odd n.
+
 Products of eigenvalue ratios (truncated functional determinants) are summed
 in log space with compensated summation and sign tracking; for the constant
 spectra the d -> infinity limits have sin/sinh closed forms.
@@ -83,21 +94,53 @@ def _lowest(diag: np.ndarray, off: np.ndarray, m: int) -> np.ndarray:
                             select_range=(0, m - 1))
 
 
-def _fd_smallest(W: np.ndarray, L: float, bc: BoundaryCondition, m: int) -> np.ndarray:
+def _lowest_persymmetric(diag: np.ndarray, off: np.ndarray, m: int) -> np.ndarray:
+    """_lowest of a tridiagonal that reads the same backwards, from its even
+    (v = reversed v) and odd (v = -reversed v) halves.  The halves' spectra
+    interlace, so the lowest m hold at most m // 2 + 1 values of each."""
+    h = len(diag) // 2
+    if len(diag) % 2:  # the centre node meets its mirrored neighbours twice
+        even_off = off[:h].copy()
+        even_off[-1] *= math.sqrt(2.0)
+        halves = ((diag[: h + 1], even_off), (diag[:h], off[: h - 1]))
+    else:  # the middle coupling folds back onto node h - 1
+        even, odd = diag[:h].copy(), diag[:h].copy()
+        even[-1] += off[h - 1]
+        odd[-1] -= off[h - 1]
+        halves = ((even, off[: h - 1]), (odd, off[: h - 1]))
+    k = m // 2 + 1
+    return np.sort(np.concatenate([_lowest(d, e, min(k, len(d))) for d, e in halves]))[:m]
+
+
+def _mirror_mean(W: np.ndarray, mirror: np.ndarray, message: str) -> np.ndarray:
+    """(W + mirror) / 2; ValueError(message) unless they agree to 1e-3 of max|W|."""
+    if np.abs(W - mirror).max() > 1e-3 * max(1.0, float(np.abs(W).max())):
+        raise ValueError(message)
+    return 0.5 * (W + mirror)
+
+
+def _fd_smallest(W: np.ndarray, L: float, bc: BoundaryCondition, m: int,
+                 even_potential: bool = False) -> np.ndarray:
     n = len(W)
     inv = 1.0 / (L / n) ** 2
     if bc is NEUMANN:
+        if even_potential:  # u(L - x) = -u(x), so W is even about L/2
+            W = _mirror_mean(W, W[::-1], "Neumann spectra of an even potential need "
+                             "a profile odd about x = L/2 (an instanton)")
         diag = 2.0 * inv + W
         diag[[0, -1]] -= inv  # ghost reflection at the midpoint boundary
-        return _lowest(diag, np.full(n - 1, -inv), m)
+        lowest = _lowest_persymmetric if even_potential else _lowest
+        return lowest(diag, np.full(n - 1, -inv), m)
     # periodic: W[j] = W[n - j], so the cyclic matrix splits into an even
     # sector (v[j] = v[n - j]) on nodes 0..n//2 and an odd one on 1..(n-1)//2
-    mirror = np.roll(W[::-1], 1)
-    if np.abs(W - mirror).max() > 1e-3 * max(1.0, float(np.abs(W).max())):
-        raise ValueError("periodic spectra need a profile even about x = 0 "
-                         "(the instanton's phase convention: minimum at x = 0)")
     half = n // 2
-    diag = 2.0 * inv + 0.5 * (W + mirror)[: half + 1]
+    sym = _mirror_mean(W, np.roll(W[::-1], 1), "periodic spectra need a profile even about "
+                       "x = 0 (the instanton's phase convention: minimum at x = 0)")[: half + 1]
+    split = even_potential and n % 2 == 0
+    if split:  # u(x + L/2) = -u(x): W[j] = W[n/2 - j], both sectors read the same backwards
+        sym = _mirror_mean(sym, sym[::-1], "periodic spectra of an even potential need "
+                           "a profile with u(x + L/2) = -u(x) (an instanton)")
+    diag = 2.0 * inv + sym
     off = np.full(half, -inv)
     off[0] *= math.sqrt(2.0)  # even: node 0 meets node 1 on both sides
     odd = diag[1 : n - half].copy()
@@ -107,7 +150,8 @@ def _fd_smallest(W: np.ndarray, L: float, bc: BoundaryCondition, m: int) -> np.n
     else:  # even: node n/2 meets node n/2 - 1 on both sides
         off[-1] *= math.sqrt(2.0)
     k = m // 2 + 1  # the lowest m hold at most m // 2 + 1 modes of each sector
-    both = [_lowest(d, e, min(k, len(d))) for d, e in ((diag, off), (odd, off[1:len(odd)]))]
+    lowest = _lowest_persymmetric if split else _lowest
+    both = [lowest(d, e, min(k, len(d))) for d, e in ((diag, off), (odd, off[1:len(odd)]))]
     return np.sort(np.concatenate(both))[:m]
 
 
@@ -127,14 +171,15 @@ def eigs_profile(profile: InstantonProfile, kmax: int) -> SpectrumReport:
     be a multiple of 4 and at least 1024; the h^2 error model gives the
     extrapolation (4 mu_{2n} - mu_n)/3.  Raises ResolutionTooLow if the two
     grids disagree by more than 1% after extrapolation, and ValueError for
-    a periodic profile that is not even about x = 0.
+    a periodic profile that is not even about x = 0, or, when the potential
+    is even, a profile without the instanton's mirror symmetry.
     """
     N = profile.n_samples
     if N % 4 or N < 1024:
         raise ValueError(f"profile n_samples must be a multiple of 4 and >= 1024, got {N}")
     m = kmax + 2 if profile.bc is NEUMANN else 2 * kmax + 3
-    coarse = _fd_smallest(_sample_curvature(profile, 4), profile.L, profile.bc, m)
-    fine = _fd_smallest(_sample_curvature(profile, 2), profile.L, profile.bc, m)
+    coarse, fine = (_fd_smallest(_sample_curvature(profile, step), profile.L, profile.bc, m,
+                                 profile.pot.is_even) for step in (4, 2))
     extrap = (4.0 * fine - coarse) / 3.0
     scale = max(1.0, float(np.abs(extrap).max()))
     if np.any(np.abs(fine - coarse) > 0.01 * np.maximum(np.abs(extrap), 0.01 * scale)):

@@ -310,11 +310,31 @@ def instanton(pot: LocalPotential, L: float, bc: BoundaryCondition,
     points once, and the orbit nodes once for T and T' together.  Newton
     narrows the bracket by the sign of each T - target, bisects it when a
     step leaves it, and stops on a small step or on T within 4 ulps of the
-    target; NotMonotone if 40 steps do not converge.
+    target; NotMonotone if 40 steps do not converge.  QuadratureNotConverged
+    names bc and L when L is so long that T(E) is needed closer to E0 than
+    the period quadrature converges (quartic(): periodic L > 28.2, Neumann
+    L > 14.1).
     """
     if L <= bc.bifurcation_length:
         raise NoInstanton(f"{bc.value} instantons exist only for "
                           f"L > {bc.bifurcation_length:.6g}, got L = {L}")
+    try:
+        E, (u2, u3) = _instanton_energy(pot, L, bc)
+    except QuadratureNotConverged as exc:
+        raise QuadratureNotConverged(f"{bc.value} L = {L} is too long for the period "
+                                     f"quadrature, which fails near E0: {exc}") from exc
+    u, v = _rk4_profile(pot, u2, L, n_samples)
+    x = np.linspace(0.0, L, n_samples + 1)
+    energy_density = 0.5 * v ** 2 + pot.derivative(u, 0)
+    V_value = _simpson(energy_density, L / n_samples)
+    deriv_L2 = math.sqrt(_simpson(v ** 2, L / n_samples))
+    return InstantonProfile(pot, bc, L, E=E, x=x, u=u, du=v,
+                            V_value=V_value, deriv_L2=deriv_L2, turning=(u2, u3))
+
+
+def _instanton_energy(pot: LocalPotential, L: float,
+                      bc: BoundaryCondition) -> tuple[float, tuple[float, float]]:
+    """E* with T(E*) = 2L (Neumann) or L (periodic), and its turning points."""
     target = 2.0 * L if bc is NEUMANN else L
     E0 = pot.orbit_energy_cap
 
@@ -360,14 +380,7 @@ def instanton(pot: LocalPotential, L: float, bc: BoundaryCondition,
                           f"in 40 steps ({bc.value}, L = {L})")
 
     # a zero last step (about one solve in five) leaves E at the solved energy
-    u2, u3 = turning if E == solved else turning_points(pot, E)
-    u, v = _rk4_profile(pot, u2, L, n_samples)
-    x = np.linspace(0.0, L, n_samples + 1)
-    energy_density = 0.5 * v ** 2 + pot.derivative(u, 0)
-    V_value = _simpson(energy_density, L / n_samples)
-    deriv_L2 = math.sqrt(_simpson(v ** 2, L / n_samples))
-    return InstantonProfile(pot, bc, L, E=E, x=x, u=u, du=v,
-                            V_value=V_value, deriv_L2=deriv_L2, turning=(u2, u3))
+    return E, turning if E == solved else turning_points(pot, E)
 
 
 def barrier_height(pot: LocalPotential, L: float,

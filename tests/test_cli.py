@@ -150,6 +150,14 @@ def test_stationary_below_threshold_exit_code(tmp_path):
     assert rc == 3  # numerical failure: no instanton below the threshold
 
 
+@pytest.mark.parametrize("bc, L", [("neumann", "15"), ("periodic", "30")])
+def test_stationary_too_long_names_the_input(tmp_path, capsys, bc, L):
+    # T(E*) is needed so close to E0 that the period quadrature fails
+    rc = run(tmp_path, "stationary", "--bc", bc, "--L", L, "--out", "st")
+    assert rc == 3
+    assert f"{bc} L = {L}.0 is too long for the period quadrature" in capsys.readouterr().err
+
+
 def test_eigen_outputs(tmp_path):
     rc = run(tmp_path, "eigen", "--bc", "periodic", "--L", "7", "--which",
              "instanton", "--kmax", "5", "--out", "e")
@@ -353,25 +361,28 @@ def test_simulate_manifest_records_mc_time_and_steps(tmp_path, capsys):
 
 # CSV data rows recorded before the Galerkin transform, the replica fan-out
 # and the instanton eigenvalue pairing were each merged into one definition
-# (the specialfn rows before Psi/Theta moved onto scipy.special, the periodic
-# instanton rows after its spectrum was split into even and odd sectors); a
-# refactor must reproduce them.  Entries: (id, argv, stride, rows), where stride keeps
-# every stride-th data row.
+# (the specialfn rows before Psi/Theta moved onto scipy.special).  The fields
+# that come from an instanton's FD spectrum, the eigen-instanton eigenvalues
+# and the instanton rows' mu1, prefactor and log10_expected_time, were
+# recorded after quartic()'s instanton spectra were split by the mirror
+# symmetry of an even potential; they pin eigen-solver roundoff of about
+# 1e-10.  A refactor must reproduce them.  Entries: (id, argv, stride, rows),
+# where stride keeps every stride-th data row.
 GOLDEN = [
     ('predict-neumann', ['predict', '--bc', 'neumann', '--L', '1,3.0,3.3,4.5', '--eps', '0.05'], 1, [
         '1,0.050000000000000003,neumann_small_l,8.869604401089358,,1.5,0.25,3.4841268529728091,2.7135663682925224,1.1594165608104088',
         '3,0.050000000000000003,neumann_near_below,0.096622711232150715,,0.5,0.75,0.57249496731639871,6.272188901785464,1.8636795888007989',
-        '3.2999999999999998,0.050000000000000003,neumann_near_above,-0.093700238651114875,0.18660017310879651,0.45454545454545459,0.82015736761100133,0.45318997358832386,6.7800766738464509,1.8636795888007989',
-        '4.5,0.050000000000000003,neumann_large_l,-0.51261212834126635,0.98431208881290855,0.33333333333333331,0.92253815440265063,1.2563137104224427,8.1121626953939217,1.1594165608104088',
+        '3.2999999999999998,0.050000000000000003,neumann_near_above,-0.093700238651114875,0.18660017314832453,0.45454545454545459,0.82015736761100133,0.4531899735698377,6.7800766738287344,1.8636795888007989',
+        '4.5,0.050000000000000003,neumann_large_l,-0.51261212834126635,0.98431208880452647,0.33333333333333331,0.92253815440265063,1.2563137103029194,8.1121626953526036,1.1594165608104088',
     ]),
     ('predict-periodic-d15', ['predict', '--bc', 'periodic', '--L', '6.5,9', '--eps', '0.05', '--d', '15'], 1, [
-        '6.5,0.050000000000000003,periodic_near_above,-0.065599583328818323,0.13081763333771954,0.23076923076923078,1.620329034398081,0.062899605085260338,12.872647088873114,1.8636795888007989',
-        '9,0.050000000000000003,periodic_large_l,-0.51261212834126635,0.98431208882581289,0.16666666666666666,1.8450763088054492,0.035790684342142776,14.579899194566776,1.1594165608104088',
+        '6.5,0.050000000000000003,periodic_near_above,-0.065599583328818323,0.13081763337569746,0.23076923076923078,1.620329034398081,0.062899605081495419,12.872647088847119,1.8636795888007989',
+        '9,0.050000000000000003,periodic_large_l,-0.51261212834126635,0.98431208882997101,0.16666666666666666,1.8450763088054492,0.035790684341277572,14.579899194556278,1.1594165608104088',
     ]),
     ('sweep', ['sweep', '--bc', 'neumann', '--L-grid', '2.9:0.2:3.3', '--eps', '0.01'], 1, [
         '2.8999999999999999,0.01,neumann_small_l,0.17355581463607117,,0.51724137931034486,0.72499999999999998,0.47027703629655876,31.158703710580067,0.98825387644110385',
         '3.1000000000000001,0.01,neumann_near_below,0.027013985545198738,,0.48387096774193544,0.77500000000000002,0.34673343175956778,33.197818065503121,2.1333254060207807',
-        '3.2999999999999998,0.01,neumann_near_above,-0.093700238651114875,0.18660017310879651,0.45454545454545459,0.82015736761100133,0.2865181490237651,35.076134041424183,2.1333254060207807',
+        '3.2999999999999998,0.01,neumann_near_above,-0.093700238651114875,0.18660017314832453,0.45454545454545459,0.82015736761100133,0.28651814901546019,35.076134041411592,2.1333254060207807',
     ]),
     ('sweep-with-mc', ['sweep', '--L', '1', '--eps-grid', '0.3:0.1:0.4', '--with-mc', '--n', '6', '--mc-d', '15', '--tmax', '200', '--seed', '3', '--threads', '1'], 1, [
         '1,0.29999999999999999,neumann_small_l,8.869604401089358,,1.5,0.25,3.4841268529728091,0.90400602702897337,0.7235784816076285,5.0433333333333339,1.42437042622736,0',
@@ -385,25 +396,25 @@ GOLDEN = [
         '4,156.91367041742973',
     ]),
     ('eigen-instanton-neumann', ['eigen', '--bc', 'neumann', '--L', '4', '--which', 'instanton', '--kmax', '4'], 1, [
-        '0,-0.32475884064641458',
-        '1,0.74751113654152668',
-        '2,2.324758840693943',
-        '3,5.3508450109354442',
-        '4,9.6622368152157154',
-        '5,15.211073071258845',
+        '0,-0.32475884076874784',
+        '1,0.74751113657485613',
+        '2,2.3247588406705222',
+        '3,5.3508450109491017',
+        '4,9.662236815222915',
+        '5,15.211073071217401',
     ]),
     ('eigen-instanton-periodic', ['eigen', '--bc', 'periodic', '--L', '7', '--which', 'instanton', '--kmax', '4'], 1, [
-        '0,-0.63039852472204283',
-        '1,2.4609017747400136e-12',
-        '2,0.38480965210918966',
-        '3,2.6151903478900267',
-        '4,2.6303985246812869',
-        '5,6.6464705105807527',
-        '6,6.6464705105466573',
-        '7,12.284905726013106',
-        '8,12.284905726042666',
-        '9,19.535469753906771',
-        '10,19.535469753961092',
+        '0,-0.63039852470249957',
+        '1,-2.1065680025088248e-11',
+        '2,0.3848096521024118',
+        '3,2.6151903479189498',
+        '4,2.6303985247387849',
+        '5,6.646470510557184',
+        '6,6.6464705105572746',
+        '7,12.284905726013898',
+        '8,12.284905726024469',
+        '9,19.5354697539284',
+        '10,19.535469753961532',
     ]),
     ('stationary', ['stationary', '--bc', 'periodic', '--L', '7'], 512, [
         '0,-0.50649754989142748',

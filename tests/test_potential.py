@@ -29,6 +29,17 @@ def test_potentials_compare_and_hash_on_coefficients():
     assert SimConfig(pot=quartic(), **config) == SimConfig(pot=quartic(), **config)
 
 
+def test_is_even_reads_the_coefficients(pot):
+    # exact zeros in every odd power, with or without normalization; a
+    # nearly even potential is not even
+    assert pot.is_even
+    assert LocalPotential.from_coefficients([0, 0, -0.5, 0, 0.1, 0, 0.05]).is_even
+    assert LocalPotential.from_coefficients([0, 0, -0.5, 0, 0.1, 0, 0.05],
+                                            normalize=False).is_even
+    assert not LocalPotential.from_coefficients([0, 0, -0.5, 0.1, 0.25]).is_even
+    assert not LocalPotential.from_coefficients([0, 0, -0.5, 1e-15, 0.25]).is_even
+
+
 def test_eval_order_range(pot):
     with pytest.raises(ValueError):
         pot.derivative(0.0, 6)

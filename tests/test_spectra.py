@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,11 +47,16 @@ def test_eigs_profile_matches_constant_closed_form(pot):
     assert rel.max() <= 1e-6
 
 
+ASYMMETRIC = LocalPotential.from_coefficients([0, 0, -0.5, 0.1, 0.25])
+
+
 def _reference_eigs_profile(profile, kmax, grid_n):
     """The Richardson spectrum computed from a cubic spline of the profile,
-    resampled on grid_n and 2 grid_n points; the periodic matrix is split
+    resampled on grid_n and 2 grid_n points.  The periodic matrix is split
     by hand into its cosine block (nodes 0..n/2, the two end couplings
-    scaled by sqrt 2) and its sine block (nodes 1..n/2 - 1)."""
+    scaled by sqrt 2) and its sine block (nodes 1..n/2 - 1).  For an even
+    potential each block (and the Neumann matrix) reads the same backwards
+    and is split once more, into the halves v = reversed v and v = -reversed v."""
     def curvature(n):
         if profile.bc is PERIODIC:
             u = profile.u.copy()
@@ -67,20 +73,40 @@ def _reference_eigs_profile(profile, kmax, grid_n):
         return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                                 select_range=(0, k - 1))
 
+    def mirrored(diag, off, k):
+        # off[h - 1] couples the two halves (even size), or the centre node
+        # h to both of its neighbours (odd size)
+        h, j = len(diag) // 2, k // 2 + 1
+        if len(diag) % 2:
+            even_off = np.append(off[:h - 1], off[h - 1] * math.sqrt(2.0))
+            vals = [lowest(diag[:h + 1], even_off, j), lowest(diag[:h], off[:h - 1], j)]
+        else:
+            even = np.append(diag[:h - 1], diag[h - 1] + off[h - 1])
+            odd = np.append(diag[:h - 1], diag[h - 1] - off[h - 1])
+            vals = [lowest(even, off[:h - 1], j), lowest(odd, off[:h - 1], j)]
+        return np.sort(np.concatenate(vals))[:k]
+
+    split = profile.pot.is_even
+    solve = mirrored if split else lowest
+
     def smallest(W, m):
         n = len(W)
         inv = 1.0 / (profile.L / n) ** 2
         if profile.bc is NEUMANN:
+            if split:
+                W = 0.5 * (W + W[::-1])
             diag = 2.0 * inv + W
             diag[0] -= inv
             diag[-1] -= inv
-            return lowest(diag, np.full(n - 1, -inv), m)
+            return solve(diag, np.full(n - 1, -inv), m)
         half = n // 2
         Ws = 0.5 * (W[: half + 1] + W[np.r_[0, n - 1:half - 1:-1]])
+        if split:
+            Ws = 0.5 * (Ws + Ws[::-1])
         cos_off = np.full(half, -inv)
         cos_off[[0, -1]] = -inv * math.sqrt(2.0)
-        cos_vals = lowest(2.0 * inv + Ws, cos_off, m // 2 + 1)
-        sin_vals = lowest(2.0 * inv + Ws[1:half], np.full(half - 2, -inv), m // 2 + 1)
+        cos_vals = solve(2.0 * inv + Ws, cos_off, m // 2 + 1)
+        sin_vals = solve(2.0 * inv + Ws[1:half], np.full(half - 2, -inv), m // 2 + 1)
         return np.sort(np.concatenate([cos_vals, sin_vals]))[:m]
 
     m = kmax + 2 if profile.bc is NEUMANN else 2 * kmax + 3
@@ -90,23 +116,47 @@ def _reference_eigs_profile(profile, kmax, grid_n):
 
 @settings(max_examples=25, deadline=None)
 @given(bc=st.sampled_from([NEUMANN, PERIODIC]), above=st.floats(1e-4, 1.0),
-       n_samples=st.sampled_from([1024, 2048, 4096]))
-def test_eigs_profile_runs_on_the_profile_samples(pot, bc, above, n_samples):
+       n_samples=st.sampled_from([1024, 2048, 4096]), even=st.booleans())
+def test_eigs_profile_runs_on_the_profile_samples(pot, bc, above, n_samples, even):
     # the FD grids are slices of the samples, where the spline reproduced
-    # the samples themselves: the spectrum keeps every bit
-    prof = instanton(pot, bc.bifurcation_length * (1.0 + above), bc, n_samples=n_samples)
+    # the samples themselves: the spectrum keeps every bit, split by the
+    # instanton's mirror symmetry for quartic() and not for ASYMMETRIC
+    prof = instanton(pot if even else ASYMMETRIC, bc.bifurcation_length * (1.0 + above), bc,
+                     n_samples=n_samples)
     want = _reference_eigs_profile(prof, 6, n_samples // 4)
     assert eigs_profile(prof, kmax=6).eigenvalues.tobytes() == want.tobytes()
 
 
-def _cyclic(W, L):
+def _fd_matrix(W, L, bc):
+    """The whole FD matrix: the midpoint grid with ghost reflection
+    (Neumann) or the cyclic one (periodic)."""
     n = len(W)
     inv = 1.0 / (L / n) ** 2
-    return sp.diags([np.full(n - 1, -inv), 2.0 * inv + W, np.full(n - 1, -inv),
+    diag = 2.0 * inv + W
+    if bc is NEUMANN:
+        diag[[0, -1]] -= inv
+        return sp.diags([np.full(n - 1, -inv), diag, np.full(n - 1, -inv)], [-1, 0, 1],
+                        format="csc")
+    return sp.diags([np.full(n - 1, -inv), diag, np.full(n - 1, -inv),
                      [-inv], [-inv]], [-1, 0, 1, n - 1, 1 - n], format="csc")
 
 
-ASYMMETRIC = LocalPotential.from_coefficients([0, 0, -0.5, 0.1, 0.25])
+def _assert_split_matches_the_whole_matrix(prof, m):
+    # the split (even potential) or unsplit path of eigs_profile on both of
+    # its grids, against an independent solve of the whole matrix: dense
+    # eigvalsh up to 1024 nodes, ARPACK shift-invert beyond
+    for step in (4, 2):
+        W = spectra._sample_curvature(prof, step)
+        A = _fd_matrix(W, prof.L, prof.bc)
+        if len(W) <= 1024:
+            want = eigvalsh(A.toarray(), subset_by_index=(0, m - 1))
+        else:
+            want = np.sort(eigsh(A, k=m, sigma=float(W.min()) - 1.0, which="LM",
+                                 v0=np.full(len(W), len(W) ** -0.5),
+                                 return_eigenvectors=False, tol=0))
+        norm = 4.0 / (prof.L / len(W)) ** 2 + float(np.abs(W).max())  # >= ||A||_2
+        got = spectra._fd_smallest(W, prof.L, prof.bc, m, prof.pot.is_even)
+        assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * norm
 
 
 @settings(max_examples=12, deadline=None)
@@ -114,22 +164,38 @@ ASYMMETRIC = LocalPotential.from_coefficients([0, 0, -0.5, 0.1, 0.25])
        n_samples=st.sampled_from([1024, 2048, 4096]),
        asymmetric=st.booleans())
 def test_periodic_split_matches_the_cyclic_matrix(pot, L, n_samples, asymmetric):
-    # the even/odd split against an independent solve of the whole cyclic
-    # matrix: dense eigvalsh up to 1024 nodes, ARPACK shift-invert beyond
     prof = instanton(ASYMMETRIC if asymmetric else pot, L, PERIODIC, n_samples=n_samples)
-    m = 83
-    for step in (4, 2):
-        W = spectra._sample_curvature(prof, step)
-        A = _cyclic(W, L)
-        if len(W) <= 1024:
-            want = eigvalsh(A.toarray(), subset_by_index=(0, m - 1))
-        else:
-            want = np.sort(eigsh(A, k=m, sigma=float(W.min()) - 1.0, which="LM",
-                                 v0=np.full(len(W), len(W) ** -0.5),
-                                 return_eigenvectors=False, tol=0))
-        norm = 4.0 / (L / len(W)) ** 2 + float(np.abs(W).max())  # >= ||A||_2
-        got = spectra._fd_smallest(W, L, PERIODIC, m)
-        assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * norm
+    _assert_split_matches_the_whole_matrix(prof, 83)
+
+
+@settings(max_examples=12, deadline=None)
+@given(L=st.floats(math.pi + 1e-3, 2 * math.pi - 1e-3),
+       n_samples=st.sampled_from([1024, 2048, 4096]),
+       asymmetric=st.booleans())
+def test_neumann_split_matches_the_whole_matrix(pot, L, n_samples, asymmetric):
+    prof = instanton(ASYMMETRIC if asymmetric else pot, L, NEUMANN, n_samples=n_samples)
+    _assert_split_matches_the_whole_matrix(prof, 42)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bc=st.sampled_from([NEUMANN, PERIODIC]), n=st.integers(8, 80), m=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_mirror_split_matches_the_whole_matrix(bc, n, m, seed):
+    # any W with the symmetry of an even potential's instanton: even about
+    # L/2 (Neumann, n of both parities); even about x = 0 and of period L/2
+    # (periodic, even n), where odd n keeps the unsplit path bit for bit
+    m = min(m, n)
+    W = np.random.default_rng(seed).uniform(-30.0, 30.0, n)
+    if bc is PERIODIC and n % 2 == 0:
+        W = np.resize(W[: n // 2], n)
+    W = 0.5 * (W + (W[::-1] if bc is NEUMANN else np.roll(W[::-1], 1)))
+    L = 3.0
+    got = spectra._fd_smallest(W, L, bc, m, even_potential=True)
+    if bc is PERIODIC and n % 2:
+        assert got.tobytes() == spectra._fd_smallest(W, L, bc, m).tobytes()
+    want = eigvalsh(_fd_matrix(W, L, bc).toarray(), subset_by_index=(0, m - 1))
+    norm = 4.0 / (L / n) ** 2 + float(np.abs(W).max())
+    assert np.abs(got - want).max() <= 32 * np.finfo(float).eps * norm
 
 
 @settings(max_examples=40, deadline=None)
@@ -141,7 +207,7 @@ def test_periodic_split_keeps_the_smallest_of_both_sectors(n, m, seed):
     W = np.random.default_rng(seed).uniform(-30.0, 30.0, n)
     W = 0.5 * (W + np.roll(W[::-1], 1))
     L = 3.0
-    A = _cyclic(W, L).toarray()
+    A = _fd_matrix(W, L, PERIODIC).toarray()
     half = n // 2
     even = np.zeros((n, half + 1))  # orthonormal bases of the two sectors
     odd = np.zeros((n, (n - 1) // 2))
@@ -161,6 +227,15 @@ def test_periodic_spectrum_needs_the_instanton_phase(pot):
     prof = instanton(pot, 7.0, PERIODIC, n_samples=1024)
     with pytest.raises(ValueError, match="minimum at x = 0"):
         eigs_profile(prof.translated(1.0), kmax=6)
+
+
+@pytest.mark.parametrize("bc, L", [(NEUMANN, 4.0), (PERIODIC, 7.0)])
+def test_even_potential_spectrum_needs_the_instanton_mirror_symmetry(pot, bc, L):
+    # u + 0.1 keeps the periodic profile even about x = 0, but U''(u) is no
+    # longer even about L/2, which the split for an even potential relies on
+    prof = instanton(pot, L, bc, n_samples=1024)
+    with pytest.raises(ValueError, match=r"\(an instanton\)"):
+        eigs_profile(replace(prof, u=prof.u + 0.1), kmax=6)
 
 
 @pytest.mark.parametrize("n_samples", [1000, 2050])
