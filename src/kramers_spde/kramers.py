@@ -1,30 +1,34 @@
 """Regime-dispatched Kramers-law predictions of the expected transition time.
 
 The expected first-hitting time of the ball around u*_+ started near u*_-
-is prefactor * exp(H0/eps), with the prefactor assembled from eigenvalue
-ratios between the relevant transition state and the starting minimum:
+is prefactor * exp(H0/eps), with one Eyring-Kramers prefactor for all
+eight (bc, regime) pairs, nu_k^- = nu_k + U''(u_-) and S_2 =
+sum_{k=2}^{d} log(sigma_k / nu_k^-):
 
-  Neumann, lambda_1 > 0 away from 0 ("small L"):
-      2 pi ( prod_{k>=1} lambda_k/nu_k^- / (|lambda_0| nu_0^-) )^{1/2}
-  Neumann, lambda_1 < 0 away from 0 ("large L"): same with mu_k and a factor
-      pi (two instantons),
-  near the bifurcation the k=1 factor is regularized through Psi_+/Psi_-:
-      (lambda_1 + sqrt(C eps)) and division by Psi_+(lambda_1/sqrt(C eps)),
-      (mu_1 + sqrt(C eps)) and division by Psi_-(mu_1/sqrt(C eps)),
+  log prefactor = log 2 pi - 1/2 log(|sigma_0| nu_0^-)
+                  + h (log x - log nu_1^- + S_2) - log F
 
-and the periodic analogues with doubly degenerate modes, Theta_+/Theta_- at
-arguments lambda_1/sqrt(2 C eps) and mu_1/sqrt(8 C eps), and - away from the
-bifurcation - the saddle-length factor sqrt(2 pi eps mu_1) / (L ||u'||_L2)
-produced by the translation zero mode.
+h = 1/2 for Neumann and 1 for periodic (each k >= 1 a cos/sin pair).  The
+saddle supplies (sigma_0, sigma_1, S_2): the uniform saddle u = 0 has
+sigma_0 = -1, sigma_k = lambda_k; above the bifurcation length L_c the
+instanton has sigma_k = mu_k.  The regime supplies the mode-1 factor x and
+the divisor F, with r = sqrt(C eps) (Neumann) or sqrt(2 C eps) (periodic)
+and C = c4():
 
-C is the quartic normal-form coefficient c4().  All products are carried in
-log space; d is the Galerkin truncation (math.inf sums the tail to closed
-form for the constant spectra and to a Weyl-asymptotic tail for instanton
-spectra).  Instanton spectra are finite differences on the instanton's own
-4096 samples (spectra.eigs_profile; periodic: its even and odd sectors, the
-zero mode the odd ground state).  They do not depend on eps, so
-_mu_spectrum keeps the last 64 in a functools.lru_cache keyed on
-(U, L, bc, kmax_eig).
+  regime      saddle             x: N | P                          F: N | P
+  small_l     uniform            lambda_1                          1
+  near_below  uniform            lambda_1 + r                      Psi_+ | Theta_+ (lambda_1/r)
+  near_above  instanton, L > L_c mu_1 + r | r                      Psi_-(mu_1/r) | Theta_-(mu_1/2r)
+  large_l     instanton, L > L_c mu_1/4 | sqrt(2 pi eps mu_1)/ell  1
+
+mu_1/4 carries the 1/2 of two Neumann instantons; ell = L ||u'||_L2 is the
+saddle_length() of the periodic translation orbit.  d is the Galerkin
+truncation (math.inf sums the tail to closed form for the constant spectra
+and to a Weyl-asymptotic tail for instanton spectra).  Instanton spectra
+are finite differences on the instanton's own 4096 samples
+(spectra.eigs_profile; periodic: its even and odd sectors, the zero mode
+the odd ground state).  They do not depend on eps, so _mu_spectrum keeps
+the last 64 in a functools.lru_cache keyed on (U, L, bc, kmax_eig).
 """
 
 from __future__ import annotations
@@ -146,37 +150,31 @@ def _select_regime(bc: BoundaryCondition, lam1: float, switch: float) -> RegimeT
 
 
 def _label_mu(ev: np.ndarray, bc: BoundaryCondition, kmax_eig: int) -> np.ndarray:
-    """Ascending eigenvalues by mode label, up to k = kmax_eig.
+    """Ascending eigenvalues by mode label, mu_0 .. mu_kmax_eig.
 
-    mu_k itself for Neumann; for periodic the list
-    [mu_0, mu_-1, mu_1, sqrt(mu_2 mu_-2), sqrt(mu_3 mu_-3), ...] built by
-    pairing consecutive eigenvalues beyond the first three.
+    mu_k itself for Neumann; for periodic [mu_0, mu_1, sqrt(mu_2 mu_-2), ...]
+    by pairing consecutive eigenvalues beyond the first three.  The periodic
+    translation zero mode ev[1] enters no formula and is dropped, so index k
+    is mode k for both b.c.
     """
     if bc is NEUMANN:
         return ev[: kmax_eig + 1]
     pairs = ev[3 : 3 + 2 * (kmax_eig - 1)]
-    return np.concatenate((ev[:3], np.sqrt(pairs[0::2] * pairs[1::2])))
+    return np.concatenate((ev[[0, 2]], np.sqrt(pairs[0::2] * pairs[1::2])))
 
 
 @lru_cache(maxsize=64)
 def _mu_spectrum(pot: LocalPotential, L: float, bc: BoundaryCondition, kmax_eig: int):
-    """Instanton spectrum data, falling back to the constant saddle at threshold.
+    """Instanton spectrum data for L above the bifurcation length.
 
-    Returns (profile_or_None, _label_mu(eigenvalues), mean_curvature), with
+    Returns (profile, _label_mu(eigenvalues), mean_curvature), with
     read-only arrays.  None of it depends on eps, so the last 64 results are
     kept: a sweep solves each instanton once.
     """
-    if L <= bc.bifurcation_length:
-        # degenerate instanton: the uniform saddle; continuity limit mu_k = lambda_k
-        prof, wbar = None, -1.0
-        ev = mode_frequencies(bc, L, kmax_eig) - 1.0
-    else:
-        prof = instanton(pot, L, bc)
-        ev = eigs_profile(prof, kmax=kmax_eig).eigenvalues
-        wbar = float(np.mean(pot.derivative(prof.u[:prof.n_samples], 2)))
-    mu = _label_mu(ev, bc, kmax_eig)
+    prof = instanton(pot, L, bc)
+    mu = _label_mu(eigs_profile(prof, kmax=kmax_eig).eigenvalues, bc, kmax_eig)
     mu.flags.writeable = False
-    return prof, mu, wbar
+    return prof, mu, float(np.mean(pot.derivative(prof.u[:prof.n_samples], 2)))
 
 
 def _mu_log_sum(mu_by_label, pot, L, bc, k_from, d, kmax_eig, wbar):
@@ -189,15 +187,11 @@ def _mu_log_sum(mu_by_label, pot, L, bc, k_from, d, kmax_eig, wbar):
     """
     w_minus = pot.derivative(pot.u_minus, 2)
     b = bc.mode_factor
-    if bc is NEUMANN:
-        mu_of = lambda k: mu_by_label[k]
-    else:
-        mu_of = lambda k: mu_by_label[k + 1]  # labeled[2] is mu_1
-    k_res = min(kmax_eig, d) if d != math.inf else kmax_eig
+    k_res = min(kmax_eig, d)
     total = 0.0
     for k in range(k_from, k_res + 1):
         nu_km = (b * k * math.pi / L) ** 2 + w_minus
-        total += math.log(mu_of(k)) - math.log(nu_km)
+        total += math.log(mu_by_label[k]) - math.log(nu_km)
     if d == math.inf:
         total += _asymptotic_tail_log_inf(L, b, wbar, w_minus, k_res + 1)
     elif d > k_res:
@@ -234,97 +228,75 @@ def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: floa
 
     d is the Galerkin truncation of the eigenvalue-ratio products (math.inf
     takes the convergent infinite product).  The regime is selected by the
-    sign and size of lambda_1 against lambda_switch; force_regime overrides
-    the selection (the near-regime formulas stay evaluable on both sides of
-    the bifurcation, which is how the continuity check is run).
+    sign and size of lambda_1 against lambda_switch >= 0; force_regime, one
+    of bc's own regimes, overrides the selection (the near-regime formulas
+    stay evaluable on both sides of the bifurcation, which is how the
+    continuity check is run).  The prefactor is the module docstring's one
+    formula; a forced regime whose mode-1 factor x is not positive raises
+    OutOfRegime.
     """
     if eps <= 0.0 or L <= 0.0:
         raise ValueError("need eps > 0 and L > 0")
+    if not lambda_switch >= 0.0:
+        raise ValueError(f"lambda_switch must be >= 0, got {lambda_switch}")
     if d != math.inf:
         d = int(d)
         if d < 1:
             raise ValueError("d must be >= 1 or math.inf")
-    second = 2.0 * bc.bifurcation_length
-    if L > second:
+    Lc = bc.bifurcation_length
+    if L > 2.0 * Lc:
         raise UnsupportedRegime(
-            f"L = {L} beyond the second bifurcation ({second:.6g}); higher saddles untreated")
+            f"L = {L} beyond the second bifurcation ({2.0 * Lc:.6g}); higher saddles untreated")
 
     w_minus = float(pot.derivative(pot.u_minus, 2))
-    lam1 = (bc.bifurcation_length / L) ** 2 - 1.0
-    nu1m = (bc.bifurcation_length / L) ** 2 + w_minus
+    lam1 = (Lc / L) ** 2 - 1.0
+    nu1m = (Lc / L) ** 2 + w_minus
     regime = force_regime or _select_regime(bc, lam1, lambda_switch)
+    family, side = regime.value.split("_", 1)
+    if family != bc.value:
+        raise ValueError(f"regime {regime.value} does not apply to bc = {bc.value}")
     try:
         C = c4(pot, L, bc)
     except OutOfRegime:
         C = math.nan
-    H0_const = -L * float(pot.derivative(pot.u_minus, 0))
+    h = 0.5 if bc is NEUMANN else 1.0
 
-    mu1 = None
-    need_mu = regime in (RegimeTag.NEUMANN_NEAR_ABOVE, RegimeTag.NEUMANN_LARGE_L,
-                         RegimeTag.PERIODIC_NEAR_ABOVE, RegimeTag.PERIODIC_LARGE_L)
-    if need_mu:
-        prof, mu_lab, wbar = _mu_spectrum(pot, L, bc, kmax_eig)
-        H0 = (prof.V_value - L * float(pot.derivative(pot.u_minus, 0))) \
-            if prof is not None else H0_const
+    # the saddle supplies sigma_0, sigma_1 and S_2; the regime x and F
+    V_minus = L * float(pot.derivative(pot.u_minus, 0))
+    prof, H0, sigma0, sigma1, mu1 = None, -V_minus, -1.0, lam1, None
+    if side in ("near_above", "large_l"):
+        if L > Lc:
+            prof, mu, wbar = _mu_spectrum(pot, L, bc, kmax_eig)
+            H0, sigma0, sigma1 = prof.V_value - V_minus, float(mu[0]), float(mu[1])
+        mu1 = sigma1
+    if side == "small_l":
+        x = sigma1
+    elif side.startswith("near"):
+        r = math.sqrt(2.0 * h * C * eps)
+        x = r if side == "near_above" and bc is PERIODIC else sigma1 + r
+    elif bc is NEUMANN:
+        x = sigma1 / 4.0  # two instantons
+    elif prof is None:
+        raise ValueError(f"{regime.value} needs an instanton; L = {L} is not above {Lc:.6g}")
     else:
-        H0 = H0_const
-
-    def lam_sum(k_from):
-        if d == math.inf:
-            return math.log(lambda_ratio_product_infinite(pot, L, bc, k_from))
-        return lambda_ratio_log_sum(pot, L, bc, k_from, d)
-
-    if regime is RegimeTag.NEUMANN_SMALL_L:
-        log_pref = math.log(2.0 * math.pi) + 0.5 * (lam_sum(1) - math.log(w_minus))
-        rem = _far_remainder(eps)
-    elif regime is RegimeTag.NEUMANN_NEAR_BELOW:
-        root = math.sqrt(C * eps)
-        log_pref = (math.log(2.0 * math.pi)
-                    + 0.5 * (math.log(lam1 + root) - math.log(w_minus * nu1m) + lam_sum(2))
-                    - math.log(psi("+", lam1 / root)))
-        rem = remainder_scale(eps, lam1)
-    elif regime is RegimeTag.NEUMANN_NEAR_ABOVE:
-        root = math.sqrt(C * eps)
-        mu0, mu1 = float(mu_lab[0]), float(mu_lab[1])
-        s = _mu_log_sum(mu_lab, pot, L, bc, 2, d, kmax_eig, wbar)
-        log_pref = (math.log(2.0 * math.pi)
-                    + 0.5 * (math.log(mu1 + root) - math.log(abs(mu0) * w_minus * nu1m) + s)
-                    - math.log(psi("-", mu1 / root)))
-        rem = remainder_scale(eps, mu1)
-    elif regime is RegimeTag.NEUMANN_LARGE_L:
-        mu0, mu1 = float(mu_lab[0]), float(mu_lab[1])
-        s = _mu_log_sum(mu_lab, pot, L, bc, 1, d, kmax_eig, wbar)
-        log_pref = math.log(math.pi) + 0.5 * (s - math.log(abs(mu0) * w_minus))
-        rem = _far_remainder(eps)
-    elif regime is RegimeTag.PERIODIC_SMALL_L:
-        log_pref = math.log(2.0 * math.pi) - 0.5 * math.log(w_minus) + lam_sum(1)
-        rem = _far_remainder(eps)
-    elif regime is RegimeTag.PERIODIC_NEAR_BELOW:
-        root = math.sqrt(2.0 * C * eps)
-        log_pref = (math.log(2.0 * math.pi) - 0.5 * math.log(w_minus)
-                    + math.log(lam1 + root) - math.log(nu1m) + lam_sum(2)
-                    - math.log(theta("+", lam1 / root)))
-        rem = remainder_scale(eps, lam1)
-    elif regime is RegimeTag.PERIODIC_NEAR_ABOVE:
-        root = math.sqrt(2.0 * C * eps)
-        mu0, mu1 = float(mu_lab[0]), float(mu_lab[2])
-        s = _mu_log_sum(mu_lab, pot, L, bc, 2, d, kmax_eig, wbar)
-        log_pref = (math.log(2.0 * math.pi) - 0.5 * math.log(abs(mu0) * w_minus)
-                    + math.log(root) - math.log(nu1m) + s
-                    - math.log(theta("-", mu1 / math.sqrt(8.0 * C * eps))))
-        rem = remainder_scale(eps, mu1)
-    elif regime is RegimeTag.PERIODIC_LARGE_L:
-        if prof is None:
-            raise ValueError("large-L regime needs an instanton; L is below threshold")
-        mu0, mu1 = float(mu_lab[0]), float(mu_lab[2])
-        s = _mu_log_sum(mu_lab, pot, L, bc, 2, d, kmax_eig, wbar)
-        ell = saddle_length(prof)
-        log_pref = (math.log(2.0 * math.pi) - 0.5 * math.log(abs(mu0) * w_minus)
-                    + 0.5 * math.log(2.0 * math.pi * eps * mu1) - math.log(nu1m) + s
-                    - math.log(ell))
-        rem = _far_remainder(eps)
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled regime {regime}")
+        x = math.sqrt(2.0 * math.pi * eps * sigma1) / saddle_length(prof)
+    if x <= 0.0:
+        raise OutOfRegime(f"{regime.value} does not hold at L = {L}: its mode-1 factor "
+                          f"{x:.6g} is not positive")
+    if prof is not None:
+        s2 = _mu_log_sum(mu, pot, L, bc, 2, d, kmax_eig, wbar)
+    elif d == math.inf:
+        s2 = math.log(lambda_ratio_product_infinite(pot, L, bc, 2))
+    else:
+        s2 = lambda_ratio_log_sum(pot, L, bc, 2, d)
+    F = 1.0
+    if side == "near_below":
+        F = (psi if bc is NEUMANN else theta)("+", sigma1 / r)
+    elif side == "near_above":
+        F = psi("-", sigma1 / r) if bc is NEUMANN else theta("-", sigma1 / (2.0 * r))
+    log_pref = (math.log(2.0 * math.pi) - 0.5 * math.log(abs(sigma0) * w_minus)
+                + h * (math.log(x) - math.log(nu1m) + s2) - math.log(F))
+    rem = remainder_scale(eps, sigma1) if side.startswith("near") else _far_remainder(eps)
 
     log_time = log_pref + H0 / eps
     expected = math.exp(log_time) if log_time < _EXP_MAX else math.inf

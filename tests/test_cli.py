@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 import scipy
 
-from kramers_spde import (NEUMANN, QuadratureNotConverged, SimConfig, cli, mc_stats, quartic,
-                          stationary)
+from kramers_spde import (AllCensored, NEUMANN, QuadratureNotConverged, SimConfig, cli,
+                          mc_stats, quartic, stationary)
 from kramers_spde.cli import main
 
 
@@ -170,6 +170,31 @@ def test_eigen_outputs(tmp_path):
     assert lines[1] == "index,eigenvalue"
 
 
+def test_eigen_periodic_det_ratio_pairs_differently_by_which(tmp_path):
+    # constant profiles take both the cos and the sin factor of each k,
+    # prod (lambda_k / nu_k^-)^2; the instanton takes one factor per k,
+    # mu_1/nu_1^- prod_{k>=2} sqrt(mu_k mu_-k)/nu_k^-, and leaves the zero mode out
+    pot, kmax = quartic(), 4
+    nu_m = [(2 * k * math.pi / 7.0) ** 2 + pot.derivative(pot.u_minus, 2)
+            for k in range(kmax + 1)]
+    got = {}
+    for which in ("origin", "instanton"):
+        assert run(tmp_path, "eigen", "--bc", "periodic", "--L", "7", "--which", which,
+                   "--kmax", str(kmax), "--out", which) == 0
+        rows = (tmp_path / f"{which}.csv").read_text().splitlines()[2:]
+        ev = [float(row.split(",")[1]) for row in rows]
+        got[which] = ev, json.loads((tmp_path / f"{which}.json").read_text())["det_ratio"]
+    ev, ratio = got["origin"]
+    assert ratio == pytest.approx(
+        math.prod(ev[2 * k - 1] * ev[2 * k] / nu_m[k] ** 2 for k in range(1, kmax + 1)),
+        rel=1e-12)
+    assert ratio == pytest.approx(2.5295e-4, rel=1e-4)
+    ev, ratio = got["instanton"]
+    assert ratio == pytest.approx(
+        ev[2] / nu_m[1] * math.prod(math.sqrt(ev[2 * k - 1] * ev[2 * k]) / nu_m[k]
+                                    for k in range(2, kmax + 1)), rel=1e-12)
+
+
 def test_specialfn_grid_endpoints(tmp_path):
     rc = run(tmp_path, "specialfn", "--grid", "0:0.5:1", "--out", "sf")
     assert rc == 0
@@ -245,6 +270,28 @@ def test_sweep_with_mc_writes_every_row_past_an_all_censored_one(tmp_path, capsy
     assert rows[0][8] != ""  # the prediction is kept
     assert rows[1][1] == "0.29999999999999999"
     assert rows[1][10:] == ["5.0433333333333339", "1.42437042622736", "0"]
+
+
+def test_sweep_with_mc_gives_every_row_the_same_seed(tmp_path, monkeypatch):
+    # so replica i of every row draws the same normals: rows are correlated
+    seeds = []
+
+    def record(sim, n, threads=1):
+        seeds.append(sim.seed)
+        raise AllCensored("recorded")
+
+    monkeypatch.setattr(cli, "mc_stats", record)
+    run(tmp_path, "sweep", "--L", "1", "--eps-grid", "0.2,0.3", "--with-mc", "--seed", "5",
+        "--out", "sw")
+    assert seeds == [5, 5]
+
+
+@pytest.mark.parametrize("d", ["inf", "15"])
+def test_predict_negative_lambda_switch_names_it(tmp_path, capsys, d):
+    rc = run(tmp_path, "predict", "--bc", "neumann", "--L", "3.2", "--eps", "0.05",
+             "--d", d, "--lambda-switch", "-0.5", "--out", "p")
+    assert rc == 2
+    assert "error: lambda_switch must be >= 0, got -0.5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, threads", [

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kramers_spde import (BoundaryCondition, KramersPrediction, NEUMANN, PERIODIC,
-                          RegimeTag, UnsupportedRegime, WrongBoundaryCondition, c4,
-                          closed_form_product, eigs_profile, instanton,
-                          predict_time, saddle_length)
+from kramers_spde import (BoundaryCondition, DomainError, KramersPrediction, KramersSpdeError,
+                          LocalPotential, NEUMANN, OutOfRegime, PERIODIC, RegimeTag,
+                          UnsupportedRegime, WrongBoundaryCondition, c4, closed_form_product,
+                          eigs_profile, instanton, predict_time, quartic, saddle_length)
 from kramers_spde import kramers
-from kramers_spde.kramers import remainder_scale
-from kramers_spde.spectra import lambda_ratio_product_infinite
+from kramers_spde.kramers import _select_regime, remainder_scale
+from kramers_spde.spectra import lambda_ratio_log_sum, lambda_ratio_product_infinite
+from kramers_spde.spectral import mode_frequencies
+from kramers_spde.specialfn import psi, theta
 from kramers_spde.stationary import InstantonProfile
 
 
@@ -204,12 +206,11 @@ def test_tail_closed_form_matches_brute_force(b, s, w_num, w_den, k_from):
 
 @pytest.mark.parametrize("bc", [NEUMANN, PERIODIC])
 def test_tail_finite_at_constant_saddle_fallback(pot, bc):
-    # at the bifurcation length mu_k = lambda_k and the k = 1 factor is exactly 0
+    # at the bifurcation length the uniform saddle's k = 1 factor is exactly 0;
+    # a tail from k = 2 with w_num = U''(0) = -1 never meets it
     L = bc.bifurcation_length
-    prof, mu, wbar = kramers._mu_spectrum(pot, L, bc, 40)
-    assert prof is None and wbar == -1.0
-    s = kramers._mu_log_sum(mu, pot, L, bc, 2, math.inf, 40, wbar)
-    assert math.isfinite(s)
+    w_minus = pot.derivative(pot.u_minus, 2)
+    s = kramers._asymptotic_tail_log_inf(L, bc.mode_factor, -1.0, w_minus, 2)
     assert s == pytest.approx(math.log(lambda_ratio_product_infinite(pot, L, bc, 2)),
                               abs=1e-12)
 
@@ -239,14 +240,25 @@ def test_instanton_and_spectrum_solved_once_per_length(pot, monkeypatch, cold_me
     assert calls == {"instanton": 1, "eigs_profile": 1}
 
 
-@pytest.mark.parametrize("bc, L", [(NEUMANN, 4.0), (PERIODIC, 7.0), (NEUMANN, math.pi)])
+@pytest.mark.parametrize("bc, L", [(NEUMANN, 4.0), (PERIODIC, 7.0)])
 def test_memoised_spectrum_is_read_only(pot, bc, L, cold_memo):
     prof, mu, _ = kramers._mu_spectrum(pot, L, bc, 40)
     assert not mu.flags.writeable
-    if prof is not None:
-        assert not any(a.flags.writeable for a in (prof.x, prof.u, prof.du))
+    assert not any(a.flags.writeable for a in (prof.x, prof.u, prof.du))
     with pytest.raises(ValueError):
         mu[0] = 0.0
+
+
+@pytest.mark.parametrize("bc", [NEUMANN, PERIODIC])
+def test_forced_near_above_at_threshold_uses_the_uniform_saddle(pot, bc, monkeypatch):
+    def no_instanton(*args, **kwargs):
+        raise AssertionError("instanton called at the bifurcation length")
+
+    monkeypatch.setattr(kramers, "instanton", no_instanton)
+    regime = RegimeTag(f"{bc.value}_near_above")
+    p = predict_time(pot, bc.bifurcation_length, bc, 0.01, force_regime=regime)
+    assert p.mu1 == p.lambda1 == 0.0
+    assert p.H0 == -bc.bifurcation_length * pot.derivative(pot.u_minus, 0)
 
 
 @pytest.mark.parametrize("bc, L", [(NEUMANN, 4.0), (PERIODIC, 7.0)])
@@ -277,3 +289,183 @@ def test_benchmark_reference_predictions(pot):
                 or abs(p.log10_expected_time - log10_time) > 1e-9 * abs(log10_time)):
             drifted.append((key, p.regime.value, p.log10_expected_time))
     assert drifted == []
+
+
+@pytest.mark.parametrize("bc, L, regime", [(NEUMANN, 3.3, RegimeTag.PERIODIC_NEAR_ABOVE),
+                                           (PERIODIC, 9.0, RegimeTag.NEUMANN_LARGE_L)])
+def test_forced_regime_of_the_other_bc_is_refused(pot, bc, L, regime):
+    with pytest.raises(ValueError, match=f"{regime.value} does not apply to bc = {bc.value}"):
+        predict_time(pot, L, bc, 0.05, force_regime=regime)
+
+
+@pytest.mark.parametrize("d", [math.inf, 15])
+def test_negative_lambda_switch_is_refused(pot, d):
+    with pytest.raises(ValueError, match="lambda_switch must be >= 0, got -0.5"):
+        predict_time(pot, 3.2, NEUMANN, 0.05, d=d, lambda_switch=-0.5)
+
+
+@pytest.mark.parametrize("d", [math.inf, 1, 15])
+@pytest.mark.parametrize("bc, side, L", [
+    (NEUMANN, "small_l", 3.3), (PERIODIC, "small_l", 7.0),  # x = lambda_1 < 0
+    (NEUMANN, "near_below", 4.0), (PERIODIC, "near_below", 9.0),  # x = lambda_1 + r < 0
+    (NEUMANN, "large_l", math.pi),  # x = lambda_1 / 4 = 0
+])
+def test_forced_regime_with_nonpositive_mode1_factor_names_regime_and_L(pot, bc, side, L, d):
+    regime = RegimeTag(f"{bc.value}_{side}")
+    with pytest.raises(OutOfRegime, match=f"{regime.value} does not hold at L = {L}"):
+        predict_time(pot, L, bc, 0.05, d=d, force_regime=regime)
+
+
+def test_other_refusals_keep_their_class(pot):
+    # lambda_1 < 0 < lambda_1 + r: Psi_+ refuses its negative argument
+    with pytest.raises(DomainError):
+        predict_time(pot, 3.2, NEUMANN, 0.05, force_regime=RegimeTag.NEUMANN_NEAR_BELOW)
+    with pytest.raises(ValueError, match="needs an instanton"):
+        predict_time(pot, 6.0, PERIODIC, 0.05, force_regime=RegimeTag.PERIODIC_LARGE_L)
+
+
+# The eight regime branches of predict_time as they stood before the one
+# formula, with their own labels (periodic [mu_0, mu_-1, mu_1, ...]), their
+# constant-saddle fallback at and below the bifurcation length, and their
+# lam_sum: the reference the one formula is held to.
+
+def _branch_label_mu(ev, bc, kmax_eig):
+    if bc is NEUMANN:
+        return ev[: kmax_eig + 1]
+    pairs = ev[3 : 3 + 2 * (kmax_eig - 1)]
+    return np.concatenate((ev[:3], np.sqrt(pairs[0::2] * pairs[1::2])))
+
+
+def _branch_mu_spectrum(pot, L, bc, kmax_eig):
+    if L <= bc.bifurcation_length:
+        prof, wbar = None, -1.0
+        ev = mode_frequencies(bc, L, kmax_eig) - 1.0
+    else:
+        prof = kramers._mu_spectrum(pot, L, bc, kmax_eig)[0]  # the (unchanged) instanton
+        ev = eigs_profile(prof, kmax=kmax_eig).eigenvalues
+        wbar = float(np.mean(pot.derivative(prof.u[:prof.n_samples], 2)))
+    return prof, _branch_label_mu(ev, bc, kmax_eig), wbar
+
+
+def _branch_mu_log_sum(mu_by_label, pot, L, bc, k_from, d, kmax_eig, wbar):
+    w_minus = pot.derivative(pot.u_minus, 2)
+    b = bc.mode_factor
+    if bc is NEUMANN:
+        mu_of = lambda k: mu_by_label[k]
+    else:
+        mu_of = lambda k: mu_by_label[k + 1]  # labeled[2] is mu_1
+    k_res = min(kmax_eig, d) if d != math.inf else kmax_eig
+    total = 0.0
+    for k in range(k_from, k_res + 1):
+        nu_km = (b * k * math.pi / L) ** 2 + w_minus
+        total += math.log(mu_of(k)) - math.log(nu_km)
+    if d == math.inf:
+        total += kramers._asymptotic_tail_log_inf(L, b, wbar, w_minus, k_res + 1)
+    elif d > k_res:
+        k = np.arange(k_res + 1, d + 1, dtype=float)
+        nu0 = (b * k * math.pi / L) ** 2
+        total += math.fsum(np.log(nu0 + wbar) - np.log(nu0 + w_minus))
+    return total
+
+
+def _branch_predict(pot, L, bc, eps, d, regime, kmax_eig=40):
+    """(regime, H0, mu1, log_prefactor) from the eight branches."""
+    w_minus = float(pot.derivative(pot.u_minus, 2))
+    lam1 = (bc.bifurcation_length / L) ** 2 - 1.0
+    nu1m = (bc.bifurcation_length / L) ** 2 + w_minus
+    regime = regime or _select_regime(bc, lam1, 0.1)
+    try:
+        C = c4(pot, L, bc)
+    except OutOfRegime:
+        C = math.nan
+    H0_const = -L * float(pot.derivative(pot.u_minus, 0))
+    mu1 = None
+    if regime.value.endswith(("near_above", "large_l")):
+        prof, mu_lab, wbar = _branch_mu_spectrum(pot, L, bc, kmax_eig)
+        H0 = (prof.V_value - L * float(pot.derivative(pot.u_minus, 0))) \
+            if prof is not None else H0_const
+    else:
+        H0 = H0_const
+
+    def lam_sum(k_from):
+        if d == math.inf:
+            return math.log(lambda_ratio_product_infinite(pot, L, bc, k_from))
+        return lambda_ratio_log_sum(pot, L, bc, k_from, d)
+
+    if regime is RegimeTag.NEUMANN_SMALL_L:
+        log_pref = math.log(2.0 * math.pi) + 0.5 * (lam_sum(1) - math.log(w_minus))
+    elif regime is RegimeTag.NEUMANN_NEAR_BELOW:
+        root = math.sqrt(C * eps)
+        log_pref = (math.log(2.0 * math.pi)
+                    + 0.5 * (math.log(lam1 + root) - math.log(w_minus * nu1m) + lam_sum(2))
+                    - math.log(psi("+", lam1 / root)))
+    elif regime is RegimeTag.NEUMANN_NEAR_ABOVE:
+        root = math.sqrt(C * eps)
+        mu0, mu1 = float(mu_lab[0]), float(mu_lab[1])
+        s = _branch_mu_log_sum(mu_lab, pot, L, bc, 2, d, kmax_eig, wbar)
+        log_pref = (math.log(2.0 * math.pi)
+                    + 0.5 * (math.log(mu1 + root) - math.log(abs(mu0) * w_minus * nu1m) + s)
+                    - math.log(psi("-", mu1 / root)))
+    elif regime is RegimeTag.NEUMANN_LARGE_L:
+        mu0, mu1 = float(mu_lab[0]), float(mu_lab[1])
+        s = _branch_mu_log_sum(mu_lab, pot, L, bc, 1, d, kmax_eig, wbar)
+        log_pref = math.log(math.pi) + 0.5 * (s - math.log(abs(mu0) * w_minus))
+    elif regime is RegimeTag.PERIODIC_SMALL_L:
+        log_pref = math.log(2.0 * math.pi) - 0.5 * math.log(w_minus) + lam_sum(1)
+    elif regime is RegimeTag.PERIODIC_NEAR_BELOW:
+        root = math.sqrt(2.0 * C * eps)
+        log_pref = (math.log(2.0 * math.pi) - 0.5 * math.log(w_minus)
+                    + math.log(lam1 + root) - math.log(nu1m) + lam_sum(2)
+                    - math.log(theta("+", lam1 / root)))
+    elif regime is RegimeTag.PERIODIC_NEAR_ABOVE:
+        root = math.sqrt(2.0 * C * eps)
+        mu0, mu1 = float(mu_lab[0]), float(mu_lab[2])
+        s = _branch_mu_log_sum(mu_lab, pot, L, bc, 2, d, kmax_eig, wbar)
+        log_pref = (math.log(2.0 * math.pi) - 0.5 * math.log(abs(mu0) * w_minus)
+                    + math.log(root) - math.log(nu1m) + s
+                    - math.log(theta("-", mu1 / math.sqrt(8.0 * C * eps))))
+    else:  # PERIODIC_LARGE_L
+        if prof is None:
+            raise ValueError("large-L regime needs an instanton; L is below threshold")
+        mu0, mu1 = float(mu_lab[0]), float(mu_lab[2])
+        s = _branch_mu_log_sum(mu_lab, pot, L, bc, 2, d, kmax_eig, wbar)
+        log_pref = (math.log(2.0 * math.pi) - 0.5 * math.log(abs(mu0) * w_minus)
+                    + 0.5 * math.log(2.0 * math.pi * eps * mu1) - math.log(nu1m) + s
+                    - math.log(saddle_length(prof)))
+    return regime, H0, mu1, log_pref
+
+
+_ASYMMETRIC = LocalPotential.from_coefficients([0.0, 0.0, -0.5, 0.1, 0.25])
+_REFUSALS = (ValueError, ArithmeticError, KramersSpdeError)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_formula_matches_the_regime_branches(data):
+    pot = data.draw(st.sampled_from([quartic(), _ASYMMETRIC]), label="pot")
+    bc = data.draw(st.sampled_from([NEUMANN, PERIODIC]), label="bc")
+    Lc = bc.bifurcation_length
+    L = data.draw(st.one_of(st.just(Lc), st.floats(0.2, 2.0 * Lc, exclude_min=True)),
+                  label="L")
+    eps = data.draw(st.floats(0.005, 0.5), label="eps")
+    d = data.draw(st.sampled_from([math.inf, 1, 2, 3, 15, 64]), label="d")
+    forced = data.draw(st.sampled_from([None] + [t for t in RegimeTag
+                                                 if t.value.startswith(bc.value)]),
+                       label="force_regime")
+    try:
+        regime, H0, mu1, log_pref = _branch_predict(pot, L, bc, eps, d, forced)
+    except _REFUSALS:
+        with pytest.raises(_REFUSALS):
+            predict_time(pot, L, bc, eps, d=d, force_regime=forced)
+        return
+    p = predict_time(pot, L, bc, eps, d=d, force_regime=forced)
+    assert p.regime is regime
+    assert p.H0 == H0
+    if mu1 is not None and L <= Lc:
+        # the uniform saddle's mu_1 is lambda_1 itself; the branches took it
+        # from mode_frequencies, whose numpy square can differ from ** 2 by an ulp
+        assert p.mu1 == p.lambda1
+        assert abs(p.mu1 - mu1) <= math.ulp(mu1 + 1.0)
+    else:
+        assert p.mu1 == mu1
+    assert p.log_prefactor == pytest.approx(log_pref, abs=1e-13, nan_ok=True)  # NaN C4 at a pole

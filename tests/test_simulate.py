@@ -20,6 +20,14 @@ def _cfg(pot, **kw):
     return SimConfig(**base)
 
 
+def test_replica_streams_overlap_across_seeds(pot):
+    # replica i is keyed seed XOR i, so seed 0's replica 1 is seed 1's replica 0
+    a = run_replicas(_cfg(pot, seed=0), 2)
+    b = run_replicas(_cfg(pot, seed=1), 1)
+    assert (a[1].tau, a[1].steps) == (b[0].tau, b[0].steps)
+    assert a[0].tau != a[1].tau
+
+
 def test_stationary_point_is_fixed_without_noise(pot):
     cfg = _cfg(pot, eps=0.0)
     s = FourierState.constant(pot.u_minus, NEUMANN, 1.0, 3)
