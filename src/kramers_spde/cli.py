@@ -4,12 +4,13 @@ validate, sweep.
 Every run writes a JSON manifest (tool version, timestamp, seed, merged
 configuration, output paths, and under "environment" the Python, numpy and
 scipy versions, the CPU and affinity counts and the resolved thread count;
-simulate adds the Monte Carlo's wall time under "timings" and its step counts
-and censored fraction under "diagnostics"; --config ignores all but
-"config" on reload); CSV outputs carry a `# manifest:` comment line
-and use '.'-decimal '.17g' floats with '\n' line endings, so reruns with the
-same configuration reproduce them byte for byte.  A previous manifest can be
-fed back through --config (flags win over file values).
+predict and sweep add the predictions' wall time under "timings", simulate
+the Monte Carlo's and, under "diagnostics", its step counts and censored
+fraction; --config ignores all but "config" on reload); CSV outputs carry a
+`# manifest:` comment line and use '.'-decimal '.17g' floats with '\n' line
+endings, so reruns with the same configuration reproduce them byte for byte.
+A previous manifest can be fed back through --config (flags win over file
+values).
 """
 
 from __future__ import annotations
@@ -187,13 +188,15 @@ def _cmd_predict(cfg: dict) -> int:
     bc = _parse_bc(cfg["bc"])
     d = _parse_d(cfg["d"])
     rows = []
+    t0 = time.perf_counter()
     for L in _parse_list(cfg["L"]):
         for eps in _parse_list(cfg["eps"]):
             p = predict_time(pot, L, bc, eps, d=d, lambda_switch=cfg["lambda_switch"])
             rows.append(_prediction_row(p))
+    predict_s = time.perf_counter() - t0
     out = cfg["out"]
     manifest = _write_manifest(out, "predict", cfg, [f"{out}.csv"],
-                               environment=_environment())
+                               environment=_environment(), timings={"predict_s": predict_s})
     _write_csv(f"{out}.csv", manifest, _PREDICT_HEADER, rows)
     for row in rows:
         print(",".join(_fmt(v) for v in row))
@@ -336,12 +339,16 @@ def _cmd_sweep(cfg: dict) -> int:
     manifest = _write_manifest(out, "sweep", cfg, [f"{out}.csv"],
                                environment=_environment(threads))
     censored = []  # (L, eps) of the rows whose replicas were all censored
+    predict_s = 0.0
 
     def rows():
+        nonlocal predict_s
         for L in Ls:
             for eps in epss:
+                t0 = time.perf_counter()
                 p = predict_time(pot, L, bc, eps, d=d,
                                  lambda_switch=cfg["lambda_switch"])
+                predict_s += time.perf_counter() - t0
                 row = _prediction_row(p)
                 if with_mc:
                     sim = SimConfig(pot=pot, bc=bc, L=L, d=int(cfg["mc_d"]), eps=eps,
@@ -361,6 +368,10 @@ def _cmd_sweep(cfg: dict) -> int:
                 yield row
 
     _write_csv(f"{out}.csv", manifest, header, rows())
+    # written first so that a partial CSV names its manifest; rewritten once
+    # every row is in, with the time the predictions took
+    _write_manifest(out, "sweep", cfg, [f"{out}.csv"], environment=_environment(threads),
+                    timings={"predict_s": predict_s})
     print(f"wrote {out}.csv ({len(Ls) * len(epss)} rows)")
     return 3 if censored else 0
 

@@ -233,7 +233,8 @@ def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: floa
     stay evaluable on both sides of the bifurcation, which is how the
     continuity check is run).  The prefactor is the module docstring's one
     formula; a forced regime whose mode-1 factor x is not positive raises
-    OutOfRegime.
+    OutOfRegime, and so does a near regime unless C4 > 0 (no quartic normal
+    form).
     """
     if eps <= 0.0 or L <= 0.0:
         raise ValueError("need eps > 0 and L > 0")
@@ -249,8 +250,11 @@ def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: floa
             f"L = {L} beyond the second bifurcation ({2.0 * Lc:.6g}); higher saddles untreated")
 
     w_minus = float(pot.derivative(pot.u_minus, 2))
-    lam1 = (Lc / L) ** 2 - 1.0
-    nu1m = (Lc / L) ** 2 + w_minus
+    # a product, not ** 2 (libm pow): mode_frequencies squares nu_1 the same
+    # way, so lambda1 carries the bits of the lambda_1 inside the products
+    nu1 = (Lc / L) * (Lc / L)
+    lam1 = nu1 - 1.0
+    nu1m = nu1 + w_minus
     regime = force_regime or _select_regime(bc, lam1, lambda_switch)
     family, side = regime.value.split("_", 1)
     if family != bc.value:
@@ -259,6 +263,9 @@ def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: floa
         C = c4(pot, L, bc)
     except OutOfRegime:
         C = math.nan
+    if side.startswith("near") and not C > 0.0:
+        raise OutOfRegime(f"{regime.value} needs C4 > 0, got C4 = {C:.6g} at L = {L}: "
+                          "the potential has no quartic normal form there")
     h = 0.5 if bc is NEUMANN else 1.0
 
     # the saddle supplies sigma_0, sigma_1 and S_2; the regime x and F

@@ -23,11 +23,14 @@ orbit (T(E*) = L, requiring L > 2 pi).  Profiles are integrated with RK4 from
 
 Root solves: each energy the E* solve visits gets one root solve, that is
 its turning points once and the orbit nodes f_E of the n and 2n node rules
-in one vectorized bisection, shared by T and T' (a 4n rule only when a
-doubling check needs it).  The bracket periods, which do not depend on L,
-are computed once per potential (a functools.lru_cache keyed on the
-potential itself).  The roots are passed explicitly, so a public period_T
-or dT_dE call always solves its own.
+in one vectorized solve, shared by T and T' (a 4n rule only when a
+doubling check needs it).  Both root solves bisect only until Newton can
+finish: the orbit nodes take 16 halvings, then 4 Newton polishes; E* takes
+one bisection step inside its bracket, then Newton on T(E) - target.  The
+bracket periods, which do not depend on L, are computed once per potential
+(a functools.lru_cache keyed on the potential itself).  The roots are
+passed explicitly, so a public period_T or dT_dE call always solves its
+own.
 """
 
 from __future__ import annotations
@@ -43,6 +46,14 @@ from .potential import LocalPotential, horner, horner_into
 from .spectral import BoundaryCondition, NEUMANN, PERIODIC
 
 _GL_PANEL = 64
+# The orbit nodes bisect _ORBIT_HALVINGS times, which starts Newton close
+# enough that _ORBIT_POLISHES steps reach the root's last bits (12 halvings
+# do not).  The E* bisection stops at a bracket width of _BISECTION_WIDTH *
+# hi, that is after its first midpoint; Newton, kept inside the bracket,
+# does the rest.
+_ORBIT_HALVINGS = 16
+_ORBIT_POLISHES = 4
+_BISECTION_WIDTH = 1.0
 
 
 @cache
@@ -102,9 +113,10 @@ def _orbit_nodes(pot: LocalPotential, E: float, turning: tuple[float, float],
     """f_E(phi) at the nodes of each rule n in ns: -U(f) = E cos^2 phi.
 
     One vectorized bisection on the monotone brackets [u2, 0] and [0, u3]
-    (52 halvings, then 3 Newton polishes) runs over the rules' concatenated
-    nodes.  The arithmetic is elementwise, so each node gets the same bits
-    whichever rules it is solved with.
+    (_ORBIT_HALVINGS halvings, then _ORBIT_POLISHES Newton polishes) runs
+    over the rules' concatenated nodes.  The counts are fixed and the
+    arithmetic is elementwise, so each node gets the same bits whichever
+    rules it is solved with.
     """
     rules = [_gl_nodes(n) for n in ns]
     phi = np.concatenate([r[0] for r in rules])
@@ -118,7 +130,7 @@ def _orbit_nodes(pot: LocalPotential, E: float, turning: tuple[float, float],
     mid, g = np.empty_like(phi), np.empty_like(phi)
     go_right, go_left = np.empty(len(phi), bool), np.empty(len(phi), bool)
     d0 = pot._deriv_scalar[0]
-    for _ in range(52):
+    for _ in range(_ORBIT_HALVINGS):
         np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)
         np.add(horner_into(d0, mid, g), target, out=g)
         np.greater(np.multiply(g, side, out=g), 0.0, out=go_right)
@@ -126,7 +138,7 @@ def _orbit_nodes(pot: LocalPotential, E: float, turning: tuple[float, float],
         np.copyto(lo, mid, where=go_right)
         np.copyto(hi, mid, where=go_left)
     f = 0.5 * (lo + hi)
-    for _ in range(3):  # Newton polish, guarded against the U'(0) = 0 point
+    for _ in range(_ORBIT_POLISHES):  # guarded against the U'(0) = 0 point
         du = pot.derivative(f, 1)
         safe = np.abs(du) > 1e-14
         step = np.where(safe, (-pot.derivative(f, 0) - target) / np.where(safe, -du, 1.0), 0.0)
@@ -303,17 +315,17 @@ def instanton(pot: LocalPotential, L: float, bc: BoundaryCondition,
     """The n=1 transition-state profile for L above the bifurcation threshold.
 
     Solves T(E*) = 2L (Neumann half orbit) or T(E*) = L (periodic full orbit)
-    by bisection on the monotone period map, refines with Newton using dT/dE,
-    then integrates u'' = U'(u) from (u2(E*), 0) with RK4.  The bracket
-    periods at 1e-13 E0 and E0 (1 - 2^-j) are computed once per potential
-    (_bracket_period).  Every other energy gets one root solve: its turning
-    points once, and the orbit nodes once for T and T' together.  Newton
-    narrows the bracket by the sign of each T - target, bisects it when a
-    step leaves it, and stops on a small step or on T within 4 ulps of the
-    target; NotMonotone if 40 steps do not converge.  QuadratureNotConverged
-    names bc and L when L is so long that T(E) is needed closer to E0 than
-    the period quadrature converges (quartic(): periodic L > 28.2, Neumann
-    L > 14.1).
+    by one bisection step inside the bracket of the monotone period map,
+    then Newton using dT/dE, and integrates u'' = U'(u) from (u2(E*), 0)
+    with RK4.  The bracket periods at 1e-13 E0 and E0 (1 - 2^-j) are
+    computed once per potential (_bracket_period).  Every other energy gets
+    one root solve: its turning points once, and the orbit nodes once for T
+    and T' together.  Newton narrows the bracket by the sign of each
+    T - target, bisects it when a step leaves it, and stops on a small step
+    or on T within 4 ulps of the target; NotMonotone if 40 steps do not
+    converge.  QuadratureNotConverged names bc and L when L is so long that
+    T(E) is needed closer to E0 than the period quadrature converges
+    (quartic(): periodic L > 28.2, Neumann L > 14.1).
     """
     if L <= bc.bifurcation_length:
         raise NoInstanton(f"{bc.value} instantons exist only for "
@@ -357,7 +369,7 @@ def _instanton_energy(pot: LocalPotential, L: float,
             hi = mid
         else:
             lo = mid
-        if hi - lo <= 1e-3 * max(hi, 1e-300):
+        if hi - lo <= _BISECTION_WIDTH * max(hi, 1e-300):
             break
     E = 0.5 * (lo + hi)
     for _ in range(40):

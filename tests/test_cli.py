@@ -406,6 +406,31 @@ def test_simulate_manifest_records_mc_time_and_steps(tmp_path, capsys):
                 == (tmp_path / "first.csv").read_text().splitlines()[1:])
 
 
+@pytest.mark.parametrize("argv", [["predict", "--L", "1,3.3", "--eps", "0.05,0.1"],
+                                  ["sweep", "--L-grid", "1:2.3:3.3", "--eps", "0.05"]],
+                         ids=lambda v: v[0])
+def test_predict_and_sweep_manifests_record_prediction_time(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv, "--out", "first") == 0
+    first_stdout = capsys.readouterr().out
+    manifest = json.loads((tmp_path / "first_manifest.json").read_text())
+    assert list(manifest["timings"]) == ["predict_s"] and manifest["timings"]["predict_s"] > 0
+    # a record, not configuration: a rerun from the manifest writes the same rows
+    assert run(tmp_path, argv[0], "--config", "first_manifest.json", "--out", "second") == 0
+    assert capsys.readouterr().out == first_stdout.replace("first", "second")
+    assert ((tmp_path / "second.csv").read_text().splitlines()[1:]
+            == (tmp_path / "first.csv").read_text().splitlines()[1:])
+
+
+@pytest.mark.parametrize("spec, C4", [("0,0,-0.5,0,0,0,0.1666666666666667", "0"),
+                                      ("0,0,-0.5,0,-0.1,0,0.1", "-0.193548")])
+def test_predict_without_quartic_normal_form_names_c4(tmp_path, capsys, spec, C4):
+    rc = run(tmp_path, "predict", "--potential", spec, "--bc", "neumann", "--L", "3.1",
+             "--out", "p")
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: neumann_near_below needs C4 > 0, got C4 = {C4} at L = 3.1")
+
+
 # CSV data rows recorded before the Galerkin transform, the replica fan-out
 # and the instanton eigenvalue pairing were each merged into one definition
 # (the specialfn rows before Psi/Theta moved onto scipy.special).  The fields

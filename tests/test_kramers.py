@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kramers_spde import (BoundaryCondition, DomainError, KramersPrediction, KramersSpdeError,
                           LocalPotential, NEUMANN, OutOfRegime, PERIODIC, RegimeTag,
@@ -322,6 +322,36 @@ def test_other_refusals_keep_their_class(pot):
         predict_time(pot, 3.2, NEUMANN, 0.05, force_regime=RegimeTag.NEUMANN_NEAR_BELOW)
     with pytest.raises(ValueError, match="needs an instanton"):
         predict_time(pot, 6.0, PERIODIC, 0.05, force_regime=RegimeTag.PERIODIC_LARGE_L)
+
+
+@pytest.mark.parametrize("coefficients", [[0, 0, -0.5, 0, 0, 0, 1.0 / 6.0],  # C4 = 0
+                                          [0, 0, -0.5, 0, -0.1, 0, 0.1]])   # C4 < 0
+@pytest.mark.parametrize("bc, L", [(NEUMANN, 3.1), (NEUMANN, 3.2),
+                                   (PERIODIC, 6.2), (PERIODIC, 6.4)])
+def test_near_regimes_refuse_nonpositive_c4_naming_it(coefficients, bc, L):
+    # r = sqrt(2 h C4 eps) needs C4 > 0: without a quartic normal form the
+    # near regimes name regime, L and C4 instead of failing in the arithmetic
+    p = LocalPotential.from_coefficients(coefficients)
+    C = c4(p, L, bc)
+    assert C <= 0.0
+    regime = _select_regime(bc, (bc.bifurcation_length / L) ** 2 - 1.0, 0.1)
+    assert regime.value.split("_", 1)[1].startswith("near")
+    with pytest.raises(OutOfRegime, match=f"{regime.value} needs C4 > 0, got C4 = "
+                                          f"{C:.6g} at L = {L}: .* no quartic normal form"):
+        predict_time(p, L, bc, 0.05)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bc=st.sampled_from([NEUMANN, PERIODIC]), L=st.floats(0.1, 4.0 * math.pi))
+@example(bc=NEUMANN, L=2.757407025695208)  # lengths where (Lc / L) ** 2 - 1 is one
+@example(bc=NEUMANN, L=4.1335045935310974)  # ulp off the numpy square's lambda_1
+@example(bc=PERIODIC, L=4.518375100857883)
+@example(bc=PERIODIC, L=9.449443880709854)
+def test_lambda1_has_the_bits_of_the_products_lambda_1(pot, bc, L):
+    # the lambda1 column is the lambda_1 = nu_1 - 1 the products use, bit for bit
+    assume(L <= 2.0 * bc.bifurcation_length)
+    got = predict_time(pot, L, bc, 0.05).lambda1
+    assert got == mode_frequencies(bc, L, 1)[1] - 1.0
 
 
 # The eight regime branches of predict_time as they stood before the one

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,11 +177,11 @@ def test_constant_profile_helper(pot):
 # --- rule, per call of period_T and dT_dE, written out here as the reference
 
 def _reference_branch_values(pot, E, phi, u2, u3):
-    """f_E(phi) for one rule: bisection with np.where and np.polyval, Newton polish."""
+    """f_E(phi) for one rule: 16 halvings with np.where and np.polyval, 4 Newton polishes."""
     target = E * np.cos(phi) ** 2
     lo = np.where(phi < 0.5 * math.pi, u2, 0.0)
     hi = np.where(phi < 0.5 * math.pi, 0.0, u3)
-    for _ in range(52):
+    for _ in range(16):
         mid = 0.5 * (lo + hi)
         g = -pot.derivative(mid, 0) - target
         left = phi < 0.5 * math.pi
@@ -188,7 +189,7 @@ def _reference_branch_values(pot, E, phi, u2, u3):
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)
     f = 0.5 * (lo + hi)
-    for _ in range(3):
+    for _ in range(4):
         du = pot.derivative(f, 1)
         safe = np.abs(du) > 1e-14
         step = np.where(safe, (-pot.derivative(f, 0) - target) / np.where(safe, -du, 1.0), 0.0)
@@ -226,7 +227,7 @@ def _reference_period(pot, E, derivative, n0=128, target=1e-8, n_max=8192):
 
 
 def _reference_instanton_energy(pot, L, bc):
-    """E* by period calls at every bracket, bisection and Newton step."""
+    """E* by period calls at every bracket, one bisection step and Newton steps."""
     target = 2.0 * L if bc is NEUMANN else L
     E0 = pot.orbit_energy_cap
     lo = 1e-13 * E0
@@ -242,7 +243,7 @@ def _reference_instanton_energy(pot, L, bc):
             hi = mid
         else:
             lo = mid
-        if hi - lo <= 1e-3 * max(hi, 1e-300):
+        if hi - lo <= max(hi, 1e-300):  # always true: one midpoint, then Newton
             break
     E = 0.5 * (lo + hi)
     for _ in range(40):
@@ -274,6 +275,34 @@ def test_orbit_nodes_match_one_rule_at_a_time(pot, which, frac, n0, mult):
     for n in ns:
         want = _reference_branch_values(p, E, stationary._gl_nodes(n)[0], *turning)
         assert got[n].tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(which=st.sampled_from(["quartic", "asymmetric sextic"]), frac=st.floats(1e-13, 0.9),
+       n0=st.sampled_from([64, 128]),
+       mult=st.lists(st.sampled_from([1, 2, 4]), min_size=1, max_size=3, unique=True))
+def test_orbit_nodes_within_4_ulps_of_mpmath_roots(pot, which, frac, n0, mult):
+    # an oracle that knows nothing of the solve's schedule: Newton in 40
+    # digits from each node, on -U(u) = E cos^2 phi, which has one root on
+    # the node's half bracket [u2, 0] or [0, u3]
+    p = pot if which == "quartic" else SAME_CAP
+    E = frac * p.orbit_energy_cap
+    u2, u3 = turning_points(p, E)
+    ns = tuple(m * n0 for m in mult)
+    got = stationary._orbit_nodes(p, E, (u2, u3), ns)
+    with mpmath.workdps(40):
+        U = [mpmath.mpf(c) for c in reversed(p.coefficients)]
+        dU = [k * c for k, c in zip(range(len(U) - 1, 0, -1), U[:-1])]
+        for n in ns:
+            for phi, f in zip(stationary._gl_nodes(n)[0], got[n]):
+                target = E * mpmath.cos(phi) ** 2
+                root = mpmath.mpf(f)
+                for _ in range(4):
+                    step = (mpmath.polyval(U, root) + target) / mpmath.polyval(dU, root)
+                    root -= step
+                assert abs(step) <= 1e-30 * abs(root)
+                assert (u2 <= root <= 0.0) if phi < 0.5 * math.pi else (0.0 <= root <= u3)
+                assert abs(f - root) <= 4.0 * math.ulp(float(root))
 
 
 @settings(max_examples=40, deadline=None)
@@ -334,6 +363,23 @@ def test_instanton_root_solves_counted(pot, monkeypatch):
         bracket = {1e-13 * E0} | {E0 * (1.0 - 0.5 ** j) for j in range(1, 46)}
         counts = Counter(E for key, E in period_calls if key == p.coefficients and E in bracket)
         assert counts and set(counts.values()) == {1}  # once per potential, not per L
+
+
+@pytest.mark.parametrize("bc, L", [(NEUMANN, 3.2), (NEUMANN, 3.5), (NEUMANN, 4.5),
+                                   (NEUMANN, 6.0), (NEUMANN, 6.2), (PERIODIC, 6.35),
+                                   (PERIODIC, 6.5), (PERIODIC, 9.0), (PERIODIC, 12.3)])
+def test_instanton_orbit_node_solves_within_budget(pot, bc, L, monkeypatch):
+    # a work count, not a wall time: with the bracket periods cached, one
+    # bisection step and Newton need at most 8 orbit-node solves per instanton
+    instanton(pot, L, bc, n_samples=256)  # caches the bracket periods
+    solve, calls = stationary._orbit_nodes, []
+
+    def counted(*args):
+        calls.append(args[1])
+        return solve(*args)
+    monkeypatch.setattr(stationary, "_orbit_nodes", counted)
+    instanton(pot, L, bc, n_samples=256)
+    assert 1 <= len(calls) <= 8
 
 
 def test_instanton_bracket_refusals(pot, monkeypatch):
