@@ -234,7 +234,7 @@ def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: floa
     continuity check is run).  The prefactor is the module docstring's one
     formula; a forced regime whose mode-1 factor x is not positive raises
     OutOfRegime, and so does a near regime unless C4 > 0 (no quartic normal
-    form).
+    form) or at the pole of C4's rational factor.
     """
     if eps <= 0.0 or L <= 0.0:
         raise ValueError("need eps > 0 and L > 0")
@@ -259,11 +259,14 @@ def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: floa
     family, side = regime.value.split("_", 1)
     if family != bc.value:
         raise ValueError(f"regime {regime.value} does not apply to bc = {bc.value}")
+    near = side.startswith("near")
     try:
         C = c4(pot, L, bc)
-    except OutOfRegime:
+    except OutOfRegime:  # the pole of its rational factor, which the near regimes need
+        if near:
+            raise
         C = math.nan
-    if side.startswith("near") and not C > 0.0:
+    if near and C <= 0.0:
         raise OutOfRegime(f"{regime.value} needs C4 > 0, got C4 = {C:.6g} at L = {L}: "
                           "the potential has no quartic normal form there")
     h = 0.5 if bc is NEUMANN else 1.0
@@ -278,7 +281,7 @@ def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: floa
         mu1 = sigma1
     if side == "small_l":
         x = sigma1
-    elif side.startswith("near"):
+    elif near:
         r = math.sqrt(2.0 * h * C * eps)
         x = r if side == "near_above" and bc is PERIODIC else sigma1 + r
     elif bc is NEUMANN:
@@ -303,7 +306,7 @@ def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: floa
         F = psi("-", sigma1 / r) if bc is NEUMANN else theta("-", sigma1 / (2.0 * r))
     log_pref = (math.log(2.0 * math.pi) - 0.5 * math.log(abs(sigma0) * w_minus)
                 + h * (math.log(x) - math.log(nu1m) + s2) - math.log(F))
-    rem = remainder_scale(eps, sigma1) if side.startswith("near") else _far_remainder(eps)
+    rem = remainder_scale(eps, sigma1) if near else _far_remainder(eps)
 
     log_time = log_pref + H0 / eps
     expected = math.exp(log_time) if log_time < _EXP_MAX else math.inf

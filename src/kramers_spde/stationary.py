@@ -48,12 +48,9 @@ from .spectral import BoundaryCondition, NEUMANN, PERIODIC
 _GL_PANEL = 64
 # The orbit nodes bisect _ORBIT_HALVINGS times, which starts Newton close
 # enough that _ORBIT_POLISHES steps reach the root's last bits (12 halvings
-# do not).  The E* bisection stops at a bracket width of _BISECTION_WIDTH *
-# hi, that is after its first midpoint; Newton, kept inside the bracket,
-# does the rest.
+# do not).
 _ORBIT_HALVINGS = 16
 _ORBIT_POLISHES = 4
-_BISECTION_WIDTH = 1.0
 
 
 @cache
@@ -363,14 +360,12 @@ def _instanton_energy(pot: LocalPotential, L: float,
     if hi is None:
         raise NotMonotone("could not bracket T(E) = target below E0")
 
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if period_T(pot, mid) > target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= _BISECTION_WIDTH * max(hi, 1e-300):
-            break
+    # one bisection step; Newton, kept inside the bracket, does the rest
+    mid = 0.5 * (lo + hi)
+    if period_T(pot, mid) > target:
+        hi = mid
+    else:
+        lo = mid
     E = 0.5 * (lo + hi)
     for _ in range(40):
         solved, turning = E, turning_points(pot, E)

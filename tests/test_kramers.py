@@ -341,6 +341,20 @@ def test_near_regimes_refuse_nonpositive_c4_naming_it(coefficients, bc, L):
         predict_time(p, L, bc, 0.05)
 
 
+@pytest.mark.parametrize("bc", [NEUMANN, PERIODIC])
+@pytest.mark.parametrize("side", ["near_below", "near_above"])
+def test_near_regimes_refuse_the_pole_of_c4(bc, side):
+    # at L = 2 L_c the rational factor of C4 has its pole when U'''(0) != 0;
+    # a forced near regime refuses there with c4's own message, other
+    # regimes record C4 as NaN
+    L = 2.0 * bc.bifurcation_length
+    with pytest.raises(OutOfRegime, match="rational factor pole"):
+        c4(_ASYMMETRIC, L, bc)
+    with pytest.raises(OutOfRegime, match=f"rational factor pole at L = {L}"):
+        predict_time(_ASYMMETRIC, L, bc, 0.05, force_regime=RegimeTag(f"{bc.value}_{side}"))
+    assert math.isnan(predict_time(_ASYMMETRIC, L, bc, 0.05).C4)
+
+
 @settings(max_examples=60, deadline=None)
 @given(bc=st.sampled_from([NEUMANN, PERIODIC]), L=st.floats(0.1, 4.0 * math.pi))
 @example(bc=NEUMANN, L=2.757407025695208)  # lengths where (Lc / L) ** 2 - 1 is one
@@ -407,6 +421,8 @@ def _branch_predict(pot, L, bc, eps, d, regime, kmax_eig=40):
     try:
         C = c4(pot, L, bc)
     except OutOfRegime:
+        if regime.value.endswith(("near_below", "near_above")):
+            raise
         C = math.nan
     H0_const = -L * float(pot.derivative(pot.u_minus, 0))
     mu1 = None
@@ -498,4 +514,4 @@ def test_one_formula_matches_the_regime_branches(data):
         assert abs(p.mu1 - mu1) <= math.ulp(mu1 + 1.0)
     else:
         assert p.mu1 == mu1
-    assert p.log_prefactor == pytest.approx(log_pref, abs=1e-13, nan_ok=True)  # NaN C4 at a pole
+    assert p.log_prefactor == pytest.approx(log_pref, abs=1e-13)

@@ -237,14 +237,11 @@ def _reference_instanton_energy(pot, L, bc):
             hi = cand
             break
         lo = cand
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _reference_period(pot, mid, False) > target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= max(hi, 1e-300):  # always true: one midpoint, then Newton
-            break
+    mid = 0.5 * (lo + hi)
+    if _reference_period(pot, mid, False) > target:
+        hi = mid
+    else:
+        lo = mid
     E = 0.5 * (lo + hi)
     for _ in range(40):
         step = (_reference_period(pot, E, False) - target) / _reference_period(pot, E, True)
