@@ -32,7 +32,7 @@ from .errors import AllCensored, KramersSpdeError, UnsupportedRegime
 from .kramers import RegimeTag, _label_mu, _mu_log_sum, predict_time
 from .potential import LocalPotential, quartic
 from .simulate import SimConfig, mc_stats, run_replicas, _stats_from_samples
-from .spectra import det_ratio, eigs_constant, eigs_profile
+from .spectra import _eigenvalue_count, det_ratio, eigs_constant, eigs_profile
 from .spectral import BoundaryCondition, write_profile_csv
 from .stationary import instanton
 from . import validate as validate_mod
@@ -274,6 +274,10 @@ def _cmd_eigen(cfg: dict) -> int:
     if cfg["which"] == "instanton":
         if cfg["grid_n"] < 256:
             raise ValueError(f"--grid-n must be >= 256, got {cfg['grid_n']}")
+        need = _eigenvalue_count(bc, kmax)
+        if need > cfg["grid_n"]:
+            raise ValueError(f"--kmax {kmax} needs {need} eigenvalues, more than the "
+                             f"--grid-n {cfg['grid_n']} coarse grid has")
         prof = instanton(pot, L, bc, n_samples=4 * cfg["grid_n"])
         rep = eigs_profile(prof, kmax=kmax)
         mu = _label_mu(rep.eigenvalues, bc, kmax)

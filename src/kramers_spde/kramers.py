@@ -25,9 +25,10 @@ mu_1/4 carries the 1/2 of two Neumann instantons; ell = L ||u'||_L2 is the
 saddle_length() of the periodic translation orbit.  d is the Galerkin
 truncation (math.inf sums the tail to closed form for the constant spectra
 and to a Weyl-asymptotic tail for instanton spectra).  Instanton spectra
-are finite differences on the instanton's own 4096 samples
-(spectra.eigs_profile; periodic: its even and odd sectors, the zero mode
-the odd ground state).  They do not depend on eps, so _mu_spectrum keeps
+are finite differences on the instanton's own 4096 samples, solved in
+the FD Laplacian's cosine/Fourier eigenbasis (spectra.eigs_profile;
+periodic: its cosine and sine sectors, the zero mode the sine ground
+state).  They do not depend on eps, so _mu_spectrum keeps
 the last 64 in a functools.lru_cache keyed on (U, L, bc, kmax_eig).
 """
 

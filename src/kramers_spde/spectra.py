@@ -10,21 +10,29 @@ Constant profiles have closed-form spectra.  Instanton profiles are
 discretized with second-order central differences on the profile's own
 samples: every 4th and every 2nd of its n_samples points (N/4 and N/2 grid
 points), then one Richardson step in h^2.  Neumann uses the midpoint grid
-with ghost reflection.  The periodic instanton is even about x = 0 (its
-minimum; u'' = U'(u) is reversible), so its cyclic matrix splits exactly
-into an even (cosine) and an odd (sine) tridiagonal sector on the nodes
-0..n/2; the odd sector's ground state is the translation zero mode.
+with ghost reflection, the periodic instanton the cyclic grid from its
+minimum at x = 0.
+
+Each FD matrix -Delta_h + W (W = U''(u*) on the grid) is solved by
+Rayleigh-Ritz in its Laplacian's exact eigenbasis, where -Delta_h is
+diagonal (kappa_k = 4 sin^2(pi k / 2n) / h^2 on the Neumann DCT-II modes,
+4 sin^2(pi k / n) / h^2 on the periodic Fourier modes) and W couples modes
+through its own cosine sums (one DCT-II or one real FFT).  The periodic
+instanton is even about x = 0 (u'' = U'(u) is reversible), so its cosine
+and sine sectors do not couple; the sine ground state is the translation
+zero mode.  The lowest eigenvalues come from the leading block of each
+sector, grown until two block sizes agree to roundoff.  For smooth W they
+converge exponentially in the block size, which stays far below n, and
+they carry the roundoff of that small block, not of the n-node matrix.
 
 An even potential (LocalPotential.is_even: every odd-power coefficient is
 exactly 0.0, as for quartic()) gives the instanton one more mirror
-symmetry: u(L - x) = -u(x) (Neumann) and u(x + L/2) = -u(x) (periodic), so
-U''(u*) is even about L/2, and for even n each periodic sector reads the
-same backwards about node n/4.  Such a tridiagonal (the n-node Neumann
-matrix, and the (n/2 + 1)- and (n/2 - 1)-node periodic sectors) is solved
-as its two halves, v = reversed v and v = -reversed v, of about half its
-size, each giving m // 2 + 1 of its lowest m values.  The choice follows
-the coefficients, never a tolerance on U''(u*): a nearly even potential
-keeps the unsplit solves, as does a periodic grid of odd n.
+symmetry: u(L - x) = -u(x) (Neumann) and u(x + L/2) = -u(x) (periodic,
+even n), so W is made exactly even about L/2 (resp. of period L/2), couples
+only modes of one parity, and each block is solved as its even-k and odd-k
+halves.  The choice follows the coefficients, never a tolerance on
+U''(u*); a nearly even potential, and a periodic grid of odd n, keep the
+unsplit blocks.
 
 Products of eigenvalue ratios (truncated functional determinants) are summed
 in log space with compensated summation and sign tracking; for the constant
@@ -37,7 +45,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.fft import dct, rfft
 
 from .errors import OutOfRegime, ResolutionTooLow, ZeroDenominator
 from .potential import LocalPotential
@@ -89,29 +97,6 @@ def eigs_constant(pot: LocalPotential, L: float, bc: BoundaryCondition,
     return SpectrumReport(bc, L, which, ev, *_classify(ev), kmax)
 
 
-def _lowest(diag: np.ndarray, off: np.ndarray, m: int) -> np.ndarray:
-    return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                            select_range=(0, m - 1))
-
-
-def _lowest_persymmetric(diag: np.ndarray, off: np.ndarray, m: int) -> np.ndarray:
-    """_lowest of a tridiagonal that reads the same backwards, from its even
-    (v = reversed v) and odd (v = -reversed v) halves.  The halves' spectra
-    interlace, so the lowest m hold at most m // 2 + 1 values of each."""
-    h = len(diag) // 2
-    if len(diag) % 2:  # the centre node meets its mirrored neighbours twice
-        even_off = off[:h].copy()
-        even_off[-1] *= math.sqrt(2.0)
-        halves = ((diag[: h + 1], even_off), (diag[:h], off[: h - 1]))
-    else:  # the middle coupling folds back onto node h - 1
-        even, odd = diag[:h].copy(), diag[:h].copy()
-        even[-1] += off[h - 1]
-        odd[-1] -= off[h - 1]
-        halves = ((even, off[: h - 1]), (odd, off[: h - 1]))
-    k = m // 2 + 1
-    return np.sort(np.concatenate([_lowest(d, e, min(k, len(d))) for d, e in halves]))[:m]
-
-
 def _mirror_mean(W: np.ndarray, mirror: np.ndarray, message: str) -> np.ndarray:
     """(W + mirror) / 2; ValueError(message) unless they agree to 1e-3 of max|W|."""
     if np.abs(W - mirror).max() > 1e-3 * max(1.0, float(np.abs(W).max())):
@@ -119,40 +104,96 @@ def _mirror_mean(W: np.ndarray, mirror: np.ndarray, message: str) -> np.ndarray:
     return 0.5 * (W + mirror)
 
 
-def _fd_smallest(W: np.ndarray, L: float, bc: BoundaryCondition, m: int,
-                 even_potential: bool = False) -> np.ndarray:
+def _sectors(W: np.ndarray, L: float, bc: BoundaryCondition, even_potential: bool):
+    """The FD matrix in its Laplacian's eigenbasis, one (k, kappa, c, T, s) per
+    sector: B_jk = kappa_j delta_jk + c_j c_k (T[|j - k|] + s T[j + k]) / 2 over
+    the mode numbers k, with T the cosine sums of W on the grid."""
     n = len(W)
-    inv = 1.0 / (L / n) ** 2
+    h = L / n
     if bc is NEUMANN:
         if even_potential:  # u(L - x) = -u(x), so W is even about L/2
             W = _mirror_mean(W, W[::-1], "Neumann spectra of an even potential need "
                              "a profile odd about x = L/2 (an instanton)")
-        diag = 2.0 * inv + W
-        diag[[0, -1]] -= inv  # ghost reflection at the midpoint boundary
-        lowest = _lowest_persymmetric if even_potential else _lowest
-        return lowest(diag, np.full(n - 1, -inv), m)
-    # periodic: W[j] = W[n - j], so the cyclic matrix splits into an even
-    # sector (v[j] = v[n - j]) on nodes 0..n//2 and an odd one on 1..(n-1)//2
+        # T(m) = sum_i W_i cos(pi m (i + 1/2) / n): T(n) = 0, T(2n - m) = -T(m)
+        T = 0.5 * dct(W, type=2)
+        T = np.concatenate([T, [0.0], -T[:0:-1]])
+        k = np.arange(n)
+        c = np.full(n, math.sqrt(2.0 / n))
+        c[0] = math.sqrt(1.0 / n)
+        return [(k, (2.0 * np.sin(0.5 * math.pi * k / n) / h) ** 2, c, T, 1.0)]
+    # periodic: W[j] = W[n - j], so the cosine (v[j] = v[n - j]) and sine
+    # (v[j] = -v[n - j]) modes do not couple
     half = n // 2
     sym = _mirror_mean(W, np.roll(W[::-1], 1), "periodic spectra need a profile even about "
                        "x = 0 (the instanton's phase convention: minimum at x = 0)")[: half + 1]
-    split = even_potential and n % 2 == 0
-    if split:  # u(x + L/2) = -u(x): W[j] = W[n/2 - j], both sectors read the same backwards
+    if even_potential and n % 2 == 0:  # u(x + L/2) = -u(x): W[j] = W[n/2 - j]
         sym = _mirror_mean(sym, sym[::-1], "periodic spectra of an even potential need "
                            "a profile with u(x + L/2) = -u(x) (an instanton)")
-    diag = 2.0 * inv + sym
-    off = np.full(half, -inv)
-    off[0] *= math.sqrt(2.0)  # even: node 0 meets node 1 on both sides
-    odd = diag[1 : n - half].copy()
-    if n % 2:  # the middle nodes mirror each other
-        diag[-1] -= inv
-        odd[-1] += inv
-    else:  # even: node n/2 meets node n/2 - 1 on both sides
-        off[-1] *= math.sqrt(2.0)
-    k = m // 2 + 1  # the lowest m hold at most m // 2 + 1 modes of each sector
-    lowest = _lowest_persymmetric if split else _lowest
-    both = [lowest(d, e, min(k, len(d))) for d, e in ((diag, off), (odd, off[1:len(odd)]))]
-    return np.sort(np.concatenate(both))[:m]
+    # T(m) = sum_i W_i cos(2 pi m i / n) = T(n - m), for m = 0..n
+    T = rfft(np.concatenate([sym, sym[n - half - 1 : 0 : -1]])).real
+    T = T[np.minimum(np.arange(n + 1), n - np.arange(n + 1))]
+    k = np.arange(half + 1)
+    kappa = (2.0 * np.sin(math.pi * k / n) / h) ** 2
+    c = np.full(half + 1, math.sqrt(2.0 / n))
+    c[0] = math.sqrt(1.0 / n)
+    if n % 2 == 0:  # the alternating mode k = n/2 is a cosine only
+        c[-1] = c[0]
+    sine = slice(1, (n + 1) // 2)
+    return [(k, kappa, c, T, 1.0), (k[sine], kappa[sine], c[sine], T, -1.0)]
+
+
+def _ritz_values(sectors, M: int, split: bool) -> list[np.ndarray]:
+    """Every eigenvalue of each sector's leading block of at most M modes.
+    With split (an even potential's instanton: W couples only modes of one
+    parity) each block is solved as its even-k and odd-k halves, which keeps
+    the lowest values accurate to far below eps * ||B||.  Blocks of one size
+    share one eigvalsh call."""
+    blocks = []
+    for k, kappa, c, T, s in sectors:
+        k, c = k[:M], c[:M]
+        B = T[np.abs(k[:, None] - k)] + s * T[k[:, None] + k]
+        B *= 0.5 * c[:, None] * c
+        B[np.diag_indices_from(B)] += kappa[:M]
+        blocks += [B[::2, ::2], B[1::2, 1::2]] if split else [B]
+    if len({len(B) for B in blocks}) == 1:
+        vals = list(np.linalg.eigvalsh(np.stack(blocks)))
+    else:
+        vals = [np.linalg.eigvalsh(B) for B in blocks]
+    if split:
+        vals = [np.sort(np.concatenate(vals[i : i + 2])) for i in range(0, len(vals), 2)]
+    return vals
+
+
+def _fd_smallest(W: np.ndarray, L: float, bc: BoundaryCondition, m: int,
+                 even_potential: bool = False) -> np.ndarray:
+    """The lowest m eigenvalues of the FD matrix, by Rayleigh-Ritz on its
+    Laplacian's leading eigenmodes.  The block starts 16 modes above the
+    values wanted and grows by an eighth until the lowest values of two
+    solves agree to 32 eps of the larger block's norm (the Ritz values of
+    smooth W converge exponentially in M), or is whole.  For kmax = 40 the
+    two solves take 58 and 64 modes: numpy's eigvalsh of a larger matrix
+    turns to multithreaded BLAS, which took 8 ms a call instead of 0.2 ms
+    on a busy 2-core host."""
+    sectors = _sectors(W, L, bc, even_potential)
+    split = even_potential and (bc is NEUMANN or len(W) % 2 == 0)
+    # the lowest m hold at most m // 2 + 1 modes of each periodic sector
+    want = m if bc is NEUMANN else m // 2 + 1
+    whole = max(len(k) for k, *_ in sectors)
+    M = min(whole, want + 16 + want % 2)  # even M: split halves of one size
+    vals = _ritz_values(sectors, M, split)
+    while M < whole:
+        M, last = min(whole, M + 2 * (M // 16)), vals
+        vals = _ritz_values(sectors, M, split)
+        if all(np.abs(a[:want] - b[:want]).max()
+               <= 32 * np.finfo(float).eps * np.abs(b[[0, -1]]).max()
+               for a, b in zip(last, vals)):
+            break
+    return np.sort(np.concatenate([v[:want] for v in vals]))[:m]
+
+
+def _eigenvalue_count(bc: BoundaryCondition, kmax: int) -> int:
+    """Lowest eigenvalues that cover the mode labels |k| <= kmax."""
+    return kmax + 2 if bc is NEUMANN else 2 * kmax + 3
 
 
 def _sample_curvature(profile: InstantonProfile, step: int) -> np.ndarray:
@@ -167,17 +208,22 @@ def eigs_profile(profile: InstantonProfile, kmax: int) -> SpectrumReport:
 
     Computes the smallest eigenvalues covering mode labels |k| <= kmax
     (kmax+2 values for Neumann, 2*kmax+3 for periodic) on the n = N/4 and
-    2n = N/2 point grids of the profile's N = n_samples samples, which must
-    be a multiple of 4 and at least 1024; the h^2 error model gives the
-    extrapolation (4 mu_{2n} - mu_n)/3.  Raises ResolutionTooLow if the two
-    grids disagree by more than 1% after extrapolation, and ValueError for
-    a periodic profile that is not even about x = 0, or, when the potential
-    is even, a profile without the instanton's mirror symmetry.
+    2n = N/2 point grids of the profile's N = n_samples samples.  N must be
+    a multiple of 4 and at least 1024, and n at least the number of values;
+    the h^2 error model gives the extrapolation (4 mu_{2n} - mu_n)/3.  Each
+    grid is solved by Rayleigh-Ritz in the FD Laplacian's eigenbasis
+    (module docstring).  Raises ResolutionTooLow if the two grids disagree
+    by more than 1% after extrapolation, and ValueError for a periodic
+    profile that is not even about x = 0, or, when the potential is even, a
+    profile without the instanton's mirror symmetry.
     """
     N = profile.n_samples
     if N % 4 or N < 1024:
         raise ValueError(f"profile n_samples must be a multiple of 4 and >= 1024, got {N}")
-    m = kmax + 2 if profile.bc is NEUMANN else 2 * kmax + 3
+    m = _eigenvalue_count(profile.bc, kmax)
+    if m > N // 4:
+        raise ValueError(f"kmax = {kmax} needs {m} eigenvalues, more than the "
+                         f"{N // 4}-node coarse grid of {N} samples has")
     coarse, fine = (_fd_smallest(_sample_curvature(profile, step), profile.L, profile.bc, m,
                                  profile.pot.is_even) for step in (4, 2))
     extrap = (4.0 * fine - coarse) / 3.0

@@ -126,6 +126,16 @@ def test_eigen_grid_n_below_256_is_a_usage_error(tmp_path, capsys):
     assert rc == 2 and "--grid-n must be >= 256" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bc, L, kmax", [("neumann", "4", "300"), ("periodic", "7", "127")])
+def test_eigen_kmax_beyond_grid_n_is_a_usage_error(tmp_path, capsys, bc, L, kmax):
+    # the coarse grid of --grid-n nodes has fewer eigenvalues than --kmax asks for
+    rc = run(tmp_path, "eigen", "--bc", bc, "--L", L, "--which", "instanton", "--kmax", kmax,
+             "--grid-n", "256")
+    err = capsys.readouterr().err
+    assert rc == 2 and f"--kmax {kmax} needs" in err and "--grid-n 256" in err
+    assert not (tmp_path / "kramers_eigen.csv").exists()
+
+
 @pytest.mark.parametrize("which", ["origin", "minus", "plus"])
 def test_eigen_grid_n_without_instanton_is_a_usage_error(tmp_path, capsys, which):
     # the flag sizes only the instanton's grids; elsewhere it would do nothing
@@ -137,7 +147,8 @@ def test_eigen_grid_n_without_instanton_is_a_usage_error(tmp_path, capsys, which
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():
     # nor the other scipy submodules the import path no longer needs
-    lazy = ["scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.sparse"]
+    lazy = ["scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.sparse",
+            "scipy.linalg"]
     code = f"import sys, kramers_spde.cli; print([m in sys.modules for m in {lazy!r}])"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -436,25 +447,27 @@ def test_predict_without_quartic_normal_form_names_c4(tmp_path, capsys, spec, C4
 # (the specialfn rows before Psi/Theta moved onto scipy.special).  The fields
 # that come from an instanton's FD spectrum, the eigen-instanton eigenvalues
 # and the instanton rows' mu1, prefactor and log10_expected_time, were
-# recorded after quartic()'s instanton spectra were split by the mirror
-# symmetry of an even potential; they pin eigen-solver roundoff of about
-# 1e-10.  A refactor must reproduce them.  Entries: (id, argv, stride, rows),
+# recorded after each FD grid came to be solved by Rayleigh-Ritz in the FD
+# Laplacian's eigenbasis; they lie within 7e-14 of the values that
+# long-double Sturm bisection of the same FD matrices gives, well inside
+# the 1e-12 below.
+# A refactor must reproduce them.  Entries: (id, argv, stride, rows),
 # where stride keeps every stride-th data row.
 GOLDEN = [
     ('predict-neumann', ['predict', '--bc', 'neumann', '--L', '1,3.0,3.3,4.5', '--eps', '0.05'], 1, [
         '1,0.050000000000000003,neumann_small_l,8.869604401089358,,1.5,0.25,3.4841268529728091,2.7135663682925224,1.1594165608104088',
         '3,0.050000000000000003,neumann_near_below,0.096622711232150715,,0.5,0.75,0.57249496731639871,6.272188901785464,1.8636795888007989',
-        '3.2999999999999998,0.050000000000000003,neumann_near_above,-0.093700238651114875,0.18660017314832453,0.45454545454545459,0.82015736761100133,0.4531899735698377,6.7800766738287344,1.8636795888007989',
-        '4.5,0.050000000000000003,neumann_large_l,-0.51261212834126635,0.98431208880452647,0.33333333333333331,0.92253815440265063,1.2563137103029194,8.1121626953526036,1.1594165608104088',
+        '3.2999999999999998,0.050000000000000003,neumann_near_above,-0.093700238651114875,0.18660017317478395,0.45454545454545459,0.82015736761100133,0.45318997355224255,6.7800766738118732,1.8636795888007989',
+        '4.5,0.050000000000000003,neumann_large_l,-0.51261212834126635,0.98431208882755306,0.33333333333333331,0.92253815440265063,1.2563137101963564,8.1121626953157673,1.1594165608104088',
     ]),
     ('predict-periodic-d15', ['predict', '--bc', 'periodic', '--L', '6.5,9', '--eps', '0.05', '--d', '15'], 1, [
-        '6.5,0.050000000000000003,periodic_near_above,-0.065599583328818323,0.13081763337569746,0.23076923076923078,1.620329034398081,0.062899605081495419,12.872647088847119,1.8636795888007989',
-        '9,0.050000000000000003,periodic_large_l,-0.51261212834126635,0.98431208882997101,0.16666666666666666,1.8450763088054492,0.035790684341277572,14.579899194556278,1.1594165608104088',
+        '6.5,0.050000000000000003,periodic_near_above,-0.065599583328818323,0.13081763335157814,0.23076923076923078,1.620329034398081,0.062899605085058,12.872647088871716,1.8636795888007989',
+        '9,0.050000000000000003,periodic_large_l,-0.51261212834126635,0.98431208883970145,0.16666666666666666,1.8450763088054492,0.035790684341099513,14.579899194554118,1.1594165608104088',
     ]),
     ('sweep', ['sweep', '--bc', 'neumann', '--L-grid', '2.9:0.2:3.3', '--eps', '0.01'], 1, [
         '2.8999999999999999,0.01,neumann_small_l,0.17355581463607117,,0.51724137931034486,0.72499999999999998,0.47027703629655876,31.158703710580067,0.98825387644110385',
         '3.1000000000000001,0.01,neumann_near_below,0.027013985545198738,,0.48387096774193544,0.77500000000000002,0.34673343175956778,33.197818065503121,2.1333254060207807',
-        '3.2999999999999998,0.01,neumann_near_above,-0.093700238651114875,0.18660017314832453,0.45454545454545459,0.82015736761100133,0.28651814901546019,35.076134041411592,2.1333254060207807',
+        '3.2999999999999998,0.01,neumann_near_above,-0.093700238651114875,0.18660017317478395,0.45454545454545459,0.82015736761100133,0.28651814900660044,35.076134041398163,2.1333254060207807',
     ]),
     ('sweep-with-mc', ['sweep', '--L', '1', '--eps-grid', '0.3:0.1:0.4', '--with-mc', '--n', '6', '--mc-d', '15', '--tmax', '200', '--seed', '3', '--threads', '1'], 1, [
         '1,0.29999999999999999,neumann_small_l,8.869604401089358,,1.5,0.25,3.4841268529728091,0.90400602702897337,0.7235784816076285,5.0433333333333339,1.42437042622736,0',
@@ -468,25 +481,25 @@ GOLDEN = [
         '4,156.91367041742973',
     ]),
     ('eigen-instanton-neumann', ['eigen', '--bc', 'neumann', '--L', '4', '--which', 'instanton', '--kmax', '4'], 1, [
-        '0,-0.32475884076874784',
-        '1,0.74751113657485613',
-        '2,2.3247588406705222',
-        '3,5.3508450109491017',
-        '4,9.662236815222915',
-        '5,15.211073071217401',
+        '0,-0.32475884073477707',
+        '1,0.74751113657504231',
+        '2,2.3247588407331201',
+        '3,5.3508450109981931',
+        '4,9.6622368153072191',
+        '5,15.211073071231018',
     ]),
     ('eigen-instanton-periodic', ['eigen', '--bc', 'periodic', '--L', '7', '--which', 'instanton', '--kmax', '4'], 1, [
-        '0,-0.63039852470249957',
-        '1,-2.1065680025088248e-11',
-        '2,0.3848096521024118',
-        '3,2.6151903479189498',
-        '4,2.6303985247387849',
-        '5,6.646470510557184',
-        '6,6.6464705105572746',
-        '7,12.284905726013898',
-        '8,12.284905726024469',
-        '9,19.5354697539284',
-        '10,19.535469753961532',
+        '0,-0.63039852474464408',
+        '1,3.3621798994766713e-14',
+        '2,0.38480965206917594',
+        '3,2.6151903478826921',
+        '4,2.6303985246963584',
+        '5,6.6464705105705946',
+        '6,6.6464705105704747',
+        '7,12.284905726023917',
+        '8,12.284905726023903',
+        '9,19.535469753946007',
+        '10,19.535469753946',
     ]),
     ('stationary', ['stationary', '--bc', 'periodic', '--L', '7'], 512, [
         '0,-0.50649754989142748',

@@ -1,12 +1,13 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh_tridiagonal, eigvalsh
+from scipy.linalg import eigvalsh
 from scipy.sparse.linalg import eigsh
 
 from kramers_spde import (NEUMANN, LocalPotential, OutOfRegime, PERIODIC, ZeroDenominator,
@@ -52,11 +53,8 @@ ASYMMETRIC = LocalPotential.from_coefficients([0, 0, -0.5, 0.1, 0.25])
 
 def _reference_eigs_profile(profile, kmax, grid_n):
     """The Richardson spectrum computed from a cubic spline of the profile,
-    resampled on grid_n and 2 grid_n points.  The periodic matrix is split
-    by hand into its cosine block (nodes 0..n/2, the two end couplings
-    scaled by sqrt 2) and its sine block (nodes 1..n/2 - 1).  For an even
-    potential each block (and the Neumann matrix) reads the same backwards
-    and is split once more, into the halves v = reversed v and v = -reversed v."""
+    resampled on grid_n and 2 grid_n points, each grid solved by
+    spectra._fd_smallest."""
     def curvature(n):
         if profile.bc is PERIODIC:
             u = profile.u.copy()
@@ -69,45 +67,8 @@ def _reference_eigs_profile(profile, kmax, grid_n):
             xs = (np.arange(n) + 0.5) * (profile.L / n)
         return profile.pot.derivative(spline(xs), 2)
 
-    def lowest(diag, off, k):
-        return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                                select_range=(0, k - 1))
-
-    def mirrored(diag, off, k):
-        # off[h - 1] couples the two halves (even size), or the centre node
-        # h to both of its neighbours (odd size)
-        h, j = len(diag) // 2, k // 2 + 1
-        if len(diag) % 2:
-            even_off = np.append(off[:h - 1], off[h - 1] * math.sqrt(2.0))
-            vals = [lowest(diag[:h + 1], even_off, j), lowest(diag[:h], off[:h - 1], j)]
-        else:
-            even = np.append(diag[:h - 1], diag[h - 1] + off[h - 1])
-            odd = np.append(diag[:h - 1], diag[h - 1] - off[h - 1])
-            vals = [lowest(even, off[:h - 1], j), lowest(odd, off[:h - 1], j)]
-        return np.sort(np.concatenate(vals))[:k]
-
-    split = profile.pot.is_even
-    solve = mirrored if split else lowest
-
     def smallest(W, m):
-        n = len(W)
-        inv = 1.0 / (profile.L / n) ** 2
-        if profile.bc is NEUMANN:
-            if split:
-                W = 0.5 * (W + W[::-1])
-            diag = 2.0 * inv + W
-            diag[0] -= inv
-            diag[-1] -= inv
-            return solve(diag, np.full(n - 1, -inv), m)
-        half = n // 2
-        Ws = 0.5 * (W[: half + 1] + W[np.r_[0, n - 1:half - 1:-1]])
-        if split:
-            Ws = 0.5 * (Ws + Ws[::-1])
-        cos_off = np.full(half, -inv)
-        cos_off[[0, -1]] = -inv * math.sqrt(2.0)
-        cos_vals = solve(2.0 * inv + Ws, cos_off, m // 2 + 1)
-        sin_vals = solve(2.0 * inv + Ws[1:half], np.full(half - 2, -inv), m // 2 + 1)
-        return np.sort(np.concatenate([cos_vals, sin_vals]))[:m]
+        return spectra._fd_smallest(W, profile.L, profile.bc, m, profile.pot.is_even)
 
     m = kmax + 2 if profile.bc is NEUMANN else 2 * kmax + 3
     coarse, fine = smallest(curvature(grid_n), m), smallest(curvature(2 * grid_n), m)
@@ -221,6 +182,148 @@ def test_periodic_split_keeps_the_smallest_of_both_sectors(n, m, seed):
     got = spectra._fd_smallest(W, L, PERIODIC, m)
     norm = 4.0 / (L / n) ** 2 + float(np.abs(W).max())
     assert np.abs(got - want).max() <= 32 * np.finfo(float).eps * norm
+
+
+def _fd_tridiagonals(W, L, bc):
+    """The FD matrix in long double, as tridiagonals with the same spectra:
+    the Neumann matrix itself, or, for W even about node 0, the periodic
+    matrix's cosine (nodes 0..n/2) and sine (nodes 1..(n-1)/2) sectors."""
+    W = W.astype(np.longdouble)
+    n = len(W)
+    inv = 1 / (np.longdouble(L) / n) ** 2
+    if bc is NEUMANN:
+        diag = 2 * inv + W
+        diag[[0, -1]] -= inv
+        return [(diag, np.full(n - 1, -inv))]
+    half = n // 2
+    cos_diag, sin_diag = 2 * inv + W[: half + 1], 2 * inv + W[1 : (n + 1) // 2]
+    off = np.full(half, -inv)
+    off[0] *= np.sqrt(np.longdouble(2))
+    if n % 2:
+        cos_diag[-1] -= inv
+        sin_diag[-1] += inv
+    else:
+        off[-1] *= np.sqrt(np.longdouble(2))
+    return [(cos_diag, off), (sin_diag, off[1 : len(sin_diag)])]
+
+
+def _sturm_lowest(diag, off, k):
+    """The k lowest eigenvalues of a symmetric tridiagonal by bisection on
+    Sturm counts (the negative LDL^T pivots), from its Gershgorin interval."""
+    radius = 2 * np.abs(off).max()
+    lo = np.full(k, diag.min() - radius)
+    hi = np.full(k, diag.max() + radius)
+    tiny = np.finfo(np.longdouble).tiny
+    for _ in range(64):
+        x = 0.5 * (lo + hi)
+        q = diag[0] - x
+        below = (q < 0).astype(int)
+        for d, e2 in zip(diag[1:], off * off):
+            q = d - x - e2 / np.where(q == 0, tiny, q)
+            below += q < 0
+        up = below > np.arange(k)
+        hi, lo = np.where(up, x, hi), np.where(up, lo, x)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble has no extra precision here")
+@pytest.mark.parametrize("bc, L", [(NEUMANN, 4.5), (PERIODIC, 9.0)])
+@pytest.mark.parametrize("asymmetric", [False, True])
+def test_fd_smallest_matches_long_double_sturm_bisection(pot, bc, L, asymmetric):
+    # each grid's lowest m (kmax = 40) against bisection of the same FD
+    # matrix in long double, after the same mirror means the solver takes
+    prof = instanton(ASYMMETRIC if asymmetric else pot, L, bc)
+    m = 42 if bc is NEUMANN else 83
+    for step in (4, 2):
+        W = spectra._sample_curvature(prof, step)
+        got = spectra._fd_smallest(W, L, bc, m, prof.pot.is_even)
+        half = len(W) // 2
+        if bc is NEUMANN and not asymmetric:
+            W = 0.5 * (W + W[::-1])
+        if bc is PERIODIC:
+            W = 0.5 * (W + np.roll(W[::-1], 1))
+            if not asymmetric:
+                W = 0.5 * (W + np.roll(W[::-1], half + 1))  # W[j] = W[n/2 - j]
+        k = m if bc is NEUMANN else m // 2 + 1
+        want = np.sort(np.concatenate([_sturm_lowest(d, e, min(k, len(d)))
+                                       for d, e in _fd_tridiagonals(W, L, bc)]))[:m]
+        assert np.all(np.abs(got - want) <= 5e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_instanton_mu0_mu1_match_lame(pot):
+    # quartic()'s Neumann instanton is u* = sqrt(2m/(1+m)) sn(x/sqrt(1+m) | m)
+    # with 2 K(m) sqrt(1+m) = L; mu_0 and mu_1 are n = 2 Lame band edges
+    # E/(1+m) - 1, E = 2(1+m) - 2 sqrt(1 - m + m^2) and E = 1 + 4m
+    # (Maier & Stein, PRL 87 (2001) 270601)
+    L = 4.5
+    with mpmath.workdps(30):
+        k2 = mpmath.findroot(lambda k2: 2 * mpmath.ellipk(k2) * mpmath.sqrt(1 + k2) - L, 0.5)
+        mu0 = float((2 * (1 + k2) - 2 * mpmath.sqrt(1 - k2 + k2 * k2)) / (1 + k2) - 1)
+        mu1 = float((1 + 4 * k2) / (1 + k2) - 1)
+    ev = eigs_profile(instanton(pot, L, NEUMANN), kmax=40).eigenvalues
+    assert abs(ev[0] - mu0) <= 2e-12 and abs(ev[1] - mu1) <= 2e-12
+
+
+@settings(max_examples=16, deadline=None)
+@given(bc=st.sampled_from([NEUMANN, PERIODIC]), above=st.floats(1e-4, 1.0),
+       asymmetric=st.booleans())
+@example(bc=NEUMANN, above=1.0, asymmetric=False).via("the second bifurcation")
+@example(bc=PERIODIC, above=1.0, asymmetric=True).via("the second bifurcation")
+def test_prediction_path_solve_budget(pot, bc, above, asymmetric):
+    # predict_time's kmax = 40 on 4096 samples: each grid's second solve
+    # confirms the first, and no block exceeds 64 modes
+    prof = instanton(ASYMMETRIC if asymmetric else pot, bc.bifurcation_length * (1.0 + above),
+                     bc)
+    grids, solve, fd_smallest = [], np.linalg.eigvalsh, spectra._fd_smallest
+
+    def per_grid(*args):
+        grids.append([])
+        return fd_smallest(*args)
+
+    def counted(a):
+        grids[-1].append(a.shape[-1])
+        return solve(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_fd_smallest", per_grid)
+        mp.setattr(np.linalg, "eigvalsh", counted)
+        eigs_profile(prof, kmax=40)
+    assert len(grids) == 2
+    assert all(1 <= len(sizes) <= 2 and max(sizes) <= 64 for sizes in grids)
+
+
+@pytest.mark.parametrize("bc", [NEUMANN, PERIODIC])
+def test_rough_potential_grows_to_the_whole_basis(bc):
+    # a W with no smoothness gives no converged truncation: the block grows
+    # to the whole basis, where it is the FD matrix itself
+    n, m, L = 300, 12, 3.0
+    W = np.random.default_rng(7).uniform(-30.0, 30.0, n)
+    if bc is PERIODIC:
+        W = 0.5 * (W + np.roll(W[::-1], 1))
+    sizes, solve = [], np.linalg.eigvalsh
+
+    def counted(a):
+        sizes.append(a.shape[-1])
+        return solve(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", counted)
+        got = spectra._fd_smallest(W, L, bc, m)
+    assert (n if bc is NEUMANN else n // 2 + 1) in sizes
+    want = eigvalsh(_fd_matrix(W, L, bc).toarray(), subset_by_index=(0, m - 1))
+    norm = 4.0 / (L / n) ** 2 + float(np.abs(W).max())
+    assert np.abs(got - want).max() <= 32 * np.finfo(float).eps * norm
+
+
+@pytest.mark.parametrize("bc, kmax", [(NEUMANN, 255), (PERIODIC, 127)])
+def test_eigs_profile_refuses_kmax_beyond_the_coarse_grid(pot, bc, kmax):
+    # kmax + 2 (Neumann) or 2 kmax + 3 (periodic) values, one more than the
+    # 256 nodes of the coarse grid
+    prof = instanton(pot, 1.3 * bc.bifurcation_length, bc, n_samples=1024)
+    with pytest.raises(ValueError, match=f"kmax = {kmax} needs 257 eigenvalues, more than "
+                                         "the 256-node coarse grid of 1024 samples"):
+        eigs_profile(prof, kmax=kmax)
 
 
 def test_periodic_spectrum_needs_the_instanton_phase(pot):
