@@ -15,8 +15,8 @@ from .errors import (AllCensored, DomainError, EnergyOutOfRange, GridTooSmall,
                      NotMonotone, OutOfRegime, QuadratureNotConverged,
                      ResolutionTooLow, UnsupportedRegime, WrongBoundaryCondition,
                      ZeroDenominator)
-from .potential import (AssumptionReport, LocalPotential, check_assumptions,
-                        critical_points, energy_V, eval_U, grad_V, quartic)
+from .potential import (AssumptionReport, LocalPotential, check_assumptions, energy_V,
+                        grad_V, quartic)
 from .spectral import (BoundaryCondition, NEUMANN, PERIODIC, FourierState,
                        TransformPlan, from_grid, linearized_eigenvalue, sup_dist,
                        to_grid)

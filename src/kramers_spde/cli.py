@@ -33,7 +33,7 @@ from .kramers import RegimeTag, _label_mu, _mu_log_sum, predict_time
 from .potential import LocalPotential, quartic
 from .simulate import SimConfig, mc_stats, run_replicas, _stats_from_samples
 from .spectra import _eigenvalue_count, det_ratio, eigs_constant, eigs_profile
-from .spectral import BoundaryCondition, write_profile_csv
+from .spectral import NEUMANN, BoundaryCondition, write_profile_csv
 from .stationary import instanton
 from . import validate as validate_mod
 
@@ -286,9 +286,9 @@ def _cmd_eigen(cfg: dict) -> int:
     else:
         minus = eigs_constant(pot, L, bc, "minus", kmax)
         rep = eigs_constant(pot, L, bc, cfg["which"], kmax)
-        n_use = min(len(rep.eigenvalues), len(minus.eigenvalues)) - 1
-        mask = np.arange(1, n_use + 1)
-        ratio = det_ratio(rep, minus, n_use, num_mask=mask, den_mask=mask)
+        # one factor per k = 1..kmax: one entry of each periodic cos/sin pair
+        mask = np.arange(1, len(rep.eigenvalues), 1 if bc is NEUMANN else 2)
+        ratio = det_ratio(rep, minus, kmax, num_mask=mask, den_mask=mask)
     out = cfg["out"]
     manifest = _write_manifest(out, "eigen", cfg, [f"{out}.csv", f"{out}.json"],
                                environment=_environment())

@@ -22,7 +22,8 @@ and C = c4():
   large_l     instanton, L > L_c mu_1/4 | sqrt(2 pi eps mu_1)/ell  1
 
 mu_1/4 carries the 1/2 of two Neumann instantons; ell = L ||u'||_L2 is the
-saddle_length() of the periodic translation orbit.  d is the Galerkin
+saddle_length() of the periodic translation orbit, with ||u'|| the
+instanton's own deriv_L2 (Simpson on its RK4 samples of u').  d is the Galerkin
 truncation (math.inf sums the tail to closed form for the constant spectra
 and to a Weyl-asymptotic tail for instanton spectra).  Instanton spectra
 are finite differences on the instanton's own 4096 samples, solved in
@@ -44,8 +45,7 @@ from scipy.special import zeta
 
 from .errors import OutOfRegime, UnsupportedRegime, WrongBoundaryCondition
 from .potential import LocalPotential
-from .spectral import (BoundaryCondition, NEUMANN, PERIODIC, TransformPlan,
-                       mode_frequencies)
+from .spectral import BoundaryCondition, NEUMANN, PERIODIC, nu
 from .spectra import eigs_profile, lambda_ratio_log_sum, lambda_ratio_product_infinite
 from .stationary import InstantonProfile, instanton
 from .specialfn import psi, theta
@@ -108,19 +108,10 @@ def c4(pot: LocalPotential, L: float, bc: BoundaryCondition) -> float:
 
 
 def saddle_length(profile: InstantonProfile) -> float:
-    """Length of the periodic translation family, L * ||u'||_L2.
-
-    The derivative norm is taken spectrally: the profile is projected on the
-    periodic basis and ||u'||^2 = sum nu_k y_k^2 by Parseval.
-    """
+    """Length of the periodic translation family, L * ||u'||_L2 (the profile's deriv_L2)."""
     if profile.bc is not PERIODIC:
         raise WrongBoundaryCondition("saddle length is defined for periodic profiles")
-    n = profile.n_samples
-    d = (n - 2) // 2
-    plan = TransformPlan(PERIODIC, profile.L, d, n)
-    coef = plan.analyze(profile.u[:n])
-    nu_k = mode_frequencies(PERIODIC, profile.L, d)
-    return profile.L * math.sqrt(float(np.dot(nu_k, coef ** 2)))
+    return profile.L * profile.deriv_L2
 
 
 def remainder_scale(eps: float, lam: float) -> float:
@@ -187,17 +178,13 @@ def _mu_log_sum(mu_by_label, pot, L, bc, k_from, d, kmax_eig, wbar):
     form in Hurwitz zeta values (_asymptotic_tail_log_inf).
     """
     w_minus = pot.derivative(pot.u_minus, 2)
-    b = bc.mode_factor
     k_res = min(kmax_eig, d)
-    total = 0.0
-    for k in range(k_from, k_res + 1):
-        nu_km = (b * k * math.pi / L) ** 2 + w_minus
-        total += math.log(mu_by_label[k]) - math.log(nu_km)
+    total = math.fsum(np.log(mu_by_label[k_from : k_res + 1])
+                      - np.log(nu(bc, L, np.arange(k_from, k_res + 1)) + w_minus))
     if d == math.inf:
-        total += _asymptotic_tail_log_inf(L, b, wbar, w_minus, k_res + 1)
+        total += _asymptotic_tail_log_inf(L, bc.mode_factor, wbar, w_minus, k_res + 1)
     elif d > k_res:
-        k = np.arange(k_res + 1, d + 1, dtype=float)
-        nu0 = (b * k * math.pi / L) ** 2
+        nu0 = nu(bc, L, np.arange(k_res + 1, d + 1))
         total += math.fsum(np.log(nu0 + wbar) - np.log(nu0 + w_minus))
     return total
 
@@ -251,9 +238,7 @@ def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: floa
             f"L = {L} beyond the second bifurcation ({2.0 * Lc:.6g}); higher saddles untreated")
 
     w_minus = float(pot.derivative(pot.u_minus, 2))
-    # a product, not ** 2 (libm pow): mode_frequencies squares nu_1 the same
-    # way, so lambda1 carries the bits of the lambda_1 inside the products
-    nu1 = (Lc / L) * (Lc / L)
+    nu1 = nu(bc, L, 1)  # the bits of the nu_1 inside the products
     lam1 = nu1 - 1.0
     nu1m = nu1 + w_minus
     regime = force_regime or _select_regime(bc, lam1, lambda_switch)

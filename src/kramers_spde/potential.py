@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidPotential
 from .spectral import (BoundaryCondition, FourierState, TransformPlan, default_grid_size,
-                       mode_indices)
+                       mode_indices, nu)
 
 _ROOT_IMAG_TOL = 1e-9
 _NORMALIZATION_TOL = 1e-9
@@ -65,10 +65,11 @@ def horner_into(coef_desc: tuple[float, ...], x: np.ndarray, out: np.ndarray) ->
     return out
 
 
-def _polish_root(dcoef_desc: np.ndarray, d2coef_desc: np.ndarray, r: float) -> float:
+def _polish_root(dcoef_desc: tuple[float, ...], d2coef_desc: tuple[float, ...],
+                 r: float) -> float:
     for _ in range(8):
-        f = np.polyval(dcoef_desc, r)
-        fp = np.polyval(d2coef_desc, r)
+        f = horner(dcoef_desc, r)
+        fp = horner(d2coef_desc, r)
         if fp == 0.0:
             break
         step = f / fp
@@ -82,7 +83,7 @@ def _polish_root(dcoef_desc: np.ndarray, d2coef_desc: np.ndarray, r: float) -> f
 class LocalPotential:
     """Normalized polynomial double well; immutable and safe to share.
 
-    Equality and hashing ignore the derivative tables, which follow from
+    Equality and hashing ignore the derivative table, which follows from
     the coefficients, so a potential can key a functools cache.
     """
 
@@ -91,7 +92,6 @@ class LocalPotential:
     u_plus: float
     p0: int
     normalization: tuple[float, float] = (0.0, 1.0)  # (shift, scale) applied to input
-    _deriv: tuple[np.ndarray, ...] = field(repr=False, compare=False, default=())
     _deriv_scalar: tuple[tuple[float, ...], ...] = field(repr=False, compare=False,
                                                          default=())
 
@@ -115,8 +115,7 @@ class LocalPotential:
             raise InvalidPotential("leading coefficient must be positive (confinement)")
 
         poly = np.polynomial.Polynomial(coef)
-        dpoly = poly.deriv()
-        roots = dpoly.roots()
+        roots = poly.deriv().roots()
         real = np.sort(np.unique(np.round(
             roots[np.abs(roots.imag) < _ROOT_IMAG_TOL * max(1.0, np.abs(roots).max())].real,
             decimals=11)))
@@ -136,7 +135,7 @@ class LocalPotential:
             shifted = poly(np.polynomial.Polynomial([shift, 1.0]))
             poly = (shifted - shifted(0.0)) * scale
             coef = poly.coef
-        if abs(poly(0.0)) > _NORMALIZATION_TOL or abs(dpoly(0.0) if not normalize else poly.deriv()(0.0)) > _NORMALIZATION_TOL \
+        if abs(poly(0.0)) > _NORMALIZATION_TOL or abs(poly.deriv()(0.0)) > _NORMALIZATION_TOL \
                 or abs(poly.deriv(2)(0.0) + 1.0) > _NORMALIZATION_TOL:
             raise InvalidPotential(
                 "potential not normalized: need U(0)=0, U'(0)=0, U''(0)=-1 "
@@ -149,39 +148,39 @@ class LocalPotential:
 
     @classmethod
     def _finish(cls, coef: np.ndarray, shift: float, scale: float) -> "LocalPotential":
-        # derivative coefficient tables, descending powers, orders 0..5
-        deriv = []
+        # derivative coefficient table, descending powers, orders 0..5
         p = np.polynomial.Polynomial(coef)
-        for order in range(6):
-            deriv.append(p.deriv(order).coef[::-1].copy() if order else coef[::-1].copy())
-        dpoly = np.polynomial.Polynomial(coef).deriv()
-        roots = dpoly.roots()
+        deriv = tuple(tuple(map(float, p.deriv(order).coef[::-1])) for order in range(6))
+        roots = p.deriv().roots()
         real = np.sort(roots[np.abs(roots.imag) < _ROOT_IMAG_TOL].real)
-        d1_desc, d2_desc = deriv[1], deriv[2]
-        real = np.array([_polish_root(d1_desc, d2_desc, r) for r in real])
+        real = np.array([_polish_root(deriv[1], deriv[2], float(r)) for r in real])
         zero_tol = 1e-8 * max(1.0, float(np.abs(real).max()))
         negs = real[real < -zero_tol]
         poss = real[real > zero_tol]
         if len(negs) != 1 or len(poss) != 1:
             raise InvalidPotential("minima must straddle the origin")
         u_minus, u_plus = float(negs[0]), float(poss[0])
-        if np.polyval(d2_desc, u_minus) <= 0.0 or np.polyval(d2_desc, u_plus) <= 0.0:
+        if horner(deriv[2], u_minus) <= 0.0 or horner(deriv[2], u_plus) <= 0.0:
             raise InvalidPotential("outer critical points must be nondegenerate minima")
         return cls(tuple(coef), u_minus, u_plus, p0=(len(coef) - 1) // 2,
-                   normalization=(shift, scale), _deriv=tuple(deriv),
-                   _deriv_scalar=tuple(tuple(map(float, c)) for c in deriv))
+                   normalization=(shift, scale), _deriv_scalar=deriv)
 
     def derivative(self, u, order: int = 0):
         """U^(order)(u) for order in 0..5, exact Horner evaluation.
 
-        A Python or numpy float u gives a Python float (horner), anything
-        else goes through np.polyval; both paths give the same bits.
+        A Python int or float or a numpy float u gives a Python float
+        (horner), anything else an array (horner_into, plus np.polyval's
+        closing + 0.0, which turns a -0.0 into 0.0); both have the bits of
+        np.polyval.
         """
         if not 0 <= order <= 5:
             raise ValueError(f"order must be in 0..5, got {order}")
-        if isinstance(u, float):
-            return horner(self._deriv_scalar[order], float(u))
-        return np.polyval(self._deriv[order], u)
+        table = self._deriv_scalar[order]
+        if isinstance(u, (float, int)):
+            return horner(table, float(u))
+        x = np.asarray(u, float)
+        out = horner_into(table, x, np.empty_like(x))
+        return out if table[-1] else np.add(out, 0.0, out=out)
 
     @property
     def is_even(self) -> bool:
@@ -204,16 +203,6 @@ def quartic() -> LocalPotential:
     return LocalPotential.from_coefficients([0.0, 0.0, -0.5, 0.0, 0.25], normalize=False)
 
 
-def eval_U(pot: LocalPotential, order: int, u: float) -> float:
-    """Derivative of U of the given order evaluated at u."""
-    return float(pot.derivative(u, order))
-
-
-def critical_points(pot: LocalPotential) -> tuple[float, float, float]:
-    """The three roots of U': (u_minus, 0, u_plus)."""
-    return (pot.u_minus, 0.0, pot.u_plus)
-
-
 @dataclass(frozen=True)
 class AssumptionReport:
     """Outcome of the sampled/symbolic assumption checks (never raises)."""
@@ -222,13 +211,12 @@ class AssumptionReport:
     monotone_period_sufficient_min: float
     period_increasing_at_zero: bool    # U''''(0) > -(5/3) U'''(0)^2
     supercritical: bool                # sign of the bifurcation quartic coefficient
-    grid_points: int
 
 
-def check_assumptions(pot: LocalPotential, grid_points: int = 10_000) -> AssumptionReport:
-    """Sampled check of the period-monotonicity conditions and bifurcation sign."""
+def check_assumptions(pot: LocalPotential) -> AssumptionReport:
+    """Sampled check (10^4 points) of the period-monotonicity conditions and bifurcation sign."""
     um, up = pot.u_minus, pot.u_plus
-    u = np.linspace(um, up, grid_points + 2)[1:-1]
+    u = np.linspace(um, up, 10_002)[1:-1]
     u = u[np.abs(u) > 1e-9 * max(-um, up)]
     expr = pot.derivative(u, 1) ** 2 - 2.0 * pot.derivative(u, 0) * pot.derivative(u, 2)
     u3, u4 = float(pot.derivative(0.0, 3)), float(pot.derivative(0.0, 4))
@@ -237,7 +225,6 @@ def check_assumptions(pot: LocalPotential, grid_points: int = 10_000) -> Assumpt
         monotone_period_sufficient_min=float(np.min(expr)),
         period_increasing_at_zero=u4 > -(5.0 / 3.0) * u3 ** 2,
         supercritical=(u4 + (5.0 / 3.0) * u3 ** 2) > 0.0,
-        grid_points=grid_points,
     )
 
 
@@ -280,7 +267,7 @@ def energy_lower_bound_constants(pot: LocalPotential, L: float,
     crit = diff.deriv().roots()
     crit = crit[np.abs(crit.imag) < 1e-9].real
     alpha = -float(min(diff(crit).min(), 0.0))
-    beta_prime = min(0.5 * (bc.bifurcation_length / L) ** 2, beta)
+    beta_prime = min(0.5 * nu(bc, L, 1), beta)
     return alpha * L, beta_prime
 
 

@@ -259,8 +259,13 @@ def step(state: FourierState, cfg: SimConfig, gaussians: np.ndarray) -> FourierS
     return state.with_coeffs(out)
 
 
+def _replica_key(seed: int, index: int) -> int:
+    """Philox key of replica index in a run seeded seed (its seed_used)."""
+    return (seed ^ index) & _MASK64
+
+
 def _replica_generator(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(seed ^ index) & _MASK64))
+    return np.random.Generator(np.random.Philox(key=_replica_key(seed, index)))
 
 
 def _run_batch(cfg: SimConfig, replica_indices: list[int]) -> list[TransitionSample]:
@@ -305,7 +310,7 @@ def _run_batch(cfg: SimConfig, replica_indices: list[int]) -> list[TransitionSam
                     results[pos] = TransitionSample(
                         tau=step_no_check * cfg.dt, censored=False,
                         steps=step_no_check,
-                        seed_used=(cfg.seed ^ replica_indices[pos]) & _MASK64)
+                        seed_used=_replica_key(cfg.seed, replica_indices[pos]))
                 kept = np.flatnonzero(~hit)
                 for row in range(int(np.argmax(hit)), len(kept)):
                     noise[row, j:b] = noise[kept[row], j:b]
@@ -318,7 +323,7 @@ def _run_batch(cfg: SimConfig, replica_indices: list[int]) -> list[TransitionSam
     for pos in order[:k]:
         results[pos] = TransitionSample(
             tau=None, censored=True, steps=max_steps,
-            seed_used=(cfg.seed ^ replica_indices[pos]) & _MASK64)
+            seed_used=_replica_key(cfg.seed, replica_indices[pos]))
     return [results[i] for i in range(m)]
 
 

@@ -49,7 +49,7 @@ from scipy.fft import dct, rfft
 
 from .errors import OutOfRegime, ResolutionTooLow, ZeroDenominator
 from .potential import LocalPotential
-from .spectral import BoundaryCondition, NEUMANN, PERIODIC
+from .spectral import BoundaryCondition, NEUMANN, PERIODIC, nu
 from .stationary import InstantonProfile
 
 _ZERO_MODE_FACTOR = 1e-6
@@ -91,8 +91,7 @@ def eigs_constant(pot: LocalPotential, L: float, bc: BoundaryCondition,
     shift = {"origin": -1.0,
              "minus": pot.derivative(pot.u_minus, 2),
              "plus": pot.derivative(pot.u_plus, 2)}[which]
-    k = np.arange(kmax + 1)
-    base = (bc.mode_factor * k * math.pi / L) ** 2 + shift
+    base = nu(bc, L, np.arange(kmax + 1)) + shift
     ev = np.sort(np.concatenate([base, base[1:]])) if bc is PERIODIC else base
     return SpectrumReport(bc, L, which, ev, *_classify(ev), kmax)
 
@@ -290,8 +289,7 @@ def lambda_ratio_log_sum(pot: LocalPotential, L: float, bc: BoundaryCondition,
     """sum_{k=k_from}^{k_to} log(lambda_k / nu_k^-) for the constant spectra."""
     if k_to < k_from:
         return 0.0
-    k = np.arange(k_from, k_to + 1, dtype=float)
-    base = (bc.mode_factor * k * math.pi / L) ** 2
+    base = nu(bc, L, np.arange(k_from, k_to + 1))
     lam = base - 1.0
     nv = base + pot.derivative(pot.u_minus, 2)
     if np.any(lam <= 0.0):

@@ -55,9 +55,11 @@ NEUMANN = BoundaryCondition.NEUMANN
 PERIODIC = BoundaryCondition.PERIODIC
 
 
-def nu(bc: BoundaryCondition, L: float, k: int) -> float:
-    """Laplacian eigenvalue nu_k(L) = (b k pi / L)^2."""
-    return (bc.mode_factor * k * math.pi / L) ** 2
+def nu(bc: BoundaryCondition, L: float, k: int | np.ndarray):
+    """Laplacian eigenvalue nu_k(L) = (b k pi / L)^2 for a scalar or an array k;
+    a product, not ** 2 (libm pow), so scalar and array k give the same bits."""
+    x = bc.mode_factor * k * math.pi / L
+    return x * x
 
 
 def linearized_eigenvalue(bc: BoundaryCondition, L: float, k: int,
@@ -85,7 +87,7 @@ def mode_indices(bc: BoundaryCondition, d: int) -> np.ndarray:
 
 def mode_frequencies(bc: BoundaryCondition, L: float, d: int) -> np.ndarray:
     """nu_k per stored coordinate (cos/sin pairs share their nu_k)."""
-    return (bc.mode_factor * mode_indices(bc, d) * math.pi / L) ** 2
+    return nu(bc, L, mode_indices(bc, d))
 
 
 def default_grid_size(d: int, p0: int = 2) -> int:

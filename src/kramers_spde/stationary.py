@@ -51,6 +51,7 @@ _GL_PANEL = 64
 # do not).
 _ORBIT_HALVINGS = 16
 _ORBIT_POLISHES = 4
+_N0, _RTOL, _N_MAX = 128, 1e-8, 8192  # _doubling: first rule, relative change, last rule
 
 
 @cache
@@ -157,46 +158,43 @@ def _period_integral(pot: LocalPotential, E: float, n: int, f: np.ndarray,
 
 
 def _doubling(pot: LocalPotential, E: float, turning: tuple[float, float],
-              derivatives: tuple[bool, ...], n0: int = 128, target: float = 1e-8,
-              n_max: int = 8192) -> list[float]:
+              derivatives: tuple[bool, ...]) -> list[float]:
     """T(E) (derivative False) or T'(E) (True) for each entry, by node doubling.
 
-    All of them share the orbit nodes at this E: the n0 and 2 n0 rules are
+    All of them share the orbit nodes at this E: the _N0 and 2 _N0 rules are
     solved together, a finer rule only when a doubling check needs it.
     """
-    nodes = _orbit_nodes(pot, E, turning, (n0, 2 * n0))
+    nodes = _orbit_nodes(pot, E, turning, (_N0, 2 * _N0))
     values = []
     for derivative in derivatives:
-        prev = _period_integral(pot, E, n0, nodes[n0], derivative)
-        n = 2 * n0
-        while n <= n_max:
+        prev = _period_integral(pot, E, _N0, nodes[_N0], derivative)
+        n = 2 * _N0
+        while n <= _N_MAX:
             if n not in nodes:
                 nodes.update(_orbit_nodes(pot, E, turning, (n,)))
             cur = _period_integral(pot, E, n, nodes[n], derivative)
             rel = abs(cur - prev) / max(abs(cur), 1e-300)
-            if rel <= target:
+            if rel <= _RTOL:
                 break
             prev = cur
             n *= 2
         else:
-            if rel > max(1e-6, 10.0 * target):
+            if rel > 1e-6:  # a rule short of _RTOL but within 1e-6 is kept
                 raise QuadratureNotConverged(
-                    f"period quadrature not converged at {n_max} nodes "
+                    f"period quadrature not converged at {_N_MAX} nodes "
                     f"(rel change {rel:.2e})")
         values.append(cur)
     return values
 
 
-def period_T(pot: LocalPotential, E: float, n_nodes: int = 128,
-             rtol: float = 1e-8) -> float:
-    """Orbit period T(E); node doubling validates the requested tolerance."""
-    return _doubling(pot, E, turning_points(pot, E), (False,), n_nodes, rtol)[0]
+def period_T(pot: LocalPotential, E: float) -> float:
+    """Orbit period T(E), to 1e-8 relative as validated by node doubling."""
+    return _doubling(pot, E, turning_points(pot, E), (False,))[0]
 
 
-def dT_dE(pot: LocalPotential, E: float, n_nodes: int = 128,
-          rtol: float = 1e-8) -> float:
+def dT_dE(pot: LocalPotential, E: float) -> float:
     """Derivative T'(E); positive whenever the monotonicity condition holds."""
-    return _doubling(pot, E, turning_points(pot, E), (True,), n_nodes, rtol)[0]
+    return _doubling(pot, E, turning_points(pot, E), (True,))[0]
 
 
 @lru_cache(maxsize=512)

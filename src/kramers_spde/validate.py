@@ -16,7 +16,7 @@ import numpy as np
 from .potential import (quartic, energy_V, grad_V,
                         energy_lower_bound_constants, h1_norm_squared)
 from .spectral import (NEUMANN, PERIODIC, FourierState, from_grid, to_grid,
-                       sup_dist, linearized_eigenvalue)
+                       sup_dist, linearized_eigenvalue, nu)
 from .stationary import InstantonProfile, dT_dE, instanton
 from .spectra import closed_form_product, eigs_constant, eigs_profile, det_ratio
 from .specialfn import psi, theta, PSI_AT_ZERO, THETA_AT_ZERO
@@ -141,7 +141,7 @@ def _check_product_convergence() -> CheckResult:
         gaps.append(abs(pref - cf) / cf)
     prof = _neumann_l4()  # every second sample: the 512/1024 FD grids
     rep = eigs_profile(replace(prof, x=prof.x[::2], u=prof.u[::2], du=prof.du[::2]), kmax=8)
-    nu0 = np.array([(k * math.pi / 4.0) ** 2 for k in range(9)])
+    nu0 = nu(NEUMANN, 4.0, np.arange(9))
     W = q.derivative(prof.u, 2)
     interlace = bool(np.all((rep.eigenvalues[:9] >= nu0 + W.min() - 1e-9)
                             & (rep.eigenvalues[:9] <= nu0 + W.max() + 1e-9)))

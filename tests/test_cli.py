@@ -181,29 +181,26 @@ def test_eigen_outputs(tmp_path):
     assert lines[1] == "index,eigenvalue"
 
 
-def test_eigen_periodic_det_ratio_pairs_differently_by_which(tmp_path):
-    # constant profiles take both the cos and the sin factor of each k,
-    # prod (lambda_k / nu_k^-)^2; the instanton takes one factor per k,
-    # mu_1/nu_1^- prod_{k>=2} sqrt(mu_k mu_-k)/nu_k^-, and leaves the zero mode out
+@pytest.mark.parametrize("which", ["origin", "minus", "plus", "instanton"])
+def test_eigen_periodic_det_ratio_takes_one_factor_per_k(tmp_path, which):
+    # every --which takes one factor per k <= kmax, as predict_time counts:
+    # sigma_1/nu_1^- prod_{k>=2} sqrt(sigma_k sigma_-k)/nu_k^-, read off the
+    # CSV's ascending eigenvalues (ev[2k-1], ev[2k] the pair of k); the
+    # instanton's ev[1] is its translation zero mode, and mu_1 = ev[2]
     pot, kmax = quartic(), 4
     nu_m = [(2 * k * math.pi / 7.0) ** 2 + pot.derivative(pot.u_minus, 2)
             for k in range(kmax + 1)]
-    got = {}
-    for which in ("origin", "instanton"):
-        assert run(tmp_path, "eigen", "--bc", "periodic", "--L", "7", "--which", which,
-                   "--kmax", str(kmax), "--out", which) == 0
-        rows = (tmp_path / f"{which}.csv").read_text().splitlines()[2:]
-        ev = [float(row.split(",")[1]) for row in rows]
-        got[which] = ev, json.loads((tmp_path / f"{which}.json").read_text())["det_ratio"]
-    ev, ratio = got["origin"]
+    assert run(tmp_path, "eigen", "--bc", "periodic", "--L", "7", "--which", which,
+               "--kmax", str(kmax), "--out", "e") == 0
+    ev = [float(row.split(",")[1])
+          for row in (tmp_path / "e.csv").read_text().splitlines()[2:]]
+    ratio = json.loads((tmp_path / "e.json").read_text())["det_ratio"]
+    sigma1 = ev[2] if which == "instanton" else ev[1]
     assert ratio == pytest.approx(
-        math.prod(ev[2 * k - 1] * ev[2 * k] / nu_m[k] ** 2 for k in range(1, kmax + 1)),
-        rel=1e-12)
-    assert ratio == pytest.approx(2.5295e-4, rel=1e-4)
-    ev, ratio = got["instanton"]
-    assert ratio == pytest.approx(
-        ev[2] / nu_m[1] * math.prod(math.sqrt(ev[2 * k - 1] * ev[2 * k]) / nu_m[k]
-                                    for k in range(2, kmax + 1)), rel=1e-12)
+        sigma1 / nu_m[1] * math.prod(math.sqrt(ev[2 * k - 1] * ev[2 * k]) / nu_m[k]
+                                     for k in range(2, kmax + 1)), rel=1e-12)
+    if which == "origin":  # lambda_1 < 0 above L = 2 pi
+        assert ratio == pytest.approx(-0.015905, rel=1e-4)
 
 
 def test_specialfn_grid_endpoints(tmp_path):

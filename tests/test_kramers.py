@@ -14,7 +14,7 @@ from kramers_spde import (BoundaryCondition, DomainError, KramersPrediction, Kra
 from kramers_spde import kramers
 from kramers_spde.kramers import _select_regime, remainder_scale
 from kramers_spde.spectra import lambda_ratio_log_sum, lambda_ratio_product_infinite
-from kramers_spde.spectral import mode_frequencies
+from kramers_spde.spectral import mode_frequencies, mode_indices, nu
 from kramers_spde.specialfn import psi, theta
 from kramers_spde.stationary import InstantonProfile
 
@@ -55,6 +55,17 @@ def test_saddle_length(pot):
     assert saddle_length(const) <= 1e-12
     with pytest.raises(WrongBoundaryCondition):
         saddle_length(instanton(pot, 4.0, NEUMANN))
+
+
+@pytest.mark.parametrize("L", [9.0, 12.3])
+@pytest.mark.parametrize("coefficients", [None, [0, 0, -0.5, 0.1, 0.25]])
+def test_saddle_length_converges_with_the_samples(pot, coefficients, L):
+    # ell = L * deriv_L2 of the default 4096 samples lies within 8e-14 of
+    # the 32768-sample value (measured at most 4.4e-14; a 2047-mode Parseval
+    # sum of the same samples missed by up to 3.9e-13)
+    p = pot if coefficients is None else LocalPotential.from_coefficients(coefficients)
+    fine = saddle_length(instanton(p, L, PERIODIC, n_samples=32768))
+    assert abs(saddle_length(instanton(p, L, PERIODIC)) - fine) <= 8e-14 * fine
 
 
 def test_saddle_length_near_bifurcation_selfconsistent(pot):
@@ -366,6 +377,12 @@ def test_lambda1_has_the_bits_of_the_products_lambda_1(pot, bc, L):
     assume(L <= 2.0 * bc.bifurcation_length)
     got = predict_time(pot, L, bc, 0.05).lambda1
     assert got == mode_frequencies(bc, L, 1)[1] - 1.0
+    # and spectral.nu, the one definition of nu_k, has the bits of every
+    # mode_frequencies entry, for a scalar k and for an array of k
+    freqs = mode_frequencies(bc, L, 8)
+    ks = mode_indices(bc, 8)
+    assert all(nu(bc, L, int(k)) == f for k, f in zip(ks, freqs))
+    assert nu(bc, L, ks).tobytes() == freqs.tobytes()
 
 
 # The eight regime branches of predict_time as they stood before the one

@@ -5,17 +5,35 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from kramers_spde import (FourierState, InvalidPotential, LocalPotential, NEUMANN,
-                          PERIODIC, SimConfig, TransformPlan, check_assumptions,
-                          critical_points, energy_V, eval_U, grad_V, quartic)
+                          PERIODIC, SimConfig, TransformPlan, check_assumptions, energy_V,
+                          grad_V, quartic)
 from kramers_spde.potential import energy_lower_bound_constants, h1_norm_squared, horner_into
 from kramers_spde.spectral import default_grid_size
 
 
 def test_eval_quartic_values(pot):
-    assert eval_U(pot, 0, 1.0) == pytest.approx(-0.25, abs=0)
-    assert eval_U(pot, 2, 0.0) == -1.0
-    assert eval_U(pot, 4, 0.7) == 6.0
-    assert eval_U(pot, 5, 0.3) == 0.0
+    assert pot.derivative(1.0, 0) == -0.25
+    assert pot.derivative(0.0, 2) == -1.0
+    assert pot.derivative(0.7, 4) == 6.0
+    assert pot.derivative(0.3, 5) == 0.0
+    assert pot.derivative(1, 0) == -0.25 and type(pot.derivative(1, 0)) is float
+
+
+@pytest.mark.parametrize("which", ["quartic", "asymmetric", "sextic"])
+def test_array_derivative_is_polyval_bit_for_bit(pot, which):
+    # lists, 0-d and 2-D arrays go through horner_into; np.polyval on the
+    # same table is the reference, down to the sign of a zero
+    p = {"quartic": pot, "sextic": _SEXTIC,
+         "asymmetric": LocalPotential.from_coefficients([0, 0, -0.5, 0.1, 0.25])}[which]
+    grid = np.random.default_rng(3).uniform(-2.0, 2.0, (4, 6))
+    grid[0, :3] = (0.0, -0.0, 1.0)
+    for order in range(6):
+        table = p._deriv_scalar[order]
+        for u in ([0.0, -0.0, 0.5, -1.5, 2], np.array(-0.0), np.array(0.7), grid):
+            got = p.derivative(u, order)
+            want = np.polyval(table, np.asarray(u, float))
+            assert isinstance(got, np.ndarray) and got.shape == np.shape(u)
+            assert got.tobytes() == np.asarray(want).tobytes(), (order, u)
 
 
 def test_potentials_compare_and_hash_on_coefficients():
@@ -46,7 +64,8 @@ def test_eval_order_range(pot):
 
 
 def test_critical_points_quartic(pot):
-    assert critical_points(pot) == (-1.0, 0.0, 1.0)
+    assert (pot.u_minus, pot.u_plus) == (-1.0, 1.0)
+    assert pot.derivative(pot.u_minus, 1) == pot.derivative(0.0, 1) == 0.0
 
 
 def test_critical_points_asymmetric_match_root_oracle():

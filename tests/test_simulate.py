@@ -179,7 +179,7 @@ def _fresh_transforms(eng):
 
 def _reference_step(eng, y, xi):
     cfg = eng.cfg
-    dU = cfg.pot._deriv[1]
+    dU = cfg.pot._deriv_scalar[1]
     synth, ana = _fresh_transforms(eng)
     if not eng.nonlinear:
         N = np.zeros_like(y)

@@ -4,7 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import kramers_spde
-from kramers_spde import NEUMANN, quartic
+from kramers_spde import NEUMANN, PERIODIC, SimConfig, quartic
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -22,14 +22,19 @@ def test_tracer_patches_every_name_and_restores_it():
     tracer.install()  # raises if a patched name has moved
     saved = list(tracer._saved)
     try:
-        # an instanton and a near-bifurcation prediction reach every
-        # prediction-path span through the names the library looks up
+        # an instanton, a near-bifurcation prediction of each bc, a d = 15
+        # small-L prediction and one replica batch reach every patched name
+        # through the names the library looks up
         kramers_spde.predict_time(quartic(), 4.0, NEUMANN, 0.05)
         kramers_spde.predict_time(quartic(), 3.1, NEUMANN, 0.05)
+        kramers_spde.predict_time(quartic(), 6.5, PERIODIC, 0.05)
+        kramers_spde.predict_time(quartic(), 1.0, NEUMANN, 0.05, d=15)
+        kramers_spde.run_replicas(SimConfig(quartic(), NEUMANN, 1.0, 4, 0.5, 1e-3, 0.02), 2)
     finally:
         tracer.uninstall()
     assert len(saved) == len(tracing.PATCHES)
-    for label in ("predict_time", "instanton", "eigs_profile", "lambda_ratio_product_infinite",
-                  "psi", "period_T", "turning_points", "derivative"):
-        assert tracer.counts[label] > 0, label
+    # dT_dE alone is not reached: the library takes T'(E) inside
+    # stationary._doubling, together with T(E), and never calls dT_dE
+    unreached = {label for _, _, label, _, _ in tracing.PATCHES if not tracer.counts[label]}
+    assert unreached == {"dT_dE"}
     assert all(owner.__dict__[attr] is original for owner, attr, original in saved)
