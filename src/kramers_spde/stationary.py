@@ -17,9 +17,13 @@ The derivative dT/dE uses the differentiated integrand
 
 Instantons: the Neumann transition state traverses the half orbit u2 -> u3
 in length L (so T(E*) = 2L, requiring L > pi); the periodic one is a full
-orbit (T(E*) = L, requiring L > 2 pi).  Profiles are integrated with RK4 from
-(u2(E*), 0), which fixes the phase conventions u(0) = u2 (Neumann) and
-"minimum at x = 0" (periodic, one representative of the translation family).
+orbit (T(E*) = L, requiring L > 2 pi).  Profiles are sampled from the same
+phi-parametrization at E*, starting from (u2(E*), 0): the half orbit's
+x(phi) = int_0^phi sqrt(2E) cos psi / U'(f_E(psi)) dpsi is integrated on
+Gauss-Legendre panels that halve in width toward phi = 0 and pi, and
+inverted at the sample points by Newton (_orbit_profile).  This fixes the
+phase conventions u(0) = u2 (Neumann) and "minimum at x = 0" (periodic, one
+representative of the translation family, the half orbit mirrored).
 
 Root solves: each energy the E* solve visits gets one root solve, that is
 its turning points once and the orbit nodes f_E of the n and 2n node rules
@@ -40,6 +44,7 @@ from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EnergyOutOfRange, NoInstanton, NotMonotone, QuadratureNotConverged
 from .potential import LocalPotential, horner, horner_into
@@ -52,6 +57,8 @@ _GL_PANEL = 64
 _ORBIT_HALVINGS = 16
 _ORBIT_POLISHES = 4
 _N0, _RTOL, _N_MAX = 128, 1e-8, 8192  # _doubling: first rule, relative change, last rule
+_WINDOW, _BLOCK = 12, 512  # _sample_phases: interpolation nodes, samples per block
+_PHASE_NEWTONS, _U_POLISHES = 2, 2  # Newton steps per sample: phi, then u
 
 
 @cache
@@ -64,7 +71,7 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     integrands used here.
     """
     m = max(1, n // _GL_PANEL)
-    x, w = np.polynomial.legendre.leggauss(_GL_PANEL)
+    x, w = _panel_tables()[:2]
     h = math.pi / m
     starts = h * np.arange(m)[:, None]
     nodes = (starts + 0.5 * h * (x + 1.0)[None, :]).ravel()
@@ -108,17 +115,26 @@ def turning_points(pot: LocalPotential, E: float) -> tuple[float, float]:
 
 def _orbit_nodes(pot: LocalPotential, E: float, turning: tuple[float, float],
                  ns: tuple[int, ...]) -> dict[int, np.ndarray]:
-    """f_E(phi) at the nodes of each rule n in ns: -U(f) = E cos^2 phi.
+    """f_E(phi) at the nodes of each rule n in ns, in one _orbit_roots solve
+    over the rules' concatenated nodes."""
+    rules = [_gl_nodes(n) for n in ns]
+    f = _orbit_roots(pot, E, turning, np.concatenate([r[0] for r in rules]),
+                     np.concatenate([r[2] for r in rules]))
+    splits = np.cumsum([len(r[0]) for r in rules])[:-1]
+    return dict(zip(ns, np.split(f, splits)))
+
+
+def _orbit_roots(pot: LocalPotential, E: float, turning: tuple[float, float],
+                 phi: np.ndarray, cos_phi: np.ndarray) -> np.ndarray:
+    """f_E(phi) on the half orbit: -U(f) = E cos^2 phi, f in [u2, 0] for
+    phi < pi/2 and in [0, u3] above.
 
     One vectorized bisection on the monotone brackets [u2, 0] and [0, u3]
-    (_ORBIT_HALVINGS halvings, then _ORBIT_POLISHES Newton polishes) runs
-    over the rules' concatenated nodes.  The counts are fixed and the
-    arithmetic is elementwise, so each node gets the same bits whichever
-    rules it is solved with.
+    (_ORBIT_HALVINGS halvings, then _ORBIT_POLISHES Newton polishes).  The
+    counts are fixed and the arithmetic is elementwise, so each node gets
+    the same bits whichever nodes it is solved with.
     """
-    rules = [_gl_nodes(n) for n in ns]
-    phi = np.concatenate([r[0] for r in rules])
-    target = E * np.concatenate([r[2] for r in rules]) ** 2
+    target = E * cos_phi ** 2
     left = phi < 0.5 * math.pi
     lo = np.where(left, turning[0], 0.0)
     hi = np.where(left, 0.0, turning[1])
@@ -141,8 +157,7 @@ def _orbit_nodes(pot: LocalPotential, E: float, turning: tuple[float, float],
         safe = np.abs(du) > 1e-14
         step = np.where(safe, (-pot.derivative(f, 0) - target) / np.where(safe, -du, 1.0), 0.0)
         f = f - step
-    splits = np.cumsum([len(r[0]) for r in rules])[:-1]
-    return dict(zip(ns, np.split(f, splits)))
+    return f
 
 
 def _period_integral(pot: LocalPotential, E: float, n: int, f: np.ndarray,
@@ -275,22 +290,142 @@ class InstantonProfile:
                    deriv_L2=0.0, turning=(value, value))
 
 
-def _rk4_profile(pot: LocalPotential, u0: float, L: float, n: int):
-    h = float(L) / n
-    u = np.empty(n + 1)
-    v = np.empty(n + 1)
-    u[0], v[0] = u0, 0.0
-    ui, vi = u0, 0.0
-    d1 = pot._deriv_scalar[1]
-    for i in range(n):
-        k1u = vi;               k1v = horner(d1, ui)
-        k2u = vi + 0.5 * h * k1v; k2v = horner(d1, ui + 0.5 * h * k1u)
-        k3u = vi + 0.5 * h * k2v; k3v = horner(d1, ui + 0.5 * h * k2u)
-        k4u = vi + h * k3v;       k4v = horner(d1, ui + h * k3u)
-        ui += h / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        vi += h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        u[i + 1], v[i + 1] = ui, vi
-    return u, v
+@cache
+def _panel_tables() -> tuple[np.ndarray, ...]:
+    """The _GL_PANEL-node Gauss-Legendre panel on [-1, 1]: nodes t, weights,
+    the integration matrix S (S @ y holds int_{-1}^{t_i} of the interpolant
+    of y at t_i), and for every window of _WINDOW consecutive nodes its
+    nodes and barycentric weights, scaled to a largest magnitude of 1."""
+    t, w = np.polynomial.legendre.leggauss(_GL_PANEL)
+    P = np.polynomial.legendre.legvander(t, _GL_PANEL)
+    # y = sum c_k P_k with c_k = (2k+1)/2 sum_j w_j P_k(t_j) y_j, and
+    # int_{-1}^t P_k = (P_{k+1} - P_{k-1}) / (2k+1), t + 1 for k = 0
+    A = np.column_stack([0.5 * (t + 1.0), 0.5 * (P[:, 2:] - P[:, :-2])])
+    S = np.einsum("ik,jk,j->ij", A, P[:, :_GL_PANEL], w)
+    T = sliding_window_view(t, _WINDOW)
+    diff = T[:, :, None] - T[:, None, :]
+    diff[:, np.arange(_WINDOW), np.arange(_WINDOW)] = 1.0
+    bary = 1.0 / diff.prod(axis=2)
+    return t, w, S, T, bary / np.abs(bary).max(axis=1, keepdims=True)
+
+
+def _graded_panels(levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Panels on [0, pi] whose widths halve toward both ends: the edges
+    0, pi/2^(levels+1), ..., pi/4, pi/2 and their mirrors about pi/2.
+    Returns (panel starts, half widths, nodes)."""
+    edges = np.concatenate([[0.0], 0.5 * math.pi * 0.5 ** np.arange(levels, -1, -1)])
+    start = np.concatenate([edges[:-1], math.pi - edges[:0:-1]])
+    half = 0.5 * np.diff(np.concatenate([start, [math.pi]]))
+    return start, half, (start[:, None] + half[:, None] * (_panel_tables()[0] + 1.0)).ravel()
+
+
+def _orbit_profile(pot: LocalPotential, E: float, turning: tuple[float, float],
+                   bc: BoundaryCondition, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """u and u' at n + 1 equispaced samples of the orbit H = E from (u2, 0).
+
+    With u' = sqrt(2E) sin phi and -U(u) = E cos^2 phi, the half orbit
+    u2 -> u3 has x(phi) = int_0^phi sqrt(2E) cos psi / U'(f_E(psi)) dpsi.
+    Its nodes on the graded panels are one _orbit_roots solve; x at the
+    nodes comes from each panel's integration matrix.  The half orbit's own
+    length X = x(pi) (L for Neumann, L/2 periodic, to the accuracy of E*)
+    is split into n or n/2 equal steps, so both its ends are the turning
+    points with u' = 0 exactly.  A sample's phi is Newton's root of x(phi)
+    = j X / (n or n/2) (_sample_phases).  Its u solves -u sqrt(Q(u)) =
+    sqrt(E) cos phi, that is -sign(u) sqrt(-U(u)) = sqrt(E) cos phi with
+    the polynomial Q(u) = -U(u)/u^2 > 0 (U(0) = U'(0) = 0), a simple root
+    also at u = 0, by Newton from the interpolated node values.  A periodic
+    profile is the half orbit mirrored about x = L/2.
+    """
+    E0 = pot.orbit_energy_cap
+    # the integrand's nearest complex singularity lies about sqrt((E0 - E)/E)
+    # from phi = 0 or pi; the innermost panels are no wider than that
+    levels = max(1, math.ceil(math.log2(0.5 * math.pi * math.sqrt(E / (E0 - E)))) + 1)
+    start, half, phi = _graded_panels(levels)
+    _, w, S, _, _ = _panel_tables()
+    cos_phi = np.cos(phi)
+    f = _orbit_roots(pot, E, turning, phi, cos_phi)
+    g = (math.sqrt(2.0 * E) * cos_phi / pot.derivative(f, 1)).reshape(len(start), -1)
+    # einsum, not BLAS: the small-matrix kernels would add to the resident set
+    panel = half * np.einsum("pj,j->p", g, w)
+    x = np.einsum("pj,ij->pi", g, S) * half[:, None]
+    x += np.concatenate([[0.0], np.cumsum(panel[:-1])])[:, None]
+    X = float(np.sum(panel))
+    span = n if bc is NEUMANN else 0.5 * n  # sample steps on the half orbit
+    m = int(span)  # samples 0..m lie on the half orbit
+    end = m == span  # sample m is the turning point u3
+    u, du = np.empty(n + 1), np.empty(n + 1)
+    u[0], du[0] = turning[0], 0.0
+    if end:
+        u[m], du[m] = turning[1], 0.0
+    inner = slice(1, m if end else m + 1)
+    ui, ph = u[inner], du[inner]
+    _sample_phases(X / span, start, half, phi, x.ravel(), X, g.ravel(), f, ph, ui)
+    Q = tuple(-c for c in pot.coefficients[:1:-1])  # descending, like horner's tables
+    dQ = tuple(c * k for c, k in zip(Q, range(len(Q) - 1, 0, -1)))
+    c = np.cos(ph)
+    c *= math.sqrt(E)
+    q, slope, step = np.empty_like(ui), np.empty_like(ui), np.empty_like(ui)
+    for _ in range(_U_POLISHES):
+        # h = -u sqrt(Q) - c, h' = -(2Q + u Q') / (2 sqrt(Q)): u -= h / h'
+        horner_into(dQ, ui, slope)
+        slope *= ui
+        slope += 2.0 * horner_into(Q, ui, q)
+        np.sqrt(q, out=q)
+        np.multiply(ui, q, out=step)
+        step += c
+        step *= q
+        step *= 2.0
+        step /= slope
+        ui -= step
+    np.sin(ph, out=ph)
+    ph *= math.sqrt(2.0 * E)
+    if bc is PERIODIC:
+        u[m + 1:] = u[n - m - 1::-1]
+        np.negative(du[n - m - 1::-1], out=du[m + 1:])
+    return u, du
+
+
+def _sample_phases(step: float, start: np.ndarray, half: np.ndarray, phi: np.ndarray,
+                   x: np.ndarray, X: float, g: np.ndarray, f: np.ndarray,
+                   ph: np.ndarray, u: np.ndarray) -> None:
+    """Write into ph[i] the phi with x(phi) = (i + 1) step, and into u[i]
+    f_E there, from x, its integrand g and f_E at the graded panels' nodes.
+
+    Each sample is interpolated from the _WINDOW nodes of its panel nearest
+    its linear-interpolation start, by the barycentric formula in the
+    panel's own coordinate tau; _PHASE_NEWTONS Newton steps in tau follow.
+    Samples go in blocks of _BLOCK, and r holds tau - t_k or the weights
+    w_k / (tau - t_k) in turn, so the (block, _WINDOW) arrays stay small.
+    """
+    t, _, _, windows, bary = _panel_tables()
+    x_table = np.concatenate([[0.0], x, [X]])
+    phi_table = np.concatenate([[0.0], phi, [math.pi]])
+    xw, gw, fw = (sliding_window_view(v, _WINDOW) for v in (x, g, f))
+    for b in range(0, len(ph), _BLOCK):
+        target = np.arange(b + 1, b + 1 + len(ph[b:b + _BLOCK])) * step
+        tau = np.interp(target, x_table, phi_table)
+        p = np.searchsorted(start, tau, side="right") - 1
+        tau -= start[p]
+        tau /= half[p]
+        tau -= 1.0
+        first = np.searchsorted(t, tau) - _WINDOW // 2
+        np.minimum(np.maximum(first, 0, out=first), _GL_PANEL - _WINDOW, out=first)
+        rows = _GL_PANEL * p + first
+        wk, xk, gk = bary[first], xw[rows], gw[rows]
+        r = np.subtract(tau[:, None], windows[first])
+        for newton in range(_PHASE_NEWTONS + 1):
+            r[r == 0.0] = 1e-200  # on a node: that node's weight dominates
+            np.divide(wk, r, out=r)
+            if newton == _PHASE_NEWTONS:
+                break
+            dtau = ((np.einsum("ij,ij->i", r, xk) - target * r.sum(axis=1))
+                    / (half[p] * np.einsum("ij,ij->i", r, gk)))
+            tau -= dtau
+            np.divide(wk, r, out=r)
+            r -= dtau[:, None]
+        del xk, gk  # before the f_E gather: at most four block arrays at once
+        u[b:b + _BLOCK] = np.einsum("ij,ij->i", r, fw[rows]) / r.sum(axis=1)
+        ph[b:b + _BLOCK] = start[p] + half[p] * (tau + 1.0)
 
 
 def _simpson(y: np.ndarray, dx: float) -> float:
@@ -311,14 +446,14 @@ def instanton(pot: LocalPotential, L: float, bc: BoundaryCondition,
 
     Solves T(E*) = 2L (Neumann half orbit) or T(E*) = L (periodic full orbit)
     by one bisection step inside the bracket of the monotone period map,
-    then Newton using dT/dE, and integrates u'' = U'(u) from (u2(E*), 0)
-    with RK4.  The bracket periods at 1e-13 E0 and E0 (1 - 2^-j) are
-    computed once per potential (_bracket_period).  Every other energy gets
-    one root solve: its turning points once, and the orbit nodes once for T
-    and T' together.  Newton narrows the bracket by the sign of each
-    T - target, bisects it when a step leaves it, and stops on a small step
-    or on T within 4 ulps of the target; NotMonotone if 40 steps do not
-    converge.  QuadratureNotConverged names bc and L when L is so long that
+    then Newton using dT/dE, and samples the orbit at E* from (u2(E*), 0)
+    through its phi-parametrization (_orbit_profile).  The bracket periods
+    at 1e-13 E0 and E0 (1 - 2^-j) are computed once per potential
+    (_bracket_period).  Every other energy gets one root solve: its turning
+    points once, and the orbit nodes once for T and T' together.  Newton
+    narrows the bracket by the sign of each T - target, bisects it when a
+    step leaves it, and stops on a small step or on T within 4 ulps of the
+    target; NotMonotone if 40 steps do not converge.  QuadratureNotConverged names bc and L when L is so long that
     T(E) is needed closer to E0 than the period quadrature converges
     (quartic(): periodic L > 28.2, Neumann L > 14.1).
     """
@@ -330,7 +465,7 @@ def instanton(pot: LocalPotential, L: float, bc: BoundaryCondition,
     except QuadratureNotConverged as exc:
         raise QuadratureNotConverged(f"{bc.value} L = {L} is too long for the period "
                                      f"quadrature, which fails near E0: {exc}") from exc
-    u, v = _rk4_profile(pot, u2, L, n_samples)
+    u, v = _orbit_profile(pot, E, (u2, u3), bc, n_samples)
     x = np.linspace(0.0, L, n_samples + 1)
     energy_density = 0.5 * v ** 2 + pot.derivative(u, 0)
     V_value = _simpson(energy_density, L / n_samples)

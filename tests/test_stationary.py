@@ -5,11 +5,12 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ellipj, ellipk
 
 from kramers_spde import (EnergyOutOfRange, InstantonProfile, LocalPotential, NEUMANN,
                           NoInstanton, NotMonotone, PERIODIC, QuadratureNotConverged,
-                          barrier_height, dT_dE, instanton, period_T, stationary,
-                          turning_points)
+                          barrier_height, dT_dE, instanton, period_T, potential,
+                          stationary, turning_points)
 from kramers_spde.kramers import c4
 
 # U = -u^2/2 + u^3/8 + u^4/16 + u^6/16: asymmetric, sextic, and its shallower
@@ -17,6 +18,7 @@ from kramers_spde.kramers import c4
 # every bracket energy of instanton
 SAME_CAP = LocalPotential.from_coefficients([0, 0, -0.5, 0.125, 0.0625, 0, 0.0625],
                                             normalize=False)
+ASYMMETRIC = LocalPotential.from_coefficients([0, 0, -0.5, 0.1, 0.25])
 
 
 def quartic_turning_oracle(E):
@@ -331,7 +333,7 @@ def test_instanton_energy_matches_reference_solve(pot, bc, L, monkeypatch):
 def test_instanton_root_solves_counted(pot, monkeypatch):
     assert SAME_CAP.orbit_energy_cap == pot.orbit_energy_cap
     solve_turning, solve_period = stationary.turning_points, stationary.period_T
-    solve_nodes = stationary._orbit_nodes
+    solve_roots = stationary._orbit_roots
     turning_calls, period_calls = [], []
 
     def counted_turning(p, E):
@@ -342,13 +344,13 @@ def test_instanton_root_solves_counted(pot, monkeypatch):
         period_calls.append((p.coefficients, E))
         return solve_period(p, E, *args, **kwargs)
 
-    def checked_nodes(p, E, turning, ns):
+    def checked_roots(p, E, turning, *nodes):
         assert turning == solve_turning(p, E)  # the roots passed are this energy's
-        return solve_nodes(p, E, turning, ns)
+        return solve_roots(p, E, turning, *nodes)
 
     monkeypatch.setattr(stationary, "turning_points", counted_turning)
     monkeypatch.setattr(stationary, "period_T", counted_period)
-    monkeypatch.setattr(stationary, "_orbit_nodes", checked_nodes)
+    monkeypatch.setattr(stationary, "_orbit_roots", checked_roots)
     stationary._bracket_period.cache_clear()
     for L in (3.5, 4.5, 6.0):
         for p in (pot, SAME_CAP):
@@ -367,16 +369,84 @@ def test_instanton_root_solves_counted(pot, monkeypatch):
                                    (PERIODIC, 6.5), (PERIODIC, 9.0), (PERIODIC, 12.3)])
 def test_instanton_orbit_node_solves_within_budget(pot, bc, L, monkeypatch):
     # a work count, not a wall time: with the bracket periods cached, one
-    # bisection step and Newton need at most 8 orbit-node solves per instanton
+    # bisection step, Newton and the sampler's node solve at E* need at
+    # most 8 orbit-node solves per instanton
     instanton(pot, L, bc, n_samples=256)  # caches the bracket periods
-    solve, calls = stationary._orbit_nodes, []
+    solve, calls = stationary._orbit_roots, []
 
     def counted(*args):
         calls.append(args[1])
         return solve(*args)
-    monkeypatch.setattr(stationary, "_orbit_nodes", counted)
+    monkeypatch.setattr(stationary, "_orbit_roots", counted)
     instanton(pot, L, bc, n_samples=256)
     assert 1 <= len(calls) <= 8
+
+
+@pytest.mark.parametrize("bc, L", [(NEUMANN, 3.2), (NEUMANN, 6.2), (PERIODIC, 9.0),
+                                   (PERIODIC, 12.3)])
+def test_warm_instanton_scalar_horner_calls_within_budget(pot, bc, L, monkeypatch):
+    # the turning-point solves are the only scalar work; the samples come
+    # from vectorized solves on the orbit map, not a step-by-step integration
+    instanton(pot, L, bc)  # caches the bracket periods
+    horner, calls = potential.horner, []
+
+    def counted(coef, u):
+        calls.append(u)
+        return horner(coef, u)
+    monkeypatch.setattr(stationary, "horner", counted)
+    monkeypatch.setattr(potential, "horner", counted)
+    instanton(pot, L, bc)
+    assert 1 <= len(calls) <= 2000
+
+
+def _jacobi_instanton(L, bc, n):
+    """quartic()'s instanton in closed form at x = j L / n: u* =
+    sqrt(2m/(1+m)) sn((x - L/q)/sqrt(1+m) | m) with q K(m) sqrt(1+m) = L,
+    q = 2 (Neumann) or 4 (periodic); m by bisection to the last bit."""
+    q = 2 if bc is NEUMANN else 4
+    lo, hi = 0.0, 1.0
+    while True:
+        m = 0.5 * (lo + hi)
+        if m in (lo, hi):
+            break
+        if q * ellipk(m) * math.sqrt(1.0 + m) > L:
+            hi = m
+        else:
+            lo = m
+    s = math.sqrt(1.0 + m)
+    sn, cn, dn, _ = ellipj((np.linspace(0.0, L, n + 1) - L / q) / s, m)
+    amp = math.sqrt(2.0 * m / (1.0 + m))
+    return amp * sn, amp * cn * dn / s
+
+
+@pytest.mark.parametrize("bc, L, tol", [
+    (NEUMANN, 3.3, 2e-14), (NEUMANN, 4.5, 2e-14), (NEUMANN, 6.2, 2e-14),
+    (PERIODIC, 6.6, 2e-14), (PERIODIC, 9.0, 2e-14), (PERIODIC, 12.4, 2e-14),
+    # near E0 what is left is E*'s own error
+    (NEUMANN, 14.0, 1e-9), (PERIODIC, 28.0, 1e-9)])
+def test_instanton_samples_match_jacobi_closed_form(pot, bc, L, tol):
+    prof = instanton(pot, L, bc)
+    u, du = _jacobi_instanton(L, bc, prof.n_samples)
+    assert np.abs(prof.u - u).max() <= tol
+    assert np.abs(prof.du - du).max() <= tol
+
+
+@pytest.mark.parametrize("n", [256, 1023, 1024, 4096])
+@pytest.mark.parametrize("which", ["quartic", "asymmetric"])
+@pytest.mark.parametrize("bc, L", [(NEUMANN, 4.5), (PERIODIC, 9.0)])
+def test_instanton_sample_structure(pot, which, bc, L, n):
+    # the periodic profile is its half orbit mirrored, bit for bit, for odd
+    # n too; both ends of a half orbit are turning points (u' = 0); every
+    # sample lies on the level set H = E to roundoff
+    p = pot if which == "quartic" else ASYMMETRIC
+    prof = instanton(p, L, bc, n_samples=n)
+    assert prof.du[0] == 0.0
+    if bc is PERIODIC:
+        assert np.array_equal(prof.u, prof.u[::-1])
+        assert np.array_equal(prof.du, -prof.du[::-1])
+    else:
+        assert abs(prof.du[-1]) <= 1e-14
+    assert prof.first_integral_variation() <= 1e-14 * prof.E
 
 
 def test_instanton_bracket_refusals(pot, monkeypatch):
