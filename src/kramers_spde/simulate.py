@@ -34,7 +34,8 @@ from .spectral import (BoundaryCondition, FourierState, TransformPlan,
                        default_grid_size, mode_frequencies, next_fast_len, sup_dist)
 
 _MASK64 = (1 << 64) - 1
-_BLOCK_CHECKS = 64  # noise-block size in units of check_every
+_WINDOW_BYTES = 1 << 20  # a batch's window of normals, all live rows together
+_MAX_WINDOW_CHECKS = 64
 _MATRIX_MAX_D = 32  # largest cutoff whose engine transforms run as matrix products
 
 
@@ -133,16 +134,18 @@ class _Engine:
     200 replicas: 1.41 ms against 1.30 ms on a quiet host, 22.6 ms against
     1.07 ms while another process held one core.
 
-    step() writes into a caller's buffer and works in scratch buffers the
-    engine owns (the transform's work buffer, the grid values of U', the
-    noise term), grown to the widest batch seen, so a batch step allocates
-    nothing but the FFTs' outputs.  Its arithmetic is the textbook update
-    (y + dt N + sqrt(2 eps dt) xi) / (1 + nu dt), or
+    step() takes the scaled noise increment dw = increments(xi), so a
+    caller scales a whole window of normals in one call; the products are
+    the same ones either way.  It writes into a caller's buffer and works
+    in scratch buffers the engine owns (the transform's work buffer, the
+    grid values of U', the linear term), grown to the widest batch seen, so
+    a batch step allocates nothing but the FFTs' outputs.  Its arithmetic
+    is the textbook update (y + dt N + sqrt(2 eps dt) xi) / (1 + nu dt), or
     e^{-nu dt} y + phi1(nu dt) dt N + sd xi, in that order of operations,
     with N = -analyze(U'(synthesize(y))) and U' by Horner.  So a replica's
-    trajectory is the same to the bit whatever the buffers; folding dt or
-    the denominators into the transform matrices would change the roundoff
-    and move hits by a check.
+    trajectory is the same to the bit whatever the buffers or the window of
+    normals; folding dt or the denominators into the transform matrices
+    would change the roundoff and move hits by a check.
     """
 
     def __init__(self, cfg: SimConfig, nonlinear: bool = True):
@@ -155,6 +158,7 @@ class _Engine:
             self.plan, self.ref_plan = _MatrixForm(self.plan), _MatrixForm(self.ref_plan)
         self.nu = mode_frequencies(cfg.bc, cfg.L, cfg.d)
         self.nonlinear = nonlinear
+        self._transform = nonlinear and cfg.d > 0
         self._dU = pot._deriv_scalar[1]
         self._rows = 0
         start_u = pot.u_minus if cfg.start_well == "minus" else pot.u_plus
@@ -165,10 +169,11 @@ class _Engine:
         self.target_ends = self.ref_plan.endpoint_values(tgt)
         self.target_grid_mean = tgt[0]
         dt = cfg.dt
-        self.noise_base = math.sqrt(2.0 * cfg.eps * dt)
-        if cfg.scheme == "semi_implicit":
+        self._implicit = cfg.scheme == "semi_implicit"
+        if self._implicit:
             self.denom = 1.0 + self.nu * dt
             self._drift_mul = -dt  # dt N = -dt analyze(U'(u)) to the bit: negation is exact
+            self._noise_scale = math.sqrt(2.0 * cfg.eps * dt)
         else:
             em = np.exp(-self.nu * dt)
             self.exp_mul = em
@@ -180,48 +185,52 @@ class _Engine:
                                cfg.eps * (-np.expm1(-2.0 * self.nu * dt))
                                / np.where(small, 1.0, self.nu))
             self._drift_mul = -self.phi1dt
-            self.noise_std = np.sqrt(var)
+            self.noise_std = self._noise_scale = np.sqrt(var)
 
-    def _scratch(self, rows: int) -> None:
-        if rows > self._rows:
-            self._rows = rows
-            self._work = self.plan.work(rows)
-            self._grid = np.empty((rows, self.plan.n))
-            self._term = np.empty((rows, len(self.nu)))
+    def _grow(self, rows: int) -> None:
+        self._rows = rows
+        self._work = self.plan.work(rows)
+        self._grid = np.empty((rows, self.plan.n))
+        self._term = np.empty((rows, len(self.nu)))
 
     def potential_gradient(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         """analyze(U'(synthesize(y))) into out: minus the nonlinear drift N."""
         k = len(y)
-        self._scratch(k)
-        if not self.nonlinear:
+        if k > self._rows:
+            self._grow(k)
+        if self._transform:
+            u = self.plan.synthesize(y, self._work)
+            self.plan.analyze(horner_into(self._dU, u, self._grid[:k]), out=out)
+        elif not self.nonlinear:
             out.fill(0.0)
-        elif self.cfg.d == 0:  # constant field: the transform collapses
+        else:  # d = 0, a constant field: the transform collapses
             s = math.sqrt(self.cfg.L)
             x = np.divide(y, s, out=self._term[:k])
             horner_into(self._dU, x, out)
             out *= s
-        else:
-            u = self.plan.synthesize(y, self._work)
-            self.plan.analyze(horner_into(self._dU, u, self._grid[:k]), out=out)
         return out
 
-    def step(self, y: np.ndarray, xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The state after one step from y driven by the normals xi, written into out.
+    def increments(self, xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The noise increments of step() for the standard normals xi (last axis: coordinates):
+        sqrt(2 eps dt) xi, or the exponential scheme's per-mode sd times xi."""
+        return np.multiply(xi, self._noise_scale, out=out)
 
-        out (allocated when None) must not share memory with y or xi.
+    def step(self, y: np.ndarray, dw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The state after one step from y with the noise increments dw, written into out.
+
+        out (allocated when None) must not share memory with y or dw.
         """
         if out is None:
             out = np.empty(y.shape)
         self.potential_gradient(y, out)
         out *= self._drift_mul
-        term = self._term[: len(y)]
-        if self.cfg.scheme == "semi_implicit":
+        if self._implicit:
             out += y
-            out += np.multiply(xi, self.noise_base, out=term)
+            out += dw
             out /= self.denom
         else:
-            out += np.multiply(y, self.exp_mul, out=term)
-            out += np.multiply(xi, self.noise_std, out=term)
+            out += np.multiply(y, self.exp_mul, out=self._term[: len(y)])
+            out += dw
         return out
 
     def sup_to_target(self, y: np.ndarray) -> np.ndarray:
@@ -253,7 +262,7 @@ def step(state: FourierState, cfg: SimConfig, gaussians: np.ndarray) -> FourierS
     if gaussians.shape != state.coeffs.shape:
         raise ValueError("need one standard normal per stored coordinate")
     eng = _Engine(cfg)
-    out = eng.step(state.coeffs[None, :], gaussians[None, :])[0]
+    out = eng.step(state.coeffs[None, :], eng.increments(gaussians[None, :]))[0]
     if not np.all(np.isfinite(out)):
         raise NonFinite("state left the representable range (reduce dt?)")
     return state.with_coeffs(out)
@@ -272,10 +281,15 @@ def _run_batch(cfg: SimConfig, replica_indices: list[int]) -> list[TransitionSam
     """Samples of the given replicas, run side by side.
 
     The k live replicas are the first k rows of the state, of its swap
-    buffer and of the noise block, in replica order.  Each replica's block
-    of normals is contiguous, drawn in one call from its own stream; a hit
-    moves the later rows up in place.  Checks come every check_every steps
-    and at max_steps, where the run ends.
+    buffer and of the window of noise increments, in replica order.  A
+    window spans whole checks and holds about _WINDOW_BYTES for the k rows
+    of its draw (at least one check, at most _MAX_WINDOW_CHECKS), so memory
+    does not grow with the replica count beyond one check per replica.
+    Each replica fills its row in one call on its own stream, consumed in
+    order, and the window is scaled once; so the samples do not depend on
+    the window.  A hit moves the later rows up in one indexed copy.
+    Checks come every check_every steps and at max_steps, where the run
+    ends.
     """
     eng = _Engine(cfg)
     m = len(replica_indices)
@@ -283,15 +297,25 @@ def _run_batch(cfg: SimConfig, replica_indices: list[int]) -> list[TransitionSam
     order = np.arange(m)
     y = np.tile(eng.start, (m, 1))
     y_next = np.empty_like(y)
+    ncf = y.shape[1]
     max_steps = int(math.ceil(cfg.t_max / cfg.dt))
-    noise = np.empty((m, min(cfg.check_every * _BLOCK_CHECKS, max_steps), y.shape[1]))
+
+    def window(rows: int) -> int:
+        """Steps per window for rows live replicas: the whole checks that fit
+        _WINDOW_BYTES, at least one, at most _MAX_WINDOW_CHECKS and max_steps."""
+        checks = _WINDOW_BYTES // (8 * rows * ncf * cfg.check_every)
+        return min(cfg.check_every * min(max(checks, 1), _MAX_WINDOW_CHECKS), max_steps)
+
+    buf = np.empty(max(rows * window(rows) for rows in range(1, m + 1)) * ncf)
     results: dict[int, TransitionSample] = {}
     k = m
     step_no = 0
     while k and step_no < max_steps:
-        b = min(noise.shape[1], max_steps - step_no)
+        b = min(window(k), max_steps - step_no)
+        noise = buf[: k * b * ncf].reshape(k, b, ncf)
         for row in range(k):
-            gens[order[row]].standard_normal(out=noise[row, :b])
+            gens[order[row]].standard_normal(out=noise[row])
+        eng.increments(noise, out=noise)
         j = 0
         while j < b:
             for _ in range(min(cfg.check_every, b - j)):
@@ -312,8 +336,8 @@ def _run_batch(cfg: SimConfig, replica_indices: list[int]) -> list[TransitionSam
                         steps=step_no_check,
                         seed_used=_replica_key(cfg.seed, replica_indices[pos]))
                 kept = np.flatnonzero(~hit)
-                for row in range(int(np.argmax(hit)), len(kept)):
-                    noise[row, j:b] = noise[kept[row], j:b]
+                first = int(np.argmax(hit))
+                noise[first : len(kept), j:] = noise[kept[first:], j:]
                 k = len(kept)
                 y[:k] = live[kept]
                 order[:k] = order[kept]
@@ -383,7 +407,7 @@ def sample_path(cfg: SimConfig, n_steps: int, record_every: int = 1,
     y_next, xi = np.empty_like(y), np.empty_like(y)
     out = np.empty((n_steps // record_every, y.shape[1]))
     for i in range(n_steps):
-        eng.step(y, gen.standard_normal(out=xi), out=y_next)
+        eng.step(y, eng.increments(gen.standard_normal(out=xi), out=xi), out=y_next)
         y, y_next = y_next, y
         if (i + 1) % record_every == 0:
             out[(i + 1) // record_every - 1] = y[0]
@@ -436,7 +460,7 @@ def galerkin_error(cfg: SimConfig, d_list: list[int], T: float,
         for j in range(b):
             for e_i, eng in enumerate(engines):
                 nc = eng.nu.shape[0]
-                states[e_i] = eng.step(states[e_i], noise[j : j + 1, :nc])
+                states[e_i] = eng.step(states[e_i], eng.increments(noise[j : j + 1, :nc]))
         ref_state = FourierState(cfg.bc, cfg.L, d_ref, states[-1][0])
         for i, di in enumerate(d_list):
             st = FourierState(cfg.bc, cfg.L, di, states[i][0])

@@ -150,10 +150,16 @@ class TransformPlan:
         self.L = float(L)
         self.d = d
         self.n = int(n_grid)
+        n, L = self.n, self.L
+        # synthesize and analyze scales of coefficient 0 (Neumann: of every coefficient)
+        if bc is NEUMANN:
+            self._synth0, self._analyze0 = math.sqrt(n / L), math.sqrt(L / n)
+        else:
+            self._synth0, self._analyze0 = n / math.sqrt(L), math.sqrt(L) / n
         # periodic pairs (a_k, b_k) sit at (Re, Im) of rfft bin k, the b_k with a minus sign
         signs = np.tile([1.0, -1.0], d)
-        self._pair_synth = 0.5 * self.n * math.sqrt(2.0 / self.L) * signs
-        self._pair_analyze = math.sqrt(2.0 * self.L) / self.n * signs
+        self._pair_synth = 0.5 * n * math.sqrt(2.0 / L) * signs
+        self._pair_analyze = math.sqrt(2.0 * L) / n * signs
 
     def grid(self) -> np.ndarray:
         if self.bc is NEUMANN:
@@ -173,33 +179,39 @@ class TransformPlan:
         the spectrum of 2-D coeffs: only its first d+1 columns are written,
         so the rest stays zero.
         """
-        c = np.atleast_2d(np.asarray(coeffs, dtype=float))
-        n, L, d = self.n, self.L, self.d
+        c = np.asarray(coeffs, dtype=float)
+        one = c.ndim == 1
+        if one:
+            c = c[None]
+        d = self.d
         spec = self.work(*c.shape[:-1]) if work is None else work[: len(c)]
         if self.bc is NEUMANN:
-            np.multiply(c, math.sqrt(n / L), out=spec[..., : d + 1])
+            np.multiply(c, self._synth0, out=spec[..., : d + 1])
             out = idct(spec, type=2, norm="ortho", axis=-1)
         else:
             interleaved = spec.view(float)  # Re, Im of bin 0, then of bin 1, ...
-            np.multiply(c[..., 0], n / math.sqrt(L), out=interleaved[..., 0])
+            np.multiply(c[..., 0], self._synth0, out=interleaved[..., 0])
             np.multiply(c[..., 1:], self._pair_synth, out=interleaved[..., 2 : 2 * d + 2])
-            out = irfft(spec, n, axis=-1)
-        return out[0] if np.asarray(coeffs).ndim == 1 else out
+            out = irfft(spec, self.n, axis=-1)
+        return out[0] if one else out
 
     def analyze(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Coefficients of grid samples; out, if given, receives those of 2-D values."""
-        v = np.atleast_2d(np.asarray(values, dtype=float))
-        n, L, d = self.n, self.L, self.d
+        v = np.asarray(values, dtype=float)
+        one = v.ndim == 1
+        if one:
+            v = v[None]
+        d = self.d
         if out is None:
             out = np.empty((*v.shape[:-1], self.bc.n_coeffs(d)))
         if self.bc is NEUMANN:
             spec = dct(v, type=2, norm="ortho", axis=-1)
-            np.multiply(spec[..., : d + 1], math.sqrt(L / n), out=out)
+            np.multiply(spec[..., : d + 1], self._analyze0, out=out)
         else:
             interleaved = rfft(v, axis=-1).view(float)
-            np.multiply(interleaved[..., 0], math.sqrt(L) / n, out=out[..., 0])
+            np.multiply(interleaved[..., 0], self._analyze0, out=out[..., 0])
             np.multiply(interleaved[..., 2 : 2 * d + 2], self._pair_analyze, out=out[..., 1:])
-        return out[0] if np.asarray(values).ndim == 1 else out
+        return out[0] if one else out
 
     def endpoint_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Field values at x = 0 and x = L (off the Neumann midpoint grid)."""

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.fft import dct, idct, irfft, rfft
 
 from kramers_spde import (AllCensored, FourierState, NEUMANN, PERIODIC,
                           SimConfig, TransformPlan, galerkin_error, mc_stats,
                           oracle_identity_1d, oracle_mfpt_1d, quartic, reduced_potential_1d,
                           run_replicas, sample_path, sample_transition, step, sup_dist)
+from kramers_spde import simulate
 from kramers_spde.simulate import _Engine, _MatrixForm, _run_batch, _stats_from_samples
 from kramers_spde.spectral import default_grid_size
 
@@ -127,22 +129,27 @@ def test_engine_transforms_match_transform_plan(pot, bc, d):
 @given(bc=st.sampled_from([NEUMANN, PERIODIC]), L=st.floats(0.3, 20.0),
        d=st.integers(0, 32), n_extra=st.integers(0, 70), rows=st.integers(1, 64),
        seed=st.integers(0, 2**32 - 1))
+@example(bc=PERIODIC, L=1.0, d=26, n_extra=0, rows=1, seed=231)  # endpoint sum cancels
 def test_matrix_form_matches_transform_plan(bc, L, d, n_extra, rows, seed):
     # the engine's matrix products are the plan's transforms up to summation
-    # order, with and without the caller's buffers
+    # order, with and without the caller's buffers: each row within roundoff
+    # of its largest sum of term magnitudes, |input| @ |matrix|, which does
+    # not shrink when the terms cancel
     plan = TransformPlan(bc, L, d, 2 * d + 2 + n_extra)
     mat = _MatrixForm(plan)
     rng = np.random.default_rng(seed)
     y = rng.normal(size=(rows, bc.n_coeffs(d)))
     v = rng.normal(size=(rows, plan.n))
-    pairs = [(mat.synthesize(y), plan.synthesize(y)),
-             (mat.synthesize(y, mat.work(rows + 3)), plan.synthesize(y, plan.work(rows + 3))),
-             (mat.analyze(v), plan.analyze(v)),
-             (mat.analyze(v, np.empty_like(y)), plan.analyze(v, np.empty_like(y))),
-             (mat.endpoint_values(y), plan.endpoint_values(y))]
-    for got, want in pairs:
+    cases = [(mat.synthesize(y), plan.synthesize(y), y, mat._synth),
+             (mat.synthesize(y, mat.work(rows + 3)), plan.synthesize(y, plan.work(rows + 3)),
+              y, mat._synth),
+             (mat.analyze(v), plan.analyze(v), v, mat._proj),
+             (mat.analyze(v, np.empty_like(y)), plan.analyze(v, np.empty_like(y)), v, mat._proj),
+             (mat.endpoint_values(y), plan.endpoint_values(y), y, mat._ends)]
+    for got, want, x, matrix in cases:
         assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        terms = (np.abs(x) @ np.abs(matrix)).max(axis=1)
+        assert np.all(np.abs(got - want).max(axis=1) <= 32 * np.finfo(float).eps * terms)
 
 
 def _fresh_transforms(eng):
@@ -207,19 +214,22 @@ def test_step_is_the_reference_formula_bit_for_bit(bc, d, m, scheme, linear_only
     y = eng.start + gen.normal(scale=0.5, size=(m, bc.n_coeffs(d)))
     other = eng.start + gen.normal(scale=0.5, size=y.shape)  # another live state
     xi = gen.standard_normal(y.shape)
-    y0, other0, xi0 = y.copy(), other.copy(), xi.copy()
+    # step takes the scaled increment; the scaling is the reference formula's product
+    dw = (math.sqrt(2.0 * eps * dt) if scheme == "semi_implicit" else eng.noise_std) * xi
+    assert np.array_equal(eng.increments(xi), dw)
+    y0, other0, dw0 = y.copy(), other.copy(), dw.copy()
     want = _reference_step(eng, y, xi)
     # a fresh result, then one written into a stale buffer, then a step of
     # another state: none may change an earlier result or the inputs
-    fresh = eng.step(y, xi)
+    fresh = eng.step(y, dw)
     stale = np.full_like(y, np.nan)
-    assert eng.step(y, xi, out=stale) is stale
-    moved = eng.step(other, xi)
+    assert eng.step(y, dw, out=stale) is stale
+    moved = eng.step(other, dw)
     for got in (fresh, stale):
         assert np.array_equal(got, want)
         assert not np.shares_memory(got, y) and not np.shares_memory(got, moved)
     assert np.array_equal(moved, _reference_step(eng, other, xi))
-    assert np.array_equal(y, y0) and np.array_equal(other, other0) and np.array_equal(xi, xi0)
+    assert np.array_equal(y, y0) and np.array_equal(other, other0) and np.array_equal(dw, dw0)
 
 
 @settings(max_examples=15, deadline=None)
@@ -242,8 +252,8 @@ def test_sample_path_is_replica_zero_step_for_step(pot, monkeypatch, d, scheme):
     states = []
     engine_step = _Engine.step
 
-    def recording_step(self, y, xi, out=None):
-        out = engine_step(self, y, xi, out)
+    def recording_step(self, y, dw, out=None):
+        out = engine_step(self, y, dw, out)
         states.append(out[0].copy())
         return out
 
@@ -252,6 +262,37 @@ def test_sample_path_is_replica_zero_step_for_step(pot, monkeypatch, d, scheme):
     monkeypatch.undo()
     assert not sample.censored and len(states) == sample.steps
     assert np.array_equal(sample_path(cfg, sample.steps), np.array(states))
+
+
+@pytest.mark.parametrize("scheme", ["semi_implicit", "exponential"])
+@pytest.mark.parametrize("bc", [NEUMANN, PERIODIC])
+@pytest.mark.parametrize("d", [0, 15, 64])
+def test_samples_do_not_depend_on_the_noise_window(monkeypatch, d, bc, scheme):
+    # one-check windows, the default byte budget and 64-check windows draw
+    # each replica's stream in different pieces; hits inside a window move
+    # the later rows' increments up
+    cfg = SimConfig(pot=quartic(), bc=bc, L=1.0, d=d, eps=0.5, dt=1e-3, t_max=1.497,
+                    rho=1.5, seed=5, scheme=scheme)
+    default = _run_batch(cfg, list(range(8)))
+    hits = [s.steps for s in default if not s.censored]
+    assert len(set(hits)) >= 2 and min(hits) < 64 * cfg.check_every
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(simulate, "_WINDOW_BYTES", budget)
+        assert _run_batch(cfg, list(range(8))) == default
+
+
+def test_noise_window_memory_is_bounded(pot):
+    # every replica is censored at 700 steps, longer than a 64-check window;
+    # one check of normals for all 200 replicas is 2 MB
+    cfg = SimConfig(pot=pot, bc=PERIODIC, L=1.0, d=64, eps=1e-4, dt=1e-3, t_max=0.7)
+    tracemalloc.start()
+    try:
+        samples = run_replicas(cfg, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(s.censored and s.steps == 700 for s in samples)
+    assert peak <= 8e6
 
 
 def test_no_transition_recorded_after_t_max(pot):
