@@ -28,13 +28,18 @@ representative of the translation family, the half orbit mirrored).
 Root solves: each energy the E* solve visits gets one root solve, that is
 its turning points once and the orbit nodes f_E of the n and 2n node rules
 in one vectorized solve, shared by T and T' (a 4n rule only when a
-doubling check needs it).  Both root solves bisect only until Newton can
-finish: the orbit nodes take 16 halvings, then 4 Newton polishes; E* takes
-one bisection step inside its bracket, then Newton on T(E) - target.  The
-bracket periods, which do not depend on L, are computed once per potential
-(a functools.lru_cache keyed on the potential itself).  The roots are
-passed explicitly, so a public period_T or dT_dE call always solves its
-own.
+doubling check needs it).  Both solve -U(u) = E cos^2 phi in its monotone
+form -u sqrt(Q(u)) = sqrt(E) cos phi, Q = -U/u^2 (_sqrt_form), whose roots
+are simple also at u = 0, and bisect only until Newton can finish: 4
+halvings plus one per factor 4 that E0 - E falls below E0 (_halvings),
+then 3 Newton polishes on the sqrt form and a last one on -U(u) = E cos^2
+phi itself.  E* is found by Newton in s = log(E0 - E), where T is nearly
+linear, started from the inverse interpolant of the bracket periods; its
+residual T - target is one correctly rounded sum of the period's terms.
+The bracket periods, which do not depend on L, are computed once per
+potential (a functools.lru_cache keyed on the potential itself).  The
+roots are passed explicitly, so a public period_T or dT_dE call always
+solves its own.
 """
 
 from __future__ import annotations
@@ -51,11 +56,12 @@ from .potential import LocalPotential, horner, horner_into
 from .spectral import BoundaryCondition, NEUMANN, PERIODIC
 
 _GL_PANEL = 64
-# The orbit nodes bisect _ORBIT_HALVINGS times, which starts Newton close
-# enough that _ORBIT_POLISHES steps reach the root's last bits (12 halvings
-# do not).
-_ORBIT_HALVINGS = 16
-_ORBIT_POLISHES = 4
+# Root solves of the sqrt form bisect _HALVINGS times (more near E0, see
+# _halvings), which starts Newton close enough that _POLISHES steps on the
+# sqrt form and a last one on -U(u) = E cos^2 phi itself reach the root's
+# last bits (the sqrt form's own residual is about 3 times noisier near the
+# turning points).
+_HALVINGS, _POLISHES = 4, 3
 _N0, _RTOL, _N_MAX = 128, 1e-8, 8192  # _doubling: first rule, relative change, last rule
 _WINDOW, _BLOCK = 12, 512  # _sample_phases: interpolation nodes, samples per block
 _PHASE_NEWTONS, _U_POLISHES = 2, 2  # Newton steps per sample: phi, then u
@@ -86,31 +92,52 @@ def _check_energy(pot: LocalPotential, E: float) -> float:
     return E0
 
 
+def _sqrt_form(pot: LocalPotential) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Descending Horner tables of Q(u) = -U(u)/u^2 and Q'(u).
+
+    Q is a polynomial (U(0) = U'(0) = 0) and positive on [u_-, u_+], so
+    -U(u) = E cos^2 phi on the half orbit is -u sqrt(Q(u)) = sqrt(E) cos phi,
+    whose left side decreases on [u_-, u_+]: one root for every phi in
+    [0, pi], the turning points at phi = 0 and pi, and a simple root at
+    u = 0 (phi = pi/2), where -U(u) = E cos^2 phi has a double one.
+    """
+    Q = tuple(-c for c in pot.coefficients[:1:-1])
+    return Q, tuple(c * k for c, k in zip(Q, range(len(Q) - 1, 0, -1)))
+
+
+def _halvings(E: float, E0: float) -> int:
+    """Bisection halvings before Newton can finish a root of the sqrt form.
+
+    Near E0 the turning points approach a well's minimum, where the form's
+    slope vanishes like sqrt(E0 - E); Newton's reach shrinks with it, so
+    one more halving per factor 4 in E0 - E.
+    """
+    return _HALVINGS + math.ceil(0.5 * math.log2(E0 / (E0 - E)))
+
+
 def turning_points(pot: LocalPotential, E: float) -> tuple[float, float]:
-    """Inner roots u2 < 0 < u3 of U(u) = -E, by bracketed bisection + Newton."""
-    _check_energy(pot, E)
+    """Inner roots u2 < 0 < u3 of U(u) = -E: the roots of -u sqrt(Q(u)) =
+    +-sqrt(E) on [u_-, u_+] (_sqrt_form), by _halvings bisection halvings
+    and _POLISHES Newton steps, and a last Newton step on U(u) + E."""
+    E0 = _check_energy(pot, E)
     E = float(E)
+    Q, dQ = _sqrt_form(pot)
     d0, d1 = pot._deriv_scalar[0], pot._deriv_scalar[1]
+    halvings = _halvings(E, E0)
 
-    def solve(a: float, b: float) -> float:
-        f = lambda u: horner(d0, u) + E
-        fa = f(a)
-        for _ in range(90):
-            m = 0.5 * (a + b)
-            fm = f(m)
-            if fa * fm <= 0.0:
-                b = m
-            else:
-                a, fa = m, fm
-        r = 0.5 * (a + b)
-        for _ in range(4):
-            fp = horner(d1, r)
-            if fp == 0.0:
-                break
-            r -= f(r) / fp
-        return r
+    def solve(c: float) -> float:
+        # g(u) = u sqrt(Q(u)) + c increases: the root lies below u where g(u) > 0
+        u, w = 0.5 * (pot.u_minus + pot.u_plus), 0.25 * (pot.u_plus - pot.u_minus)
+        for _ in range(halvings):
+            u -= math.copysign(w, u * math.sqrt(horner(Q, u)) + c)
+            w *= 0.5
+        for _ in range(_POLISHES):
+            q = horner(Q, u)
+            root_q = math.sqrt(q)
+            u -= 2.0 * (u * root_q + c) * root_q / (2.0 * q + u * horner(dQ, u))
+        return u - (horner(d0, u) + E) / horner(d1, u)
 
-    return solve(pot.u_minus, 0.0), solve(pot.u_plus, 0.0)
+    return solve(math.sqrt(E)), solve(-math.sqrt(E))
 
 
 def _orbit_nodes(pot: LocalPotential, E: float, turning: tuple[float, float],
@@ -118,76 +145,117 @@ def _orbit_nodes(pot: LocalPotential, E: float, turning: tuple[float, float],
     """f_E(phi) at the nodes of each rule n in ns, in one _orbit_roots solve
     over the rules' concatenated nodes."""
     rules = [_gl_nodes(n) for n in ns]
-    f = _orbit_roots(pot, E, turning, np.concatenate([r[0] for r in rules]),
-                     np.concatenate([r[2] for r in rules]))
+    f = _orbit_roots(pot, E, turning, np.concatenate([r[2] for r in rules]))
     splits = np.cumsum([len(r[0]) for r in rules])[:-1]
     return dict(zip(ns, np.split(f, splits)))
 
 
 def _orbit_roots(pot: LocalPotential, E: float, turning: tuple[float, float],
-                 phi: np.ndarray, cos_phi: np.ndarray) -> np.ndarray:
-    """f_E(phi) on the half orbit: -U(f) = E cos^2 phi, f in [u2, 0] for
-    phi < pi/2 and in [0, u3] above.
+                 cos_phi: np.ndarray) -> np.ndarray:
+    """f_E(phi) on the half orbit: the root in [u2, u3] of -u sqrt(Q(u)) =
+    sqrt(E) cos phi (_sqrt_form), that is -U(f) = E cos^2 phi with f in
+    [u2, 0] for phi < pi/2 and in [0, u3] above.
 
-    One vectorized bisection on the monotone brackets [u2, 0] and [0, u3]
-    (_ORBIT_HALVINGS halvings, then _ORBIT_POLISHES Newton polishes).  The
-    counts are fixed and the arithmetic is elementwise, so each node gets
-    the same bits whichever nodes it is solved with.
+    One vectorized bisection on [u2, u3] (_halvings halvings), then
+    _POLISHES Newton polishes, and a last one on -U(f) = E cos^2 phi itself
+    (no node lies at pi/2, so U'(f) != 0).  The counts depend on E alone
+    and the arithmetic is elementwise, so each node gets the same bits
+    whichever nodes it is solved with.
     """
-    target = E * cos_phi ** 2
-    left = phi < 0.5 * math.pi
-    lo = np.where(left, turning[0], 0.0)
-    hi = np.where(left, 0.0, turning[1])
-    # -U is decreasing on [u2,0] and increasing on [0,u3], so the root lies
-    # above mid where (U(mid) + target) * side > 0, side = -1 left, +1 right
-    side = np.where(left, -1.0, 1.0)
-    mid, g = np.empty_like(phi), np.empty_like(phi)
-    go_right, go_left = np.empty(len(phi), bool), np.empty(len(phi), bool)
-    d0 = pot._deriv_scalar[0]
-    for _ in range(_ORBIT_HALVINGS):
-        np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)
-        np.add(horner_into(d0, mid, g), target, out=g)
-        np.greater(np.multiply(g, side, out=g), 0.0, out=go_right)
-        np.logical_not(go_right, out=go_left)
-        np.copyto(lo, mid, where=go_right)
-        np.copyto(hi, mid, where=go_left)
-    f = 0.5 * (lo + hi)
-    for _ in range(_ORBIT_POLISHES):  # guarded against the U'(0) = 0 point
-        du = pot.derivative(f, 1)
-        safe = np.abs(du) > 1e-14
-        step = np.where(safe, (-pot.derivative(f, 0) - target) / np.where(safe, -du, 1.0), 0.0)
-        f = f - step
-    return f
+    Q, dQ = _sqrt_form(pot)
+    c = math.sqrt(E) * cos_phi
+    u2, u3 = turning
+    u, w = np.full_like(c, 0.5 * (u2 + u3)), 0.25 * (u3 - u2)
+    g = np.empty_like(c)
+    for _ in range(_halvings(E, pot.orbit_energy_cap)):
+        # g = u sqrt(Q(u)) + c increases: the root lies below u where g > 0
+        np.sqrt(horner_into(Q, u, g), out=g)
+        g *= u
+        g += c
+        u -= np.copysign(w, g, out=g)
+        w *= 0.5
+    _polish(Q, dQ, c, u, _POLISHES)
+    u -= (pot.derivative(u, 0) + E * cos_phi ** 2) / pot.derivative(u, 1)
+    return u
 
 
-def _period_integral(pot: LocalPotential, E: float, n: int, f: np.ndarray,
-                     derivative: bool) -> float:
+def _polish(Q: tuple[float, ...], dQ: tuple[float, ...], c: np.ndarray, u: np.ndarray,
+            steps: int) -> None:
+    """steps Newton steps on u sqrt(Q(u)) + c = 0, in place on u."""
+    q, slope, step = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    for _ in range(steps):
+        # h = u sqrt(Q) + c, h' = (2Q + u Q') / (2 sqrt(Q)): u -= h / h'
+        horner_into(dQ, u, slope)
+        slope *= u
+        slope += 2.0 * horner_into(Q, u, q)
+        np.sqrt(q, out=q)
+        np.multiply(u, q, out=step)
+        step += c
+        step *= q
+        step *= 2.0
+        step /= slope
+        u -= step
+
+
+@lru_cache(maxsize=64)
+def _slope_numerator(pot: LocalPotential) -> tuple[float, ...]:
+    """Descending Horner table of U'^2 - 2 U U'', the numerator of dT/dE's
+    integrand.  Its u^2 terms cancel exactly; formed from U', U and U'' at
+    the nodes instead, it would keep only eps / f^2 of its value, too little
+    for the doubling check once E < 1e-11."""
+    P = np.polynomial.polynomial
+    U = np.asarray(pot.coefficients)
+    dU = P.polyder(U)
+    return tuple(float(c) for c in P.polysub(P.polymul(dU, dU),
+                                             2.0 * P.polymul(U, P.polyder(U, 2)))[::-1])
+
+
+def _period_terms(pot: LocalPotential, E: float, n: int, f: np.ndarray,
+                  derivative: bool) -> np.ndarray:
+    """The n terms whose sum is T(E) (derivative False) or T'(E) (True) on
+    the n-node rule, at its orbit nodes f.
+
+    T's integrand sqrt(2E) cos phi / U'(f) is evaluated as -sqrt(2 Q(f)) /
+    R(f), R = U'/u, by -f sqrt(Q(f)) = sqrt(E) cos phi: each term rounds on
+    its own, where one rounding of a common factor sqrt(2E) would shift
+    them all alike (up to 0.4 ulp of T, 10 ulps of E* at E = 0.06).
+    """
     _, w, c = _gl_nodes(n)
-    du = pot.derivative(f, 1)
-    if not derivative:
-        vals = math.sqrt(2.0 * E) * c / du
+    if derivative:
+        du = pot.derivative(f, 1)
+        vals = horner_into(_slope_numerator(pot), f, np.empty_like(f))
+        vals *= c
+        vals /= math.sqrt(2.0 * E) * du ** 2 * du  # not ** 3: libm pow
     else:
-        expr = du ** 2 - 2.0 * pot.derivative(f, 0) * pot.derivative(f, 2)
-        vals = expr * c / (math.sqrt(2.0 * E) * du ** 3)
-    return 2.0 * float(np.sum(w * vals))
+        vals = np.sqrt(2.0 * horner_into(_sqrt_form(pot)[0], f, np.empty_like(f)))
+        vals /= horner_into(pot._deriv_scalar[1][:-1], f, np.empty_like(f))
+        np.negative(vals, out=vals)
+    vals *= w
+    vals *= 2.0
+    return vals
 
 
 def _doubling(pot: LocalPotential, E: float, turning: tuple[float, float],
-              derivatives: tuple[bool, ...]) -> list[float]:
-    """T(E) (derivative False) or T'(E) (True) for each entry, by node doubling.
+              derivatives: tuple[bool, ...], target: float = 0.0) -> list[float]:
+    """T(E) - target (derivative False) or T'(E) (True) for each entry, by
+    node doubling.
 
     All of them share the orbit nodes at this E: the _N0 and 2 _N0 rules are
-    solved together, a finer rule only when a doubling check needs it.
+    solved together, a finer rule only when a doubling check needs it.  The
+    doubling checks sum with np.sum; a T entry is then summed once more, with
+    -target, in one correctly rounded math.fsum: T itself to its last bit,
+    and for the E* solve a residual finer than T's own ulp.
     """
     nodes = _orbit_nodes(pot, E, turning, (_N0, 2 * _N0))
     values = []
     for derivative in derivatives:
-        prev = _period_integral(pot, E, _N0, nodes[_N0], derivative)
+        prev = float(np.sum(_period_terms(pot, E, _N0, nodes[_N0], derivative)))
         n = 2 * _N0
         while n <= _N_MAX:
             if n not in nodes:
                 nodes.update(_orbit_nodes(pot, E, turning, (n,)))
-            cur = _period_integral(pot, E, n, nodes[n], derivative)
+            terms = _period_terms(pot, E, n, nodes[n], derivative)
+            cur = float(np.sum(terms))
             rel = abs(cur - prev) / max(abs(cur), 1e-300)
             if rel <= _RTOL:
                 break
@@ -198,7 +266,7 @@ def _doubling(pot: LocalPotential, E: float, turning: tuple[float, float],
                 raise QuadratureNotConverged(
                     f"period quadrature not converged at {_N_MAX} nodes "
                     f"(rel change {rel:.2e})")
-        values.append(cur)
+        values.append(cur if derivative else math.fsum([*terms.tolist(), -target]))
     return values
 
 
@@ -343,7 +411,7 @@ def _orbit_profile(pot: LocalPotential, E: float, turning: tuple[float, float],
     start, half, phi = _graded_panels(levels)
     _, w, S, _, _ = _panel_tables()
     cos_phi = np.cos(phi)
-    f = _orbit_roots(pot, E, turning, phi, cos_phi)
+    f = _orbit_roots(pot, E, turning, cos_phi)
     g = (math.sqrt(2.0 * E) * cos_phi / pot.derivative(f, 1)).reshape(len(start), -1)
     # einsum, not BLAS: the small-matrix kernels would add to the resident set
     panel = half * np.einsum("pj,j->p", g, w)
@@ -360,23 +428,9 @@ def _orbit_profile(pot: LocalPotential, E: float, turning: tuple[float, float],
     inner = slice(1, m if end else m + 1)
     ui, ph = u[inner], du[inner]
     _sample_phases(X / span, start, half, phi, x.ravel(), X, g.ravel(), f, ph, ui)
-    Q = tuple(-c for c in pot.coefficients[:1:-1])  # descending, like horner's tables
-    dQ = tuple(c * k for c, k in zip(Q, range(len(Q) - 1, 0, -1)))
     c = np.cos(ph)
     c *= math.sqrt(E)
-    q, slope, step = np.empty_like(ui), np.empty_like(ui), np.empty_like(ui)
-    for _ in range(_U_POLISHES):
-        # h = -u sqrt(Q) - c, h' = -(2Q + u Q') / (2 sqrt(Q)): u -= h / h'
-        horner_into(dQ, ui, slope)
-        slope *= ui
-        slope += 2.0 * horner_into(Q, ui, q)
-        np.sqrt(q, out=q)
-        np.multiply(ui, q, out=step)
-        step += c
-        step *= q
-        step *= 2.0
-        step /= slope
-        ui -= step
+    _polish(*_sqrt_form(pot), c, ui, _U_POLISHES)
     np.sin(ph, out=ph)
     ph *= math.sqrt(2.0 * E)
     if bc is PERIODIC:
@@ -445,17 +499,19 @@ def instanton(pot: LocalPotential, L: float, bc: BoundaryCondition,
     """The n=1 transition-state profile for L above the bifurcation threshold.
 
     Solves T(E*) = 2L (Neumann half orbit) or T(E*) = L (periodic full orbit)
-    by one bisection step inside the bracket of the monotone period map,
-    then Newton using dT/dE, and samples the orbit at E* from (u2(E*), 0)
-    through its phi-parametrization (_orbit_profile).  The bracket periods
-    at 1e-13 E0 and E0 (1 - 2^-j) are computed once per potential
-    (_bracket_period).  Every other energy gets one root solve: its turning
-    points once, and the orbit nodes once for T and T' together.  Newton
-    narrows the bracket by the sign of each T - target, bisects it when a
-    step leaves it, and stops on a small step or on T within 4 ulps of the
-    target; NotMonotone if 40 steps do not converge.  QuadratureNotConverged names bc and L when L is so long that
-    T(E) is needed closer to E0 than the period quadrature converges
-    (quartic(): periodic L > 28.2, Neumann L > 14.1).
+    by Newton in s = log(E0 - E) inside the bracket of the monotone period
+    map, and samples the orbit at E* from (u2(E*), 0) through its
+    phi-parametrization (_orbit_profile).  The bracket periods at 1e-13 E0
+    and E0 (1 - 2^-j) are computed once per potential (_bracket_period);
+    Newton starts from the inverse interpolant of the last four of them in
+    s.  Every other energy gets one root solve: its turning points once,
+    and the orbit nodes once for T and T' together.  Newton narrows the
+    bracket by the sign of each T - target, bisects it when a step leaves
+    it, and stops on a step of at most 1e-10 E or on T within 4 ulps of the
+    target; NotMonotone if 40 steps do not converge.
+    QuadratureNotConverged names bc and L when L is so long that T(E) is
+    needed closer to E0 than the period quadrature converges (quartic():
+    from Neumann L = 14.16 and periodic L = 28.3 on, in steps of 0.02).
     """
     if L <= bc.bifurcation_length:
         raise NoInstanton(f"{bc.value} instantons exist only for "
@@ -480,46 +536,49 @@ def _instanton_energy(pot: LocalPotential, L: float,
     target = 2.0 * L if bc is NEUMANN else L
     E0 = pot.orbit_energy_cap
 
-    lo = 1e-13 * E0
-    if _bracket_period(pot, lo) >= target:
+    bracket = [(1e-13 * E0, _bracket_period(pot, 1e-13 * E0))]
+    if bracket[0][1] >= target:
         raise NotMonotone("period at the harmonic end already exceeds the target")
-    hi = None
     for j in range(1, 46):
         cand = E0 * (1.0 - 0.5 ** j)
-        if _bracket_period(pot, cand) > target:
-            hi = cand
+        bracket.append((cand, _bracket_period(pot, cand)))
+        if bracket[-1][1] > target:
             break
-        lo = cand
-    if hi is None:
-        raise NotMonotone("could not bracket T(E) = target below E0")
-
-    # one bisection step; Newton, kept inside the bracket, does the rest
-    mid = 0.5 * (lo + hi)
-    if period_T(pot, mid) > target:
-        hi = mid
     else:
-        lo = mid
-    E = 0.5 * (lo + hi)
+        raise NotMonotone("could not bracket T(E) = target below E0")
+    (lo, _), (hi, _) = bracket[-2:]
+
+    # Newton in s = log(E0 - E), where T is nearly linear, started from the
+    # inverse interpolant s(T) through the last (up to) four bracket periods
+    known = bracket[-4:]
+    s = math.fsum(math.log(E0 - Ek) * math.prod((target - Ti) / (Tk - Ti)
+                                                for i, (_, Ti) in enumerate(known) if i != k)
+                  for k, (Ek, Tk) in enumerate(known))
+    E = E0 - math.exp(s)
+    if not lo < E < hi:
+        E = 0.5 * (lo + hi)
     for _ in range(40):
         solved, turning = E, turning_points(pot, E)
-        T, slope = _doubling(pot, E, turning, (False, True))
-        if T > target:
-            hi = min(hi, E)
+        residual, slope = _doubling(pot, E, turning, (False, True), target)
+        if residual > 0.0:
+            hi = E
         else:
-            lo = max(lo, E)
+            lo = E
         # below E ~ 2e-6 the step test is out of reach; T itself then decides
-        close = abs(T - target) <= 4.0 * math.ulp(target)
-        step = (T - target) / slope
-        E -= step
-        if not lo * 0.5 <= E <= min(2.0 * hi, E0 * (1 - 1e-15)):
-            E = solved if close else 0.5 * (lo + hi)  # fall back inside the bracket
-        if close or abs(step) <= 1e-10 * E:
+        close = abs(residual) <= 4.0 * math.ulp(target)
+        # dT/ds = -(E0 - E) T'; every bracket spans less than 40 in s
+        ds = residual / (slope * (E0 - E))
+        step = (E0 - E) * math.expm1(ds) if abs(ds) < 40.0 else math.inf
+        E = solved - step
+        done = close or abs(step) <= 1e-10 * E
+        if not lo < E < hi:  # fall back inside the bracket
+            E = solved if done else 0.5 * (lo + hi)
+        if done:
             break
     else:
         raise NotMonotone(f"Newton solve of T(E) = {target:.17g} did not converge "
                           f"in 40 steps ({bc.value}, L = {L})")
 
-    # a zero last step (about one solve in five) leaves E at the solved energy
     return E, turning if E == solved else turning_points(pot, E)
 
 
