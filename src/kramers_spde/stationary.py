@@ -34,8 +34,9 @@ are simple also at u = 0, and bisect only until Newton can finish: 4
 halvings plus one per factor 4 that E0 - E falls below E0 (_halvings),
 then 3 Newton polishes on the sqrt form and a last one on -U(u) = E cos^2
 phi itself.  E* is found by Newton in s = log(E0 - E), where T is nearly
-linear, started from the inverse interpolant of the bracket periods; its
-residual T - target is one correctly rounded sum of the period's terms.
+linear, started from the inverse interpolant of the bracket periods at
+E0 2^-j and E0 (1 - 2^-j); its residual T - target is one correctly
+rounded sum of the period's terms.
 The bracket periods, which do not depend on L, are computed once per
 potential (a functools.lru_cache keyed on the potential itself).  The
 roots are passed explicitly, so a public period_T or dT_dE call always
@@ -62,6 +63,9 @@ _GL_PANEL = 64
 # last bits (the sqrt form's own residual is about 3 times noisier near the
 # turning points).
 _HALVINGS, _POLISHES = 4, 3
+# instanton's bracket energies, in units of E0 above 1e-13 E0: halving E
+# toward the harmonic end and E0 - E toward E0
+_RUNGS = tuple(0.5 ** j for j in range(5, 1, -1)) + tuple(1.0 - 0.5 ** j for j in range(1, 46))
 _N0, _RTOL, _N_MAX = 128, 1e-8, 8192  # _doubling: first rule, relative change, last rule
 _WINDOW, _BLOCK = 12, 512  # _sample_phases: interpolation nodes, samples per block
 _PHASE_NEWTONS, _U_POLISHES = 2, 2  # Newton steps per sample: phi, then u
@@ -284,8 +288,9 @@ def dT_dE(pot: LocalPotential, E: float) -> float:
 def _bracket_period(pot: LocalPotential, E: float) -> float:
     """period_T(pot, E) at one of instanton's bracket energies.
 
-    Those energies, 1e-13 E0 and E0 (1 - 2^-j), do not depend on L, so the
-    last 512 values are kept: a sweep over L brackets once per potential.
+    Those energies, 1e-13 E0 and the _RUNGS E0 2^-j and E0 (1 - 2^-j), do
+    not depend on L, so the last 512 values are kept: a sweep over L
+    brackets once per potential.
     """
     return period_T(pot, E)
 
@@ -501,14 +506,14 @@ def instanton(pot: LocalPotential, L: float, bc: BoundaryCondition,
     Solves T(E*) = 2L (Neumann half orbit) or T(E*) = L (periodic full orbit)
     by Newton in s = log(E0 - E) inside the bracket of the monotone period
     map, and samples the orbit at E* from (u2(E*), 0) through its
-    phi-parametrization (_orbit_profile).  The bracket periods at 1e-13 E0
-    and E0 (1 - 2^-j) are computed once per potential (_bracket_period);
-    Newton starts from the inverse interpolant of the last four of them in
-    s.  Every other energy gets one root solve: its turning points once,
-    and the orbit nodes once for T and T' together.  Newton narrows the
-    bracket by the sign of each T - target, bisects it when a step leaves
-    it, and stops on a step of at most 1e-10 E or on T within 4 ulps of the
-    target; NotMonotone if 40 steps do not converge.
+    phi-parametrization (_orbit_profile).  The bracket periods at 1e-13 E0,
+    E0 2^-j (j = 5..2) and E0 (1 - 2^-j) are computed once per potential
+    (_bracket_period); Newton starts from the inverse interpolant of the
+    last six of them in s.  Every other energy gets one root solve: its
+    turning points once, and the orbit nodes once for T and T' together.
+    Newton narrows the bracket by the sign of each T - target, bisects it
+    when a step leaves it, and stops on a step of at most 1e-10 E or on T
+    within 4 ulps of the target; NotMonotone if 40 steps do not converge.
     QuadratureNotConverged names bc and L when L is so long that T(E) is
     needed closer to E0 than the period quadrature converges (quartic():
     from Neumann L = 14.16 and periodic L = 28.3 on, in steps of 0.02).
@@ -539,9 +544,8 @@ def _instanton_energy(pot: LocalPotential, L: float,
     bracket = [(1e-13 * E0, _bracket_period(pot, 1e-13 * E0))]
     if bracket[0][1] >= target:
         raise NotMonotone("period at the harmonic end already exceeds the target")
-    for j in range(1, 46):
-        cand = E0 * (1.0 - 0.5 ** j)
-        bracket.append((cand, _bracket_period(pot, cand)))
+    for cand in _RUNGS:
+        bracket.append((E0 * cand, _bracket_period(pot, E0 * cand)))
         if bracket[-1][1] > target:
             break
     else:
@@ -549,8 +553,8 @@ def _instanton_energy(pot: LocalPotential, L: float,
     (lo, _), (hi, _) = bracket[-2:]
 
     # Newton in s = log(E0 - E), where T is nearly linear, started from the
-    # inverse interpolant s(T) through the last (up to) four bracket periods
-    known = bracket[-4:]
+    # inverse interpolant s(T) through the last (up to) six bracket periods
+    known = bracket[-6:]
     s = math.fsum(math.log(E0 - Ek) * math.prod((target - Ti) / (Tk - Ti)
                                                 for i, (_, Ti) in enumerate(known) if i != k)
                   for k, (Ek, Tk) in enumerate(known))

@@ -254,15 +254,15 @@ _JACOBI_LENGTHS = [(NEUMANN, 3.3), (NEUMANN, 4.5), (NEUMANN, 6.2), (PERIODIC, 6.
 
 @pytest.mark.parametrize("bc, L", _JACOBI_LENGTHS)
 def test_instanton_energy_matches_elliptic_closed_form(pot, bc, L):
-    # within 1 ulp of the closed form (0.25 to 0.71 ulp measured), cold and
-    # with the bracket periods from the memo alike
+    # within 2 ulps of the closed form (0.34 to 1.25 ulps measured), cold
+    # and with the bracket periods from the memo alike
     stationary._bracket_period.cache_clear()
     cold = instanton(pot, L, bc, n_samples=256)
     warm = instanton(pot, L, bc, n_samples=256)
     assert cold.E == warm.E
     assert cold.turning == warm.turning == turning_points(pot, cold.E)
     want = _elliptic_energy(L, bc)
-    assert abs(cold.E - want) <= math.ulp(float(want))
+    assert abs(cold.E - want) <= 2.0 * math.ulp(float(want))
 
 
 @pytest.mark.parametrize("bc, L", _JACOBI_LENGTHS[:6])
@@ -319,7 +319,7 @@ def test_instanton_root_solves_counted(pot, monkeypatch):
             assert turning_calls and max(Counter(turning_calls).values()) == 1
     for p in (pot, SAME_CAP):
         E0 = p.orbit_energy_cap
-        bracket = {1e-13 * E0} | {E0 * (1.0 - 0.5 ** j) for j in range(1, 46)}
+        bracket = {1e-13 * E0} | {E0 * r for r in stationary._RUNGS}
         counts = Counter(E for key, E in period_calls if key == p.coefficients and E in bracket)
         assert counts and set(counts.values()) == {1}  # once per potential, not per L
 
@@ -330,7 +330,7 @@ def test_instanton_root_solves_counted(pot, monkeypatch):
 def test_instanton_orbit_node_solves_within_budget(pot, bc, L, monkeypatch):
     # a work count, not a wall time: with the bracket periods cached, Newton
     # from the interpolated start and the sampler's node solve at E* need at
-    # most 4 orbit-node solves per instanton
+    # most 3 orbit-node solves per instanton
     instanton(pot, L, bc, n_samples=256)  # caches the bracket periods
     solve, calls = stationary._orbit_roots, []
 
@@ -339,15 +339,16 @@ def test_instanton_orbit_node_solves_within_budget(pot, bc, L, monkeypatch):
         return solve(*args)
     monkeypatch.setattr(stationary, "_orbit_roots", counted)
     instanton(pot, L, bc, n_samples=256)
-    assert 1 <= len(calls) <= 4
+    assert 1 <= len(calls) <= 3
 
 
 @pytest.mark.parametrize("bc, L", [(NEUMANN, 3.2), (NEUMANN, 6.2), (PERIODIC, 9.0),
                                    (PERIODIC, 12.3)])
 def test_warm_instanton_scalar_horner_calls_within_budget(pot, bc, L, monkeypatch):
-    # the turning-point solves are the only scalar work (at most 4 solves of
-    # 2 (8 + 8) calls here); the samples come from vectorized solves on the
-    # orbit map, not a step-by-step integration
+    # the turning-point solves are the only scalar work besides the checks
+    # of E0 (here 3 solves of 2 (8 + 6 + 2) calls, and 8 checks of 2); the
+    # samples come from vectorized solves on the orbit map, not a
+    # step-by-step integration
     instanton(pot, L, bc)  # caches the bracket periods
     horner, calls = potential.horner, []
 
@@ -357,7 +358,7 @@ def test_warm_instanton_scalar_horner_calls_within_budget(pot, bc, L, monkeypatc
     monkeypatch.setattr(stationary, "horner", counted)
     monkeypatch.setattr(potential, "horner", counted)
     instanton(pot, L, bc)
-    assert 1 <= len(calls) <= 150
+    assert 1 <= len(calls) <= 120
 
 
 def _jacobi_instanton(L, bc, n):
@@ -454,12 +455,11 @@ def test_instanton_newton_stops_near_the_bifurcation(pot, bc, L, monkeypatch):
 def test_instanton_newton_energies_within_budget(pot, bc, L, monkeypatch):
     # a work count at the instanton lengths of a prediction sweep: with the
     # bracket periods cached, Newton from the interpolated start in s
-    # evaluates T and T' at no more than 3 energies (4 or 5 from one
-    # bisection step)
+    # evaluates T and T' at 2 energies (4 or 5 from one bisection step)
     instanton(pot, L, bc, n_samples=256)  # caches the bracket periods
     newton = _count_newton_steps(monkeypatch)
     instanton(pot, L, bc, n_samples=256)
-    assert 1 <= len(newton) <= 3
+    assert 1 <= len(newton) <= 2
 
 
 def test_instanton_newton_falls_back_to_bisection(pot, monkeypatch):
