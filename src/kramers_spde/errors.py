@@ -14,7 +14,7 @@ class EnergyOutOfRange(KramersSpdeError):
 
 
 class QuadratureNotConverged(KramersSpdeError):
-    """Node doubling (or adaptive refinement) failed to reach tolerance."""
+    """A quadrature failed its certificate (or adaptive refinement its tolerance)."""
 
 
 class NoInstanton(KramersSpdeError):

@@ -23,7 +23,7 @@ and C = c4():
 
 mu_1/4 carries the 1/2 of two Neumann instantons; ell = L ||u'||_L2 is the
 saddle_length() of the periodic translation orbit, with ||u'|| the
-instanton's own deriv_L2 (Simpson on its samples of u').  d is the Galerkin
+instanton's own deriv_L2 (from its orbit's quadrature rule).  d is the Galerkin
 truncation (math.inf sums the tail to closed form for the constant spectra
 and to a Weyl-asymptotic tail for instanton spectra).  Instanton spectra
 are finite differences on the instanton's own 4096 samples, solved in

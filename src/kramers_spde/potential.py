@@ -17,6 +17,7 @@ least 2 p0 (d+1) points, which is exact for polynomial U up to roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -187,15 +188,10 @@ class LocalPotential:
         """U(-u) = U(u) exactly: every odd-power coefficient is 0.0."""
         return not any(self.coefficients[1::2])
 
-    @property
-    def well_depths(self) -> tuple[float, float]:
-        return (float(self.derivative(self.u_minus)), float(self.derivative(self.u_plus)))
-
-    @property
+    @cached_property  # in the instance dict, outside equality and hashing
     def orbit_energy_cap(self) -> float:
         """E0 = -(U(u_-) v U(u_+)): bounded orbits exist for 0 < E < E0."""
-        um, up = self.well_depths
-        return -max(um, up)
+        return -max(self.derivative(self.u_minus), self.derivative(self.u_plus))
 
 
 def quartic() -> LocalPotential:

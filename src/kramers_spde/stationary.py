@@ -8,35 +8,37 @@ has period T(E) with lim_{E->0} T = 2 pi and T -> infinity at E0.
 T(E) is evaluated by parametrizing the upper half orbit with
 u' = sqrt(2E) sin(phi), -U(u) = E cos^2(phi):
 
-    T(E)/2 = int_0^pi sqrt(2E) cos(phi) / U'(f_E(phi)) dphi,
+    T(E)/2 = X(E) = int_0^pi x'(phi) dphi,  x'(phi) = sqrt(2E) cos(phi) / U'(f_E(phi)),
 
 whose integrand is analytic across phi = pi/2 (value 1 there by U''(0) = -1).
 The derivative dT/dE uses the differentiated integrand
 
     [U'(f)^2 - 2 U(f) U''(f)] cos(phi) / (sqrt(2E) U'(f)^3).
 
+All of the orbit's integrals use one rule, Gauss-Legendre panels graded
+toward phi = 0 and pi and certified by the rule one level coarser there
+(_orbit_rule, _period_values).
+
 Instantons: the Neumann transition state traverses the half orbit u2 -> u3
 in length L (so T(E*) = 2L, requiring L > pi); the periodic one is a full
 orbit (T(E*) = L, requiring L > 2 pi).  Profiles are sampled from the same
-phi-parametrization at E*, starting from (u2(E*), 0): the half orbit's
-x(phi) = int_0^phi sqrt(2E) cos psi / U'(f_E(psi)) dpsi is integrated on
-Gauss-Legendre panels that halve in width toward phi = 0 and pi, and
-inverted at the sample points by Newton (_orbit_profile).  This fixes the
-phase conventions u(0) = u2 (Neumann) and "minimum at x = 0" (periodic, one
-representative of the translation family, the half orbit mirrored).
+rule at E*, starting from (u2(E*), 0), by inverting x(phi) = int_0^phi
+x'(psi) dpsi (_orbit_profile).  This fixes the phase conventions u(0) = u2
+(Neumann) and "minimum at x = 0" (periodic, one representative of the
+translation family, the half orbit mirrored).  As u'^2/2 - U = E, the
+energy int (u'^2/2 + U) dx is ||u'||^2 - E L.
 
 Root solves: each energy the E* solve visits gets one root solve, that is
-its turning points once and the orbit nodes f_E of the n and 2n node rules
-in one vectorized solve, shared by T and T' (a 4n rule only when a
-doubling check needs it).  Both solve -U(u) = E cos^2 phi in its monotone
-form -u sqrt(Q(u)) = sqrt(E) cos phi, Q = -U/u^2 (_sqrt_form), whose roots
-are simple also at u = 0, and bisect only until Newton can finish: 4
-halvings plus one per factor 4 that E0 - E falls below E0 (_halvings),
-then 3 Newton polishes on the sqrt form and a last one on -U(u) = E cos^2
-phi itself.  E* is found by Newton in s = log(E0 - E), where T is nearly
-linear, started from the inverse interpolant of the bracket periods at
-E0 2^-j and E0 (1 - 2^-j); its residual T - target is one correctly
-rounded sum of the period's terms.
+its turning points once and the orbit nodes f_E of the rule and its
+certificate in one vectorized solve, shared by T and T'.  Both solve
+-U(u) = E cos^2 phi in its monotone form -u sqrt(Q(u)) = sqrt(E) cos phi,
+Q = -U/u^2 (_sqrt_form), whose roots are simple also at u = 0, and bisect
+only until Newton can finish: 4 halvings plus one per factor 4 that E0 - E
+falls below E0 (_halvings), then 3 Newton polishes on the sqrt form and a
+last one on -U(u) = E cos^2 phi itself.  E* is found by Newton in s =
+log(E0 - E), where T is nearly linear, started from the inverse
+interpolant of the bracket periods at E0 2^-j and E0 (1 - 2^-j); its
+residual T - target is one correctly rounded sum of the period's terms.
 The bracket periods, which do not depend on L, are computed once per
 potential (a functools.lru_cache keyed on the potential itself).  The
 roots are passed explicitly, so a public period_T or dT_dE call always
@@ -66,27 +68,9 @@ _HALVINGS, _POLISHES = 4, 3
 # instanton's bracket energies, in units of E0 above 1e-13 E0: halving E
 # toward the harmonic end and E0 - E toward E0
 _RUNGS = tuple(0.5 ** j for j in range(5, 1, -1)) + tuple(1.0 - 0.5 ** j for j in range(1, 46))
-_N0, _RTOL, _N_MAX = 128, 1e-8, 8192  # _doubling: first rule, relative change, last rule
+_RTOL = 1e-8  # _period_values: largest relative change one level coarser at the ends
 _WINDOW, _BLOCK = 12, 512  # _sample_phases: interpolation nodes, samples per block
 _PHASE_NEWTONS, _U_POLISHES = 2, 2  # Newton steps per sample: phi, then u
-
-
-@cache
-def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on [0, pi]: n/64 panels of 64 nodes.
-
-    Returns (nodes, weights, cos(nodes)).  Fixed panel order keeps
-    construction linear in n (a single high-order rule would cost O(n^3) to
-    build) while retaining spectral accuracy per panel for the analytic
-    integrands used here.
-    """
-    m = max(1, n // _GL_PANEL)
-    x, w = _panel_tables()[:2]
-    h = math.pi / m
-    starts = h * np.arange(m)[:, None]
-    nodes = (starts + 0.5 * h * (x + 1.0)[None, :]).ravel()
-    weights = np.tile(0.5 * h * w, m)
-    return nodes, weights, np.cos(nodes)
 
 
 def _check_energy(pot: LocalPotential, E: float) -> float:
@@ -144,16 +128,6 @@ def turning_points(pot: LocalPotential, E: float) -> tuple[float, float]:
     return solve(math.sqrt(E)), solve(-math.sqrt(E))
 
 
-def _orbit_nodes(pot: LocalPotential, E: float, turning: tuple[float, float],
-                 ns: tuple[int, ...]) -> dict[int, np.ndarray]:
-    """f_E(phi) at the nodes of each rule n in ns, in one _orbit_roots solve
-    over the rules' concatenated nodes."""
-    rules = [_gl_nodes(n) for n in ns]
-    f = _orbit_roots(pot, E, turning, np.concatenate([r[2] for r in rules]))
-    splits = np.cumsum([len(r[0]) for r in rules])[:-1]
-    return dict(zip(ns, np.split(f, splits)))
-
-
 def _orbit_roots(pot: LocalPotential, E: float, turning: tuple[float, float],
                  cos_phi: np.ndarray) -> np.ndarray:
     """f_E(phi) on the half orbit: the root in [u2, u3] of -u sqrt(Q(u)) =
@@ -206,7 +180,7 @@ def _slope_numerator(pot: LocalPotential) -> tuple[float, ...]:
     """Descending Horner table of U'^2 - 2 U U'', the numerator of dT/dE's
     integrand.  Its u^2 terms cancel exactly; formed from U', U and U'' at
     the nodes instead, it would keep only eps / f^2 of its value, too little
-    for the doubling check once E < 1e-11."""
+    for the certificate once E < 1e-11."""
     P = np.polynomial.polynomial
     U = np.asarray(pot.coefficients)
     dU = P.polyder(U)
@@ -214,74 +188,97 @@ def _slope_numerator(pot: LocalPotential) -> tuple[float, ...]:
                                              2.0 * P.polymul(U, P.polyder(U, 2)))[::-1])
 
 
-def _period_terms(pot: LocalPotential, E: float, n: int, f: np.ndarray,
-                  derivative: bool) -> np.ndarray:
-    """The n terms whose sum is T(E) (derivative False) or T'(E) (True) on
-    the n-node rule, at its orbit nodes f.
+_ENDS = 2 * _GL_PANEL  # nodes of the certificate's two panels, last in _orbit_rule
 
-    T's integrand sqrt(2E) cos phi / U'(f) is evaluated as -sqrt(2 Q(f)) /
+
+def _orbit_rule(pot: LocalPotential, E: float,
+                turning: tuple[float, float]) -> tuple[np.ndarray, ...]:
+    """Graded Gauss-Legendre panels on [0, pi] for the orbit at E: panel
+    starts, half widths, nodes phi, cos(phi), weights, and f_E at the nodes
+    from one _orbit_roots solve.
+
+    The integrands' nearest complex singularity lies about sqrt((E0 - E)/E)
+    from phi = 0 or pi.  The panel edges are 0, pi/2^(levels+1), ..., pi/4,
+    pi/2 and their mirrors about pi/2, so the innermost panels are no wider
+    than that.  The certificate's panels [0, pi/2^levels] and its mirror
+    come last: in place of the two innermost panels at each end, they make
+    the rule one level coarser (_period_values).
+    """
+    E0 = pot.orbit_energy_cap
+    levels = max(1, math.ceil(math.log2(0.5 * math.pi * math.sqrt(E / (E0 - E)))) + 1)
+    edges = np.concatenate([[0.0], 0.5 * math.pi * 0.5 ** np.arange(levels, -1, -1)])
+    start = np.concatenate([edges[:-1], math.pi - edges[:0:-1], [0.0, math.pi - edges[2]]])
+    end = np.concatenate([edges[1:], math.pi - edges[-2::-1], [edges[2], math.pi]])
+    half = 0.5 * (end - start)
+    t, w = _panel_tables()[:2]
+    phi = (start[:, None] + half[:, None] * (t + 1.0)).ravel()
+    cos_phi = np.cos(phi)
+    return (start, half, phi, cos_phi, (half[:, None] * w).ravel(),
+            _orbit_roots(pot, E, turning, cos_phi))
+
+
+def _orbit_integrand(pot: LocalPotential, E: float, f: np.ndarray, cos_phi: np.ndarray,
+                     derivative: bool) -> np.ndarray:
+    """x'(phi), the integrand of T(E)/2 (derivative False), or that of
+    T'(E)/2 (True), at nodes phi with orbit nodes f.
+
+    x'(phi) = sqrt(2E) cos phi / U'(f) is evaluated as -sqrt(2 Q(f)) /
     R(f), R = U'/u, by -f sqrt(Q(f)) = sqrt(E) cos phi: each term rounds on
     its own, where one rounding of a common factor sqrt(2E) would shift
     them all alike (up to 0.4 ulp of T, 10 ulps of E* at E = 0.06).
     """
-    _, w, c = _gl_nodes(n)
     if derivative:
         du = pot.derivative(f, 1)
         vals = horner_into(_slope_numerator(pot), f, np.empty_like(f))
-        vals *= c
+        vals *= cos_phi
         vals /= math.sqrt(2.0 * E) * du ** 2 * du  # not ** 3: libm pow
     else:
         vals = np.sqrt(2.0 * horner_into(_sqrt_form(pot)[0], f, np.empty_like(f)))
         vals /= horner_into(pot._deriv_scalar[1][:-1], f, np.empty_like(f))
         np.negative(vals, out=vals)
-    vals *= w
-    vals *= 2.0
     return vals
 
 
-def _doubling(pot: LocalPotential, E: float, turning: tuple[float, float],
-              derivatives: tuple[bool, ...], target: float = 0.0) -> list[float]:
-    """T(E) - target (derivative False) or T'(E) (True) for each entry, by
-    node doubling.
+def _period_values(pot: LocalPotential, E: float, turning: tuple[float, float],
+                   derivatives: tuple[bool, ...], target: float = 0.0) -> list[float]:
+    """T(E) - target (derivative False) or T'(E) (True) for each entry, on
+    the graded rule (_orbit_rule).
 
-    All of them share the orbit nodes at this E: the _N0 and 2 _N0 rules are
-    solved together, a finer rule only when a doubling check needs it.  The
-    doubling checks sum with np.sum; a T entry is then summed once more, with
-    -target, in one correctly rounded math.fsum: T itself to its last bit,
-    and for the E* solve a residual finer than T's own ulp.
+    All of them share its root solve.  Each is certified by the rule one
+    level coarser at each end, which differs from it only on the
+    certificate's panels: QuadratureNotConverged if that changes the value
+    by more than _RTOL relative.  T' sums with np.sum; T - target is one
+    correctly rounded math.fsum of T's terms and -target: T itself to its
+    last bit, and for the E* solve a residual finer than T's own ulp.
     """
-    nodes = _orbit_nodes(pot, E, turning, (_N0, 2 * _N0))
+    _, _, _, cos_phi, weights, f = _orbit_rule(pot, E, turning)
     values = []
     for derivative in derivatives:
-        prev = float(np.sum(_period_terms(pot, E, _N0, nodes[_N0], derivative)))
-        n = 2 * _N0
-        while n <= _N_MAX:
-            if n not in nodes:
-                nodes.update(_orbit_nodes(pot, E, turning, (n,)))
-            terms = _period_terms(pot, E, n, nodes[n], derivative)
-            cur = float(np.sum(terms))
-            rel = abs(cur - prev) / max(abs(cur), 1e-300)
-            if rel <= _RTOL:
-                break
-            prev = cur
-            n *= 2
-        else:
-            if rel > 1e-6:  # a rule short of _RTOL but within 1e-6 is kept
-                raise QuadratureNotConverged(
-                    f"period quadrature not converged at {_N_MAX} nodes "
-                    f"(rel change {rel:.2e})")
-        values.append(cur if derivative else math.fsum([*terms.tolist(), -target]))
+        terms = _orbit_integrand(pot, E, f, cos_phi, derivative)
+        terms *= weights
+        terms *= 2.0
+        fine = terms[:-_ENDS]
+        total = float(np.sum(fine))
+        change = (float(np.sum(terms[-_ENDS:])) - float(np.sum(fine[:_ENDS]))
+                  - float(np.sum(fine[-_ENDS:])))
+        rel = abs(change) / max(abs(total), 1e-300)
+        if rel > _RTOL:
+            raise QuadratureNotConverged(
+                f"period quadrature not certified at E = {E!r}: one level coarser at the "
+                f"ends, {'dT/dE' if derivative else 'T'} changes by {rel:.2e} relative")
+        values.append(total if derivative else math.fsum([*fine.tolist(), -target]))
     return values
 
 
 def period_T(pot: LocalPotential, E: float) -> float:
-    """Orbit period T(E), to 1e-8 relative as validated by node doubling."""
-    return _doubling(pot, E, turning_points(pot, E), (False,))[0]
+    """Orbit period T(E) on the graded rule, certified to 1e-8 relative by
+    the rule one level coarser at each end."""
+    return _period_values(pot, E, turning_points(pot, E), (False,))[0]
 
 
 def dT_dE(pot: LocalPotential, E: float) -> float:
     """Derivative T'(E); positive whenever the monotonicity condition holds."""
-    return _doubling(pot, E, turning_points(pot, E), (True,))[0]
+    return _period_values(pot, E, turning_points(pot, E), (True,))[0]
 
 
 @lru_cache(maxsize=512)
@@ -382,47 +379,37 @@ def _panel_tables() -> tuple[np.ndarray, ...]:
     return t, w, S, T, bary / np.abs(bary).max(axis=1, keepdims=True)
 
 
-def _graded_panels(levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Panels on [0, pi] whose widths halve toward both ends: the edges
-    0, pi/2^(levels+1), ..., pi/4, pi/2 and their mirrors about pi/2.
-    Returns (panel starts, half widths, nodes)."""
-    edges = np.concatenate([[0.0], 0.5 * math.pi * 0.5 ** np.arange(levels, -1, -1)])
-    start = np.concatenate([edges[:-1], math.pi - edges[:0:-1]])
-    half = 0.5 * np.diff(np.concatenate([start, [math.pi]]))
-    return start, half, (start[:, None] + half[:, None] * (_panel_tables()[0] + 1.0)).ravel()
-
-
 def _orbit_profile(pot: LocalPotential, E: float, turning: tuple[float, float],
-                   bc: BoundaryCondition, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """u and u' at n + 1 equispaced samples of the orbit H = E from (u2, 0).
+                   bc: BoundaryCondition, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """u and u' at n + 1 equispaced samples of the orbit H = E from (u2, 0),
+    and ||u'||^2 over the domain, on the graded rule (_orbit_rule).
 
-    With u' = sqrt(2E) sin phi and -U(u) = E cos^2 phi, the half orbit
-    u2 -> u3 has x(phi) = int_0^phi sqrt(2E) cos psi / U'(f_E(psi)) dpsi.
-    Its nodes on the graded panels are one _orbit_roots solve; x at the
+    The half orbit u2 -> u3 has x(phi) = int_0^phi x'(psi) dpsi; x at the
     nodes comes from each panel's integration matrix.  The half orbit's own
-    length X = x(pi) (L for Neumann, L/2 periodic, to the accuracy of E*)
-    is split into n or n/2 equal steps, so both its ends are the turning
-    points with u' = 0 exactly.  A sample's phi is Newton's root of x(phi)
-    = j X / (n or n/2) (_sample_phases).  Its u solves -u sqrt(Q(u)) =
-    sqrt(E) cos phi, that is -sign(u) sqrt(-U(u)) = sqrt(E) cos phi with
-    the polynomial Q(u) = -U(u)/u^2 > 0 (U(0) = U'(0) = 0), a simple root
-    also at u = 0, by Newton from the interpolated node values.  A periodic
-    profile is the half orbit mirrored about x = L/2.
+    length X = x(pi) = T(E)/2, the same sum (L for Neumann, L/2 periodic,
+    to the accuracy of E*), is split into n or n/2 equal steps, so both its
+    ends are the turning points with u' = 0 exactly.  A sample's phi is
+    Newton's root of x(phi) = j X / (n or n/2) (_sample_phases).  Its u
+    solves -u sqrt(Q(u)) = sqrt(E) cos phi, that is -sign(u) sqrt(-U(u)) =
+    sqrt(E) cos phi with the polynomial Q(u) = -U(u)/u^2 > 0 (U(0) = U'(0)
+    = 0), a simple root also at u = 0, by Newton from the interpolated node
+    values.  A periodic profile is the half orbit mirrored about x = L/2.
+    ||u'||^2 is int 2E sin^2 phi x'(phi) dphi, twice for periodic b.c.
     """
-    E0 = pot.orbit_energy_cap
-    # the integrand's nearest complex singularity lies about sqrt((E0 - E)/E)
-    # from phi = 0 or pi; the innermost panels are no wider than that
-    levels = max(1, math.ceil(math.log2(0.5 * math.pi * math.sqrt(E / (E0 - E)))) + 1)
-    start, half, phi = _graded_panels(levels)
+    start, half, phi, cos_phi, weights, f = _orbit_rule(pot, E, turning)
+    start, half = start[:-2], half[:-2]  # without the certificate's two panels
+    phi, weights, f = phi[:-_ENDS], weights[:-_ENDS], f[:-_ENDS]
+    g = _orbit_integrand(pot, E, f, cos_phi[:-_ENDS], False)
+    weighted = g * weights
+    X = math.fsum(weighted.tolist())
+    weighted *= np.sin(phi) ** 2
+    deriv_sq = 2.0 * E * float(np.sum(weighted)) * (1.0 if bc is NEUMANN else 2.0)
     _, w, S, _, _ = _panel_tables()
-    cos_phi = np.cos(phi)
-    f = _orbit_roots(pot, E, turning, cos_phi)
-    g = (math.sqrt(2.0 * E) * cos_phi / pot.derivative(f, 1)).reshape(len(start), -1)
+    g = g.reshape(len(start), -1)
     # einsum, not BLAS: the small-matrix kernels would add to the resident set
     panel = half * np.einsum("pj,j->p", g, w)
     x = np.einsum("pj,ij->pi", g, S) * half[:, None]
     x += np.concatenate([[0.0], np.cumsum(panel[:-1])])[:, None]
-    X = float(np.sum(panel))
     span = n if bc is NEUMANN else 0.5 * n  # sample steps on the half orbit
     m = int(span)  # samples 0..m lie on the half orbit
     end = m == span  # sample m is the turning point u3
@@ -441,7 +428,7 @@ def _orbit_profile(pot: LocalPotential, E: float, turning: tuple[float, float],
     if bc is PERIODIC:
         u[m + 1:] = u[n - m - 1::-1]
         np.negative(du[n - m - 1::-1], out=du[m + 1:])
-    return u, du
+    return u, du, deriv_sq
 
 
 def _sample_phases(step: float, start: np.ndarray, half: np.ndarray, phi: np.ndarray,
@@ -487,18 +474,6 @@ def _sample_phases(step: float, start: np.ndarray, half: np.ndarray, phi: np.nda
         ph[b:b + _BLOCK] = start[p] + half[p] * (tau + 1.0)
 
 
-def _simpson(y: np.ndarray, dx: float) -> float:
-    """Composite Simpson on equispaced samples, bit for bit scipy's simpson
-    (whose last-interval correction closes an even count)."""
-    z = y if len(y) % 2 else y[:-1]
-    r = np.sum(z[0:-2:2] + 4.0 * z[1:-1:2] + z[2::2]) * (dx / 3.0)
-    if not len(y) % 2:
-        r += ((2 * dx ** 2 + 3 * dx * dx) / (6 * (dx + dx)) * y[-1]
-              + (dx ** 2 + 3.0 * dx * dx) / (6 * dx) * y[-2]
-              - dx ** 3 / (6 * dx * (dx + dx)) * y[-3])
-    return float(r)
-
-
 def instanton(pot: LocalPotential, L: float, bc: BoundaryCondition,
               n_samples: int = 4096) -> InstantonProfile:
     """The n=1 transition-state profile for L above the bifurcation threshold.
@@ -506,17 +481,19 @@ def instanton(pot: LocalPotential, L: float, bc: BoundaryCondition,
     Solves T(E*) = 2L (Neumann half orbit) or T(E*) = L (periodic full orbit)
     by Newton in s = log(E0 - E) inside the bracket of the monotone period
     map, and samples the orbit at E* from (u2(E*), 0) through its
-    phi-parametrization (_orbit_profile).  The bracket periods at 1e-13 E0,
-    E0 2^-j (j = 5..2) and E0 (1 - 2^-j) are computed once per potential
-    (_bracket_period); Newton starts from the inverse interpolant of the
-    last six of them in s.  Every other energy gets one root solve: its
+    phi-parametrization (_orbit_profile), whose rule also gives ||u'||^2:
+    deriv_L2 = ||u'|| and V_value = ||u'||^2 - E* L.  The bracket periods
+    at 1e-13 E0, E0 2^-j (j = 5..2) and E0 (1 - 2^-j) are computed once per
+    potential (_bracket_period); Newton starts from the inverse interpolant
+    of the last six of them in s.  Every other energy gets one root solve: its
     turning points once, and the orbit nodes once for T and T' together.
     Newton narrows the bracket by the sign of each T - target, bisects it
     when a step leaves it, and stops on a step of at most 1e-10 E or on T
     within 4 ulps of the target; NotMonotone if 40 steps do not converge.
     QuadratureNotConverged names bc and L when L is so long that T(E) is
-    needed closer to E0 than the period quadrature converges (quartic():
-    from Neumann L = 14.16 and periodic L = 28.3 on, in steps of 0.02).
+    needed closer to E0 than the period rule certifies itself (quartic():
+    first at Neumann L = 17.0 and periodic L = 34.0, in steps of 0.02 and
+    0.05).
     """
     if L <= bc.bifurcation_length:
         raise NoInstanton(f"{bc.value} instantons exist only for "
@@ -526,13 +503,11 @@ def instanton(pot: LocalPotential, L: float, bc: BoundaryCondition,
     except QuadratureNotConverged as exc:
         raise QuadratureNotConverged(f"{bc.value} L = {L} is too long for the period "
                                      f"quadrature, which fails near E0: {exc}") from exc
-    u, v = _orbit_profile(pot, E, (u2, u3), bc, n_samples)
-    x = np.linspace(0.0, L, n_samples + 1)
-    energy_density = 0.5 * v ** 2 + pot.derivative(u, 0)
-    V_value = _simpson(energy_density, L / n_samples)
-    deriv_L2 = math.sqrt(_simpson(v ** 2, L / n_samples))
-    return InstantonProfile(pot, bc, L, E=E, x=x, u=u, du=v,
-                            V_value=V_value, deriv_L2=deriv_L2, turning=(u2, u3))
+    u, v, deriv_sq = _orbit_profile(pot, E, (u2, u3), bc, n_samples)
+    # u'^2/2 - U = E along the orbit: int (u'^2/2 + U) dx = ||u'||^2 - E L
+    return InstantonProfile(pot, bc, L, E=E, x=np.linspace(0.0, L, n_samples + 1), u=u,
+                            du=v, V_value=deriv_sq - E * L, deriv_L2=math.sqrt(deriv_sq),
+                            turning=(u2, u3))
 
 
 def _instanton_energy(pot: LocalPotential, L: float,
@@ -563,7 +538,7 @@ def _instanton_energy(pot: LocalPotential, L: float,
         E = 0.5 * (lo + hi)
     for _ in range(40):
         solved, turning = E, turning_points(pot, E)
-        residual, slope = _doubling(pot, E, turning, (False, True), target)
+        residual, slope = _period_values(pot, E, turning, (False, True), target)
         if residual > 0.0:
             hi = E
         else:

@@ -161,9 +161,10 @@ def test_stationary_below_threshold_exit_code(tmp_path):
     assert rc == 3  # numerical failure: no instanton below the threshold
 
 
-@pytest.mark.parametrize("bc, L", [("neumann", "15"), ("periodic", "30")])
+@pytest.mark.parametrize("bc, L", [("neumann", "17"), ("periodic", "34")])
 def test_stationary_too_long_names_the_input(tmp_path, capsys, bc, L):
-    # T(E*) is needed so close to E0 that the period quadrature fails
+    # T(E*) is needed so close to E0 that the period quadrature fails its
+    # certificate (quartic()'s first failing lengths, test_instanton_reach)
     rc = run(tmp_path, "stationary", "--bc", bc, "--L", L, "--out", "st")
     assert rc == 3
     assert f"{bc} L = {L}.0 is too long for the period quadrature" in capsys.readouterr().err

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.integrate import simpson
 
 from kramers_spde import (BoundaryCondition, DomainError, KramersPrediction, KramersSpdeError,
                           LocalPotential, NEUMANN, OutOfRegime, PERIODIC, RegimeTag,
@@ -57,15 +58,24 @@ def test_saddle_length(pot):
         saddle_length(instanton(pot, 4.0, NEUMANN))
 
 
-@pytest.mark.parametrize("L", [9.0, 12.3])
+@pytest.mark.parametrize("bc, L", [(NEUMANN, 4.5), (NEUMANN, 6.2), (PERIODIC, 9.0),
+                                   (PERIODIC, 12.3)])
 @pytest.mark.parametrize("coefficients", [None, [0, 0, -0.5, 0.1, 0.25]])
-def test_saddle_length_converges_with_the_samples(pot, coefficients, L):
-    # ell = L * deriv_L2 of the default 4096 samples lies within 8e-14 of
-    # the 32768-sample value (measured at most 4.4e-14; a 2047-mode Parseval
-    # sum of the same samples missed by up to 3.9e-13)
+def test_saddle_length_and_energy_match_simpson(pot, coefficients, bc, L):
+    # deriv_L2 and V_value come from the orbit rule, not from the samples;
+    # the oracle is Simpson's rule on a 32768-sample profile: L * deriv_L2
+    # (the periodic saddle length) within 8e-14 of L sqrt(int u'^2), and
+    # V_value within 1e-13 of int u'^2/2 + U(u) (measured at most 3.9e-15
+    # and 1.1e-14, for the asymmetric potential)
     p = pot if coefficients is None else LocalPotential.from_coefficients(coefficients)
-    fine = saddle_length(instanton(p, L, PERIODIC, n_samples=32768))
-    assert abs(saddle_length(instanton(p, L, PERIODIC)) - fine) <= 8e-14 * fine
+    prof = instanton(p, L, bc)
+    fine = instanton(p, L, bc, n_samples=32768)
+    ell = L * math.sqrt(simpson(fine.du ** 2, dx=L / fine.n_samples))
+    energy = simpson(0.5 * fine.du ** 2 + p.derivative(fine.u, 0), dx=L / fine.n_samples)
+    assert abs(L * prof.deriv_L2 - ell) <= 8e-14 * ell
+    if bc is PERIODIC:
+        assert saddle_length(prof) == L * prof.deriv_L2
+    assert abs(prof.V_value - energy) <= 1e-13 * abs(energy)
 
 
 def test_saddle_length_near_bifurcation_selfconsistent(pot):

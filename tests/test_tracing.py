@@ -34,7 +34,7 @@ def test_tracer_patches_every_name_and_restores_it():
         tracer.uninstall()
     assert len(saved) == len(tracing.PATCHES)
     # dT_dE alone is not reached: the library takes T'(E) inside
-    # stationary._doubling, together with T(E), and never calls dT_dE
+    # stationary._period_values, together with T(E), and never calls dT_dE
     unreached = {label for _, _, label, _, _ in tracing.PATCHES if not tracer.counts[label]}
     assert unreached == {"dT_dE"}
     assert all(owner.__dict__[attr] is original for owner, attr, original in saved)
