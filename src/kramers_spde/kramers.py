@@ -26,11 +26,14 @@ saddle_length() of the periodic translation orbit, with ||u'|| the
 instanton's own deriv_L2 (from its orbit's quadrature rule).  d is the Galerkin
 truncation (math.inf sums the tail to closed form for the constant spectra
 and to a Weyl-asymptotic tail for instanton spectra).  Instanton spectra
-are finite differences on the instanton's own 4096 samples, solved in
-the FD Laplacian's cosine/Fourier eigenbasis (spectra.eigs_profile;
-periodic: its cosine and sine sectors, the zero mode the sine ground
-state).  They do not depend on eps, so _mu_spectrum keeps
-the last 64 in a functools.lru_cache keyed on (U, L, bc, kmax_eig).
+are eigs_profile's finite differences on the instanton's 4096 samples,
+solved in the FD Laplacian's cosine/Fourier eigenbasis (periodic: its
+cosine and sine sectors, the zero mode the sine ground state), taken
+without the samples: from the cosine moments of U''(u*) on the
+instanton's orbit (spectra.eigs_orbit, stationary.instanton_orbit), whose
+c_0 / X is also the tail's mean curvature.  They do not depend on eps, so
+_mu_spectrum keeps the last 64 in a functools.lru_cache keyed on (U, L,
+bc, kmax_eig).
 """
 
 from __future__ import annotations
@@ -46,8 +49,12 @@ from scipy.special import zeta
 from .errors import OutOfRegime, UnsupportedRegime, WrongBoundaryCondition
 from .potential import LocalPotential
 from .spectral import BoundaryCondition, NEUMANN, PERIODIC, nu
-from .spectra import eigs_profile, lambda_ratio_log_sum, lambda_ratio_product_infinite
-from .stationary import InstantonProfile, instanton
+from .spectra import eigs_orbit, lambda_ratio_log_sum, lambda_ratio_product_infinite
+from .stationary import InstantonOrbit, InstantonProfile, instanton_orbit
+# perfbench/tracing.py patches these two names here; the prediction path no
+# longer calls them
+from .spectra import eigs_profile  # noqa: F401
+from .stationary import instanton  # noqa: F401
 from .specialfn import psi, theta
 
 _EXP_MAX = 700.0
@@ -107,8 +114,9 @@ def c4(pot: LocalPotential, L: float, bc: BoundaryCondition) -> float:
     return (u4 + (numer / denom) * u3 ** 2) / (4.0 * L)
 
 
-def saddle_length(profile: InstantonProfile) -> float:
-    """Length of the periodic translation family, L * ||u'||_L2 (the profile's deriv_L2)."""
+def saddle_length(profile: InstantonProfile | InstantonOrbit) -> float:
+    """Length of the periodic translation family, L * ||u'||_L2 (the profile's
+    or orbit's deriv_L2)."""
     if profile.bc is not PERIODIC:
         raise WrongBoundaryCondition("saddle length is defined for periodic profiles")
     return profile.L * profile.deriv_L2
@@ -159,14 +167,16 @@ def _label_mu(ev: np.ndarray, bc: BoundaryCondition, kmax_eig: int) -> np.ndarra
 def _mu_spectrum(pot: LocalPotential, L: float, bc: BoundaryCondition, kmax_eig: int):
     """Instanton spectrum data for L above the bifurcation length.
 
-    Returns (profile, _label_mu(eigenvalues), mean_curvature), with
-    read-only arrays.  None of it depends on eps, so the last 64 results are
-    kept: a sweep solves each instanton once.
+    Returns (orbit, _label_mu(eigenvalues), mean_curvature): the instanton's
+    orbit without samples (instanton_orbit), its spectrum from the orbit's
+    cosine moments (eigs_orbit), and the mean of U''(u*) (c_0 / X).  The
+    array is read-only.  None of it depends on eps, so the last 64 results
+    are kept: a sweep solves each instanton once.
     """
-    prof = instanton(pot, L, bc)
-    mu = _label_mu(eigs_profile(prof, kmax=kmax_eig).eigenvalues, bc, kmax_eig)
+    orbit = instanton_orbit(pot, L, bc)
+    mu = _label_mu(eigs_orbit(orbit, kmax=kmax_eig).eigenvalues, bc, kmax_eig)
     mu.flags.writeable = False
-    return prof, mu, float(np.mean(pot.derivative(prof.u[:prof.n_samples], 2)))
+    return orbit, mu, orbit.mean_curvature
 
 
 def _mu_log_sum(mu_by_label, pot, L, bc, k_from, d, kmax_eig, wbar):
@@ -259,11 +269,11 @@ def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: floa
 
     # the saddle supplies sigma_0, sigma_1 and S_2; the regime x and F
     V_minus = L * float(pot.derivative(pot.u_minus, 0))
-    prof, H0, sigma0, sigma1, mu1 = None, -V_minus, -1.0, lam1, None
+    orbit, H0, sigma0, sigma1, mu1 = None, -V_minus, -1.0, lam1, None
     if side in ("near_above", "large_l"):
         if L > Lc:
-            prof, mu, wbar = _mu_spectrum(pot, L, bc, kmax_eig)
-            H0, sigma0, sigma1 = prof.V_value - V_minus, float(mu[0]), float(mu[1])
+            orbit, mu, wbar = _mu_spectrum(pot, L, bc, kmax_eig)
+            H0, sigma0, sigma1 = orbit.V_value - V_minus, float(mu[0]), float(mu[1])
         mu1 = sigma1
     if side == "small_l":
         x = sigma1
@@ -272,14 +282,14 @@ def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: floa
         x = r if side == "near_above" and bc is PERIODIC else sigma1 + r
     elif bc is NEUMANN:
         x = sigma1 / 4.0  # two instantons
-    elif prof is None:
+    elif orbit is None:
         raise ValueError(f"{regime.value} needs an instanton; L = {L} is not above {Lc:.6g}")
     else:
-        x = math.sqrt(2.0 * math.pi * eps * sigma1) / saddle_length(prof)
+        x = math.sqrt(2.0 * math.pi * eps * sigma1) / saddle_length(orbit)
     if x <= 0.0:
         raise OutOfRegime(f"{regime.value} does not hold at L = {L}: its mode-1 factor "
                           f"{x:.6g} is not positive")
-    if prof is not None:
+    if orbit is not None:
         s2 = _mu_log_sum(mu, pot, L, bc, 2, d, kmax_eig, wbar)
     elif d == math.inf:
         s2 = math.log(lambda_ratio_product_infinite(pot, L, bc, 2))

@@ -9,15 +9,19 @@ symmetry).
 Constant profiles have closed-form spectra.  Instanton profiles are
 discretized with second-order central differences on the profile's own
 samples: every 4th and every 2nd of its n_samples points (N/4 and N/2 grid
-points), then one Richardson step in h^2.  Neumann uses the midpoint grid
-with ghost reflection, the periodic instanton the cyclic grid from its
-minimum at x = 0.
+points), then one Richardson step in h^2 (eigs_profile).  Neumann uses the
+midpoint grid with ghost reflection, the periodic instanton the cyclic grid
+from its minimum at x = 0.  The prediction path takes the same spectra of
+the default 4096 samples without the samples (eigs_orbit): the FD matrices
+read W only through its cosine sums, which are (n / X) times the cosine
+moments of W on the instanton's orbit.
 
 Each FD matrix -Delta_h + W (W = U''(u*) on the grid) is solved by
 Rayleigh-Ritz in its Laplacian's exact eigenbasis, where -Delta_h is
 diagonal (kappa_k = 4 sin^2(pi k / 2n) / h^2 on the Neumann DCT-II modes,
 4 sin^2(pi k / n) / h^2 on the periodic Fourier modes) and W couples modes
-through its own cosine sums (one DCT-II or one real FFT).  The periodic
+through its own cosine sums (one DCT-II or one real FFT of the samples,
+or the orbit's cosine moments).  The periodic
 instanton is even about x = 0 (u'' = U'(u) is reversible), so its cosine
 and sine sectors do not couple; the sine ground state is the translation
 zero mode.  The lowest eigenvalues come from the leading block of each
@@ -50,7 +54,7 @@ from scipy.fft import dct, rfft
 from .errors import OutOfRegime, ResolutionTooLow, ZeroDenominator
 from .potential import LocalPotential
 from .spectral import BoundaryCondition, NEUMANN, PERIODIC, nu
-from .stationary import InstantonProfile
+from .stationary import InstantonOrbit, InstantonProfile
 
 _ZERO_MODE_FACTOR = 1e-6
 
@@ -103,23 +107,17 @@ def _mirror_mean(W: np.ndarray, mirror: np.ndarray, message: str) -> np.ndarray:
     return 0.5 * (W + mirror)
 
 
-def _sectors(W: np.ndarray, L: float, bc: BoundaryCondition, even_potential: bool):
-    """The FD matrix in its Laplacian's eigenbasis, one (k, kappa, c, T, s) per
-    sector: B_jk = kappa_j delta_jk + c_j c_k (T[|j - k|] + s T[j + k]) / 2 over
-    the mode numbers k, with T the cosine sums of W on the grid."""
+def _cosine_sums(W: np.ndarray, bc: BoundaryCondition, even_potential: bool) -> np.ndarray:
+    """The cosine sums T of W on its n-point grid, from one DCT-II
+    (Neumann, T(m) for m < 2n) or one real FFT (periodic, m <= n)."""
     n = len(W)
-    h = L / n
     if bc is NEUMANN:
         if even_potential:  # u(L - x) = -u(x), so W is even about L/2
             W = _mirror_mean(W, W[::-1], "Neumann spectra of an even potential need "
                              "a profile odd about x = L/2 (an instanton)")
         # T(m) = sum_i W_i cos(pi m (i + 1/2) / n): T(n) = 0, T(2n - m) = -T(m)
         T = 0.5 * dct(W, type=2)
-        T = np.concatenate([T, [0.0], -T[:0:-1]])
-        k = np.arange(n)
-        c = np.full(n, math.sqrt(2.0 / n))
-        c[0] = math.sqrt(1.0 / n)
-        return [(k, (2.0 * np.sin(0.5 * math.pi * k / n) / h) ** 2, c, T, 1.0)]
+        return np.concatenate([T, [0.0], -T[:0:-1]])
     # periodic: W[j] = W[n - j], so the cosine (v[j] = v[n - j]) and sine
     # (v[j] = -v[n - j]) modes do not couple
     half = n // 2
@@ -130,7 +128,20 @@ def _sectors(W: np.ndarray, L: float, bc: BoundaryCondition, even_potential: boo
                            "a profile with u(x + L/2) = -u(x) (an instanton)")
     # T(m) = sum_i W_i cos(2 pi m i / n) = T(n - m), for m = 0..n
     T = rfft(np.concatenate([sym, sym[n - half - 1 : 0 : -1]])).real
-    T = T[np.minimum(np.arange(n + 1), n - np.arange(n + 1))]
+    return T[np.minimum(np.arange(n + 1), n - np.arange(n + 1))]
+
+
+def _sectors(n: int, L: float, bc: BoundaryCondition):
+    """The n-point FD matrix in its Laplacian's eigenbasis, one (k, kappa, c, s)
+    per sector: B_jk = kappa_j delta_jk + c_j c_k (T[|j - k|] + s T[j + k]) / 2
+    over the mode numbers k, with T the cosine sums of W on the grid."""
+    h = L / n
+    if bc is NEUMANN:
+        k = np.arange(n)
+        c = np.full(n, math.sqrt(2.0 / n))
+        c[0] = math.sqrt(1.0 / n)
+        return [(k, (2.0 * np.sin(0.5 * math.pi * k / n) / h) ** 2, c, 1.0)]
+    half = n // 2
     k = np.arange(half + 1)
     kappa = (2.0 * np.sin(math.pi * k / n) / h) ** 2
     c = np.full(half + 1, math.sqrt(2.0 / n))
@@ -138,17 +149,17 @@ def _sectors(W: np.ndarray, L: float, bc: BoundaryCondition, even_potential: boo
     if n % 2 == 0:  # the alternating mode k = n/2 is a cosine only
         c[-1] = c[0]
     sine = slice(1, (n + 1) // 2)
-    return [(k, kappa, c, T, 1.0), (k[sine], kappa[sine], c[sine], T, -1.0)]
+    return [(k, kappa, c, 1.0), (k[sine], kappa[sine], c[sine], -1.0)]
 
 
-def _ritz_values(sectors, M: int, split: bool) -> list[np.ndarray]:
+def _ritz_values(sectors, T: np.ndarray, M: int, split: bool) -> list[np.ndarray]:
     """Every eigenvalue of each sector's leading block of at most M modes.
     With split (an even potential's instanton: W couples only modes of one
     parity) each block is solved as its even-k and odd-k halves, which keeps
     the lowest values accurate to far below eps * ||B||.  Blocks of one size
     share one eigvalsh call."""
     blocks = []
-    for k, kappa, c, T, s in sectors:
+    for k, kappa, c, s in sectors:
         k, c = k[:M], c[:M]
         B = T[np.abs(k[:, None] - k)] + s * T[k[:, None] + k]
         B *= 0.5 * c[:, None] * c
@@ -163,36 +174,68 @@ def _ritz_values(sectors, M: int, split: bool) -> list[np.ndarray]:
     return vals
 
 
-def _fd_smallest(W: np.ndarray, L: float, bc: BoundaryCondition, m: int,
-                 even_potential: bool = False) -> np.ndarray:
-    """The lowest m eigenvalues of the FD matrix, by Rayleigh-Ritz on its
-    Laplacian's leading eigenmodes.  The block starts 16 modes above the
-    values wanted and grows by an eighth until the lowest values of two
-    solves agree to 32 eps of the larger block's norm (the Ritz values of
-    smooth W converge exponentially in M), or is whole.  For kmax = 40 the
-    two solves take 58 and 64 modes: numpy's eigvalsh of a larger matrix
-    turns to multithreaded BLAS, which took 8 ms a call instead of 0.2 ms
-    on a busy 2-core host."""
-    sectors = _sectors(W, L, bc, even_potential)
-    split = even_potential and (bc is NEUMANN or len(W) % 2 == 0)
+def _ritz_smallest(sums, n: int, L: float, bc: BoundaryCondition, m: int,
+                   split: bool) -> np.ndarray:
+    """The lowest m eigenvalues of the n-point FD matrix -Delta_h + W, by
+    Rayleigh-Ritz on its Laplacian's leading eigenmodes, from W's cosine
+    sums: sums(count) holds T(m) for m < count at least.  The block starts
+    16 modes above the values wanted and grows by an eighth until the
+    lowest values of two solves agree to 32 eps of the larger block's norm
+    (the Ritz values of smooth W converge exponentially in M), or is whole.
+    For kmax = 40 the two solves take 58 and 64 modes: numpy's eigvalsh of
+    a larger matrix turns to multithreaded BLAS, which took 8 ms a call
+    instead of 0.2 ms on a busy 2-core host."""
+    sectors = _sectors(n, L, bc)
     # the lowest m hold at most m // 2 + 1 modes of each periodic sector
     want = m if bc is NEUMANN else m // 2 + 1
     whole = max(len(k) for k, *_ in sectors)
-    M = min(whole, want + 16 + want % 2)  # even M: split halves of one size
-    vals = _ritz_values(sectors, M, split)
-    while M < whole:
-        M, last = min(whole, M + 2 * (M // 16)), vals
-        vals = _ritz_values(sectors, M, split)
-        if all(np.abs(a[:want] - b[:want]).max()
-               <= 32 * np.finfo(float).eps * np.abs(b[[0, -1]]).max()
-               for a, b in zip(last, vals)):
+    sizes = [min(whole, want + 16 + want % 2)]  # even M: split halves of one size
+    while sizes[-1] < whole:
+        sizes.append(min(whole, sizes[-1] + 2 * (sizes[-1] // 16)))
+    sums(2 * sizes[:2][-1] + 1)  # at least the first two blocks are solved
+    vals = None
+    for M in sizes:
+        last, vals = vals, _ritz_values(sectors, sums(2 * M + 1), M, split)
+        if last is not None and all(np.abs(a[:want] - b[:want]).max()
+                                    <= 32 * np.finfo(float).eps * np.abs(b[[0, -1]]).max()
+                                    for a, b in zip(last, vals)):
             break
     return np.sort(np.concatenate([v[:want] for v in vals]))[:m]
+
+
+def _fd_smallest(W: np.ndarray, L: float, bc: BoundaryCondition, m: int,
+                 even_potential: bool = False) -> np.ndarray:
+    """The lowest m eigenvalues of the FD matrix with W on its grid
+    (_ritz_smallest), from W's cosine sums (_cosine_sums)."""
+    T = _cosine_sums(W, bc, even_potential)
+    split = even_potential and (bc is NEUMANN or len(W) % 2 == 0)
+    return _ritz_smallest(lambda count: T, len(W), L, bc, m, split)
 
 
 def _eigenvalue_count(bc: BoundaryCondition, kmax: int) -> int:
     """Lowest eigenvalues that cover the mode labels |k| <= kmax."""
     return kmax + 2 if bc is NEUMANN else 2 * kmax + 3
+
+
+def _coarse_grid_count(bc: BoundaryCondition, kmax: int, n_samples: int) -> int:
+    """_eigenvalue_count, which the coarse grid of n_samples / 4 points must hold."""
+    m = _eigenvalue_count(bc, kmax)
+    if m > n_samples // 4:
+        raise ValueError(f"kmax = {kmax} needs {m} eigenvalues, more than the "
+                         f"{n_samples // 4}-node coarse grid of {n_samples} samples has")
+    return m
+
+
+def _extrapolated(coarse: np.ndarray, fine: np.ndarray, n_samples: int,
+                  bc: BoundaryCondition, L: float, kmax: int) -> SpectrumReport:
+    """The report of (4 mu_{2n} - mu_n)/3 from the n = N/4 and 2n = N/2 grids;
+    ResolutionTooLow if they disagree by more than 1% after extrapolation."""
+    extrap = (4.0 * fine - coarse) / 3.0
+    scale = max(1.0, float(np.abs(extrap).max()))
+    if np.any(np.abs(fine - coarse) > 0.01 * np.maximum(np.abs(extrap), 0.01 * scale)):
+        raise ResolutionTooLow(
+            f"grids {n_samples // 4}/{n_samples // 2} disagree beyond 1% of the eigenvalue scale")
+    return SpectrumReport(bc, L, "instanton", extrap, *_classify(extrap), kmax)
 
 
 def _sample_curvature(profile: InstantonProfile, step: int) -> np.ndarray:
@@ -219,18 +262,38 @@ def eigs_profile(profile: InstantonProfile, kmax: int) -> SpectrumReport:
     N = profile.n_samples
     if N % 4 or N < 1024:
         raise ValueError(f"profile n_samples must be a multiple of 4 and >= 1024, got {N}")
-    m = _eigenvalue_count(profile.bc, kmax)
-    if m > N // 4:
-        raise ValueError(f"kmax = {kmax} needs {m} eigenvalues, more than the "
-                         f"{N // 4}-node coarse grid of {N} samples has")
+    m = _coarse_grid_count(profile.bc, kmax, N)
     coarse, fine = (_fd_smallest(_sample_curvature(profile, step), profile.L, profile.bc, m,
                                  profile.pot.is_even) for step in (4, 2))
-    extrap = (4.0 * fine - coarse) / 3.0
-    scale = max(1.0, float(np.abs(extrap).max()))
-    if np.any(np.abs(fine - coarse) > 0.01 * np.maximum(np.abs(extrap), 0.01 * scale)):
-        raise ResolutionTooLow(
-            f"grids {N // 4}/{N // 2} disagree beyond 1% of the eigenvalue scale")
-    return SpectrumReport(profile.bc, profile.L, "instanton", extrap, *_classify(extrap), kmax)
+    return _extrapolated(coarse, fine, N, profile.bc, profile.L, kmax)
+
+
+def eigs_orbit(orbit: InstantonOrbit, kmax: int) -> SpectrumReport:
+    """eigs_profile(instanton(...), kmax) without the samples.
+
+    On an analytic W even about the half orbit's ends, the cosine sums of
+    the n-point grid are T_n(m) = (n / X) c_m up to aliasing of c_(2n-m)
+    and beyond, which is far below roundoff for the m < 2M that the Ritz
+    blocks read; c_m are the orbit's cosine moments (InstantonOrbit.
+    cosine_moments), computed once for the largest block reached and shared
+    by the n = 1024 and 2048 grids of the default 4096 samples.  The same
+    Ritz growth and Richardson step as eigs_profile follow.
+    """
+    N = 4096
+    m = _coarse_grid_count(orbit.bc, kmax, N)
+    moments = np.empty(0)
+
+    def sums(n: int):
+        def sums_n(count: int) -> np.ndarray:
+            nonlocal moments
+            if len(moments) < count:
+                moments = orbit.cosine_moments(count)
+            return (n / orbit.rule.X) * moments
+        return sums_n
+
+    coarse, fine = (_ritz_smallest(sums(n), n, orbit.L, orbit.bc, m, orbit.pot.is_even)
+                    for n in (N // 4, N // 2))
+    return _extrapolated(coarse, fine, N, orbit.bc, orbit.L, kmax)
 
 
 def det_ratio(numerator: SpectrumReport, denominator: SpectrumReport, d: int,

@@ -17,16 +17,20 @@ The derivative dT/dE uses the differentiated integrand
 
 All of the orbit's integrals use one rule, Gauss-Legendre panels graded
 toward phi = 0 and pi and certified by the rule one level coarser there
-(_orbit_rule, _period_values).
+(_orbit_rule, _period_values); its geometry depends on the grading alone
+and is built once per level count (_graded_panels).
 
 Instantons: the Neumann transition state traverses the half orbit u2 -> u3
 in length L (so T(E*) = 2L, requiring L > pi); the periodic one is a full
-orbit (T(E*) = L, requiring L > 2 pi).  Profiles are sampled from the same
-rule at E*, starting from (u2(E*), 0), by inverting x(phi) = int_0^phi
-x'(psi) dpsi (_orbit_profile).  This fixes the phase conventions u(0) = u2
-(Neumann) and "minimum at x = 0" (periodic, one representative of the
-translation family, the half orbit mirrored).  As u'^2/2 - U = E, the
-energy int (u'^2/2 + U) dx is ||u'||^2 - E L.
+orbit (T(E*) = L, requiring L > 2 pi).  instanton_orbit maps the orbit at
+E* on the same rule, x(phi) = int_0^phi x'(psi) dpsi at its nodes
+(_orbit_map), without samples: the prediction path takes the curvature's
+cosine moments from it (InstantonOrbit.cosine_moments).  instanton
+samples it, starting from (u2(E*), 0), by inverting x(phi)
+(_orbit_profile).  This fixes the phase conventions u(0) = u2 (Neumann)
+and "minimum at x = 0" (periodic, one representative of the translation
+family, the half orbit mirrored).  As u'^2/2 - U = E, the energy
+int (u'^2/2 + U) dx is ||u'||^2 - E L.
 
 Root solves: each energy the E* solve visits gets one root solve, that is
 its turning points once and the orbit nodes f_E of the rule and its
@@ -50,6 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -71,6 +76,7 @@ _RUNGS = tuple(0.5 ** j for j in range(5, 1, -1)) + tuple(1.0 - 0.5 ** j for j i
 _RTOL = 1e-8  # _period_values: largest relative change one level coarser at the ends
 _WINDOW, _BLOCK = 12, 512  # _sample_phases: interpolation nodes, samples per block
 _PHASE_NEWTONS, _U_POLISHES = 2, 2  # Newton steps per sample: phi, then u
+_MOMENT_BLOCK = 16  # InstantonOrbit.cosine_moments: m = _MOMENT_BLOCK q + r
 
 
 def _check_energy(pot: LocalPotential, E: float) -> float:
@@ -191,30 +197,45 @@ def _slope_numerator(pot: LocalPotential) -> tuple[float, ...]:
 _ENDS = 2 * _GL_PANEL  # nodes of the certificate's two panels, last in _orbit_rule
 
 
-def _orbit_rule(pot: LocalPotential, E: float,
-                turning: tuple[float, float]) -> tuple[np.ndarray, ...]:
-    """Graded Gauss-Legendre panels on [0, pi] for the orbit at E: panel
-    starts, half widths, nodes phi, cos(phi), weights, and f_E at the nodes
-    from one _orbit_roots solve.
-
-    The integrands' nearest complex singularity lies about sqrt((E0 - E)/E)
-    from phi = 0 or pi.  The panel edges are 0, pi/2^(levels+1), ..., pi/4,
-    pi/2 and their mirrors about pi/2, so the innermost panels are no wider
-    than that.  The certificate's panels [0, pi/2^levels] and its mirror
-    come last: in place of the two innermost panels at each end, they make
-    the rule one level coarser (_period_values).
-    """
-    E0 = pot.orbit_energy_cap
-    levels = max(1, math.ceil(math.log2(0.5 * math.pi * math.sqrt(E / (E0 - E)))) + 1)
+@cache
+def _graded_panels(levels: int) -> tuple[np.ndarray, ...]:
+    """Panel starts, half widths, nodes phi, cos(phi) and weights of the
+    graded rule with levels (_orbit_rule), read-only: they depend on levels
+    alone, so each rule is built once."""
     edges = np.concatenate([[0.0], 0.5 * math.pi * 0.5 ** np.arange(levels, -1, -1)])
     start = np.concatenate([edges[:-1], math.pi - edges[:0:-1], [0.0, math.pi - edges[2]]])
     end = np.concatenate([edges[1:], math.pi - edges[-2::-1], [edges[2], math.pi]])
     half = 0.5 * (end - start)
     t, w = _panel_tables()[:2]
     phi = (start[:, None] + half[:, None] * (t + 1.0)).ravel()
-    cos_phi = np.cos(phi)
-    return (start, half, phi, cos_phi, (half[:, None] * w).ravel(),
-            _orbit_roots(pot, E, turning, cos_phi))
+    panels = (start, half, phi, np.cos(phi), (half[:, None] * w).ravel())
+    for a in panels:
+        a.flags.writeable = False
+    return panels
+
+
+def _orbit_rule(pot: LocalPotential, E: float, turning: tuple[float, float],
+                certificate: bool = True) -> tuple[np.ndarray, ...]:
+    """Graded Gauss-Legendre panels on [0, pi] for the orbit at E: panel
+    starts, half widths, nodes phi, cos(phi), weights (_graded_panels), and
+    f_E at the nodes from one _orbit_roots solve.
+
+    The integrands' nearest complex singularity lies about sqrt((E0 - E)/E)
+    from phi = 0 or pi.  The panel edges are 0, pi/2^(levels+1), ..., pi/4,
+    pi/2 and their mirrors about pi/2, so the innermost panels are no wider
+    than that.  The certificate's panels [0, pi/2^levels] and its mirror
+    come last: in place of the two innermost panels at each end, they make
+    the rule one level coarser (_period_values).  Without certificate they
+    are left out, and so are their roots; each node's root has the same
+    bits either way.
+    """
+    E0 = pot.orbit_energy_cap
+    levels = max(1, math.ceil(math.log2(0.5 * math.pi * math.sqrt(E / (E0 - E)))) + 1)
+    start, half, phi, cos_phi, weights = _graded_panels(levels)
+    if not certificate:
+        start, half = start[:-2], half[:-2]
+        phi, cos_phi, weights = phi[:-_ENDS], cos_phi[:-_ENDS], weights[:-_ENDS]
+    return start, half, phi, cos_phi, weights, _orbit_roots(pot, E, turning, cos_phi)
 
 
 def _orbit_integrand(pot: LocalPotential, E: float, f: np.ndarray, cos_phi: np.ndarray,
@@ -379,38 +400,117 @@ def _panel_tables() -> tuple[np.ndarray, ...]:
     return t, w, S, T, bary / np.abs(bary).max(axis=1, keepdims=True)
 
 
-def _orbit_profile(pot: LocalPotential, E: float, turning: tuple[float, float],
-                   bc: BoundaryCondition, n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """u and u' at n + 1 equispaced samples of the orbit H = E from (u2, 0),
-    and ||u'||^2 over the domain, on the graded rule (_orbit_rule).
+class _OrbitMap(NamedTuple):
+    """The half orbit u2 -> u3 at E on the graded rule without its
+    certificate's panels (_orbit_rule): panel starts and half widths, nodes
+    phi, weights, f_E and x'(phi) at the nodes, x(phi) at the nodes, the
+    half orbit's length X and int u'^2 dx over it."""
 
-    The half orbit u2 -> u3 has x(phi) = int_0^phi x'(psi) dpsi; x at the
-    nodes comes from each panel's integration matrix.  The half orbit's own
-    length X = x(pi) = T(E)/2, the same sum (L for Neumann, L/2 periodic,
-    to the accuracy of E*), is split into n or n/2 equal steps, so both its
-    ends are the turning points with u' = 0 exactly.  A sample's phi is
-    Newton's root of x(phi) = j X / (n or n/2) (_sample_phases).  Its u
-    solves -u sqrt(Q(u)) = sqrt(E) cos phi, that is -sign(u) sqrt(-U(u)) =
-    sqrt(E) cos phi with the polynomial Q(u) = -U(u)/u^2 > 0 (U(0) = U'(0)
-    = 0), a simple root also at u = 0, by Newton from the interpolated node
-    values.  A periodic profile is the half orbit mirrored about x = L/2.
-    ||u'||^2 is int 2E sin^2 phi x'(phi) dphi, twice for periodic b.c.
-    """
-    start, half, phi, cos_phi, weights, f = _orbit_rule(pot, E, turning)
-    start, half = start[:-2], half[:-2]  # without the certificate's two panels
-    phi, weights, f = phi[:-_ENDS], weights[:-_ENDS], f[:-_ENDS]
-    g = _orbit_integrand(pot, E, f, cos_phi[:-_ENDS], False)
+    start: np.ndarray
+    half: np.ndarray
+    phi: np.ndarray
+    weights: np.ndarray
+    f: np.ndarray
+    g: np.ndarray
+    x: np.ndarray
+    X: float
+    deriv_sq: float
+
+
+def _orbit_map(pot: LocalPotential, E: float, turning: tuple[float, float]) -> _OrbitMap:
+    """x(phi) = int_0^phi x'(psi) dpsi on the half orbit u2 -> u3, at the
+    nodes of the graded rule (_orbit_rule), from each panel's integration
+    matrix; the half orbit's own length X = x(pi) = T(E)/2, one correctly
+    rounded sum; and int u'^2 dx = int 2E sin^2 phi x'(phi) dphi over it.
+    Its arrays are read-only."""
+    start, half, phi, cos_phi, weights, f = _orbit_rule(pot, E, turning, certificate=False)
+    g = _orbit_integrand(pot, E, f, cos_phi, False)
     weighted = g * weights
     X = math.fsum(weighted.tolist())
     weighted *= np.sin(phi) ** 2
-    deriv_sq = 2.0 * E * float(np.sum(weighted)) * (1.0 if bc is NEUMANN else 2.0)
+    deriv_sq = 2.0 * E * float(np.sum(weighted))
     _, w, S, _, _ = _panel_tables()
     g = g.reshape(len(start), -1)
     # einsum, not BLAS: the small-matrix kernels would add to the resident set
     panel = half * np.einsum("pj,j->p", g, w)
     x = np.einsum("pj,ij->pi", g, S) * half[:, None]
     x += np.concatenate([[0.0], np.cumsum(panel[:-1])])[:, None]
-    span = n if bc is NEUMANN else 0.5 * n  # sample steps on the half orbit
+    for v in (f, g, x):
+        v.flags.writeable = False
+    return _OrbitMap(start, half, phi, weights, f, g.ravel(), x.ravel(), X, deriv_sq)
+
+
+@dataclass(frozen=True)
+class InstantonOrbit:
+    """The n=1 transition state as its orbit H = E*, without samples.
+
+    V_value and deriv_L2 are InstantonProfile's; rule holds x(phi) and
+    f_E on the graded rule (_orbit_map), from which cosine_moments gives
+    the curvature's cosine moments.
+    """
+
+    pot: LocalPotential = field(repr=False)
+    bc: BoundaryCondition
+    L: float
+    E: float
+    turning: tuple[float, float]
+    V_value: float
+    deriv_L2: float
+    rule: _OrbitMap = field(repr=False)
+
+    def cosine_moments(self, count: int) -> np.ndarray:
+        """c_m = int_0^X U''(u*(x)) cos(m pi x / X) dx for m < count, on the
+        half orbit's length X (L for Neumann, L/2 periodic).
+
+        The sum over the rule's nodes of w x'(phi) U''(f_E) cos(m theta),
+        theta = pi x / X, with cos(m theta) = Re z^(16 q) z^r for m = 16 q + r
+        and z = e^(i theta), the powers by doubling (_powers): one np.cos per
+        node and m would cost 20 times as much.  Each c_m has the same bits
+        whatever the count.
+        """
+        rule = self.rule
+        theta = (math.pi / rule.X) * rule.x
+        low = _powers(np.exp(1j * theta), _MOMENT_BLOCK)
+        low *= rule.weights * rule.g * self.pot.derivative(rule.f, 2)
+        high = _powers(np.exp((1j * _MOMENT_BLOCK) * theta), -(-count // _MOMENT_BLOCK))
+        np.conjugate(high, out=high)
+        # Re(a z^r z^16q) as a real dot product of (re, im) pairs; einsum, not BLAS
+        return np.einsum("rj,qj->qr", low.view(float), high.view(float)).ravel()[:count]
+
+    @property
+    def mean_curvature(self) -> float:
+        """The mean of U''(u*) over the domain, c_0 / X (cosine_moments)."""
+        return float(self.cosine_moments(1)[0]) / self.rule.X
+
+
+def _powers(w: np.ndarray, count: int) -> np.ndarray:
+    """Rows w^0, ..., w^(count - 1): rows k..2k-1 are rows 0..k-1 times w^k,
+    k a power of 2 squared from w, so row j is within about j roundings."""
+    p = np.empty((count, len(w)), complex)
+    p[0] = 1.0
+    k = 1
+    while k < count:
+        np.multiply(p[: min(k, count - k)], w, out=p[k : 2 * k])
+        w = w * w
+        k *= 2
+    return p
+
+
+def _orbit_profile(orbit: InstantonOrbit, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """u and u' at n + 1 equispaced samples of the orbit from (u2, 0).
+
+    The half orbit's length X (_orbit_map), the same sum as T(E)/2 (L for
+    Neumann, L/2 periodic, to the accuracy of E*), is split into n or n/2
+    equal steps, so both its ends are the turning points with u' = 0
+    exactly.  A sample's phi is Newton's root of x(phi) = j X / (n or n/2)
+    (_sample_phases).  Its u solves -u sqrt(Q(u)) = sqrt(E) cos phi, that is
+    -sign(u) sqrt(-U(u)) = sqrt(E) cos phi with the polynomial Q(u) =
+    -U(u)/u^2 > 0 (U(0) = U'(0) = 0), a simple root also at u = 0, by Newton
+    from the interpolated node values.  A periodic profile is the half orbit
+    mirrored about x = L/2.
+    """
+    E, turning, rule = orbit.E, orbit.turning, orbit.rule
+    span = n if orbit.bc is NEUMANN else 0.5 * n  # sample steps on the half orbit
     m = int(span)  # samples 0..m lie on the half orbit
     end = m == span  # sample m is the turning point u3
     u, du = np.empty(n + 1), np.empty(n + 1)
@@ -419,16 +519,17 @@ def _orbit_profile(pot: LocalPotential, E: float, turning: tuple[float, float],
         u[m], du[m] = turning[1], 0.0
     inner = slice(1, m if end else m + 1)
     ui, ph = u[inner], du[inner]
-    _sample_phases(X / span, start, half, phi, x.ravel(), X, g.ravel(), f, ph, ui)
+    _sample_phases(rule.X / span, rule.start, rule.half, rule.phi, rule.x, rule.X, rule.g,
+                   rule.f, ph, ui)
     c = np.cos(ph)
     c *= math.sqrt(E)
-    _polish(*_sqrt_form(pot), c, ui, _U_POLISHES)
+    _polish(*_sqrt_form(orbit.pot), c, ui, _U_POLISHES)
     np.sin(ph, out=ph)
     ph *= math.sqrt(2.0 * E)
-    if bc is PERIODIC:
+    if orbit.bc is PERIODIC:
         u[m + 1:] = u[n - m - 1::-1]
         np.negative(du[n - m - 1::-1], out=du[m + 1:])
-    return u, du, deriv_sq
+    return u, du
 
 
 def _sample_phases(step: float, start: np.ndarray, half: np.ndarray, phi: np.ndarray,
@@ -474,40 +575,50 @@ def _sample_phases(step: float, start: np.ndarray, half: np.ndarray, phi: np.nda
         ph[b:b + _BLOCK] = start[p] + half[p] * (tau + 1.0)
 
 
-def instanton(pot: LocalPotential, L: float, bc: BoundaryCondition,
-              n_samples: int = 4096) -> InstantonProfile:
-    """The n=1 transition-state profile for L above the bifurcation threshold.
+def instanton_orbit(pot: LocalPotential, L: float, bc: BoundaryCondition) -> InstantonOrbit:
+    """The n=1 transition state's orbit for L above the bifurcation threshold.
 
     Solves T(E*) = 2L (Neumann half orbit) or T(E*) = L (periodic full orbit)
     by Newton in s = log(E0 - E) inside the bracket of the monotone period
-    map, and samples the orbit at E* from (u2(E*), 0) through its
-    phi-parametrization (_orbit_profile), whose rule also gives ||u'||^2:
-    deriv_L2 = ||u'|| and V_value = ||u'||^2 - E* L.  The bracket periods
-    at 1e-13 E0, E0 2^-j (j = 5..2) and E0 (1 - 2^-j) are computed once per
-    potential (_bracket_period); Newton starts from the inverse interpolant
-    of the last six of them in s.  Every other energy gets one root solve: its
-    turning points once, and the orbit nodes once for T and T' together.
-    Newton narrows the bracket by the sign of each T - target, bisects it
-    when a step leaves it, and stops on a step of at most 1e-10 E or on T
-    within 4 ulps of the target; NotMonotone if 40 steps do not converge.
-    QuadratureNotConverged names bc and L when L is so long that T(E) is
-    needed closer to E0 than the period rule certifies itself (quartic():
-    first at Neumann L = 17.0 and periodic L = 34.0, in steps of 0.02 and
-    0.05).
+    map, and maps the orbit at E* from (u2(E*), 0) on the graded rule
+    (_orbit_map), which also gives ||u'||^2: deriv_L2 = ||u'|| and V_value =
+    ||u'||^2 - E* L.  The bracket periods at 1e-13 E0, E0 2^-j (j = 5..2)
+    and E0 (1 - 2^-j) are computed once per potential (_bracket_period);
+    Newton starts from the inverse interpolant of the last six of them in s.
+    Every other energy gets one root solve: its turning points once, and
+    the orbit nodes once for T and T' together.  Newton narrows the bracket
+    by the sign of each T - target, bisects it when a step leaves it, and
+    stops on a step of at most 1e-10 E or on T within 4 ulps of the target;
+    NotMonotone if 40 steps do not converge.  QuadratureNotConverged names
+    bc and L when L is so long that T(E) is needed closer to E0 than the
+    period rule certifies itself (quartic(): first at Neumann L = 17.0 and
+    periodic L = 34.0, in steps of 0.02 and 0.05).
     """
     if L <= bc.bifurcation_length:
         raise NoInstanton(f"{bc.value} instantons exist only for "
                           f"L > {bc.bifurcation_length:.6g}, got L = {L}")
     try:
-        E, (u2, u3) = _instanton_energy(pot, L, bc)
+        E, turning = _instanton_energy(pot, L, bc)
     except QuadratureNotConverged as exc:
         raise QuadratureNotConverged(f"{bc.value} L = {L} is too long for the period "
                                      f"quadrature, which fails near E0: {exc}") from exc
-    u, v, deriv_sq = _orbit_profile(pot, E, (u2, u3), bc, n_samples)
+    rule = _orbit_map(pot, E, turning)
+    deriv_sq = rule.deriv_sq * (1.0 if bc is NEUMANN else 2.0)
     # u'^2/2 - U = E along the orbit: int (u'^2/2 + U) dx = ||u'||^2 - E L
-    return InstantonProfile(pot, bc, L, E=E, x=np.linspace(0.0, L, n_samples + 1), u=u,
-                            du=v, V_value=deriv_sq - E * L, deriv_L2=math.sqrt(deriv_sq),
-                            turning=(u2, u3))
+    return InstantonOrbit(pot, bc, L, E, turning, V_value=deriv_sq - E * L,
+                          deriv_L2=math.sqrt(deriv_sq), rule=rule)
+
+
+def instanton(pot: LocalPotential, L: float, bc: BoundaryCondition,
+              n_samples: int = 4096) -> InstantonProfile:
+    """The n=1 transition-state profile for L above the bifurcation threshold:
+    its orbit (instanton_orbit) sampled at n_samples + 1 equispaced points
+    from (u2(E*), 0) (_orbit_profile)."""
+    orbit = instanton_orbit(pot, L, bc)
+    u, v = _orbit_profile(orbit, n_samples)
+    return InstantonProfile(pot, bc, L, E=orbit.E, x=np.linspace(0.0, L, n_samples + 1), u=u,
+                            du=v, V_value=orbit.V_value, deriv_L2=orbit.deriv_L2,
+                            turning=orbit.turning)
 
 
 def _instanton_energy(pot: LocalPotential, L: float,
@@ -571,5 +682,4 @@ def barrier_height(pot: LocalPotential, L: float,
     v_minus = L * float(pot.derivative(pot.u_minus, 0))
     if L <= bc.bifurcation_length:
         return -v_minus, "constant"
-    prof = instanton(pot, L, bc)
-    return prof.V_value - v_minus, "instanton"
+    return instanton_orbit(pot, L, bc).V_value - v_minus, "instanton"

@@ -12,9 +12,10 @@ from kramers_spde import (BoundaryCondition, DomainError, KramersPrediction, Kra
                           LocalPotential, NEUMANN, OutOfRegime, PERIODIC, RegimeTag,
                           UnsupportedRegime, WrongBoundaryCondition, c4, closed_form_product,
                           eigs_profile, instanton, predict_time, quartic, saddle_length)
-from kramers_spde import kramers
+from kramers_spde import kramers, stationary
 from kramers_spde.kramers import _select_regime, remainder_scale
-from kramers_spde.spectra import lambda_ratio_log_sum, lambda_ratio_product_infinite
+from kramers_spde.spectra import (eigs_orbit, lambda_ratio_log_sum,
+                                  lambda_ratio_product_infinite)
 from kramers_spde.spectral import mode_frequencies, mode_indices, nu
 from kramers_spde.specialfn import psi, theta
 from kramers_spde.stationary import InstantonProfile
@@ -244,6 +245,8 @@ def cold_memo():
 
 
 def test_instanton_and_spectrum_solved_once_per_length(pot, monkeypatch, cold_memo):
+    # the E* solve and the moment spectrum run once per length; the sampled
+    # instanton and its FD spectrum not at all
     calls = Counter()
 
     def counted(name):
@@ -254,20 +257,52 @@ def test_instanton_and_spectrum_solved_once_per_length(pot, monkeypatch, cold_me
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("instanton", "eigs_profile"):
+    for name in ("instanton_orbit", "eigs_orbit", "instanton", "eigs_profile"):
         monkeypatch.setattr(kramers, name, counted(name))
     for eps in (0.02, 0.05, 0.1):
         assert predict_time(pot, 5.0, NEUMANN, eps).regime is RegimeTag.NEUMANN_LARGE_L
-    assert calls == {"instanton": 1, "eigs_profile": 1}
+    assert calls == {"instanton_orbit": 1, "eigs_orbit": 1}
 
 
 @pytest.mark.parametrize("bc, L", [(NEUMANN, 4.0), (PERIODIC, 7.0)])
 def test_memoised_spectrum_is_read_only(pot, bc, L, cold_memo):
-    prof, mu, _ = kramers._mu_spectrum(pot, L, bc, 40)
+    orbit, mu, _ = kramers._mu_spectrum(pot, L, bc, 40)
     assert not mu.flags.writeable
-    assert not any(a.flags.writeable for a in (prof.x, prof.u, prof.du))
+    assert not any(a.flags.writeable for a in orbit.rule if isinstance(a, np.ndarray))
     with pytest.raises(ValueError):
         mu[0] = 0.0
+
+
+_REGIME_LENGTHS = {NEUMANN: (1.0, 3.0, 3.3, 4.5), PERIODIC: (4.0, 6.0, 6.5, 9.0)}
+
+
+@pytest.mark.parametrize("bc", [NEUMANN, PERIODIC])
+@pytest.mark.parametrize("coefficients", [None, [0, 0, -0.5, 0.1, 0.25]])
+def test_predictions_take_no_instanton_samples(pot, coefficients, bc, monkeypatch, cold_memo):
+    # every regime predicts from the orbit's moments: the sampler never runs
+    def no_samples(*args, **kwargs):
+        raise AssertionError("the prediction path sampled the instanton")
+
+    monkeypatch.setattr(stationary, "_sample_phases", no_samples)
+    p = pot if coefficients is None else LocalPotential.from_coefficients(coefficients)
+    regimes = {predict_time(p, L, bc, 0.05, d=d).regime
+                for L in _REGIME_LENGTHS[bc] for d in (math.inf, 15)}
+    assert regimes == {t for t in RegimeTag if t.value.startswith(bc.value)}
+
+
+@pytest.mark.parametrize("bc, L", [(NEUMANN, 3.3), (NEUMANN, 6.0), (PERIODIC, 6.5),
+                                   (PERIODIC, 12.0)])
+@pytest.mark.parametrize("coefficients", [None, [0, 0, -0.5, 0.1, 0.25]])
+def test_mean_curvature_matches_the_trapezoid_rule(pot, coefficients, bc, L, cold_memo):
+    # the tail's mean of U''(u*) against the trapezoid rule on 32768 samples
+    # (measured within 7.8e-16); a left-rectangle mean of the 4096 samples
+    # is off by (U''(u2) - U''(u3)) / 8192 for Neumann b.c., 5.5e-5 for the
+    # asymmetric potential at L = 3.3
+    p = pot if coefficients is None else LocalPotential.from_coefficients(coefficients)
+    wbar = kramers._mu_spectrum(p, L, bc, 40)[2]
+    fine = instanton(p, L, bc, n_samples=32768)
+    trapezoid = np.trapezoid(p.derivative(fine.u, 2), dx=L / fine.n_samples) / L
+    assert abs(wbar - trapezoid) <= 1e-14
 
 
 @pytest.mark.parametrize("bc", [NEUMANN, PERIODIC])
@@ -412,9 +447,8 @@ def _branch_mu_spectrum(pot, L, bc, kmax_eig):
         prof, wbar = None, -1.0
         ev = mode_frequencies(bc, L, kmax_eig) - 1.0
     else:
-        prof = kramers._mu_spectrum(pot, L, bc, kmax_eig)[0]  # the (unchanged) instanton
-        ev = eigs_profile(prof, kmax=kmax_eig).eigenvalues
-        wbar = float(np.mean(pot.derivative(prof.u[:prof.n_samples], 2)))
+        prof, _, wbar = kramers._mu_spectrum(pot, L, bc, kmax_eig)  # the memoised orbit
+        ev = eigs_orbit(prof, kmax=kmax_eig).eigenvalues
     return prof, _branch_label_mu(ev, bc, kmax_eig), wbar
 
 

@@ -182,14 +182,22 @@ _open_unit = st.floats(1e-13, 1.0, exclude_max=True)  # E / E0, from the bracket
 @given(which=st.sampled_from(["quartic", "asymmetric sextic"]), frac=_open_unit)
 def test_orbit_nodes_match_one_rule_at_a_time(pot, which, frac):
     # the graded rule solved together with its certificate's panels gives
-    # the bits of each solved alone
+    # the bits of each solved alone, and the rule without them (the samples'
+    # and the moments') is the leading part of the one with them, bit for
+    # bit; its geometry is built once per levels, read-only
     p = pot if which == "quartic" else SAME_CAP
     E = frac * p.orbit_energy_cap
     turning = turning_points(p, E)
-    _, _, _, cos_phi, _, f = stationary._orbit_rule(p, E, turning)
+    rule = stationary._orbit_rule(p, E, turning)
+    cos_phi, f = rule[3], rule[5]
     ends = stationary._ENDS
     for part in (slice(None, -ends), slice(-ends, None)):
         assert f[part].tobytes() == stationary._orbit_roots(p, E, turning, cos_phi[part]).tobytes()
+    fine = stationary._orbit_rule(p, E, turning, certificate=False)
+    for full, part, panel in zip(rule, fine, (True, True, False, False, False, False)):
+        assert part.tobytes() == (full[:-2] if panel else full[:-ends]).tobytes()
+    again = stationary._orbit_rule(p, E, turning)
+    assert all(a is b and not a.flags.writeable for a, b in zip(rule[:5], again[:5]))
 
 
 @settings(max_examples=30, deadline=None)

@@ -22,8 +22,8 @@ def test_tracer_patches_every_name_and_restores_it():
     tracer.install()  # raises if a patched name has moved
     saved = list(tracer._saved)
     try:
-        # an instanton, a near-bifurcation prediction of each bc, a d = 15
-        # small-L prediction and one replica batch reach every patched name
+        # a large-L and a near-bifurcation prediction of each bc, a d = 15
+        # small-L prediction and one replica batch reach the patched names
         # through the names the library looks up
         kramers_spde.predict_time(quartic(), 4.0, NEUMANN, 0.05)
         kramers_spde.predict_time(quartic(), 3.1, NEUMANN, 0.05)
@@ -33,8 +33,10 @@ def test_tracer_patches_every_name_and_restores_it():
     finally:
         tracer.uninstall()
     assert len(saved) == len(tracing.PATCHES)
-    # dT_dE alone is not reached: the library takes T'(E) inside
-    # stationary._period_values, together with T(E), and never calls dT_dE
+    # not reached: dT_dE, as the library takes T'(E) inside
+    # stationary._period_values, together with T(E); instanton and
+    # eigs_profile, as predictions take the instanton's orbit and its moment
+    # spectrum (instanton_orbit, eigs_orbit) in their place
     unreached = {label for _, _, label, _, _ in tracing.PATCHES if not tracer.counts[label]}
-    assert unreached == {"dT_dE"}
+    assert unreached == {"dT_dE", "instanton", "eigs_profile"}
     assert all(owner.__dict__[attr] is original for owner, attr, original in saved)
