@@ -465,13 +465,13 @@ class InstantonOrbit:
         The sum over the rule's nodes of w x'(phi) U''(f_E) cos(m theta),
         theta = pi x / X, with cos(m theta) = Re z^(16 q) z^r for m = 16 q + r
         and z = e^(i theta), the powers by doubling (_powers): one np.cos per
-        node and m would cost 20 times as much.  Each c_m has the same bits
+        node and m would cost about 15 times as much.  Each c_m has the same bits
         whatever the count.
         """
         rule = self.rule
         theta = (math.pi / rule.X) * rule.x
         low = _powers(np.exp(1j * theta), _MOMENT_BLOCK)
-        low *= rule.weights * rule.g * self.pot.derivative(rule.f, 2)
+        low *= self._curvature_weights()
         high = _powers(np.exp((1j * _MOMENT_BLOCK) * theta), -(-count // _MOMENT_BLOCK))
         np.conjugate(high, out=high)
         # Re(a z^r z^16q) as a real dot product of (re, im) pairs; einsum, not BLAS
@@ -480,7 +480,12 @@ class InstantonOrbit:
     @property
     def mean_curvature(self) -> float:
         """The mean of U''(u*) over the domain, c_0 / X (cosine_moments)."""
-        return float(self.cosine_moments(1)[0]) / self.rule.X
+        return math.fsum(self._curvature_weights().tolist()) / self.rule.X
+
+    def _curvature_weights(self) -> np.ndarray:
+        """w x'(phi) U''(f_E) at the rule's nodes: c_0 = int_0^X U''(u*) dx is their sum."""
+        rule = self.rule
+        return rule.weights * rule.g * self.pot.derivative(rule.f, 2)
 
 
 def _powers(w: np.ndarray, count: int) -> np.ndarray:

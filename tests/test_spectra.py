@@ -271,7 +271,7 @@ def test_instanton_mu0_mu1_match_lame(pot):
 def test_moment_spectrum_matches_the_sampled_instanton(pot, bc, above, asymmetric, kmax):
     # the orbit's cosine moments give the spectrum of the instanton's 4096
     # samples without the samples: within 1e-13 of the largest eigenvalue
-    # (measured at most 3.2e-15 over 54 lengths of both potentials)
+    # (measured at most 3.0e-15 over 58 lengths of both potentials)
     p = ASYMMETRIC if asymmetric else pot
     L = bc.bifurcation_length * (1.0 + above)
     want = eigs_profile(instanton(p, L, bc), kmax=kmax).eigenvalues
