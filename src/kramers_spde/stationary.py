@@ -440,13 +440,14 @@ def _orbit_map(pot: LocalPotential, E: float, turning: tuple[float, float]) -> _
     return _OrbitMap(start, half, phi, weights, f, g.ravel(), x.ravel(), X, deriv_sq)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstantonOrbit:
     """The n=1 transition state as its orbit H = E*, without samples.
 
     V_value and deriv_L2 are InstantonProfile's; rule holds x(phi) and
     f_E on the graded rule (_orbit_map), from which cosine_moments gives
-    the curvature's cosine moments.
+    the curvature's cosine moments.  It compares and hashes by identity:
+    field-wise equality would compare the rule's arrays.
     """
 
     pot: LocalPotential = field(repr=False)
