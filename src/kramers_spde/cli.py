@@ -32,9 +32,9 @@ from .errors import AllCensored, KramersSpdeError, UnsupportedRegime
 from .kramers import RegimeTag, _label_mu, _mu_log_sum, predict_time
 from .potential import LocalPotential, quartic
 from .simulate import SimConfig, mc_stats, run_replicas, _stats_from_samples
-from .spectra import _eigenvalue_count, det_ratio, eigs_constant, eigs_profile
+from .spectra import _eigenvalue_count, det_ratio, eigs_constant, eigs_orbit
 from .spectral import NEUMANN, BoundaryCondition, write_profile_csv
-from .stationary import instanton
+from .stationary import instanton, instanton_orbit
 from . import validate as validate_mod
 
 _FLOAT_FMT = ".17g"
@@ -278,8 +278,7 @@ def _cmd_eigen(cfg: dict) -> int:
         if need > cfg["grid_n"]:
             raise ValueError(f"--kmax {kmax} needs {need} eigenvalues, more than the "
                              f"--grid-n {cfg['grid_n']} coarse grid has")
-        prof = instanton(pot, L, bc, n_samples=4 * cfg["grid_n"])
-        rep = eigs_profile(prof, kmax=kmax)
+        rep = eigs_orbit(instanton_orbit(pot, L, bc), kmax, cfg["grid_n"])
         mu = _label_mu(rep.eigenvalues, bc, kmax)
         ratio = math.exp(_mu_log_sum(mu, pot, L, bc, k_from=1, d=kmax, kmax_eig=kmax,
                                      wbar=None))
@@ -420,7 +419,7 @@ _HELP = {
     "L_grid": "start:step:stop",
     "eps_grid": "start:step:stop",
     "full": "include the slow Monte Carlo invariants",
-    "grid_n": "coarse FD grid of --which instanton; the instanton is sampled at 4 * grid_n",
+    "grid_n": "coarse FD grid of --which instanton (the fine one has 2 * grid_n nodes)",
 }
 
 

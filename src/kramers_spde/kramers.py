@@ -26,12 +26,12 @@ saddle_length() of the periodic translation orbit, with ||u'|| the
 instanton's own deriv_L2 (from its orbit's quadrature rule).  d is the Galerkin
 truncation (math.inf sums the tail to closed form for the constant spectra
 and to a Weyl-asymptotic tail for instanton spectra).  Instanton spectra
-are eigs_profile's finite differences on the instanton's 4096 samples,
-solved in the FD Laplacian's cosine/Fourier eigenbasis (periodic: its
-cosine and sine sectors, the zero mode the sine ground state), taken
-without the samples: from the cosine moments of U''(u*) on the
-instanton's orbit (spectra.eigs_orbit, stationary.instanton_orbit), whose
-c_0 / X is also the tail's mean curvature.  They do not depend on eps, so
+are finite differences on the 1024 and 2048 point grids, solved in the FD
+Laplacian's cosine/Fourier eigenbasis (periodic: its cosine and sine
+sectors, the zero mode the sine ground state) from the cosine moments of
+U''(u*) on the instanton's orbit (spectra.eigs_orbit,
+stationary.instanton_orbit), whose c_0 / X is also the tail's mean
+curvature.  They do not depend on eps, so
 _mu_spectrum keeps the last 64 in a functools.lru_cache keyed on (U, L,
 bc, kmax_eig).
 """

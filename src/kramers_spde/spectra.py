@@ -6,22 +6,18 @@ saddle has lambda_0 = -1, and transition states have exactly one negative
 eigenvalue, plus one zero mode in the periodic case from translation
 symmetry).
 
-Constant profiles have closed-form spectra.  Instanton profiles are
-discretized with second-order central differences on the profile's own
-samples: every 4th and every 2nd of its n_samples points (N/4 and N/2 grid
-points), then one Richardson step in h^2 (eigs_profile).  Neumann uses the
-midpoint grid with ghost reflection, the periodic instanton the cyclic grid
-from its minimum at x = 0.  The prediction path takes the same spectra of
-the default 4096 samples without the samples (eigs_orbit): the FD matrices
-read W only through its cosine sums, which are (n / X) times the cosine
-moments of W on the instanton's orbit.
+Constant profiles have closed-form spectra.  Instanton spectra are
+second-order central differences on the n and 2n point grids, then one
+Richardson step in h^2 (eigs_orbit).  Neumann uses the midpoint grid with
+ghost reflection, the periodic instanton the cyclic grid from its minimum
+at x = 0.  The FD matrices read W = U''(u*) only through its cosine sums
+on the grid, which are (n / X) times the cosine moments of W on the
+instanton's orbit: no spectrum samples the instanton.
 
-Each FD matrix -Delta_h + W (W = U''(u*) on the grid) is solved by
-Rayleigh-Ritz in its Laplacian's exact eigenbasis, where -Delta_h is
-diagonal (kappa_k = 4 sin^2(pi k / 2n) / h^2 on the Neumann DCT-II modes,
-4 sin^2(pi k / n) / h^2 on the periodic Fourier modes) and W couples modes
-through its own cosine sums (one DCT-II or one real FFT of the samples,
-or the orbit's cosine moments).  The periodic
+Each FD matrix -Delta_h + W is solved by Rayleigh-Ritz in its Laplacian's
+exact eigenbasis, where -Delta_h is diagonal (kappa_k = 4 sin^2(pi k / 2n)
+/ h^2 on the Neumann DCT-II modes, 4 sin^2(pi k / n) / h^2 on the periodic
+Fourier modes) and W couples modes through its cosine sums.  The periodic
 instanton is even about x = 0 (u'' = U'(u) is reversible), so its cosine
 and sine sectors do not couple; the sine ground state is the translation
 zero mode.  The lowest eigenvalues come from the leading block of each
@@ -32,11 +28,11 @@ they carry the roundoff of that small block, not of the n-node matrix.
 An even potential (LocalPotential.is_even: every odd-power coefficient is
 exactly 0.0, as for quartic()) gives the instanton one more mirror
 symmetry: u(L - x) = -u(x) (Neumann) and u(x + L/2) = -u(x) (periodic,
-even n), so W is made exactly even about L/2 (resp. of period L/2), couples
-only modes of one parity, and each block is solved as its even-k and odd-k
-halves.  The choice follows the coefficients, never a tolerance on
-U''(u*); a nearly even potential, and a periodic grid of odd n, keep the
-unsplit blocks.
+even n), so W is even about L/2 (resp. of period L/2), couples only modes
+of one parity, and each block is solved as its even-k and odd-k halves.
+The choice follows the coefficients, never a tolerance on U''(u*); a
+nearly even potential, and a periodic grid of odd n, keep the unsplit
+blocks.
 
 Products of eigenvalue ratios (truncated functional determinants) are summed
 in log space with compensated summation and sign tracking; for the constant
@@ -49,7 +45,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dct, rfft
 
 from .errors import OutOfRegime, ResolutionTooLow, ZeroDenominator
 from .potential import LocalPotential
@@ -98,37 +93,6 @@ def eigs_constant(pot: LocalPotential, L: float, bc: BoundaryCondition,
     base = nu(bc, L, np.arange(kmax + 1)) + shift
     ev = np.sort(np.concatenate([base, base[1:]])) if bc is PERIODIC else base
     return SpectrumReport(bc, L, which, ev, *_classify(ev), kmax)
-
-
-def _mirror_mean(W: np.ndarray, mirror: np.ndarray, message: str) -> np.ndarray:
-    """(W + mirror) / 2; ValueError(message) unless they agree to 1e-3 of max|W|."""
-    if np.abs(W - mirror).max() > 1e-3 * max(1.0, float(np.abs(W).max())):
-        raise ValueError(message)
-    return 0.5 * (W + mirror)
-
-
-def _cosine_sums(W: np.ndarray, bc: BoundaryCondition, even_potential: bool) -> np.ndarray:
-    """The cosine sums T of W on its n-point grid, from one DCT-II
-    (Neumann, T(m) for m < 2n) or one real FFT (periodic, m <= n)."""
-    n = len(W)
-    if bc is NEUMANN:
-        if even_potential:  # u(L - x) = -u(x), so W is even about L/2
-            W = _mirror_mean(W, W[::-1], "Neumann spectra of an even potential need "
-                             "a profile odd about x = L/2 (an instanton)")
-        # T(m) = sum_i W_i cos(pi m (i + 1/2) / n): T(n) = 0, T(2n - m) = -T(m)
-        T = 0.5 * dct(W, type=2)
-        return np.concatenate([T, [0.0], -T[:0:-1]])
-    # periodic: W[j] = W[n - j], so the cosine (v[j] = v[n - j]) and sine
-    # (v[j] = -v[n - j]) modes do not couple
-    half = n // 2
-    sym = _mirror_mean(W, np.roll(W[::-1], 1), "periodic spectra need a profile even about "
-                       "x = 0 (the instanton's phase convention: minimum at x = 0)")[: half + 1]
-    if even_potential and n % 2 == 0:  # u(x + L/2) = -u(x): W[j] = W[n/2 - j]
-        sym = _mirror_mean(sym, sym[::-1], "periodic spectra of an even potential need "
-                           "a profile with u(x + L/2) = -u(x) (an instanton)")
-    # T(m) = sum_i W_i cos(2 pi m i / n) = T(n - m), for m = 0..n
-    T = rfft(np.concatenate([sym, sym[n - half - 1 : 0 : -1]])).real
-    return T[np.minimum(np.arange(n + 1), n - np.arange(n + 1))]
 
 
 def _sectors(n: int, L: float, bc: BoundaryCondition):
@@ -203,97 +167,62 @@ def _ritz_smallest(sums, n: int, L: float, bc: BoundaryCondition, m: int,
     return np.sort(np.concatenate([v[:want] for v in vals]))[:m]
 
 
-def _fd_smallest(W: np.ndarray, L: float, bc: BoundaryCondition, m: int,
-                 even_potential: bool = False) -> np.ndarray:
-    """The lowest m eigenvalues of the FD matrix with W on its grid
-    (_ritz_smallest), from W's cosine sums (_cosine_sums)."""
-    T = _cosine_sums(W, bc, even_potential)
-    split = even_potential and (bc is NEUMANN or len(W) % 2 == 0)
-    return _ritz_smallest(lambda count: T, len(W), L, bc, m, split)
-
-
 def _eigenvalue_count(bc: BoundaryCondition, kmax: int) -> int:
     """Lowest eigenvalues that cover the mode labels |k| <= kmax."""
     return kmax + 2 if bc is NEUMANN else 2 * kmax + 3
 
 
-def _coarse_grid_count(bc: BoundaryCondition, kmax: int, n_samples: int) -> int:
-    """_eigenvalue_count, which the coarse grid of n_samples / 4 points must hold."""
-    m = _eigenvalue_count(bc, kmax)
-    if m > n_samples // 4:
-        raise ValueError(f"kmax = {kmax} needs {m} eigenvalues, more than the "
-                         f"{n_samples // 4}-node coarse grid of {n_samples} samples has")
-    return m
-
-
-def _extrapolated(coarse: np.ndarray, fine: np.ndarray, n_samples: int,
-                  bc: BoundaryCondition, L: float, kmax: int) -> SpectrumReport:
-    """The report of (4 mu_{2n} - mu_n)/3 from the n = N/4 and 2n = N/2 grids;
-    ResolutionTooLow if they disagree by more than 1% after extrapolation."""
-    extrap = (4.0 * fine - coarse) / 3.0
-    scale = max(1.0, float(np.abs(extrap).max()))
-    if np.any(np.abs(fine - coarse) > 0.01 * np.maximum(np.abs(extrap), 0.01 * scale)):
-        raise ResolutionTooLow(
-            f"grids {n_samples // 4}/{n_samples // 2} disagree beyond 1% of the eigenvalue scale")
-    return SpectrumReport(bc, L, "instanton", extrap, *_classify(extrap), kmax)
-
-
-def _sample_curvature(profile: InstantonProfile, step: int) -> np.ndarray:
-    """U''(u*(x)) on every step-th sample: from x = 0 (periodic), or at the
-    Neumann cell midpoints, the samples at odd multiples of step/2."""
-    start = 0 if profile.bc is PERIODIC else step // 2
-    return profile.pot.derivative(profile.u[start:profile.n_samples:step], 2)
-
-
-def eigs_profile(profile: InstantonProfile, kmax: int) -> SpectrumReport:
-    """Discretized spectrum at a sampled profile, Richardson-extrapolated.
+def eigs_orbit(orbit: InstantonOrbit, kmax: int, n: int = 1024) -> SpectrumReport:
+    """FD spectrum at the instanton, Richardson-extrapolated, from its orbit.
 
     Computes the smallest eigenvalues covering mode labels |k| <= kmax
-    (kmax+2 values for Neumann, 2*kmax+3 for periodic) on the n = N/4 and
-    2n = N/2 point grids of the profile's N = n_samples samples.  N must be
-    a multiple of 4 and at least 1024, and n at least the number of values;
-    the h^2 error model gives the extrapolation (4 mu_{2n} - mu_n)/3.  Each
-    grid is solved by Rayleigh-Ritz in the FD Laplacian's eigenbasis
-    (module docstring).  Raises ResolutionTooLow if the two grids disagree
-    by more than 1% after extrapolation, and ValueError for a periodic
-    profile that is not even about x = 0, or, when the potential is even, a
-    profile without the instanton's mirror symmetry.
+    (kmax+2 values for Neumann, 2*kmax+3 for periodic) on the n and 2n
+    point grids, n at least the number of values; the h^2 error model gives
+    the extrapolation (4 mu_{2n} - mu_n)/3.  Each grid is solved by
+    Rayleigh-Ritz in the FD Laplacian's eigenbasis (module docstring).  On
+    an analytic W even about the half orbit's ends, the grid's cosine sums
+    are T_n(m) = (n / X) c_m up to aliasing of c_(2n-m) and beyond, which is
+    far below roundoff for the m < 2M that the Ritz blocks read; c_m are
+    the orbit's cosine moments (InstantonOrbit.cosine_moments), computed
+    once for the largest block reached and shared by both grids.  Raises
+    ResolutionTooLow if the grids disagree by more than 1% after
+    extrapolation.
     """
-    N = profile.n_samples
-    if N % 4 or N < 1024:
-        raise ValueError(f"profile n_samples must be a multiple of 4 and >= 1024, got {N}")
-    m = _coarse_grid_count(profile.bc, kmax, N)
-    coarse, fine = (_fd_smallest(_sample_curvature(profile, step), profile.L, profile.bc, m,
-                                 profile.pot.is_even) for step in (4, 2))
-    return _extrapolated(coarse, fine, N, profile.bc, profile.L, kmax)
-
-
-def eigs_orbit(orbit: InstantonOrbit, kmax: int) -> SpectrumReport:
-    """eigs_profile(instanton(...), kmax) without the samples.
-
-    On an analytic W even about the half orbit's ends, the cosine sums of
-    the n-point grid are T_n(m) = (n / X) c_m up to aliasing of c_(2n-m)
-    and beyond, which is far below roundoff for the m < 2M that the Ritz
-    blocks read; c_m are the orbit's cosine moments (InstantonOrbit.
-    cosine_moments), computed once for the largest block reached and shared
-    by the n = 1024 and 2048 grids of the default 4096 samples.  The same
-    Ritz growth and Richardson step as eigs_profile follow.
-    """
-    N = 4096
-    m = _coarse_grid_count(orbit.bc, kmax, N)
+    m = _eigenvalue_count(orbit.bc, kmax)
+    if m > n:
+        raise ValueError(f"kmax = {kmax} needs {m} eigenvalues, more than the "
+                         f"{n}-node coarse grid has")
     moments = np.empty(0)
 
-    def sums(n: int):
+    def sums(grid: int):
         def sums_n(count: int) -> np.ndarray:
             nonlocal moments
             if len(moments) < count:
                 moments = orbit.cosine_moments(count)
-            return (n / orbit.rule.X) * moments
+            return (grid / orbit.rule.X) * moments
         return sums_n
 
-    coarse, fine = (_ritz_smallest(sums(n), n, orbit.L, orbit.bc, m, orbit.pot.is_even)
-                    for n in (N // 4, N // 2))
-    return _extrapolated(coarse, fine, N, orbit.bc, orbit.L, kmax)
+    # an even potential's W couples one mode parity only (but odd periodic grids)
+    coarse, fine = (_ritz_smallest(sums(grid), grid, orbit.L, orbit.bc, m,
+                                   orbit.pot.is_even and (orbit.bc is NEUMANN or grid % 2 == 0))
+                    for grid in (n, 2 * n))
+    extrap = (4.0 * fine - coarse) / 3.0
+    scale = max(1.0, float(np.abs(extrap).max()))
+    if np.any(np.abs(fine - coarse) > 0.01 * np.maximum(np.abs(extrap), 0.01 * scale)):
+        raise ResolutionTooLow(
+            f"grids {n}/{2 * n} disagree beyond 1% of the eigenvalue scale at kmax = {kmax}: "
+            "use a larger grid or a smaller kmax")
+    return SpectrumReport(orbit.bc, orbit.L, "instanton", extrap, *_classify(extrap), kmax)
+
+
+def eigs_profile(profile: InstantonProfile, kmax: int) -> SpectrumReport:
+    """eigs_orbit on the orbit of an instanton profile of N = n_samples
+    samples, at n = N/4: the spectrum of its n and 2n = N/2 point grids.
+    It reads the orbit, not the samples."""
+    if profile.orbit is None:
+        raise ValueError("eigs_profile needs an instanton's profile; a constant "
+                         "profile's spectrum is eigs_constant's")
+    return eigs_orbit(profile.orbit, kmax, profile.n_samples // 4)
 
 
 def det_ratio(numerator: SpectrumReport, denominator: SpectrumReport, d: int,

@@ -24,12 +24,12 @@ Instantons: the Neumann transition state traverses the half orbit u2 -> u3
 in length L (so T(E*) = 2L, requiring L > pi); the periodic one is a full
 orbit (T(E*) = L, requiring L > 2 pi).  instanton_orbit maps the orbit at
 E* on the same rule, x(phi) = int_0^phi x'(psi) dpsi at its nodes
-(_orbit_map), without samples: the prediction path takes the curvature's
-cosine moments from it (InstantonOrbit.cosine_moments).  instanton
-samples it, starting from (u2(E*), 0), by inverting x(phi)
-(_orbit_profile).  This fixes the phase conventions u(0) = u2 (Neumann)
-and "minimum at x = 0" (periodic, one representative of the translation
-family, the half orbit mirrored).  As u'^2/2 - U = E, the energy
+(_orbit_map), without samples: every instanton spectrum takes the
+curvature's cosine moments from it (InstantonOrbit.cosine_moments).
+instanton samples it, starting from (u2(E*), 0), by inverting x(phi)
+(_orbit_profile), and keeps it with the samples.  This fixes the phase
+conventions u(0) = u2 (Neumann) and "minimum at x = 0" (periodic, one
+representative of the translation family, the half orbit mirrored).  As u'^2/2 - U = E, the energy
 int (u'^2/2 + U) dx is ||u'||^2 - E L.
 
 Root solves: each energy the E* solve visits gets one root solve, that is
@@ -77,6 +77,7 @@ _RTOL = 1e-8  # _period_values: largest relative change one level coarser at the
 _WINDOW, _BLOCK = 12, 512  # _sample_phases: interpolation nodes, samples per block
 _PHASE_NEWTONS, _U_POLISHES = 2, 2  # Newton steps per sample: phi, then u
 _MOMENT_BLOCK = 16  # InstantonOrbit.cosine_moments: m = _MOMENT_BLOCK q + r
+_MOMENT_SPAN = 48.0  # ... and the largest m (panel width in x) / X it sums on a panel
 
 
 def _check_energy(pot: LocalPotential, E: float) -> float:
@@ -198,14 +199,17 @@ _ENDS = 2 * _GL_PANEL  # nodes of the certificate's two panels, last in _orbit_r
 
 
 @cache
-def _graded_panels(levels: int) -> tuple[np.ndarray, ...]:
+def _graded_panels(levels: int, split: int = 1) -> tuple[np.ndarray, ...]:
     """Panel starts, half widths, nodes phi, cos(phi) and weights of the
-    graded rule with levels (_orbit_rule), read-only: they depend on levels
-    alone, so each rule is built once."""
+    graded rule with levels (_orbit_rule), each panel cut into split equal
+    ones, read-only: they depend on (levels, split) alone, so each rule is
+    built once."""
     edges = np.concatenate([[0.0], 0.5 * math.pi * 0.5 ** np.arange(levels, -1, -1)])
     start = np.concatenate([edges[:-1], math.pi - edges[:0:-1], [0.0, math.pi - edges[2]]])
     end = np.concatenate([edges[1:], math.pi - edges[-2::-1], [edges[2], math.pi]])
-    half = 0.5 * (end - start)
+    half = 0.5 * (end - start) / split
+    start = (start[:, None] + 2.0 * half[:, None] * np.arange(split)).ravel()
+    half = np.repeat(half, split)
     t, w = _panel_tables()[:2]
     phi = (start[:, None] + half[:, None] * (t + 1.0)).ravel()
     panels = (start, half, phi, np.cos(phi), (half[:, None] * w).ravel())
@@ -215,10 +219,11 @@ def _graded_panels(levels: int) -> tuple[np.ndarray, ...]:
 
 
 def _orbit_rule(pot: LocalPotential, E: float, turning: tuple[float, float],
-                certificate: bool = True) -> tuple[np.ndarray, ...]:
-    """Graded Gauss-Legendre panels on [0, pi] for the orbit at E: panel
-    starts, half widths, nodes phi, cos(phi), weights (_graded_panels), and
-    f_E at the nodes from one _orbit_roots solve.
+                certificate: bool = True, split: int = 1) -> tuple[np.ndarray, ...]:
+    """Graded Gauss-Legendre panels on [0, pi] for the orbit at E, each cut
+    into split equal ones: panel starts, half widths, nodes phi, cos(phi),
+    weights (_graded_panels), and f_E at the nodes from one _orbit_roots
+    solve.
 
     The integrands' nearest complex singularity lies about sqrt((E0 - E)/E)
     from phi = 0 or pi.  The panel edges are 0, pi/2^(levels+1), ..., pi/4,
@@ -231,10 +236,11 @@ def _orbit_rule(pot: LocalPotential, E: float, turning: tuple[float, float],
     """
     E0 = pot.orbit_energy_cap
     levels = max(1, math.ceil(math.log2(0.5 * math.pi * math.sqrt(E / (E0 - E)))) + 1)
-    start, half, phi, cos_phi, weights = _graded_panels(levels)
+    start, half, phi, cos_phi, weights = _graded_panels(levels, split)
     if not certificate:
-        start, half = start[:-2], half[:-2]
-        phi, cos_phi, weights = phi[:-_ENDS], cos_phi[:-_ENDS], weights[:-_ENDS]
+        start, half = start[:-2 * split], half[:-2 * split]
+        nodes = slice(-_ENDS * split)
+        phi, cos_phi, weights = phi[nodes], cos_phi[nodes], weights[nodes]
     return start, half, phi, cos_phi, weights, _orbit_roots(pot, E, turning, cos_phi)
 
 
@@ -313,9 +319,14 @@ def _bracket_period(pot: LocalPotential, E: float) -> float:
     return period_T(pot, E)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstantonProfile:
-    """A sampled nonconstant stationary solution (n = 1 kinks)."""
+    """A sampled nonconstant stationary solution (n = 1 kinks).
+
+    orbit is the instanton's orbit the samples were taken from (None for a
+    constant profile).  It compares and hashes by identity, as
+    InstantonOrbit does.
+    """
 
     pot: LocalPotential = field(repr=False)
     bc: BoundaryCondition
@@ -327,6 +338,7 @@ class InstantonProfile:
     V_value: float
     deriv_L2: float
     turning: tuple[float, float]
+    orbit: InstantonOrbit | None = field(default=None, repr=False)
 
     def __post_init__(self):
         for name in ("x", "u", "du"):
@@ -404,7 +416,7 @@ class _OrbitMap(NamedTuple):
     """The half orbit u2 -> u3 at E on the graded rule without its
     certificate's panels (_orbit_rule): panel starts and half widths, nodes
     phi, weights, f_E and x'(phi) at the nodes, x(phi) at the nodes, the
-    half orbit's length X and int u'^2 dx over it."""
+    half orbit's length X, int u'^2 dx over it and its widest panel in x."""
 
     start: np.ndarray
     half: np.ndarray
@@ -415,15 +427,18 @@ class _OrbitMap(NamedTuple):
     x: np.ndarray
     X: float
     deriv_sq: float
+    widest: float
 
 
-def _orbit_map(pot: LocalPotential, E: float, turning: tuple[float, float]) -> _OrbitMap:
+def _orbit_map(pot: LocalPotential, E: float, turning: tuple[float, float],
+               split: int = 1) -> _OrbitMap:
     """x(phi) = int_0^phi x'(psi) dpsi on the half orbit u2 -> u3, at the
-    nodes of the graded rule (_orbit_rule), from each panel's integration
-    matrix; the half orbit's own length X = x(pi) = T(E)/2, one correctly
-    rounded sum; and int u'^2 dx = int 2E sin^2 phi x'(phi) dphi over it.
-    Its arrays are read-only."""
-    start, half, phi, cos_phi, weights, f = _orbit_rule(pot, E, turning, certificate=False)
+    nodes of the graded rule (_orbit_rule, each panel cut into split),
+    from each panel's integration matrix; the half orbit's own length X =
+    x(pi) = T(E)/2, one correctly rounded sum; and int u'^2 dx = int 2E
+    sin^2 phi x'(phi) dphi over it.  Its arrays are read-only."""
+    start, half, phi, cos_phi, weights, f = _orbit_rule(pot, E, turning, certificate=False,
+                                                        split=split)
     g = _orbit_integrand(pot, E, f, cos_phi, False)
     weighted = g * weights
     X = math.fsum(weighted.tolist())
@@ -437,7 +452,8 @@ def _orbit_map(pot: LocalPotential, E: float, turning: tuple[float, float]) -> _
     x += np.concatenate([[0.0], np.cumsum(panel[:-1])])[:, None]
     for v in (f, g, x):
         v.flags.writeable = False
-    return _OrbitMap(start, half, phi, weights, f, g.ravel(), x.ravel(), X, deriv_sq)
+    return _OrbitMap(start, half, phi, weights, f, g.ravel(), x.ravel(), X, deriv_sq,
+                     float(panel.max()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,13 +482,19 @@ class InstantonOrbit:
         The sum over the rule's nodes of w x'(phi) U''(f_E) cos(m theta),
         theta = pi x / X, with cos(m theta) = Re z^(16 q) z^r for m = 16 q + r
         and z = e^(i theta), the powers by doubling (_powers): one np.cos per
-        node and m would cost about 15 times as much.  Each c_m has the same bits
-        whatever the count.
+        node and m would cost about 15 times as much.  A 64-node panel
+        resolves cos(m theta) only while m (its width in x) / X stays below
+        about 54, so for larger counts the orbit is mapped again with each
+        panel cut into ceil(count widest / (48 X)) (_orbit_map).  Each c_m
+        has the same bits whatever the count, as long as that cut stays 1.
         """
         rule = self.rule
+        split = math.ceil(count * rule.widest / (_MOMENT_SPAN * rule.X))
+        if split > 1:
+            rule = _orbit_map(self.pot, self.E, self.turning, split)
         theta = (math.pi / rule.X) * rule.x
         low = _powers(np.exp(1j * theta), _MOMENT_BLOCK)
-        low *= self._curvature_weights()
+        low *= self._curvature_weights(rule)
         high = _powers(np.exp((1j * _MOMENT_BLOCK) * theta), -(-count // _MOMENT_BLOCK))
         np.conjugate(high, out=high)
         # Re(a z^r z^16q) as a real dot product of (re, im) pairs; einsum, not BLAS
@@ -481,11 +503,10 @@ class InstantonOrbit:
     @property
     def mean_curvature(self) -> float:
         """The mean of U''(u*) over the domain, c_0 / X (cosine_moments)."""
-        return math.fsum(self._curvature_weights().tolist()) / self.rule.X
+        return math.fsum(self._curvature_weights(self.rule).tolist()) / self.rule.X
 
-    def _curvature_weights(self) -> np.ndarray:
+    def _curvature_weights(self, rule: _OrbitMap) -> np.ndarray:
         """w x'(phi) U''(f_E) at the rule's nodes: c_0 = int_0^X U''(u*) dx is their sum."""
-        rule = self.rule
         return rule.weights * rule.g * self.pot.derivative(rule.f, 2)
 
 
@@ -618,13 +639,13 @@ def instanton_orbit(pot: LocalPotential, L: float, bc: BoundaryCondition) -> Ins
 def instanton(pot: LocalPotential, L: float, bc: BoundaryCondition,
               n_samples: int = 4096) -> InstantonProfile:
     """The n=1 transition-state profile for L above the bifurcation threshold:
-    its orbit (instanton_orbit) sampled at n_samples + 1 equispaced points
-    from (u2(E*), 0) (_orbit_profile)."""
+    its orbit (instanton_orbit, kept as the profile's orbit) sampled at
+    n_samples + 1 equispaced points from (u2(E*), 0) (_orbit_profile)."""
     orbit = instanton_orbit(pot, L, bc)
     u, v = _orbit_profile(orbit, n_samples)
     return InstantonProfile(pot, bc, L, E=orbit.E, x=np.linspace(0.0, L, n_samples + 1), u=u,
                             du=v, V_value=orbit.V_value, deriv_L2=orbit.deriv_L2,
-                            turning=orbit.turning)
+                            turning=orbit.turning, orbit=orbit)
 
 
 def _instanton_energy(pot: LocalPotential, L: float,

@@ -8,7 +8,7 @@ skips the two multi-minute Monte Carlo invariants, which run under --full.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -18,7 +18,7 @@ from .potential import (quartic, energy_V, grad_V,
 from .spectral import (NEUMANN, PERIODIC, FourierState, from_grid, to_grid,
                        sup_dist, linearized_eigenvalue, nu)
 from .stationary import InstantonProfile, dT_dE, instanton
-from .spectra import closed_form_product, eigs_constant, eigs_profile, det_ratio
+from .spectra import closed_form_product, eigs_constant, eigs_orbit, det_ratio
 from .specialfn import psi, theta, PSI_AT_ZERO, THETA_AT_ZERO
 from .kramers import RegimeTag, predict_time
 from .simulate import (SimConfig, mc_stats, oracle_identity_1d, oracle_mfpt_1d,
@@ -139,8 +139,8 @@ def _check_product_convergence() -> CheckResult:
         mask = np.arange(1, d + 1)
         pref = 2 * math.pi * math.sqrt(det_ratio(ro, rm, d, mask, mask) / 2.0)
         gaps.append(abs(pref - cf) / cf)
-    prof = _neumann_l4()  # every second sample: the 512/1024 FD grids
-    rep = eigs_profile(replace(prof, x=prof.x[::2], u=prof.u[::2], du=prof.du[::2]), kmax=8)
+    prof = _neumann_l4()
+    rep = eigs_orbit(prof.orbit, kmax=8, n=512)
     nu0 = nu(NEUMANN, 4.0, np.arange(9))
     W = q.derivative(prof.u, 2)
     interlace = bool(np.all((rep.eigenvalues[:9] >= nu0 + W.min() - 1e-9)

@@ -121,7 +121,7 @@ def test_stationary_solves_the_instanton_once(tmp_path, monkeypatch):
 
 
 def test_eigen_grid_n_below_256_is_a_usage_error(tmp_path, capsys):
-    # the instanton is sampled at 4 * grid_n, and the refusal names the flag
+    # the coarse grid has at least 256 nodes, and the refusal names the flag
     rc = run(tmp_path, "eigen", "--L", "4", "--which", "instanton", "--grid-n", "100")
     assert rc == 2 and "--grid-n must be >= 256" in capsys.readouterr().err
 
@@ -142,6 +142,18 @@ def test_eigen_grid_n_without_instanton_is_a_usage_error(tmp_path, capsys, which
     rc = run(tmp_path, "eigen", "--L", "1", "--which", which, "--grid-n", "512")
     err = capsys.readouterr().err
     assert rc == 2 and "--grid-n" in err and "--which instanton" in err
+    assert not (tmp_path / "kramers_eigen.csv").exists()
+
+
+@pytest.mark.parametrize("bc, L, kmax", [("neumann", "4", "40"), ("periodic", "6.5", "16")])
+def test_eigen_grids_that_disagree_name_grid_n_and_kmax(tmp_path, capsys, bc, L, kmax):
+    # the 256 and 512 node grids disagree beyond 1% (ResolutionTooLow): a
+    # numerical failure, whose message says which inputs would mend it
+    rc = run(tmp_path, "eigen", "--bc", bc, "--L", L, "--which", "instanton", "--kmax", kmax,
+             "--grid-n", "256")
+    err = capsys.readouterr().err
+    assert rc == 3 and "grids 256/512 disagree" in err and f"kmax = {kmax}" in err
+    assert "a larger grid or a smaller kmax" in err
     assert not (tmp_path / "kramers_eigen.csv").exists()
 
 

@@ -1,18 +1,17 @@
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
-from scipy.interpolate import CubicSpline
+from scipy.fft import dct, rfft
 from scipy.linalg import eigvalsh
 from scipy.sparse.linalg import eigsh
 
-from kramers_spde import (NEUMANN, LocalPotential, OutOfRegime, PERIODIC, ZeroDenominator,
-                          closed_form_product, det_ratio, eigs_constant,
-                          eigs_profile, instanton, spectra)
+from kramers_spde import (NEUMANN, LocalPotential, OutOfRegime, PERIODIC, ResolutionTooLow,
+                          ZeroDenominator, closed_form_product, det_ratio, eigs_constant,
+                          eigs_profile, instanton, spectra, stationary)
 from kramers_spde.spectra import (eigs_orbit, lambda_ratio_log_sum,
                                   lambda_ratio_product_infinite)
 from kramers_spde.stationary import InstantonOrbit, InstantonProfile, instanton_orbit
@@ -39,53 +38,74 @@ def test_eigs_constant_periodic_degeneracy(pot):
     assert rep.eigenvalues[1] == rep.eigenvalues[2]
 
 
-def test_eigs_profile_matches_constant_closed_form(pot):
-    rep_c = eigs_constant(pot, 1.0, NEUMANN, "minus", 6)
-    prof = InstantonProfile.constant(pot.u_minus, pot, NEUMANN, 1.0)
-    rep_f = eigs_profile(prof, kmax=4)
-    m = len(rep_f.eigenvalues)
-    rel = np.abs(rep_f.eigenvalues - rep_c.eigenvalues[:m]) / rep_c.eigenvalues[:m]
-    assert rel.max() <= 1e-6
-
-
 ASYMMETRIC = LocalPotential.from_coefficients([0, 0, -0.5, 0.1, 0.25])
 
 
-def _reference_eigs_profile(profile, kmax, grid_n):
-    """The Richardson spectrum computed from a cubic spline of the profile,
-    resampled on grid_n and 2 grid_n points, each grid solved by
-    spectra._fd_smallest."""
-    def curvature(n):
-        if profile.bc is PERIODIC:
-            u = profile.u.copy()
-            u[-1] = u[0]
-            spline = CubicSpline(profile.x, u, bc_type="periodic")
-            xs = np.arange(n) * (profile.L / n)
-        else:
-            spline = CubicSpline(profile.x, profile.u,
-                                 bc_type=((1, profile.du[0]), (1, profile.du[-1])))
-            xs = (np.arange(n) + 0.5) * (profile.L / n)
-        return profile.pot.derivative(spline(xs), 2)
+def _sample_curvature(profile, step):
+    """U''(u*) on every step-th sample: from x = 0 (periodic), or at the
+    Neumann cell midpoints, the samples at odd multiples of step/2."""
+    start = 0 if profile.bc is PERIODIC else step // 2
+    return profile.pot.derivative(profile.u[start:profile.n_samples:step], 2)
 
-    def smallest(W, m):
-        return spectra._fd_smallest(W, profile.L, profile.bc, m, profile.pot.is_even)
 
+def _sample_sums(W, bc, mirror):
+    """The cosine sums T of W on its n-point grid, the reference for the
+    orbit's moments: one DCT-II (Neumann, T(m) for m < 2n) or one real FFT
+    (periodic, m <= n) of W made exactly even about x = 0 (periodic) and,
+    with mirror, about L/2 (Neumann) or of period L/2 (periodic)."""
+    n = len(W)
+    if bc is NEUMANN:
+        if mirror:
+            W = 0.5 * (W + W[::-1])
+        # T(m) = sum_i W_i cos(pi m (i + 1/2) / n): T(n) = 0, T(2n - m) = -T(m)
+        T = 0.5 * dct(W, type=2)
+        return np.concatenate([T, [0.0], -T[:0:-1]])
+    half = n // 2
+    sym = (0.5 * (W + np.roll(W[::-1], 1)))[: half + 1]
+    if mirror:
+        sym = 0.5 * (sym + sym[::-1])
+    # T(m) = sum_i W_i cos(2 pi m i / n) = T(n - m), for m = 0..n
+    T = rfft(np.concatenate([sym, sym[n - half - 1 : 0 : -1]])).real
+    return T[np.minimum(np.arange(n + 1), n - np.arange(n + 1))]
+
+
+def _fd_smallest(W, L, bc, m, even_potential=False):
+    """The lowest m eigenvalues of the FD matrix with W on its grid, by the
+    library's Rayleigh-Ritz core on W's sample sums, split by mode parity
+    for an even potential's instanton (but on odd periodic grids)."""
+    split = even_potential and (bc is NEUMANN or len(W) % 2 == 0)
+    T = _sample_sums(W, bc, split)
+    return spectra._ritz_smallest(lambda count: T, len(W), L, bc, m, split)
+
+
+def _sample_spectrum(profile, kmax):
+    """The Richardson spectrum (4 mu_2n - mu_n) / 3 of the FD matrices on
+    every 4th and every 2nd of the profile's samples."""
     m = kmax + 2 if profile.bc is NEUMANN else 2 * kmax + 3
-    coarse, fine = smallest(curvature(grid_n), m), smallest(curvature(2 * grid_n), m)
+    coarse, fine = (_fd_smallest(_sample_curvature(profile, step), profile.L, profile.bc, m,
+                                 profile.pot.is_even) for step in (4, 2))
     return (4.0 * fine - coarse) / 3.0
 
 
 @settings(max_examples=25, deadline=None)
 @given(bc=st.sampled_from([NEUMANN, PERIODIC]), above=st.floats(1e-4, 1.0),
        n_samples=st.sampled_from([1024, 2048, 4096]), even=st.booleans())
-def test_eigs_profile_runs_on_the_profile_samples(pot, bc, above, n_samples, even):
-    # the FD grids are slices of the samples, where the spline reproduced
-    # the samples themselves: the spectrum keeps every bit, split by the
-    # instanton's mirror symmetry for quartic() and not for ASYMMETRIC
+def test_eigs_profile_is_eigs_orbit_at_a_quarter_of_the_samples(pot, bc, above, n_samples,
+                                                                 even):
+    # the profile's spectrum is its orbit's on the n = N/4 and N/2 grids,
+    # bit for bit; translating or reflecting the samples does not change it
     prof = instanton(pot if even else ASYMMETRIC, bc.bifurcation_length * (1.0 + above), bc,
                      n_samples=n_samples)
-    want = _reference_eigs_profile(prof, 6, n_samples // 4)
-    assert eigs_profile(prof, kmax=6).eigenvalues.tobytes() == want.tobytes()
+    want = eigs_orbit(instanton_orbit(prof.pot, prof.L, bc), 6, n_samples // 4).eigenvalues
+    moved = prof.translated(1.0) if bc is PERIODIC else prof.reflected()
+    for profile in (prof, moved):
+        assert eigs_profile(profile, kmax=6).eigenvalues.tobytes() == want.tobytes()
+
+
+def test_eigs_profile_refuses_a_constant_profile(pot):
+    prof = InstantonProfile.constant(pot.u_minus, pot, NEUMANN, 1.0)
+    with pytest.raises(ValueError, match="eigs_constant"):
+        eigs_profile(prof, kmax=4)
 
 
 def _fd_matrix(W, L, bc):
@@ -102,21 +122,27 @@ def _fd_matrix(W, L, bc):
                      [-inv], [-inv]], [-1, 0, 1, n - 1, 1 - n], format="csc")
 
 
+def _whole_matrix_smallest(W, L, bc, m):
+    """The lowest m eigenvalues of the whole FD matrix with W on its grid,
+    dense eigvalsh up to 1024 nodes, ARPACK shift-invert beyond, and a
+    bound on the matrix's norm."""
+    A = _fd_matrix(W, L, bc)
+    if len(W) <= 1024:
+        want = eigvalsh(A.toarray(), subset_by_index=(0, m - 1))
+    else:
+        want = np.sort(eigsh(A, k=m, sigma=float(W.min()) - 1.0, which="LM",
+                             v0=np.full(len(W), len(W) ** -0.5),
+                             return_eigenvectors=False, tol=0))
+    return want, 4.0 / (L / len(W)) ** 2 + float(np.abs(W).max())  # >= ||A||_2
+
+
 def _assert_split_matches_the_whole_matrix(prof, m):
-    # the split (even potential) or unsplit path of eigs_profile on both of
-    # its grids, against an independent solve of the whole matrix: dense
-    # eigvalsh up to 1024 nodes, ARPACK shift-invert beyond
+    # the split (even potential) or unsplit Ritz path on the sample sums of
+    # both grids, against an independent solve of the whole matrix
     for step in (4, 2):
-        W = spectra._sample_curvature(prof, step)
-        A = _fd_matrix(W, prof.L, prof.bc)
-        if len(W) <= 1024:
-            want = eigvalsh(A.toarray(), subset_by_index=(0, m - 1))
-        else:
-            want = np.sort(eigsh(A, k=m, sigma=float(W.min()) - 1.0, which="LM",
-                                 v0=np.full(len(W), len(W) ** -0.5),
-                                 return_eigenvectors=False, tol=0))
-        norm = 4.0 / (prof.L / len(W)) ** 2 + float(np.abs(W).max())  # >= ||A||_2
-        got = spectra._fd_smallest(W, prof.L, prof.bc, m, prof.pot.is_even)
+        W = _sample_curvature(prof, step)
+        want, norm = _whole_matrix_smallest(W, prof.L, prof.bc, m)
+        got = _fd_smallest(W, prof.L, prof.bc, m, prof.pot.is_even)
         assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * norm
 
 
@@ -151,9 +177,9 @@ def test_mirror_split_matches_the_whole_matrix(bc, n, m, seed):
         W = np.resize(W[: n // 2], n)
     W = 0.5 * (W + (W[::-1] if bc is NEUMANN else np.roll(W[::-1], 1)))
     L = 3.0
-    got = spectra._fd_smallest(W, L, bc, m, even_potential=True)
+    got = _fd_smallest(W, L, bc, m, even_potential=True)
     if bc is PERIODIC and n % 2:
-        assert got.tobytes() == spectra._fd_smallest(W, L, bc, m).tobytes()
+        assert got.tobytes() == _fd_smallest(W, L, bc, m).tobytes()
     want = eigvalsh(_fd_matrix(W, L, bc).toarray(), subset_by_index=(0, m - 1))
     norm = 4.0 / (L / n) ** 2 + float(np.abs(W).max())
     assert np.abs(got - want).max() <= 32 * np.finfo(float).eps * norm
@@ -179,7 +205,7 @@ def test_periodic_split_keeps_the_smallest_of_both_sectors(n, m, seed):
         odd[j, j - 1], odd[n - j, j - 1] = 2 ** -0.5, -(2 ** -0.5)
     sectors = np.concatenate([eigvalsh(even.T @ A @ even), eigvalsh(odd.T @ A @ odd)])
     want = np.sort(sectors)[:m]
-    got = spectra._fd_smallest(W, L, PERIODIC, m)
+    got = _fd_smallest(W, L, PERIODIC, m)
     norm = 4.0 / (L / n) ** 2 + float(np.abs(W).max())
     assert np.abs(got - want).max() <= 32 * np.finfo(float).eps * norm
 
@@ -236,8 +262,8 @@ def test_fd_smallest_matches_long_double_sturm_bisection(pot, bc, L, asymmetric)
     prof = instanton(ASYMMETRIC if asymmetric else pot, L, bc)
     m = 42 if bc is NEUMANN else 83
     for step in (4, 2):
-        W = spectra._sample_curvature(prof, step)
-        got = spectra._fd_smallest(W, L, bc, m, prof.pot.is_even)
+        W = _sample_curvature(prof, step)
+        got = _fd_smallest(W, L, bc, m, prof.pot.is_even)
         half = len(W) // 2
         if bc is NEUMANN and not asymmetric:
             W = 0.5 * (W + W[::-1])
@@ -269,12 +295,13 @@ def test_instanton_mu0_mu1_match_lame(pot):
 @given(bc=st.sampled_from([NEUMANN, PERIODIC]), above=st.floats(1e-4, 1.0),
        asymmetric=st.booleans(), kmax=st.sampled_from([4, 40]))
 def test_moment_spectrum_matches_the_sampled_instanton(pot, bc, above, asymmetric, kmax):
-    # the orbit's cosine moments give the spectrum of the instanton's 4096
-    # samples without the samples: within 1e-13 of the largest eigenvalue
-    # (measured at most 3.0e-15 over 58 lengths of both potentials)
+    # the orbit's cosine moments give the FD spectrum of the instanton's
+    # 4096 samples (their DCT/rfft sums) without the samples: within 1e-13
+    # of the largest eigenvalue (measured at most 3.0e-15 over 58 lengths of
+    # both potentials)
     p = ASYMMETRIC if asymmetric else pot
     L = bc.bifurcation_length * (1.0 + above)
-    want = eigs_profile(instanton(p, L, bc), kmax=kmax).eigenvalues
+    want = _sample_spectrum(instanton(p, L, bc), kmax)
     got = eigs_orbit(instanton_orbit(p, L, bc), kmax=kmax).eigenvalues
     assert np.abs(got - want).max() <= 1e-13 * max(1.0, float(np.abs(want).max()))
 
@@ -291,10 +318,62 @@ def test_cosine_moments_match_the_sample_sums(pot, bc, L, asymmetric):
     prof, orbit = instanton(p, L, bc), instanton_orbit(p, L, bc)
     c = orbit.cosine_moments(130)
     for step in (4, 2):
-        W = spectra._sample_curvature(prof, step)
+        W = _sample_curvature(prof, step)
         n = len(W)
-        T = spectra._cosine_sums(W, bc, p.is_even)[:130]
+        T = _sample_sums(W, bc, p.is_even)[:130]
         assert np.abs(T - n / orbit.rule.X * c).max() <= 1e-14 * n
+
+
+@pytest.mark.parametrize("bc, L", [(NEUMANN, 3.3), (NEUMANN, 6.0), (PERIODIC, 6.5),
+                                   (PERIODIC, 12.0)])
+@pytest.mark.parametrize("asymmetric", [False, True])
+def test_refined_cosine_moments_match_a_fine_grid(pot, bc, L, asymmetric):
+    # c_m for all m < 2n = 2048, where a 64-node panel resolves cos(m pi x / X)
+    # only while m (its width in x) / X < 54 (m < 200 to 400 here), against
+    # the sums on the finest grid of 16384 samples (8192 Neumann midpoints,
+    # 16384 periodic nodes), whose aliasing is far below roundoff for these
+    # m.  With the panels cut, within 1e-14 (1 + m / n) of that grid's size,
+    # the roundoff of the phase m pi x / X growing like m (measured at most
+    # 0.38 of the bound); uncut, at least 0.1 of its size from m = 200 to 400
+    p = ASYMMETRIC if asymmetric else pot
+    prof = instanton(p, L, bc, n_samples=16384)
+    W = _sample_curvature(prof, 2 if bc is NEUMANN else 1)
+    size, count = len(W), 2048
+    T = _sample_sums(W, bc, p.is_even)[:count]
+    orbit = prof.orbit
+    assert count * orbit.rule.widest / orbit.rule.X > 54.0
+
+    def error():
+        return np.abs(T - size / orbit.rule.X * orbit.cosine_moments(count))
+
+    assert np.all(error() <= 1e-14 * size * (1.0 + np.arange(count) / 1024))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stationary, "_MOMENT_SPAN", math.inf)  # never cut
+        assert error().max() > 1e-2 * size
+
+
+@pytest.mark.parametrize("bc, L", [(NEUMANN, 3.3), (PERIODIC, 6.5)])
+@pytest.mark.parametrize("kmax", [150, 250])
+def test_fine_grid_moment_spectra_match_the_whole_matrix(pot, bc, L, kmax):
+    # eigen --grid-n 4096: the Ritz values of the 4096 and 8192 node grids
+    # from the refined moments, against ARPACK on the whole FD matrix of the
+    # curvature on every 4th and 2nd of 16384 samples (measured at most 0.09
+    # of the bound; with uncut panels, 5e6 times it and more)
+    prof = instanton(pot, L, bc, n_samples=16384)
+    grids, ritz = [], spectra._ritz_smallest
+
+    def per_grid(*args):
+        grids.append(ritz(*args))
+        return grids[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_ritz_smallest", per_grid)
+        eigs_orbit(prof.orbit, kmax, 4096)
+    m = kmax + 2 if bc is NEUMANN else 2 * kmax + 3
+    for step, got in zip((4, 2), grids):
+        W = _sample_curvature(prof, step)
+        want, norm = _whole_matrix_smallest(W, L, bc, m)
+        assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * norm
 
 
 @settings(max_examples=16, deadline=None)
@@ -303,9 +382,10 @@ def test_cosine_moments_match_the_sample_sums(pot, bc, L, asymmetric):
 @example(bc=NEUMANN, above=1.0, asymmetric=False).via("the second bifurcation")
 @example(bc=PERIODIC, above=1.0, asymmetric=True).via("the second bifurcation")
 def test_prediction_path_solve_budget(pot, bc, above, asymmetric):
-    # predict_time's kmax = 40, from the samples or from the orbit's moments:
-    # each grid's second solve confirms the first, no block exceeds 64
-    # modes, and the moments are computed once, for the largest block
+    # predict_time's kmax = 40, from a profile or from its orbit, both on
+    # the orbit's moments: each grid's second solve confirms the first, no
+    # block exceeds 64 modes, and the moments are computed once, for the
+    # largest block; the sine sector of the 64-mode block reads T(2 * 64)
     p = ASYMMETRIC if asymmetric else pot
     L = bc.bifurcation_length * (1.0 + above)
     orbit = instanton_orbit(p, L, bc)
@@ -332,8 +412,7 @@ def test_prediction_path_solve_budget(pot, bc, above, asymmetric):
             spectrum(source, kmax=40)
         assert len(grids) == 2
         assert all(1 <= len(sizes) <= 2 and max(sizes) <= 64 for sizes in grids)
-        if source is orbit:  # the sine sector of the 64-mode block reads T(2 * 64)
-            assert counts == [129]
+        assert counts == [129]
 
 
 @pytest.mark.parametrize("bc", [NEUMANN, PERIODIC])
@@ -352,7 +431,7 @@ def test_rough_potential_grows_to_the_whole_basis(bc):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "eigvalsh", counted)
-        got = spectra._fd_smallest(W, L, bc, m)
+        got = _fd_smallest(W, L, bc, m)
     assert (n if bc is NEUMANN else n // 2 + 1) in sizes
     want = eigvalsh(_fd_matrix(W, L, bc).toarray(), subset_by_index=(0, m - 1))
     norm = 4.0 / (L / n) ** 2 + float(np.abs(W).max())
@@ -362,33 +441,23 @@ def test_rough_potential_grows_to_the_whole_basis(bc):
 @pytest.mark.parametrize("bc, kmax", [(NEUMANN, 255), (PERIODIC, 127)])
 def test_eigs_profile_refuses_kmax_beyond_the_coarse_grid(pot, bc, kmax):
     # kmax + 2 (Neumann) or 2 kmax + 3 (periodic) values, one more than the
-    # 256 nodes of the coarse grid
+    # 256 nodes of the coarse grid: of 1024 samples, or asked for directly
     prof = instanton(pot, 1.3 * bc.bifurcation_length, bc, n_samples=1024)
-    with pytest.raises(ValueError, match=f"kmax = {kmax} needs 257 eigenvalues, more than "
-                                         "the 256-node coarse grid of 1024 samples"):
-        eigs_profile(prof, kmax=kmax)
+    for spectrum in (lambda: eigs_profile(prof, kmax=kmax),
+                     lambda: eigs_orbit(prof.orbit, kmax, 256)):
+        with pytest.raises(ValueError, match=f"kmax = {kmax} needs 257 eigenvalues, more "
+                                             "than the 256-node coarse grid"):
+            spectrum()
 
 
-def test_periodic_spectrum_needs_the_instanton_phase(pot):
-    prof = instanton(pot, 7.0, PERIODIC, n_samples=1024)
-    with pytest.raises(ValueError, match="minimum at x = 0"):
-        eigs_profile(prof.translated(1.0), kmax=6)
-
-
-@pytest.mark.parametrize("bc, L", [(NEUMANN, 4.0), (PERIODIC, 7.0)])
-def test_even_potential_spectrum_needs_the_instanton_mirror_symmetry(pot, bc, L):
-    # u + 0.1 keeps the periodic profile even about x = 0, but U''(u) is no
-    # longer even about L/2, which the split for an even potential relies on
-    prof = instanton(pot, L, bc, n_samples=1024)
-    with pytest.raises(ValueError, match=r"\(an instanton\)"):
-        eigs_profile(replace(prof, u=prof.u + 0.1), kmax=6)
-
-
-@pytest.mark.parametrize("n_samples", [1000, 2050])
-def test_eigs_profile_needs_a_multiple_of_four_samples(pot, n_samples):
-    prof = InstantonProfile.constant(pot.u_minus, pot, NEUMANN, 1.0, n_samples=n_samples)
-    with pytest.raises(ValueError, match="n_samples"):
-        eigs_profile(prof, kmax=4)
+@pytest.mark.parametrize("bc, L, kmax", [(NEUMANN, 4.0, 40), (PERIODIC, 6.5, 16)])
+def test_coarse_grids_that_disagree_raise_resolution_too_low(pot, bc, L, kmax):
+    # the 256 and 512 node grids disagree by more than 1% at the top of
+    # kmax; the message names both inputs that would mend it
+    with pytest.raises(ResolutionTooLow, match=f"grids 256/512 .* at kmax = {kmax}: use a "
+                                               "larger grid or a smaller kmax"):
+        eigs_orbit(instanton_orbit(pot, L, bc), kmax, 256)
+    assert eigs_orbit(instanton_orbit(pot, L, bc), kmax, 1024).negative_count == 1
 
 
 def test_eigs_profile_instanton_counts(pot):

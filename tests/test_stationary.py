@@ -139,6 +139,18 @@ def test_periodic_translation_family(pot):
     assert abs(shifted.V_value - prof.V_value) == 0.0  # metadata unchanged
 
 
+def test_instanton_profiles_compare_and_hash_by_identity(pot):
+    # field-wise equality would compare the sample arrays (and raise); a
+    # profile keeps the orbit it was sampled on, and so do its mirror and
+    # translates, whose spectra are the instanton's
+    a, b = (instanton(pot, 7.0, PERIODIC, n_samples=256) for _ in range(2))
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+    assert a.orbit is not None and a.orbit is not b.orbit
+    assert a.translated(1.0).orbit is a.orbit and a.translated(1.0) != a
+    assert InstantonProfile.constant(pot.u_minus, pot, NEUMANN, 2.0).orbit is None
+
+
 def test_barrier_height(pot):
     H0, tag = barrier_height(pot, 1.0, NEUMANN)
     assert (H0, tag) == (0.25, "constant")

@@ -1,19 +1,25 @@
-"""The traced benchmark patches library names from outside; each must resolve."""
+"""The benchmark reaches the library from outside, by the names it patches
+and calls; each must resolve."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import kramers_spde
 from kramers_spde import NEUMANN, PERIODIC, SimConfig, quartic
 
-_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tracing():
+    return _load("tracing")
 
 
 def test_tracer_patches_every_name_and_restores_it():
@@ -40,3 +46,16 @@ def test_tracer_patches_every_name_and_restores_it():
     unreached = {label for _, _, label, _, _ in tracing.PATCHES if not tracer.counts[label]}
     assert unreached == {"dT_dE", "instanton", "eigs_profile"}
     assert all(owner.__dict__[attr] is original for owner, attr, original in saved)
+
+
+def test_stationary_spectra_probe_runs_on_the_library(monkeypatch):
+    # the per-layer probe calls instanton and eigs_profile by their public
+    # names; probes.py imports perfbench's library.py as "library"
+    monkeypatch.setitem(sys.modules, "library", _load("library"))
+    out = {}
+    _load("probes")._stationary_spectra(kramers_spde, quartic(), out)
+    assert set(out) == {"stationary.turning_points_us", "stationary.period_T_ms",
+                        "stationary.instanton_ms.neumann_L4",
+                        "stationary.instanton_ms.periodic_L7",
+                        "spectra.eigs_profile_ms.neumann", "spectra.eigs_profile_ms.periodic"}
+    assert all(value > 0.0 for value, _ in out.values())
