@@ -50,7 +50,7 @@ from .errors import OutOfRegime, UnsupportedRegime, WrongBoundaryCondition
 from .potential import LocalPotential
 from .spectral import BoundaryCondition, NEUMANN, PERIODIC, nu
 from .spectra import eigs_orbit, lambda_ratio_log_sum, lambda_ratio_product_infinite
-from .stationary import InstantonOrbit, InstantonProfile, instanton_orbit
+from .stationary import InstantonOrbit, instanton_orbit
 # perfbench/tracing.py patches these two names here; the prediction path no
 # longer calls them
 from .spectra import eigs_profile  # noqa: F401
@@ -114,12 +114,12 @@ def c4(pot: LocalPotential, L: float, bc: BoundaryCondition) -> float:
     return (u4 + (numer / denom) * u3 ** 2) / (4.0 * L)
 
 
-def saddle_length(profile: InstantonProfile | InstantonOrbit) -> float:
-    """Length of the periodic translation family, L * ||u'||_L2 (the profile's
-    or orbit's deriv_L2)."""
-    if profile.bc is not PERIODIC:
+def saddle_length(orbit: InstantonOrbit) -> float:
+    """Length of the periodic translation family, L * ||u'||_L2 (the orbit's
+    deriv_L2; a profile is its orbit)."""
+    if orbit.bc is not PERIODIC:
         raise WrongBoundaryCondition("saddle length is defined for periodic profiles")
-    return profile.L * profile.deriv_L2
+    return orbit.L * orbit.deriv_L2
 
 
 def remainder_scale(eps: float, lam: float) -> float:

@@ -37,6 +37,7 @@ _MASK64 = (1 << 64) - 1
 _WINDOW_BYTES = 1 << 20  # a batch's window of normals, all live rows together
 _MAX_WINDOW_CHECKS = 64
 _MATRIX_MAX_D = 32  # largest cutoff whose engine transforms run as matrix products
+_ORACLE_RTOL = 1e-8  # the d = 0 oracles' quadrature tolerance (a tenth for E[tau]'s inner one)
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,10 @@ class SimConfig:
     start_well: str = "minus"
 
     def __post_init__(self):
+        if self.L <= 0.0:
+            raise ValueError(f"L must be > 0, got {self.L}")
+        if self.d < 0:
+            raise ValueError(f"d must be >= 0, got {self.d}")
         if self.eps < 0.0 or self.dt <= 0.0 or self.t_max <= 0.0:
             raise ValueError("need eps >= 0, dt > 0, t_max > 0")
         gap = self.pot.u_plus - self.pot.u_minus
@@ -377,6 +382,8 @@ def run_replicas(cfg: SimConfig, n_replicas: int, threads: int = 1) -> list[Tran
     depend on threads; threads > 1 deals replicas round robin to worker
     processes.
     """
+    if n_replicas < 1:
+        raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     indices = list(range(n_replicas))
     if threads <= 1 or n_replicas < 2 * threads:
         return _run_batch(cfg, indices)
@@ -396,21 +403,20 @@ def mc_stats(cfg: SimConfig, n_replicas: int, threads: int = 1) -> TransitionSta
     return _stats_from_samples(run_replicas(cfg, n_replicas, threads), cfg)
 
 
-def sample_path(cfg: SimConfig, n_steps: int, record_every: int = 1,
-                linear_only: bool = False) -> np.ndarray:
-    """Coefficient trajectory of replica 0 (diagnostics: OU variance,
-    equilibrium histograms, scheme consistency).  linear_only drops the
-    nonlinear drift, leaving independent Ornstein-Uhlenbeck modes."""
+def sample_path(cfg: SimConfig, n_steps: int, linear_only: bool = False) -> np.ndarray:
+    """Coefficient trajectory of replica 0 after each of n_steps steps
+    (diagnostics: OU variance, equilibrium histograms, scheme consistency).
+    linear_only drops the nonlinear drift, leaving independent
+    Ornstein-Uhlenbeck modes."""
     eng = _Engine(cfg, nonlinear=not linear_only)
     gen = _replica_generator(cfg.seed, 0)
     y = eng.start[None, :].copy()
     y_next, xi = np.empty_like(y), np.empty_like(y)
-    out = np.empty((n_steps // record_every, y.shape[1]))
+    out = np.empty((n_steps, y.shape[1]))
     for i in range(n_steps):
         eng.step(y, eng.increments(gen.standard_normal(out=xi), out=xi), out=y_next)
         y, y_next = y_next, y
-        if (i + 1) % record_every == 0:
-            out[(i + 1) // record_every - 1] = y[0]
+        out[i] = y[0]
     if not np.all(np.isfinite(y)):
         raise NonFinite("trajectory diverged")
     return out
@@ -511,8 +517,7 @@ def _support_floor(V1, lo_hint: float, hi: float, eps: float) -> tuple[float, fl
     return z, floor
 
 
-def oracle_mfpt_1d(V1, eps: float, start: float, target: float,
-                   rtol: float = 1e-8) -> float:
+def oracle_mfpt_1d(V1, eps: float, start: float, target: float) -> float:
     """Exact 1D mean first-passage time by double quadrature.
 
     E[tau] = (1/eps) int_start^target e^{V1(x)/eps} int_{-inf}^x e^{-V1(z)/eps} dz dx
@@ -522,7 +527,7 @@ def oracle_mfpt_1d(V1, eps: float, start: float, target: float,
     if target == start:
         return 0.0
     if target < start:
-        return oracle_mfpt_1d(lambda x: V1(-x), eps, -start, -target, rtol)
+        return oracle_mfpt_1d(lambda x: V1(-x), eps, -start, -target)
     z_lo, floor = _support_floor(V1, start, target, eps)
     xs = np.linspace(start, target, 1001)
     vx = np.array([V1(float(x)) for x in xs])
@@ -530,21 +535,21 @@ def oracle_mfpt_1d(V1, eps: float, start: float, target: float,
     x_peak = float(xs[np.argmax(vx)])
 
     def inner(x: float) -> float:
-        return _quad(lambda z: math.exp(-(V1(z) - floor) / eps), z_lo, x, rtol * 0.1)
+        return _quad(lambda z: math.exp(-(V1(z) - floor) / eps), z_lo, x, 0.1 * _ORACLE_RTOL)
 
     def outer_integrand(x: float) -> float:
         return math.exp((V1(x) - ceil_) / eps) * inner(x)
 
     pts = [x_peak] if start < x_peak < target else None
-    I = _quad(outer_integrand, start, target, rtol, points=pts)
+    I = _quad(outer_integrand, start, target, _ORACLE_RTOL, points=pts)
     scale = (ceil_ - floor) / eps
     if scale > 600.0:
         raise ValueError("barrier/eps too large for a plain float result")
     return I * math.exp(scale) / eps
 
 
-def oracle_identity_1d(V1, eps: float, A: tuple[float, float], B: tuple[float, float],
-                       rtol: float = 1e-8) -> tuple[float, float, float, float]:
+def oracle_identity_1d(V1, eps: float, A: tuple[float, float],
+                       B: tuple[float, float]) -> tuple[float, float, float, float]:
     """Check of the potential-theory identity E_nu[tau_B] = J / capacity in 1D.
 
     A and B are intervals with A left of B.  Returns (Etau, J, cap, residual)
@@ -567,18 +572,18 @@ def oracle_identity_1d(V1, eps: float, A: tuple[float, float], B: tuple[float, f
         return math.exp((V1(x) - ceil_) / eps)
 
     pts = [x_peak] if a2 < x_peak < b1 else None
-    Z = _quad(w, a2, b1, rtol, points=pts)
+    Z = _quad(w, a2, b1, _ORACLE_RTOL, points=pts)
     log_cap = math.log(eps) - ceil_ / eps - math.log(Z)
 
     def h(x: float) -> float:  # P_x[hit A before B] on [a2, b1]
-        return _quad(w, x, b1, rtol, points=[x_peak] if x < x_peak else None) / Z
+        return _quad(w, x, b1, _ORACLE_RTOL, points=[x_peak] if x < x_peak else None) / Z
 
     def mu(x: float) -> float:
         return math.exp(-(V1(x) - floor) / eps)
 
-    J_left = _quad(mu, z_lo, a2, rtol)
-    J_mid = _quad(lambda x: h(x) * mu(x), a2, b1, rtol)
+    J_left = _quad(mu, z_lo, a2, _ORACLE_RTOL)
+    J_mid = _quad(lambda x: h(x) * mu(x), a2, b1, _ORACLE_RTOL)
     log_J = math.log(J_left + J_mid) - floor / eps
-    Etau = oracle_mfpt_1d(V1, eps, a2, b1, rtol)
+    Etau = oracle_mfpt_1d(V1, eps, a2, b1)
     residual = abs(math.exp(math.log(Etau) + log_cap - log_J) - 1.0)
     return Etau, math.exp(log_J), math.exp(log_cap), residual

@@ -87,6 +87,8 @@ def eigs_constant(pot: LocalPotential, L: float, bc: BoundaryCondition,
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
+    if L <= 0.0:
+        raise ValueError(f"L must be > 0, got {L}")
     shift = {"origin": -1.0,
              "minus": pot.derivative(pot.u_minus, 2),
              "plus": pot.derivative(pot.u_plus, 2)}[which]
@@ -188,6 +190,8 @@ def eigs_orbit(orbit: InstantonOrbit, kmax: int, n: int = 1024) -> SpectrumRepor
     ResolutionTooLow if the grids disagree by more than 1% after
     extrapolation.
     """
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
     m = _eigenvalue_count(orbit.bc, kmax)
     if m > n:
         raise ValueError(f"kmax = {kmax} needs {m} eigenvalues, more than the "
@@ -216,13 +220,10 @@ def eigs_orbit(orbit: InstantonOrbit, kmax: int, n: int = 1024) -> SpectrumRepor
 
 
 def eigs_profile(profile: InstantonProfile, kmax: int) -> SpectrumReport:
-    """eigs_orbit on the orbit of an instanton profile of N = n_samples
-    samples, at n = N/4: the spectrum of its n and 2n = N/2 point grids.
+    """eigs_orbit on an instanton profile of N = n_samples samples, which is
+    its orbit, at n = N/4: the spectrum of its n and 2n = N/2 point grids.
     It reads the orbit, not the samples."""
-    if profile.orbit is None:
-        raise ValueError("eigs_profile needs an instanton's profile; a constant "
-                         "profile's spectrum is eigs_constant's")
-    return eigs_orbit(profile.orbit, kmax, profile.n_samples // 4)
+    return eigs_orbit(profile, kmax, profile.n_samples // 4)
 
 
 def det_ratio(numerator: SpectrumReport, denominator: SpectrumReport, d: int,

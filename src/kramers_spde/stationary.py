@@ -26,8 +26,8 @@ orbit (T(E*) = L, requiring L > 2 pi).  instanton_orbit maps the orbit at
 E* on the same rule, x(phi) = int_0^phi x'(psi) dpsi at its nodes
 (_orbit_map), without samples: every instanton spectrum takes the
 curvature's cosine moments from it (InstantonOrbit.cosine_moments).
-instanton samples it, starting from (u2(E*), 0), by inverting x(phi)
-(_orbit_profile), and keeps it with the samples.  This fixes the phase
+instanton samples it from (u2(E*), 0) by inverting x(phi) (_orbit_profile):
+an InstantonProfile is its orbit plus samples.  This fixes the phase
 conventions u(0) = u2 (Neumann) and "minimum at x = 0" (periodic, one
 representative of the translation family, the half orbit mirrored).  As u'^2/2 - U = E, the energy
 int (u'^2/2 + U) dx is ||u'||^2 - E L.
@@ -52,7 +52,7 @@ solves its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cache, lru_cache
 from typing import NamedTuple
 
@@ -319,80 +319,6 @@ def _bracket_period(pot: LocalPotential, E: float) -> float:
     return period_T(pot, E)
 
 
-@dataclass(frozen=True, eq=False)
-class InstantonProfile:
-    """A sampled nonconstant stationary solution (n = 1 kinks).
-
-    orbit is the instanton's orbit the samples were taken from (None for a
-    constant profile).  It compares and hashes by identity, as
-    InstantonOrbit does.
-    """
-
-    pot: LocalPotential = field(repr=False)
-    bc: BoundaryCondition
-    L: float
-    E: float
-    x: np.ndarray = field(repr=False)
-    u: np.ndarray = field(repr=False)
-    du: np.ndarray = field(repr=False)
-    V_value: float
-    deriv_L2: float
-    turning: tuple[float, float]
-    orbit: InstantonOrbit | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        for name in ("x", "u", "du"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.x) - 1
-
-    def reflected(self) -> "InstantonProfile":
-        """The mirror solution x -> u(L - x) (the second Neumann instanton)."""
-        return replace(self, u=self.u[::-1].copy(), du=-self.du[::-1])
-
-    def translated(self, phi: float) -> "InstantonProfile":
-        """Representative u(. + phi) of the periodic translation family."""
-        if self.bc is not PERIODIC:
-            raise ValueError("translation family exists only for periodic b.c.")
-        n = self.n_samples
-        shift = int(round(phi / self.L * n)) % n
-        u = np.roll(self.u[:n], -shift)
-        du = np.roll(self.du[:n], -shift)
-        return replace(self, u=np.append(u, u[0]), du=np.append(du, du[0]))
-
-    def residual_sup(self) -> float:
-        """sup |u'' - U'(u)| via second differences of the samples."""
-        h = self.L / self.n_samples
-        if self.bc is PERIODIC:
-            um = np.roll(self.u[:-1], 1)
-            up = np.roll(self.u[:-1], -1)
-            d2 = (um - 2.0 * self.u[:-1] + up) / h ** 2
-            res = d2 - self.pot.derivative(self.u[:-1], 1)
-        else:
-            d2 = (self.u[:-2] - 2.0 * self.u[1:-1] + self.u[2:]) / h ** 2
-            res = d2 - self.pot.derivative(self.u[1:-1], 1)
-        return float(np.abs(res).max())
-
-    def first_integral_variation(self) -> float:
-        """sup variation of u'^2/2 - U(u) along the profile."""
-        H = 0.5 * self.du ** 2 - self.pot.derivative(self.u, 0)
-        return float(H.max() - H.min())
-
-    @classmethod
-    def constant(cls, value: float, pot: LocalPotential, bc: BoundaryCondition,
-                 L: float, n_samples: int = 4096) -> "InstantonProfile":
-        x = np.linspace(0.0, L, n_samples + 1)
-        u = np.full(n_samples + 1, float(value))
-        return cls(pot, bc, L, E=0.0, x=x, u=u,
-                   du=np.zeros(n_samples + 1),
-                   V_value=L * float(pot.derivative(value, 0)),
-                   deriv_L2=0.0, turning=(value, value))
-
-
 @cache
 def _panel_tables() -> tuple[np.ndarray, ...]:
     """The _GL_PANEL-node Gauss-Legendre panel on [-1, 1]: nodes t, weights,
@@ -460,10 +386,10 @@ def _orbit_map(pot: LocalPotential, E: float, turning: tuple[float, float],
 class InstantonOrbit:
     """The n=1 transition state as its orbit H = E*, without samples.
 
-    V_value and deriv_L2 are InstantonProfile's; rule holds x(phi) and
-    f_E on the graded rule (_orbit_map), from which cosine_moments gives
-    the curvature's cosine moments.  It compares and hashes by identity:
-    field-wise equality would compare the rule's arrays.
+    V_value = int (u'^2/2 + U) dx and deriv_L2 = ||u'||; rule holds x(phi)
+    and f_E on the graded rule (_orbit_map), from which cosine_moments
+    gives the curvature's cosine moments.  It compares and hashes by
+    identity: field-wise equality would compare the rule's arrays.
     """
 
     pot: LocalPotential = field(repr=False)
@@ -523,6 +449,60 @@ def _powers(w: np.ndarray, count: int) -> np.ndarray:
     return p
 
 
+@dataclass(frozen=True, eq=False)
+class InstantonProfile(InstantonOrbit):
+    """An instanton's orbit sampled at n_samples + 1 equispaced points x,
+    with u and u' there (instanton).  Every other field is the orbit's, so
+    a profile is its orbit wherever one is read, and it compares and hashes
+    by identity as the orbit does."""
+
+    x: np.ndarray = field(repr=False)
+    u: np.ndarray = field(repr=False)
+    du: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for name in ("x", "u", "du"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @property
+    def n_samples(self) -> int:
+        return len(self.x) - 1
+
+    def reflected(self) -> "InstantonProfile":
+        """The mirror solution x -> u(L - x) (the second Neumann instanton)."""
+        return replace(self, u=self.u[::-1].copy(), du=-self.du[::-1])
+
+    def translated(self, phi: float) -> "InstantonProfile":
+        """Representative u(. + phi) of the periodic translation family."""
+        if self.bc is not PERIODIC:
+            raise ValueError("translation family exists only for periodic b.c.")
+        n = self.n_samples
+        shift = int(round(phi / self.L * n)) % n
+        u = np.roll(self.u[:n], -shift)
+        du = np.roll(self.du[:n], -shift)
+        return replace(self, u=np.append(u, u[0]), du=np.append(du, du[0]))
+
+    def residual_sup(self) -> float:
+        """sup |u'' - U'(u)| via second differences of the samples."""
+        h = self.L / self.n_samples
+        if self.bc is PERIODIC:
+            um = np.roll(self.u[:-1], 1)
+            up = np.roll(self.u[:-1], -1)
+            d2 = (um - 2.0 * self.u[:-1] + up) / h ** 2
+            res = d2 - self.pot.derivative(self.u[:-1], 1)
+        else:
+            d2 = (self.u[:-2] - 2.0 * self.u[1:-1] + self.u[2:]) / h ** 2
+            res = d2 - self.pot.derivative(self.u[1:-1], 1)
+        return float(np.abs(res).max())
+
+    def first_integral_variation(self) -> float:
+        """sup variation of u'^2/2 - U(u) along the profile."""
+        H = 0.5 * self.du ** 2 - self.pot.derivative(self.u, 0)
+        return float(H.max() - H.min())
+
+
 def _orbit_profile(orbit: InstantonOrbit, n: int) -> tuple[np.ndarray, np.ndarray]:
     """u and u' at n + 1 equispaced samples of the orbit from (u2, 0).
 
@@ -546,8 +526,7 @@ def _orbit_profile(orbit: InstantonOrbit, n: int) -> tuple[np.ndarray, np.ndarra
         u[m], du[m] = turning[1], 0.0
     inner = slice(1, m if end else m + 1)
     ui, ph = u[inner], du[inner]
-    _sample_phases(rule.X / span, rule.start, rule.half, rule.phi, rule.x, rule.X, rule.g,
-                   rule.f, ph, ui)
+    _sample_phases(rule, rule.X / span, ph, ui)
     c = np.cos(ph)
     c *= math.sqrt(E)
     _polish(*_sqrt_form(orbit.pot), c, ui, _U_POLISHES)
@@ -559,11 +538,9 @@ def _orbit_profile(orbit: InstantonOrbit, n: int) -> tuple[np.ndarray, np.ndarra
     return u, du
 
 
-def _sample_phases(step: float, start: np.ndarray, half: np.ndarray, phi: np.ndarray,
-                   x: np.ndarray, X: float, g: np.ndarray, f: np.ndarray,
-                   ph: np.ndarray, u: np.ndarray) -> None:
+def _sample_phases(rule: _OrbitMap, step: float, ph: np.ndarray, u: np.ndarray) -> None:
     """Write into ph[i] the phi with x(phi) = (i + 1) step, and into u[i]
-    f_E there, from x, its integrand g and f_E at the graded panels' nodes.
+    f_E there, from x, its integrand g and f_E at the rule's nodes.
 
     Each sample is interpolated from the _WINDOW nodes of its panel nearest
     its linear-interpolation start, by the barycentric formula in the
@@ -572,9 +549,10 @@ def _sample_phases(step: float, start: np.ndarray, half: np.ndarray, phi: np.nda
     w_k / (tau - t_k) in turn, so the (block, _WINDOW) arrays stay small.
     """
     t, _, _, windows, bary = _panel_tables()
-    x_table = np.concatenate([[0.0], x, [X]])
-    phi_table = np.concatenate([[0.0], phi, [math.pi]])
-    xw, gw, fw = (sliding_window_view(v, _WINDOW) for v in (x, g, f))
+    start, half = rule.start, rule.half
+    x_table = np.concatenate([[0.0], rule.x, [rule.X]])
+    phi_table = np.concatenate([[0.0], rule.phi, [math.pi]])
+    xw, gw, fw = (sliding_window_view(v, _WINDOW) for v in (rule.x, rule.g, rule.f))
     for b in range(0, len(ph), _BLOCK):
         target = np.arange(b + 1, b + 1 + len(ph[b:b + _BLOCK])) * step
         tau = np.interp(target, x_table, phi_table)
@@ -639,13 +617,14 @@ def instanton_orbit(pot: LocalPotential, L: float, bc: BoundaryCondition) -> Ins
 def instanton(pot: LocalPotential, L: float, bc: BoundaryCondition,
               n_samples: int = 4096) -> InstantonProfile:
     """The n=1 transition-state profile for L above the bifurcation threshold:
-    its orbit (instanton_orbit, kept as the profile's orbit) sampled at
+    its orbit (instanton_orbit), whose fields it keeps, sampled at
     n_samples + 1 equispaced points from (u2(E*), 0) (_orbit_profile)."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     orbit = instanton_orbit(pot, L, bc)
-    u, v = _orbit_profile(orbit, n_samples)
-    return InstantonProfile(pot, bc, L, E=orbit.E, x=np.linspace(0.0, L, n_samples + 1), u=u,
-                            du=v, V_value=orbit.V_value, deriv_L2=orbit.deriv_L2,
-                            turning=orbit.turning, orbit=orbit)
+    u, du = _orbit_profile(orbit, n_samples)
+    return InstantonProfile(**{f.name: getattr(orbit, f.name) for f in fields(InstantonOrbit)},
+                            x=np.linspace(0.0, L, n_samples + 1), u=u, du=du)
 
 
 def _instanton_energy(pot: LocalPotential, L: float,

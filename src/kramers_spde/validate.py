@@ -122,11 +122,15 @@ def _check_period_monotone() -> CheckResult:
     ds = [dT_dE(q, float(E)) for E in grid]
     prof = _neumann_l4()
     drift = prof.first_integral_variation()
-    refl = abs(prof.reflected().V_value - prof.V_value)
-    ok = all(v > 0 for v in ds) and drift <= 1e-8 * prof.E and refl == 0.0
+    # the trapezoid rule for int (u'^2/2 + U(u)) dx on the mirror's samples
+    mirror = prof.reflected()
+    e = (0.5 * mirror.du ** 2 + q.derivative(mirror.u, 0)).tolist()
+    energy = (math.fsum(e) - 0.5 * (e[0] + e[-1])) * prof.L / prof.n_samples
+    refl = abs(energy - prof.V_value) / abs(prof.V_value)
+    ok = all(v > 0 for v in ds) and drift <= 1e-8 * prof.E and refl <= 1e-12
     return CheckResult("stationary.monotone_period", ok,
                        f"min dT/dE {min(ds):.3g}, first-integral drift {drift:.1e}, "
-                       f"reflection V gap {refl:.1e}")
+                       f"mirror energy gap {refl:.1e}")
 
 
 def _check_product_convergence() -> CheckResult:
@@ -140,7 +144,7 @@ def _check_product_convergence() -> CheckResult:
         pref = 2 * math.pi * math.sqrt(det_ratio(ro, rm, d, mask, mask) / 2.0)
         gaps.append(abs(pref - cf) / cf)
     prof = _neumann_l4()
-    rep = eigs_orbit(prof.orbit, kmax=8, n=512)
+    rep = eigs_orbit(prof, kmax=8, n=512)
     nu0 = nu(NEUMANN, 4.0, np.arange(9))
     W = q.derivative(prof.u, 2)
     interlace = bool(np.all((rep.eigenvalues[:9] >= nu0 + W.min() - 1e-9)

@@ -182,6 +182,25 @@ def test_stationary_too_long_names_the_input(tmp_path, capsys, bc, L):
     assert f"{bc} L = {L}.0 is too long for the period quadrature" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, name", [
+    (["simulate", "--L", "0"], "L must be > 0, got 0.0"),
+    (["simulate", "--L", "-1"], "L must be > 0, got -1.0"),
+    (["simulate", "--d", "-1"], "d must be >= 0, got -1"),
+    (["simulate", "--n", "0"], "n_replicas must be >= 1, got 0"),
+    (["stationary", "--samples", "0"], "n_samples must be >= 1, got 0"),
+    (["stationary", "--samples", "-4"], "n_samples must be >= 1, got -4"),
+    (["eigen", "--L", "0"], "L must be > 0, got 0.0"),
+    (["eigen", "--L", "-2", "--which", "minus"], "L must be > 0, got -2.0"),
+    (["eigen", "--which", "instanton", "--L", "4", "--kmax", "-1"], "kmax must be >= 1"),
+])
+def test_bad_numeric_input_names_the_input(tmp_path, capsys, argv, name):
+    rc = run(tmp_path, *argv, "--out", "bad")
+    err = capsys.readouterr().err
+    assert rc == 2 and f"error: {name}" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())  # refused before any output is written
+
+
 def test_eigen_outputs(tmp_path):
     rc = run(tmp_path, "eigen", "--bc", "periodic", "--L", "7", "--which",
              "instanton", "--kmax", "5", "--out", "e")

@@ -18,7 +18,6 @@ from kramers_spde.spectra import (eigs_orbit, lambda_ratio_log_sum,
                                   lambda_ratio_product_infinite)
 from kramers_spde.spectral import mode_frequencies, mode_indices, nu
 from kramers_spde.specialfn import psi, theta
-from kramers_spde.stationary import InstantonProfile
 
 
 def test_c4_values(pot):
@@ -53,8 +52,6 @@ def test_saddle_length(pot):
     # quadrature self-consistency under resolution doubling
     prof2 = instanton(pot, 7.0, PERIODIC, n_samples=8192)
     assert saddle_length(prof2) == pytest.approx(ell, rel=1e-6)
-    const = InstantonProfile.constant(pot.u_minus, pot, PERIODIC, 7.0)
-    assert saddle_length(const) <= 1e-12
     with pytest.raises(WrongBoundaryCondition):
         saddle_length(instanton(pot, 4.0, NEUMANN))
 

@@ -14,7 +14,7 @@ from kramers_spde import (NEUMANN, LocalPotential, OutOfRegime, PERIODIC, Resolu
                           eigs_profile, instanton, spectra, stationary)
 from kramers_spde.spectra import (eigs_orbit, lambda_ratio_log_sum,
                                   lambda_ratio_product_infinite)
-from kramers_spde.stationary import InstantonOrbit, InstantonProfile, instanton_orbit
+from kramers_spde.stationary import InstantonOrbit, instanton_orbit
 
 
 def test_eigs_constant_values(pot):
@@ -92,20 +92,21 @@ def _sample_spectrum(profile, kmax):
        n_samples=st.sampled_from([1024, 2048, 4096]), even=st.booleans())
 def test_eigs_profile_is_eigs_orbit_at_a_quarter_of_the_samples(pot, bc, above, n_samples,
                                                                  even):
-    # the profile's spectrum is its orbit's on the n = N/4 and N/2 grids,
-    # bit for bit; translating or reflecting the samples does not change it
+    # a profile is its orbit: its orbit fields are instanton_orbit's and its
+    # spectrum is the orbit's on the n = N/4 and N/2 grids, bit for bit;
+    # translating or reflecting the samples keeps the rule and the spectrum
     prof = instanton(pot if even else ASYMMETRIC, bc.bifurcation_length * (1.0 + above), bc,
                      n_samples=n_samples)
-    want = eigs_orbit(instanton_orbit(prof.pot, prof.L, bc), 6, n_samples // 4).eigenvalues
-    moved = prof.translated(1.0) if bc is PERIODIC else prof.reflected()
-    for profile in (prof, moved):
-        assert eigs_profile(profile, kmax=6).eigenvalues.tobytes() == want.tobytes()
-
-
-def test_eigs_profile_refuses_a_constant_profile(pot):
-    prof = InstantonProfile.constant(pot.u_minus, pot, NEUMANN, 1.0)
-    with pytest.raises(ValueError, match="eigs_constant"):
-        eigs_profile(prof, kmax=4)
+    orbit = instanton_orbit(prof.pot, prof.L, bc)
+    assert isinstance(prof, InstantonOrbit)
+    assert (np.array([prof.E, *prof.turning, prof.V_value, prof.deriv_L2]).tobytes()
+            == np.array([orbit.E, *orbit.turning, orbit.V_value, orbit.deriv_L2]).tobytes())
+    want = eigs_orbit(orbit, 6, n_samples // 4).eigenvalues
+    moved = [prof.reflected()] + ([prof.translated(1.0)] if bc is PERIODIC else [])
+    assert all(m.rule is prof.rule for m in moved)
+    for profile in (prof, *moved):
+        for spectrum in (eigs_profile(profile, kmax=6), eigs_orbit(profile, 6, n_samples // 4)):
+            assert spectrum.eigenvalues.tobytes() == want.tobytes()
 
 
 def _fd_matrix(W, L, bc):
@@ -340,11 +341,10 @@ def test_refined_cosine_moments_match_a_fine_grid(pot, bc, L, asymmetric):
     W = _sample_curvature(prof, 2 if bc is NEUMANN else 1)
     size, count = len(W), 2048
     T = _sample_sums(W, bc, p.is_even)[:count]
-    orbit = prof.orbit
-    assert count * orbit.rule.widest / orbit.rule.X > 54.0
+    assert count * prof.rule.widest / prof.rule.X > 54.0
 
     def error():
-        return np.abs(T - size / orbit.rule.X * orbit.cosine_moments(count))
+        return np.abs(T - size / prof.rule.X * prof.cosine_moments(count))
 
     assert np.all(error() <= 1e-14 * size * (1.0 + np.arange(count) / 1024))
     with pytest.MonkeyPatch.context() as mp:
@@ -368,7 +368,7 @@ def test_fine_grid_moment_spectra_match_the_whole_matrix(pot, bc, L, kmax):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectra, "_ritz_smallest", per_grid)
-        eigs_orbit(prof.orbit, kmax, 4096)
+        eigs_orbit(prof, kmax, 4096)
     m = kmax + 2 if bc is NEUMANN else 2 * kmax + 3
     for step, got in zip((4, 2), grids):
         W = _sample_curvature(prof, step)
@@ -444,7 +444,7 @@ def test_eigs_profile_refuses_kmax_beyond_the_coarse_grid(pot, bc, kmax):
     # 256 nodes of the coarse grid: of 1024 samples, or asked for directly
     prof = instanton(pot, 1.3 * bc.bifurcation_length, bc, n_samples=1024)
     for spectrum in (lambda: eigs_profile(prof, kmax=kmax),
-                     lambda: eigs_orbit(prof.orbit, kmax, 256)):
+                     lambda: eigs_orbit(prof, kmax, 256)):
         with pytest.raises(ValueError, match=f"kmax = {kmax} needs 257 eigenvalues, more "
                                              "than the 256-node coarse grid"):
             spectrum()

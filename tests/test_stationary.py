@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import ellipj, ellipk
 
-from kramers_spde import (EnergyOutOfRange, InstantonProfile, LocalPotential, NEUMANN,
-                          NoInstanton, NotMonotone, PERIODIC, QuadratureNotConverged,
+from kramers_spde import (EnergyOutOfRange, LocalPotential, NEUMANN, NoInstanton,
+                          NotMonotone, PERIODIC, QuadratureNotConverged,
                           barrier_height, dT_dE, instanton, period_T, potential,
                           stationary, turning_points)
 from kramers_spde.kramers import c4
@@ -141,14 +141,13 @@ def test_periodic_translation_family(pot):
 
 def test_instanton_profiles_compare_and_hash_by_identity(pot):
     # field-wise equality would compare the sample arrays (and raise); a
-    # profile keeps the orbit it was sampled on, and so do its mirror and
-    # translates, whose spectra are the instanton's
+    # profile is the orbit it was sampled on, and its mirror and translates
+    # keep that orbit's rule, so their spectra are the instanton's
     a, b = (instanton(pot, 7.0, PERIODIC, n_samples=256) for _ in range(2))
     assert a == a and a != b and not a == b
     assert hash(a) == hash(a) and len({a, b, a}) == 2
-    assert a.orbit is not None and a.orbit is not b.orbit
-    assert a.translated(1.0).orbit is a.orbit and a.translated(1.0) != a
-    assert InstantonProfile.constant(pot.u_minus, pot, NEUMANN, 2.0).orbit is None
+    assert a.rule is not b.rule
+    assert a.translated(1.0).rule is a.rule and a.translated(1.0) != a
 
 
 def test_barrier_height(pot):
@@ -179,12 +178,6 @@ def test_instanton_energy_vs_shooting_oracle(pot):
         v += h * pot.derivative(um, 1)
     assert abs(v) <= 1e-5  # Neumann closure reproduced by the oracle
     assert u == pytest.approx(prof.u[-1], abs=1e-5)
-
-
-def test_constant_profile_helper(pot):
-    prof = InstantonProfile.constant(pot.u_minus, pot, NEUMANN, 2.0)
-    assert prof.V_value == pytest.approx(2.0 * pot.derivative(pot.u_minus, 0))
-    assert prof.deriv_L2 == 0.0
 
 
 _open_unit = st.floats(1e-13, 1.0, exclude_max=True)  # E / E0, from the bracket's low end
