@@ -25,7 +25,6 @@ import time
 from datetime import datetime, timezone
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import AllCensored, KramersSpdeError, UnsupportedRegime
@@ -96,13 +95,17 @@ def _parse_d(text) -> float:
 
 
 def _threads(requested) -> int:
-    if requested is not None:
-        return max(1, int(requested))
-    return os.cpu_count() or 1
+    if requested is None:
+        return os.cpu_count() or 1
+    threads = int(requested)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return threads
 
 
 def _environment(threads: int | None = None) -> dict:
     """What a run's timings depend on besides its configuration."""
+    import scipy  # for its version only: a prediction loads no scipy
     affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "scipy": scipy.__version__, "cpu_count": os.cpu_count(),

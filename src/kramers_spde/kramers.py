@@ -25,15 +25,17 @@ mu_1/4 carries the 1/2 of two Neumann instantons; ell = L ||u'||_L2 is the
 saddle_length() of the periodic translation orbit, with ||u'|| the
 instanton's own deriv_L2 (from its orbit's quadrature rule).  d is the Galerkin
 truncation (math.inf sums the tail to closed form for the constant spectra
-and to a Weyl-asymptotic tail for instanton spectra).  Instanton spectra
-are finite differences on the 1024 and 2048 point grids, solved in the FD
-Laplacian's cosine/Fourier eigenbasis (periodic: its cosine and sine
-sectors, the zero mode the sine ground state) from the cosine moments of
-U''(u*) on the instanton's orbit (spectra.eigs_orbit,
+and to a Weyl-asymptotic tail for instanton spectra, in Hurwitz zeta values
+from specialfn._hurwitz_zeta, scipy.special.zeta's algorithm and bits).
+Instanton spectra are finite differences on the 1024 and 2048 point grids,
+solved in the FD Laplacian's cosine/Fourier eigenbasis (periodic: its
+cosine and sine sectors, the zero mode the sine ground state) from the
+cosine moments of U''(u*) on the instanton's orbit (spectra.eigs_orbit,
 stationary.instanton_orbit), whose c_0 / X is also the tail's mean
-curvature.  They do not depend on eps, so
-_mu_spectrum keeps the last 64 in a functools.lru_cache keyed on (U, L,
-bc, kmax_eig).
+curvature.  Neither the spectrum nor the d = inf tail depends on eps, so
+_mu_spectrum keeps the last 64 of both in a functools.lru_cache keyed on
+(U, L, bc, kmax_eig).  Every regime runs on numpy and the stdlib: the
+prediction path imports no scipy.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import OutOfRegime, UnsupportedRegime, WrongBoundaryCondition
 from .potential import LocalPotential
@@ -55,7 +56,7 @@ from .stationary import InstantonOrbit, instanton_orbit
 # longer calls them
 from .spectra import eigs_profile  # noqa: F401
 from .stationary import instanton  # noqa: F401
-from .specialfn import psi, theta
+from .specialfn import _hurwitz_zeta, psi, theta
 
 _EXP_MAX = 700.0
 
@@ -167,32 +168,37 @@ def _label_mu(ev: np.ndarray, bc: BoundaryCondition, kmax_eig: int) -> np.ndarra
 def _mu_spectrum(pot: LocalPotential, L: float, bc: BoundaryCondition, kmax_eig: int):
     """Instanton spectrum data for L above the bifurcation length.
 
-    Returns (orbit, _label_mu(eigenvalues), mean_curvature): the instanton's
-    orbit without samples (instanton_orbit), its spectrum from the orbit's
-    cosine moments (eigs_orbit), and the mean of U''(u*) (c_0 / X).  The
-    array is read-only.  None of it depends on eps, so the last 64 results
-    are kept: a sweep solves each instanton once.
+    Returns (orbit, _label_mu(eigenvalues), mean_curvature, tail_inf): the
+    instanton's orbit without samples (instanton_orbit), its spectrum from
+    the orbit's cosine moments (eigs_orbit), the mean of U''(u*) (c_0 / X)
+    and the d = inf tail of the log-product beyond kmax_eig
+    (_asymptotic_tail_log_inf).  The array is read-only.  None of it depends
+    on eps, so the last 64 results are kept: a sweep solves each instanton,
+    and sums its tail, once.
     """
     orbit = instanton_orbit(pot, L, bc)
     mu = _label_mu(eigs_orbit(orbit, kmax=kmax_eig).eigenvalues, bc, kmax_eig)
     mu.flags.writeable = False
-    return orbit, mu, orbit.mean_curvature
+    wbar = orbit.mean_curvature
+    tail_inf = _asymptotic_tail_log_inf(L, bc.mode_factor, wbar,
+                                        pot.derivative(pot.u_minus, 2), kmax_eig + 1)
+    return orbit, mu, wbar, tail_inf
 
 
-def _mu_log_sum(mu_by_label, pot, L, bc, k_from, d, kmax_eig, wbar):
+def _mu_log_sum(mu_by_label, pot, L, bc, k_from, d, kmax_eig, wbar, tail_inf=None):
     """sum_{k=k_from}^{d} log(mu_k / nu_k^-), asymptotic tail beyond kmax_eig.
 
     Beyond the resolved eigenvalues, mu_k ~ nu_k(0) + mean(U''(u*)) (Weyl
     plus first-order perturbation), so the tail factors are
-    (nu_k0 + wbar)/(nu_k0 + U''(u_-)); for d = inf the tail has a closed
-    form in Hurwitz zeta values (_asymptotic_tail_log_inf).
+    (nu_k0 + wbar)/(nu_k0 + U''(u_-)); for d = inf the tail is tail_inf,
+    _mu_spectrum's closed form in Hurwitz zeta values.
     """
     w_minus = pot.derivative(pot.u_minus, 2)
     k_res = min(kmax_eig, d)
     total = math.fsum(np.log(mu_by_label[k_from : k_res + 1])
                       - np.log(nu(bc, L, np.arange(k_from, k_res + 1)) + w_minus))
     if d == math.inf:
-        total += _asymptotic_tail_log_inf(L, bc.mode_factor, wbar, w_minus, k_res + 1)
+        total += tail_inf
     elif d > k_res:
         nu0 = nu(bc, L, np.arange(k_res + 1, d + 1))
         total += math.fsum(np.log(nu0 + wbar) - np.log(nu0 + w_minus))
@@ -214,7 +220,8 @@ def _asymptotic_tail_log_inf(L, b, w_num, w_den, k_from):
     N = max(k_from, math.ceil(8.0 * math.sqrt(max(abs(p), abs(q)))))
     k2 = np.arange(k_from, N, dtype=float) ** 2
     m = np.arange(1, 13)
-    series = (-1.0) ** (m + 1) * (p ** m - q ** m) / m * zeta(2.0 * m, N)
+    zeta = np.array([_hurwitz_zeta(2.0 * k, float(N)) for k in range(1, 13)])
+    series = (-1.0) ** (m + 1) * (p ** m - q ** m) / m * zeta
     return math.fsum(np.log1p(p / k2) - np.log1p(q / k2)) + math.fsum(series)
 
 
@@ -272,7 +279,7 @@ def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: floa
     orbit, H0, sigma0, sigma1, mu1 = None, -V_minus, -1.0, lam1, None
     if side in ("near_above", "large_l"):
         if L > Lc:
-            orbit, mu, wbar = _mu_spectrum(pot, L, bc, kmax_eig)
+            orbit, mu, wbar, tail_inf = _mu_spectrum(pot, L, bc, kmax_eig)
             H0, sigma0, sigma1 = orbit.V_value - V_minus, float(mu[0]), float(mu[1])
         mu1 = sigma1
     if side == "small_l":
@@ -290,7 +297,7 @@ def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: floa
         raise OutOfRegime(f"{regime.value} does not hold at L = {L}: its mode-1 factor "
                           f"{x:.6g} is not positive")
     if orbit is not None:
-        s2 = _mu_log_sum(mu, pot, L, bc, 2, d, kmax_eig, wbar)
+        s2 = _mu_log_sum(mu, pot, L, bc, 2, d, kmax_eig, wbar, tail_inf)
     elif d == math.inf:
         s2 = math.log(lambda_ratio_product_infinite(pot, L, bc, 2))
     else:

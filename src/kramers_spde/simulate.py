@@ -31,7 +31,7 @@ import numpy as np
 from .errors import AllCensored, NonFinite, QuadratureNotConverged
 from .potential import LocalPotential, horner_into
 from .spectral import (BoundaryCondition, FourierState, TransformPlan,
-                       default_grid_size, mode_frequencies, next_fast_len, sup_dist)
+                       default_grid_size, mode_frequencies, refined_grid_size, sup_dist)
 
 _MASK64 = (1 << 64) - 1
 _WINDOW_BYTES = 1 << 20  # a batch's window of normals, all live rows together
@@ -89,7 +89,7 @@ class TransitionSample:
 class TransitionStats:
     n: int
     mean: float
-    stderr: float
+    stderr: float | None  # None below two uncensored times
     min: float
     max: float
     censored: int
@@ -156,7 +156,7 @@ class _Engine:
     def __init__(self, cfg: SimConfig, nonlinear: bool = True):
         self.cfg = cfg
         pot = cfg.pot
-        n_ref = next_fast_len(cfg.refine * (2 * cfg.d + 2), real=True)
+        n_ref = refined_grid_size(cfg.d, cfg.refine)
         self.plan = TransformPlan(cfg.bc, cfg.L, cfg.d, default_grid_size(cfg.d, pot.p0))
         self.ref_plan = TransformPlan(cfg.bc, cfg.L, cfg.d, n_ref)
         if cfg.d <= _MATRIX_MAX_D:
@@ -368,9 +368,11 @@ def _stats_from_samples(samples: list[TransitionSample], cfg: SimConfig) -> Tran
         raise AllCensored(f"all {len(samples)} replicas censored at t_max = {cfg.t_max}")
     n = len(taus)
     mean = math.fsum(taus) / n
-    var = math.fsum((t - mean) ** 2 for t in taus) / max(n - 1, 1)
+    stderr = None
+    if n >= 2:
+        stderr = math.sqrt(math.fsum((t - mean) ** 2 for t in taus) / (n - 1) / n)
     return TransitionStats(
-        n=n, mean=mean, stderr=math.sqrt(var / n), min=min(taus), max=max(taus),
+        n=n, mean=mean, stderr=stderr, min=min(taus), max=max(taus),
         censored=censored, mean_is_lower_bound=censored > 0,
         eps=cfg.eps, d=cfg.d, dt=cfg.dt)
 

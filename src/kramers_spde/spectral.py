@@ -19,6 +19,9 @@ local potentials when n >= 2 p0 (d+1).
 
 Transform plans hold no mutable scratch; they may be shared, but the
 documented contract is one plan per task with freely shared immutable states.
+
+scipy.fft loads with the first plan or grid size, not with this module:
+predictions need neither, and importing it costs about 0.2 s.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.fft import dct, idct, next_fast_len, rfft, irfft
 
 from .errors import GridTooSmall
 
@@ -92,7 +94,15 @@ def mode_frequencies(bc: BoundaryCondition, L: float, d: int) -> np.ndarray:
 
 def default_grid_size(d: int, p0: int = 2) -> int:
     """Alias-free quadrature size for degree-2*p0 local potentials."""
+    from scipy.fft import next_fast_len
     return next_fast_len(max(2 * p0 * (d + 1), 2 * d + 2), real=True)
+
+
+def refined_grid_size(d: int, refine: int) -> int:
+    """Size of the refined grid of sup_dist and of the Monte Carlo hit check:
+    refine (2d + 2) points, rounded up to a fast FFT length."""
+    from scipy.fft import next_fast_len
+    return next_fast_len(refine * (2 * d + 2), real=True)
 
 
 @dataclass(frozen=True)
@@ -150,6 +160,9 @@ class TransformPlan:
         self.L = float(L)
         self.d = d
         self.n = int(n_grid)
+        # bound once here, so that a step imports nothing
+        from scipy.fft import dct, idct, irfft, rfft
+        self._forward, self._inverse = (dct, idct) if bc is NEUMANN else (rfft, irfft)
         n, L = self.n, self.L
         # synthesize and analyze scales of coefficient 0 (Neumann: of every coefficient)
         if bc is NEUMANN:
@@ -187,12 +200,12 @@ class TransformPlan:
         spec = self.work(*c.shape[:-1]) if work is None else work[: len(c)]
         if self.bc is NEUMANN:
             np.multiply(c, self._synth0, out=spec[..., : d + 1])
-            out = idct(spec, type=2, norm="ortho", axis=-1)
+            out = self._inverse(spec, type=2, norm="ortho", axis=-1)
         else:
             interleaved = spec.view(float)  # Re, Im of bin 0, then of bin 1, ...
             np.multiply(c[..., 0], self._synth0, out=interleaved[..., 0])
             np.multiply(c[..., 1:], self._pair_synth, out=interleaved[..., 2 : 2 * d + 2])
-            out = irfft(spec, self.n, axis=-1)
+            out = self._inverse(spec, self.n, axis=-1)
         return out[0] if one else out
 
     def analyze(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -205,10 +218,10 @@ class TransformPlan:
         if out is None:
             out = np.empty((*v.shape[:-1], self.bc.n_coeffs(d)))
         if self.bc is NEUMANN:
-            spec = dct(v, type=2, norm="ortho", axis=-1)
+            spec = self._forward(v, type=2, norm="ortho", axis=-1)
             np.multiply(spec[..., : d + 1], self._analyze0, out=out)
         else:
-            interleaved = rfft(v, axis=-1).view(float)
+            interleaved = self._forward(v, axis=-1).view(float)
             np.multiply(interleaved[..., 0], self._analyze0, out=out[..., 0])
             np.multiply(interleaved[..., 2 : 2 * d + 2], self._pair_analyze, out=out[..., 1:])
         return out[0] if one else out
@@ -256,8 +269,7 @@ def sup_dist(a: FourierState, b: FourierState, refine: int = 8) -> float:
         raise ValueError("states must share boundary condition and length")
     if refine < 4:
         raise ValueError("refine must be >= 4")
-    d = max(a.d, b.d)
-    n = next_fast_len(refine * (2 * d + 2), real=True)
+    n = refined_grid_size(max(a.d, b.d), refine)
     pa = TransformPlan(a.bc, a.L, a.d, n)
     pb = TransformPlan(b.bc, b.L, b.d, n)
     diff = np.abs(pa.synthesize(a.coeffs) - pb.synthesize(b.coeffs))

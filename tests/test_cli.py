@@ -92,6 +92,21 @@ def test_simulate_outputs(tmp_path):
     assert "prediction" in payload and payload["prediction"]["H0"] == 0.25
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "1", "--tmax", "50"],
+    ["--n", "2", "--tmax", "3", "--seed", "2"],   # replica 1 censored
+])
+def test_simulate_stderr_is_empty_below_two_times(tmp_path, capsys, argv):
+    # one uncensored time has no standard error: an empty field, null in JSON
+    rc = run(tmp_path, "simulate", "--L", "1", "--eps", "0.3", "--d", "2", *argv,
+             "--out", "s")
+    out = capsys.readouterr().out
+    assert rc == 0 and " stderr= " in out
+    stats = json.loads((tmp_path / "s.json").read_text())["stats"]
+    assert stats["n"] == 1 and stats["stderr"] is None
+    assert stats["censored"] == int(argv[1]) - 1
+
+
 def test_stationary_outputs(tmp_path):
     rc = run(tmp_path, "stationary", "--bc", "neumann", "--L", "4", "--out", "st")
     assert rc == 0
@@ -157,15 +172,31 @@ def test_eigen_grids_that_disagree_name_grid_n_and_kmax(tmp_path, capsys, bc, L,
     assert not (tmp_path / "kramers_eigen.csv").exists()
 
 
+_EVERY_REGIME = """
+import math, sys
+import kramers_spde.cli
+from kramers_spde import NEUMANN, PERIODIC, SimConfig, predict_time, quartic, run_replicas
+pot = quartic()
+regimes = {predict_time(pot, L, bc, 0.05, d=d).regime.value
+           for bc, lengths in ((NEUMANN, (1.0, 3.0, 3.3, 4.5)), (PERIODIC, (4.0, 6.0, 6.5, 9.0)))
+           for L in lengths for d in (math.inf, 15)}
+print(len(regimes), [m in sys.modules for m in LAZY])
+cfg = SimConfig(pot=pot, bc=PERIODIC, L=1.0, d=64, eps=0.5, dt=1e-3, t_max=0.01, seed=1)
+print(len(run_replicas(cfg, 2)), "scipy.fft" in sys.modules)
+"""
+
+
 def test_cli_import_leaves_scipy_interpolate_unloaded():
-    # nor the other scipy submodules the import path no longer needs
+    # nor any other scipy submodule: the CLI and a prediction in each of the
+    # eight regimes, at d = inf and d = 15, run on numpy and the stdlib; the
+    # first transform plan (here a d = 64 simulation) loads scipy.fft
     lazy = ["scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.sparse",
-            "scipy.linalg"]
-    code = f"import sys, kramers_spde.cli; print([m in sys.modules for m in {lazy!r}])"
+            "scipy.linalg", "scipy.fft", "scipy.special"]
+    code = f"LAZY = {lazy!r}" + _EVERY_REGIME
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == str([False] * len(lazy))
+    assert out.stdout.splitlines() == [f"8 {[False] * len(lazy)}", "2 True"]
 
 
 def test_stationary_below_threshold_exit_code(tmp_path):
@@ -193,6 +224,9 @@ def test_stationary_too_long_names_the_input(tmp_path, capsys, bc, L):
     (["eigen", "--L", "0"], "L must be > 0, got 0.0"),
     (["eigen", "--L", "-2", "--which", "minus"], "L must be > 0, got -2.0"),
     (["eigen", "--which", "instanton", "--L", "4", "--kmax", "-1"], "kmax must be >= 1"),
+    (["simulate", "--threads", "0"], "threads must be >= 1, got 0"),
+    (["simulate", "--threads", "-2"], "threads must be >= 1, got -2"),
+    (["sweep", "--threads", "0"], "threads must be >= 1, got 0"),
 ])
 def test_bad_numeric_input_names_the_input(tmp_path, capsys, argv, name):
     rc = run(tmp_path, *argv, "--out", "bad")

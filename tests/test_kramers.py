@@ -254,16 +254,18 @@ def test_instanton_and_spectrum_solved_once_per_length(pot, monkeypatch, cold_me
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("instanton_orbit", "eigs_orbit", "instanton", "eigs_profile"):
+    for name in ("instanton_orbit", "eigs_orbit", "instanton", "eigs_profile",
+                 "_asymptotic_tail_log_inf"):
         monkeypatch.setattr(kramers, name, counted(name))
     for eps in (0.02, 0.05, 0.1):
         assert predict_time(pot, 5.0, NEUMANN, eps).regime is RegimeTag.NEUMANN_LARGE_L
-    assert calls == {"instanton_orbit": 1, "eigs_orbit": 1}
+    # the d = inf tail is summed once too, with the spectrum
+    assert calls == {"instanton_orbit": 1, "eigs_orbit": 1, "_asymptotic_tail_log_inf": 1}
 
 
 @pytest.mark.parametrize("bc, L", [(NEUMANN, 4.0), (PERIODIC, 7.0)])
 def test_memoised_spectrum_is_read_only(pot, bc, L, cold_memo):
-    orbit, mu, _ = kramers._mu_spectrum(pot, L, bc, 40)
+    orbit, mu, *_ = kramers._mu_spectrum(pot, L, bc, 40)
     assert not mu.flags.writeable
     assert not any(a.flags.writeable for a in orbit.rule if isinstance(a, np.ndarray))
     with pytest.raises(ValueError):
@@ -444,7 +446,7 @@ def _branch_mu_spectrum(pot, L, bc, kmax_eig):
         prof, wbar = None, -1.0
         ev = mode_frequencies(bc, L, kmax_eig) - 1.0
     else:
-        prof, _, wbar = kramers._mu_spectrum(pot, L, bc, kmax_eig)  # the memoised orbit
+        prof, _, wbar, _ = kramers._mu_spectrum(pot, L, bc, kmax_eig)  # the memoised orbit
         ev = eigs_orbit(prof, kmax=kmax_eig).eigenvalues
     return prof, _branch_label_mu(ev, bc, kmax_eig), wbar
 

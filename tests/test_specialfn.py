@@ -3,8 +3,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy import special
 
 from kramers_spde import DomainError, bessel_iv_scaled, bessel_k_scaled, erfcx, psi, theta
+from kramers_spde.specialfn import _hurwitz_zeta
 
 mp.mp.dps = 40
 
@@ -134,3 +137,59 @@ def test_domain_errors():
             fn()
     with pytest.raises(ValueError):
         psi("x", 1.0)
+
+
+def test_hurwitz_zeta_has_scipy_bits():
+    # over the d = inf tail's arguments zeta(2m, N), m = 1..12, N = 1..399
+    for s in range(2, 25, 2):
+        want = special.zeta(float(s), np.arange(1.0, 400.0)).tolist()
+        assert [_hurwitz_zeta(float(s), float(N)) for N in range(1, 400)] == want
+
+
+def _mp_crossover(name, branch, a):
+    """40-digit psi / theta from their defining formulas."""
+    if a == 0.0:
+        return (mp.gamma(0.25) / (2 ** mp.mpf(1.25) * mp.sqrt(mp.pi)) if name == "psi"
+                else mp.sqrt(mp.pi / 8))
+    a = mp.mpf(a)
+    if name == "theta":
+        return mp.sqrt(mp.pi / 2) * ((1 + a) * mp.exp(a**2 / 8) * mp.ncdf(-a / 2)
+                                     if branch == "+" else mp.ncdf(a / 2))
+    if branch == "+":
+        return mp.sqrt(a * (1 + a) / (8 * mp.pi)) * mp.exp(a**2 / 16) * mp.besselk(0.25, a**2 / 16)
+    x = a**2 / 64
+    return (mp.sqrt(mp.pi * a * (1 + a) / 32) * mp.exp(-x)
+            * (mp.besseli(-0.25, x) + mp.besseli(0.25, x)))
+
+
+def _scipy_crossover(name, branch, a):
+    """psi / theta on scipy.special's kve, ive and erfcx, the kernels they used
+    (which gave psi = inf once a^2 underflowed: there the limit stands in)."""
+    if a < 1e-150:
+        return psi(branch, 0.0) if name == "psi" else theta(branch, 0.0)
+    if name == "theta":
+        z = a / (2.0 * math.sqrt(2.0))
+        return math.sqrt(math.pi / 2.0) * ((1.0 + a) * 0.5 * special.erfcx(z)
+                                           if branch == "+" else 1.0 - 0.5 * math.erfc(z))
+    if branch == "+":
+        return math.sqrt(a * (1.0 + a) / (8.0 * math.pi)) * special.kve(0.25, a * a / 16.0)
+    x = a * a / 64.0
+    return (math.sqrt(math.pi * a * (1.0 + a) / 32.0)
+            * (special.ive(-0.25, x) + special.ive(0.25, x)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(["psi", "theta"]), branch=st.sampled_from("+-"),
+       alpha=st.floats(0.0, 1000.0))
+@example(name="psi", branch="+", alpha=5.62)      # scipy's kve off by 6.4e-14 here
+@example(name="psi", branch="-", alpha=32.7528)   # scipy's ive pair off by 3.7e-14
+@example(name="psi", branch="+", alpha=4.0)       # series / trapezoid seam, x = 1
+@example(name="psi", branch="-", alpha=8.0)
+@example(name="theta", branch="+", alpha=20.0 * math.sqrt(2.0))   # erfcx seam, z = 10
+@example(name="psi", branch="+", alpha=1e-200)    # alpha^2 underflows
+def test_crossover_functions_match_mpmath_and_scipy(name, branch, alpha):
+    # within 1e-14 of 40-digit mpmath; within 1e-13 of the scipy.special
+    # kernels they replace, whose own error reaches 6.7e-14 (kve near x = 2)
+    got = (psi if name == "psi" else theta)(branch, alpha)
+    assert got == pytest.approx(float(_mp_crossover(name, branch, alpha)), rel=1e-14, abs=0)
+    assert got == pytest.approx(_scipy_crossover(name, branch, alpha), rel=1e-13, abs=0)
