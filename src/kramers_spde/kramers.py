@@ -220,9 +220,18 @@ def _asymptotic_tail_log_inf(L, b, w_num, w_den, k_from):
     N = max(k_from, math.ceil(8.0 * math.sqrt(max(abs(p), abs(q)))))
     k2 = np.arange(k_from, N, dtype=float) ** 2
     m = np.arange(1, 13)
-    zeta = np.array([_hurwitz_zeta(2.0 * k, float(N)) for k in range(1, 13)])
-    series = (-1.0) ** (m + 1) * (p ** m - q ** m) / m * zeta
+    series = (-1.0) ** (m + 1) * (p ** m - q ** m) / m * _even_zeta(N)
     return math.fsum(np.log1p(p / k2) - np.log1p(q / k2)) + math.fsum(series)
+
+
+@lru_cache(maxsize=64)
+def _even_zeta(N: int) -> np.ndarray:
+    """Hurwitz zeta(2m, N) for m = 1..12, read-only.  They depend on N alone,
+    which is kmax_eig + 1 unless the potential's curvature is large, so a
+    sweep sums them once."""
+    zeta = np.array([_hurwitz_zeta(2.0 * m, float(N)) for m in range(1, 13)])
+    zeta.flags.writeable = False
+    return zeta
 
 
 def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: float,
