@@ -112,19 +112,26 @@ def _iv_pair_trapezoid(x: float) -> float:
     """e^{-x} (I_{-1/4} + I_{1/4})(x) for x > 0 by the trapezoid rule on the
     Gaussian-quartic integral, over the nodes where exp(-(y^2 - c)^2) > e^-42.
 
-    The step is a power of two, at most 0.12 and 0.25/sqrt(c), so y^2 is
-    exact on the nodes and y^2 - c is rounded once: the exponent keeps full
-    precision however large c is.
+    The step is a power of two, at most 0.12 and 0.25/sqrt(c).  For c < 6.5
+    the nodes are y = jh from 0, so y^2 is exact and y^2 - c is rounded
+    once; beyond, the integrand is below e^-42 at y = 0 and the nodes are
+    y = sqrt(c) + s around the peak, with y^2 - c = s (2 sqrt(c) + s): the
+    exponent keeps full precision however large c is.
     """
     c = math.sqrt(2.0 * x)
-    h = 2.0 ** math.floor(math.log2(min(0.12, 0.25 / math.sqrt(c))))
-    j = np.arange(math.ceil(math.sqrt(max(0.0, c - 6.5)) / h),
-                  int(math.sqrt(c + 6.5) / h) + 2)
-    y = h * j
-    v = y * y - c
-    f = np.exp(-v * v)
-    total = float(f.sum()) - (0.5 * float(f[0]) if j[0] == 0 else 0.0)
-    return 4.0 / math.pi * h * total / math.sqrt(c)
+    root = math.sqrt(c)
+    h = 2.0 ** math.floor(math.log2(min(0.12, 0.25 / root)))
+    if c < 6.5:
+        y = h * np.arange(int(math.sqrt(c + 6.5) / h) + 2)
+        v = y * y - c
+        f = np.exp(-v * v)
+        total = float(f.sum()) - 0.5 * float(f[0])
+    else:
+        s = h * np.arange(math.floor(-6.5 / (math.sqrt(c - 6.5) + root) / h),
+                          int(6.5 / (math.sqrt(c + 6.5) + root) / h) + 2)
+        v = s * (2.0 * root + s)
+        total = float(np.exp(-v * v).sum())
+    return 4.0 / math.pi * h * total / root
 
 
 def _iv_pair_scaled(x: float) -> float:
@@ -195,6 +202,10 @@ def psi(branch: str, alpha: float) -> float:
         # psi = PSI_AT_ZERO (1 + O(alpha)), the same double below here, where
         # alpha^2/16 would leave the normal range
         return PSI_AT_ZERO
+    if alpha > 1e150:
+        # psi = (1 or 2) (1 + O(1/alpha)), the same double above here, where
+        # alpha^2 would overflow
+        return 1.0 if branch == "+" else 2.0
     if branch == "+":
         x = alpha * alpha / 16.0
         return math.sqrt(alpha * (1.0 + alpha) / (8.0 * math.pi)) * bessel_k_scaled(0.25, x)

@@ -95,7 +95,7 @@ def test_psi_against_direct_oracle():
 def test_psi_limits():
     # O(1/alpha) approach to the limits 1 and 2: verified against the
     # asymptotics I_nu(x) ~ e^x/sqrt(2 pi x), K_nu(x) ~ sqrt(pi/2x) e^{-x}
-    for a in (200.0, 400.0):
+    for a in (200.0, 400.0, 1e8, 1e200):
         assert psi("+", a) == pytest.approx(1.0, abs=3.0 / a)
         assert psi("-", a) == pytest.approx(2.0, abs=6.0 / a)
     assert psi("+", 400.0) - 1.0 < psi("+", 200.0) - 1.0
