@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class KramersSpdeError(Exception):
     """Base class for all package-specific errors."""
@@ -59,3 +61,10 @@ class NonFinite(KramersSpdeError):
 
 class AllCensored(KramersSpdeError):
     """Every Monte Carlo replica hit the censoring horizon."""
+
+
+def require_finite(**values: float) -> None:
+    """Raise ValueError naming the first of the keyword inputs that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")

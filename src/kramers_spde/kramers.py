@@ -31,11 +31,12 @@ Instanton spectra are finite differences on the 1024 and 2048 point grids,
 solved in the FD Laplacian's cosine/Fourier eigenbasis (periodic: its
 cosine and sine sectors, the zero mode the sine ground state) from the
 cosine moments of U''(u*) on the instanton's orbit (spectra.eigs_orbit,
-stationary.instanton_orbit), whose c_0 / X is also the tail's mean
-curvature.  Neither the spectrum nor the d = inf tail depends on eps, so
-_mu_spectrum keeps the last 64 of both in a functools.lru_cache keyed on
-(U, L, bc, kmax_eig).  Every regime runs on numpy and the stdlib: the
-prediction path imports no scipy.
+stationary.instanton_orbit), which set one coupling block for both grids
+(they differ only in the FD Laplacian's eigenvalues kappa_k) and whose
+c_0 / X is also the tail's mean curvature.  Neither the spectrum nor the
+d = inf tail depends on eps, so _mu_spectrum keeps the last 64 of both in
+a functools.lru_cache keyed on (U, L, bc, kmax_eig).  Every regime runs on
+numpy and the stdlib: the prediction path imports no scipy.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OutOfRegime, UnsupportedRegime, WrongBoundaryCondition
+from .errors import OutOfRegime, UnsupportedRegime, WrongBoundaryCondition, require_finite
 from .potential import LocalPotential
 from .spectral import BoundaryCondition, NEUMANN, PERIODIC, nu
 from .spectra import eigs_orbit, lambda_ratio_log_sum, lambda_ratio_product_infinite
@@ -96,18 +97,15 @@ def c4(pot: LocalPotential, L: float, bc: BoundaryCondition) -> float:
     """Quartic normal-form coefficient C4(L) of the bifurcating mode.
 
     (1/4L) [U''''(0) + r(L) U'''(0)^2] with the rational factor
-    r = (8 pi^2 - 3 L^2)/(4 pi^2 - L^2) for Neumann and
-    (32 pi^2 - 3 L^2)/(16 pi^2 - L^2) for periodic.  The pole of r (L = 2 pi
-    resp. 4 pi) lies outside the supported neighbourhood.
+    r = (2 P - 3 L^2)/(P - L^2), P = (2 L_c)^2 for the bifurcation length L_c
+    (4 pi^2 Neumann, 16 pi^2 periodic).  The pole of r (L = 2 L_c: 2 pi resp.
+    4 pi) lies outside the supported neighbourhood.
     """
     u3 = float(pot.derivative(0.0, 3))
     u4 = float(pot.derivative(0.0, 4))
-    if bc is NEUMANN:
-        denom = 4.0 * math.pi ** 2 - L ** 2
-        numer = 8.0 * math.pi ** 2 - 3.0 * L ** 2
-    else:
-        denom = 16.0 * math.pi ** 2 - L ** 2
-        numer = 32.0 * math.pi ** 2 - 3.0 * L ** 2
+    pole = (2.0 * bc.bifurcation_length) ** 2
+    denom = pole - L ** 2
+    numer = 2.0 * pole - 3.0 * L ** 2
     if abs(denom) < 1e-12 * math.pi ** 2:
         if u3 == 0.0:
             return u4 / (4.0 * L)
@@ -250,6 +248,7 @@ def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: floa
     OutOfRegime, and so does a near regime unless C4 > 0 (no quartic normal
     form) or at the pole of C4's rational factor.
     """
+    require_finite(L=L, eps=eps)
     if eps <= 0.0 or L <= 0.0:
         raise ValueError("need eps > 0 and L > 0")
     if not lambda_switch >= 0.0:

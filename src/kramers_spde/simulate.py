@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AllCensored, NonFinite, QuadratureNotConverged
+from .errors import AllCensored, NonFinite, QuadratureNotConverged, require_finite
 from .potential import LocalPotential, horner_into
 from .spectral import (BoundaryCondition, FourierState, TransformPlan,
                        default_grid_size, mode_frequencies, refined_grid_size, sup_dist)
@@ -59,6 +59,7 @@ class SimConfig:
     start_well: str = "minus"
 
     def __post_init__(self):
+        require_finite(L=self.L, eps=self.eps, dt=self.dt, t_max=self.t_max)
         if self.L <= 0.0:
             raise ValueError(f"L must be > 0, got {self.L}")
         if self.d < 0:

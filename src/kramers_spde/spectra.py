@@ -7,32 +7,29 @@ eigenvalue, plus one zero mode in the periodic case from translation
 symmetry).
 
 Constant profiles have closed-form spectra.  Instanton spectra are
-second-order central differences on the n and 2n point grids, then one
-Richardson step in h^2 (eigs_orbit).  Neumann uses the midpoint grid with
-ghost reflection, the periodic instanton the cyclic grid from its minimum
-at x = 0.  The FD matrices read W = U''(u*) only through its cosine sums
-on the grid, which are (n / X) times the cosine moments of W on the
-instanton's orbit: no spectrum samples the instanton.
-
-Each FD matrix -Delta_h + W is solved by Rayleigh-Ritz in its Laplacian's
-exact eigenbasis, where -Delta_h is diagonal (kappa_k = 4 sin^2(pi k / 2n)
-/ h^2 on the Neumann DCT-II modes, 4 sin^2(pi k / n) / h^2 on the periodic
-Fourier modes) and W couples modes through its cosine sums.  The periodic
-instanton is even about x = 0 (u'' = U'(u) is reversible), so its cosine
-and sine sectors do not couple; the sine ground state is the translation
-zero mode.  The lowest eigenvalues come from the leading block of each
-sector, grown until two block sizes agree to roundoff.  For smooth W they
-converge exponentially in the block size, which stays far below n, and
-they carry the roundoff of that small block, not of the n-node matrix.
+second-order central differences on the n and 2n point grids (Neumann: the
+midpoint grid with ghost reflection; periodic: the cyclic grid from the
+instanton's minimum at x = 0), then one Richardson step in h^2
+(eigs_orbit).  Each FD matrix -Delta_h + W, W = U''(u*), is solved by
+Rayleigh-Ritz in its Laplacian's exact eigenbasis (DCT-II or Fourier
+modes), where -Delta_h is the diagonal kappa_k and W couples modes through
+its cosine sums on the grid, (n / X) times the cosine moments c_m of W on
+the instanton's orbit: no spectrum samples the instanton, and n cancels
+from the couplings, so both grids share them and differ only in kappa_k
+(_sectors).  The periodic instanton is even about x = 0 (u'' = U'(u) is
+reversible), so its cosine and sine sectors do not couple; the sine ground
+state is the translation zero mode.  The lowest eigenvalues come from the
+leading block of each sector, grown for both grids at once until two block
+sizes agree to roundoff on each.  For smooth W they converge exponentially
+in the block size, which stays far below n, and carry the roundoff of that
+small block, not of the n-node matrix.
 
 An even potential (LocalPotential.is_even: every odd-power coefficient is
 exactly 0.0, as for quartic()) gives the instanton one more mirror
-symmetry: u(L - x) = -u(x) (Neumann) and u(x + L/2) = -u(x) (periodic,
-even n), so W is even about L/2 (resp. of period L/2), couples only modes
-of one parity, and each block is solved as its even-k and odd-k halves.
-The choice follows the coefficients, never a tolerance on U''(u*); a
-nearly even potential, and a periodic grid of odd n, keep the unsplit
-blocks.
+symmetry, u(L - x) = -u(x) (Neumann) or u(x + L/2) = -u(x) (periodic), so
+the odd moments of W vanish, W couples only modes of one parity, and each
+block is solved as its even-k and odd-k halves.  The choice follows the
+coefficients, never a tolerance on U''(u*).
 
 Products of eigenvalue ratios (truncated functional determinants) are summed
 in log space with compensated summation and sign tracking; for the constant
@@ -46,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OutOfRegime, ResolutionTooLow, ZeroDenominator
+from .errors import OutOfRegime, ResolutionTooLow, ZeroDenominator, require_finite
 from .potential import LocalPotential
 from .spectral import BoundaryCondition, NEUMANN, PERIODIC, nu
 from .stationary import InstantonOrbit, InstantonProfile
@@ -87,6 +84,7 @@ def eigs_constant(pot: LocalPotential, L: float, bc: BoundaryCondition,
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
+    require_finite(L=L)
     if L <= 0.0:
         raise ValueError(f"L must be > 0, got {L}")
     shift = {"origin": -1.0,
@@ -97,76 +95,69 @@ def eigs_constant(pot: LocalPotential, L: float, bc: BoundaryCondition,
     return SpectrumReport(bc, L, which, ev, *_classify(ev), kmax)
 
 
-def _sectors(n: int, L: float, bc: BoundaryCondition):
-    """The n-point FD matrix in its Laplacian's eigenbasis, one (k, kappa, c, s)
-    per sector: B_jk = kappa_j delta_jk + c_j c_k (T[|j - k|] + s T[j + k]) / 2
-    over the mode numbers k, with T the cosine sums of W on the grid."""
-    h = L / n
+def _sectors(n: int, L: float, X: float, bc: BoundaryCondition):
+    """The n-point FD matrix in its Laplacian's eigenbasis, one (k, kappa, a, s)
+    per sector: B_jk = kappa_j delta_jk + a_j a_k (c[|j - k|] + s c[j + k]) / 2
+    over the mode numbers k, c the cosine moments of W on the half length X,
+    a_0 = 1/sqrt(X) and a_k = sqrt(2/X).  Only kappa_k = (2 sin(pi b k / 2n)
+    / h)^2, b = bc.mode_factor, and the basis size depend on n."""
+    k = np.arange(n if bc is NEUMANN else n // 2 + 1)
+    kappa = (2.0 * np.sin(0.5 * math.pi * bc.mode_factor * k / n) / (L / n)) ** 2
+    a = np.full(len(k), math.sqrt(2.0 / X))
+    a[0] = math.sqrt(1.0 / X)
     if bc is NEUMANN:
-        k = np.arange(n)
-        c = np.full(n, math.sqrt(2.0 / n))
-        c[0] = math.sqrt(1.0 / n)
-        return [(k, (2.0 * np.sin(0.5 * math.pi * k / n) / h) ** 2, c, 1.0)]
-    half = n // 2
-    k = np.arange(half + 1)
-    kappa = (2.0 * np.sin(math.pi * k / n) / h) ** 2
-    c = np.full(half + 1, math.sqrt(2.0 / n))
-    c[0] = math.sqrt(1.0 / n)
+        return [(k, kappa, a, 1.0)]
     if n % 2 == 0:  # the alternating mode k = n/2 is a cosine only
-        c[-1] = c[0]
+        a[-1] = a[0]
     sine = slice(1, (n + 1) // 2)
-    return [(k, kappa, c, 1.0), (k[sine], kappa[sine], c[sine], -1.0)]
+    return [(k, kappa, a, 1.0), (k[sine], kappa[sine], a[sine], -1.0)]
 
 
-def _ritz_values(sectors, T: np.ndarray, M: int, split: bool) -> list[np.ndarray]:
-    """Every eigenvalue of each sector's leading block of at most M modes.
-    With split (an even potential's instanton: W couples only modes of one
-    parity) each block is solved as its even-k and odd-k halves, which keeps
-    the lowest values accurate to far below eps * ||B||.  Blocks of one size
-    share one eigvalsh call."""
-    blocks = []
-    for k, kappa, c, s in sectors:
-        k, c = k[:M], c[:M]
-        B = T[np.abs(k[:, None] - k)] + s * T[k[:, None] + k]
-        B *= 0.5 * c[:, None] * c
-        B[np.diag_indices_from(B)] += kappa[:M]
-        blocks += [B[::2, ::2], B[1::2, 1::2]] if split else [B]
-    if len({len(B) for B in blocks}) == 1:
-        vals = list(np.linalg.eigvalsh(np.stack(blocks)))
-    else:
-        vals = [np.linalg.eigvalsh(B) for B in blocks]
-    if split:
-        vals = [np.sort(np.concatenate(vals[i : i + 2])) for i in range(0, len(vals), 2)]
-    return vals
-
-
-def _ritz_smallest(sums, n: int, L: float, bc: BoundaryCondition, m: int,
-                   split: bool) -> np.ndarray:
-    """The lowest m eigenvalues of the n-point FD matrix -Delta_h + W, by
-    Rayleigh-Ritz on its Laplacian's leading eigenmodes, from W's cosine
-    sums: sums(count) holds T(m) for m < count at least.  The block starts
-    16 modes above the values wanted and grows by an eighth until the
-    lowest values of two solves agree to 32 eps of the larger block's norm
-    (the Ritz values of smooth W converge exponentially in M), or is whole.
-    For kmax = 40 the two solves take 58 and 64 modes: numpy's eigvalsh of
-    a larger matrix turns to multithreaded BLAS, which took 8 ms a call
-    instead of 0.2 ms on a busy 2-core host."""
-    sectors = _sectors(n, L, bc)
+def _ritz_smallest(moments, X: float, L: float, bc: BoundaryCondition, grids, m: int,
+                   split: bool) -> list[np.ndarray]:
+    """The lowest m eigenvalues of the n-point FD matrix -Delta_h + W for each
+    n in grids, by Rayleigh-Ritz on its Laplacian's leading eigenmodes, from
+    W's cosine moments on the half length X (moments(count) holds c_m for
+    m < count at least), each block solved as its even-k and odd-k halves
+    with split.  One eigvalsh call per block size M solves every grid,
+    sector and half; M starts 16 modes above the values wanted and grows by
+    an eighth, capped at each grid's whole basis, until the lowest values of
+    two sizes agree to 32 eps of the larger block's norm on every grid."""
+    grids = [_sectors(n, L, X, bc) for n in grids]
     # the lowest m hold at most m // 2 + 1 modes of each periodic sector
     want = m if bc is NEUMANN else m // 2 + 1
-    whole = max(len(k) for k, *_ in sectors)
+    whole = max(len(k) for sectors in grids for k, *_ in sectors)
+    # kmax = 40 stops at 58 and 64 modes: numpy's eigvalsh of a larger matrix
+    # turns to multithreaded BLAS, 8 ms a call instead of 0.2 ms (busy 2-core host)
     sizes = [min(whole, want + 16 + want % 2)]  # even M: split halves of one size
     while sizes[-1] < whole:
         sizes.append(min(whole, sizes[-1] + 2 * (sizes[-1] // 16)))
-    sums(2 * sizes[:2][-1] + 1)  # at least the first two blocks are solved
+    c = moments(2 * sizes[:2][-1] + 1)  # at least the first two blocks are solved
     vals = None
     for M in sizes:
-        last, vals = vals, _ritz_values(sectors, sums(2 * M + 1), M, split)
-        if last is not None and all(np.abs(a[:want] - b[:want]).max()
-                                    <= 32 * np.finfo(float).eps * np.abs(b[[0, -1]]).max()
-                                    for a, b in zip(last, vals)):
+        if len(c) <= 2 * M:
+            c = moments(2 * M + 1)
+        blocks = []
+        for k, kappa, a, s in (sector for sectors in grids for sector in sectors):
+            k, a = k[:M], a[:M]
+            B = c[np.abs(k[:, None] - k)] + s * c[k[:, None] + k]
+            B *= 0.5 * a[:, None] * a
+            B[np.diag_indices_from(B)] += kappa[:M]
+            blocks += [B[::2, ::2], B[1::2, 1::2]] if split else [B]
+        last = vals
+        if len({len(B) for B in blocks}) == 1:
+            vals = list(np.linalg.eigvalsh(np.stack(blocks)))
+        else:
+            vals = [np.linalg.eigvalsh(B) for B in blocks]
+        if split:
+            vals = [np.sort(np.concatenate(vals[i : i + 2])) for i in range(0, len(vals), 2)]
+        if last is not None and all(np.abs(old[:want] - new[:want]).max()
+                                    <= 32 * np.finfo(float).eps * np.abs(new[[0, -1]]).max()
+                                    for old, new in zip(last, vals)):
             break
-    return np.sort(np.concatenate([v[:want] for v in vals]))[:m]
+    per_grid = len(grids[0])  # sectors
+    return [np.sort(np.concatenate([v[:want] for v in vals[i : i + per_grid]]))[:m]
+            for i in range(0, len(vals), per_grid)]
 
 
 def _eigenvalue_count(bc: BoundaryCondition, kmax: int) -> int:
@@ -177,18 +168,13 @@ def _eigenvalue_count(bc: BoundaryCondition, kmax: int) -> int:
 def eigs_orbit(orbit: InstantonOrbit, kmax: int, n: int = 1024) -> SpectrumReport:
     """FD spectrum at the instanton, Richardson-extrapolated, from its orbit.
 
-    Computes the smallest eigenvalues covering mode labels |k| <= kmax
-    (kmax+2 values for Neumann, 2*kmax+3 for periodic) on the n and 2n
-    point grids, n at least the number of values; the h^2 error model gives
-    the extrapolation (4 mu_{2n} - mu_n)/3.  Each grid is solved by
-    Rayleigh-Ritz in the FD Laplacian's eigenbasis (module docstring).  On
-    an analytic W even about the half orbit's ends, the grid's cosine sums
-    are T_n(m) = (n / X) c_m up to aliasing of c_(2n-m) and beyond, which is
-    far below roundoff for the m < 2M that the Ritz blocks read; c_m are
-    the orbit's cosine moments (InstantonOrbit.cosine_moments), computed
-    once for the largest block reached and shared by both grids.  Raises
-    ResolutionTooLow if the grids disagree by more than 1% after
-    extrapolation.
+    The smallest eigenvalues covering mode labels |k| <= kmax (kmax+2 for
+    Neumann, 2*kmax+3 for periodic) on the n and 2n point grids, n at least
+    their number, extrapolated as (4 mu_{2n} - mu_n)/3 (module docstring).
+    For analytic W even about the half orbit's ends the grid's cosine sums
+    are (n / X) c_m up to aliasing of c_(2n-m) and beyond, far below roundoff
+    for the m < 2M the Ritz blocks read.  Raises ResolutionTooLow if the
+    grids disagree by more than 1% after extrapolation.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -196,20 +182,8 @@ def eigs_orbit(orbit: InstantonOrbit, kmax: int, n: int = 1024) -> SpectrumRepor
     if m > n:
         raise ValueError(f"kmax = {kmax} needs {m} eigenvalues, more than the "
                          f"{n}-node coarse grid has")
-    moments = np.empty(0)
-
-    def sums(grid: int):
-        def sums_n(count: int) -> np.ndarray:
-            nonlocal moments
-            if len(moments) < count:
-                moments = orbit.cosine_moments(count)
-            return (grid / orbit.rule.X) * moments
-        return sums_n
-
-    # an even potential's W couples one mode parity only (but odd periodic grids)
-    coarse, fine = (_ritz_smallest(sums(grid), grid, orbit.L, orbit.bc, m,
-                                   orbit.pot.is_even and (orbit.bc is NEUMANN or grid % 2 == 0))
-                    for grid in (n, 2 * n))
+    coarse, fine = _ritz_smallest(orbit.cosine_moments, orbit.rule.X, orbit.L, orbit.bc,
+                                  (n, 2 * n), m, orbit.pot.is_even)
     extrap = (4.0 * fine - coarse) / 3.0
     scale = max(1.0, float(np.abs(extrap).max()))
     if np.any(np.abs(fine - coarse) > 0.01 * np.maximum(np.abs(extrap), 0.01 * scale)):

@@ -59,7 +59,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EnergyOutOfRange, NoInstanton, NotMonotone, QuadratureNotConverged
+from .errors import (EnergyOutOfRange, NoInstanton, NotMonotone, QuadratureNotConverged,
+                     require_finite)
 from .potential import LocalPotential, horner, horner_into
 from .spectral import BoundaryCondition, NEUMANN, PERIODIC
 
@@ -78,6 +79,7 @@ _WINDOW, _BLOCK = 12, 512  # _sample_phases: interpolation nodes, samples per bl
 _PHASE_NEWTONS, _U_POLISHES = 2, 2  # Newton steps per sample: phi, then u
 _MOMENT_BLOCK = 16  # InstantonOrbit.cosine_moments: m = _MOMENT_BLOCK q + r
 _MOMENT_SPAN = 48.0  # ... and the largest m (panel width in x) / X it sums on a panel
+_MOMENT_ROWS = 16  # ... and the q it holds at once (a power of 2)
 
 
 def _check_energy(pot: LocalPotential, E: float) -> float:
@@ -413,6 +415,8 @@ class InstantonOrbit:
         about 54, so for larger counts the orbit is mapped again with each
         panel cut into ceil(count widest / (48 X)) (_orbit_map).  Each c_m
         has the same bits whatever the count, as long as that cut stays 1.
+        Rows z^(16 q) are built _MOMENT_ROWS at a time, row q0 + i as row i
+        times w^(2^s) for the set bits s of q0, ascending, as _powers does.
         """
         rule = self.rule
         split = math.ceil(count * rule.widest / (_MOMENT_SPAN * rule.X))
@@ -421,10 +425,21 @@ class InstantonOrbit:
         theta = (math.pi / rule.X) * rule.x
         low = _powers(np.exp(1j * theta), _MOMENT_BLOCK)
         low *= self._curvature_weights(rule)
-        high = _powers(np.exp((1j * _MOMENT_BLOCK) * theta), -(-count // _MOMENT_BLOCK))
-        np.conjugate(high, out=high)
-        # Re(a z^r z^16q) as a real dot product of (re, im) pairs; einsum, not BLAS
-        return np.einsum("rj,qj->qr", low.view(float), high.view(float)).ravel()[:count]
+        rows = -(-count // _MOMENT_BLOCK)
+        squares = [np.exp((1j * _MOMENT_BLOCK) * theta)]  # w^(2^s), squared as _powers does
+        last_q0 = (rows - 1) // _MOMENT_ROWS * _MOMENT_ROWS
+        while len(squares) < last_q0.bit_length():
+            squares.append(squares[-1] * squares[-1])
+        head = _powers(squares[0], min(rows, _MOMENT_ROWS))
+        c = np.empty((rows, _MOMENT_BLOCK))
+        for q0 in range(0, rows, _MOMENT_ROWS):
+            high = head[: rows - q0].copy()
+            for square in (w for s, w in enumerate(squares) if q0 >> s & 1):
+                high *= square
+            np.conjugate(high, out=high)
+            # Re(a z^r z^16q) as a real dot product of (re, im) pairs; einsum, not BLAS
+            c[q0 : q0 + len(high)] = np.einsum("rj,qj->qr", low.view(float), high.view(float))
+        return c.ravel()[:count]
 
     @property
     def mean_curvature(self) -> float:
@@ -599,6 +614,7 @@ def instanton_orbit(pot: LocalPotential, L: float, bc: BoundaryCondition) -> Ins
     period rule certifies itself (quartic(): first at Neumann L = 17.0 and
     periodic L = 34.0, in steps of 0.02 and 0.05).
     """
+    require_finite(L=L)
     if L <= bc.bifurcation_length:
         raise NoInstanton(f"{bc.value} instantons exist only for "
                           f"L > {bc.bifurcation_length:.6g}, got L = {L}")

@@ -227,6 +227,19 @@ def test_stationary_too_long_names_the_input(tmp_path, capsys, bc, L):
     (["simulate", "--threads", "0"], "threads must be >= 1, got 0"),
     (["simulate", "--threads", "-2"], "threads must be >= 1, got -2"),
     (["sweep", "--threads", "0"], "threads must be >= 1, got 0"),
+    # NaN passes every ordered comparison, and an infinite L or eps gave
+    # rows that mean nothing
+    (["predict", "--L", "nan"], "L must be finite, got nan"),
+    (["predict", "--L", "inf"], "L must be finite, got inf"),
+    (["predict", "--eps", "nan"], "eps must be finite, got nan"),
+    (["predict", "--eps", "inf"], "eps must be finite, got inf"),
+    (["eigen", "--L", "nan"], "L must be finite, got nan"),
+    (["eigen", "--L", "nan", "--which", "minus"], "L must be finite, got nan"),
+    (["stationary", "--L", "nan"], "L must be finite, got nan"),
+    (["simulate", "--L", "nan"], "L must be finite, got nan"),
+    (["simulate", "--eps", "nan"], "eps must be finite, got nan"),
+    (["simulate", "--dt", "nan"], "dt must be finite, got nan"),
+    (["simulate", "--tmax", "inf"], "t_max must be finite, got inf"),
 ])
 def test_bad_numeric_input_names_the_input(tmp_path, capsys, argv, name):
     rc = run(tmp_path, *argv, "--out", "bad")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -70,12 +71,15 @@ def _sample_sums(W, bc, mirror):
 
 
 def _fd_smallest(W, L, bc, m, even_potential=False):
-    """The lowest m eigenvalues of the FD matrix with W on its grid, by the
-    library's Rayleigh-Ritz core on W's sample sums, split by mode parity
-    for an even potential's instanton (but on odd periodic grids)."""
+    """The lowest m eigenvalues of the FD matrix with W on its grid of n
+    nodes, by the library's Rayleigh-Ritz core on W's sample sums T taken as
+    the moments (X / n) T of the half length X, split by mode parity for an
+    even potential's instanton (but on odd periodic grids, whose sample
+    sums do not carry that parity)."""
     split = even_potential and (bc is NEUMANN or len(W) % 2 == 0)
-    T = _sample_sums(W, bc, split)
-    return spectra._ritz_smallest(lambda count: T, len(W), L, bc, m, split)
+    n, X = len(W), L / bc.mode_factor
+    T = (X / n) * _sample_sums(W, bc, split)
+    return spectra._ritz_smallest(lambda count: T, X, L, bc, (n,), m, split)[0]
 
 
 def _sample_spectrum(profile, kmax):
@@ -352,6 +356,31 @@ def test_refined_cosine_moments_match_a_fine_grid(pot, bc, L, asymmetric):
         assert error().max() > 1e-2 * size
 
 
+@pytest.mark.parametrize("bc, L", [(NEUMANN, 6.0), (PERIODIC, 12.0)])
+def test_blocked_cosine_moments_keep_their_bits(pot, bc, L):
+    # the powers z^(16 q) in blocks of _MOMENT_ROWS rows give every c_m the
+    # bits of one block over all q: 49 rows, four blocks, the last partial
+    orbit = instanton_orbit(pot, L, bc)
+    count = 16 * (3 * stationary._MOMENT_ROWS) + 5
+    got = orbit.cosine_moments(count)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stationary, "_MOMENT_ROWS", 1 << 20)
+        assert got.tobytes() == orbit.cosine_moments(count).tobytes()
+
+
+def test_cosine_moments_memory_is_bounded_in_the_count(pot):
+    # count 8192 at Neumann L = 6 (the rule cut 25 times, 19 200 nodes): all
+    # 512 rows of powers at once peaked at 164 MB, the blocks at 24 MB
+    orbit = instanton_orbit(pot, 6.0, NEUMANN)
+    tracemalloc.start()
+    try:
+        orbit.cosine_moments(8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48e6
+
+
 @pytest.mark.parametrize("bc, L", [(NEUMANN, 3.3), (PERIODIC, 6.5)])
 @pytest.mark.parametrize("kmax", [150, 250])
 def test_fine_grid_moment_spectra_match_the_whole_matrix(pot, bc, L, kmax):
@@ -363,12 +392,13 @@ def test_fine_grid_moment_spectra_match_the_whole_matrix(pot, bc, L, kmax):
     grids, ritz = [], spectra._ritz_smallest
 
     def per_grid(*args):
-        grids.append(ritz(*args))
-        return grids[-1]
+        grids.extend(ritz(*args))
+        return grids[-2:]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectra, "_ritz_smallest", per_grid)
         eigs_orbit(prof, kmax, 4096)
+    assert len(grids) == 2
     m = kmax + 2 if bc is NEUMANN else 2 * kmax + 3
     for step, got in zip((4, 2), grids):
         W = _sample_curvature(prof, step)
@@ -383,22 +413,28 @@ def test_fine_grid_moment_spectra_match_the_whole_matrix(pot, bc, L, kmax):
 @example(bc=PERIODIC, above=1.0, asymmetric=True).via("the second bifurcation")
 def test_prediction_path_solve_budget(pot, bc, above, asymmetric):
     # predict_time's kmax = 40, from a profile or from its orbit, both on
-    # the orbit's moments: each grid's second solve confirms the first, no
-    # block exceeds 64 modes, and the moments are computed once, for the
-    # largest block; the sine sector of the 64-mode block reads T(2 * 64)
+    # the orbit's moments: the Ritz core returns both grids' values from at
+    # most two eigvalsh calls, each on the stacked blocks of both grids and
+    # of every sector and parity half, of at most 64 modes (the second size
+    # confirms the first), and the moments are computed once, for the
+    # largest block; the sine sector of the 64-mode block reads c(2 * 64)
     p = ASYMMETRIC if asymmetric else pot
     L = bc.bifurcation_length * (1.0 + above)
     orbit = instanton_orbit(p, L, bc)
     moments = InstantonOrbit.cosine_moments
+    m = 42 if bc is NEUMANN else 83
+    halves = 2 if p.is_even else 1
+    stacked = 2 * (1 if bc is NEUMANN else 2) * halves
     for spectrum, source in ((eigs_profile, instanton(p, L, bc)), (eigs_orbit, orbit)):
-        grids, counts, solve, ritz = [], [], np.linalg.eigvalsh, spectra._ritz_smallest
+        grids, calls, counts = [], [], []
+        solve, ritz = np.linalg.eigvalsh, spectra._ritz_smallest
 
         def per_grid(*args):
-            grids.append([])
-            return ritz(*args)
+            grids.extend(ritz(*args))
+            return grids[-2:]
 
         def counted(a):
-            grids[-1].append(a.shape[-1])
+            calls.append(a.shape)
             return solve(a)
 
         def counted_moments(self, count):
@@ -410,9 +446,43 @@ def test_prediction_path_solve_budget(pot, bc, above, asymmetric):
             mp.setattr(np.linalg, "eigvalsh", counted)
             mp.setattr(InstantonOrbit, "cosine_moments", counted_moments)
             spectrum(source, kmax=40)
-        assert len(grids) == 2
-        assert all(1 <= len(sizes) <= 2 and max(sizes) <= 64 for sizes in grids)
+        assert len(grids) == 2 and all(len(values) == m for values in grids)
+        assert 1 <= len(calls) <= 2
+        assert all(len(shape) == 3 and shape[0] == stacked and shape[-1] * halves <= 64
+                   for shape in calls)
         assert counts == [129]
+
+
+@settings(max_examples=10, deadline=None)
+@given(kmax=st.sampled_from([4, 40]), f=st.floats(1e-4, 1.0))
+def test_odd_grid_split_matches_the_unsplit_solve(pot, kmax, f):
+    # the moment couplings carry the even potential's parity on any grid: on
+    # the odd coarse grid n = 1023 (periodic, quartic()) eigs_orbit's split
+    # blocks give the unsplit solve of the same couplings within 32 eps of
+    # the largest block's norm
+    orbit = instanton_orbit(pot, PERIODIC.bifurcation_length * (1.0 + f), PERIODIC)
+    m = 2 * kmax + 3
+    grids, norms = [], []
+    ritz, solve = spectra._ritz_smallest, np.linalg.eigvalsh
+
+    def per_grid(*args):
+        grids.extend(ritz(*args))
+        return grids[-2:]
+
+    def normed(a):
+        values = solve(a)
+        norms.append(float(np.abs(values).max()))
+        return values
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_ritz_smallest", per_grid)
+        mp.setattr(np.linalg, "eigvalsh", normed)
+        eigs_orbit(orbit, kmax, 1023)
+        unsplit = ritz(orbit.cosine_moments, orbit.rule.X, orbit.L, PERIODIC, (1023, 2046), m,
+                       False)
+    assert pot.is_even and len(grids) == 2
+    for got, want in zip(grids, unsplit):
+        assert np.abs(got - want).max() <= 32 * np.finfo(float).eps * max(norms)
 
 
 @pytest.mark.parametrize("bc", [NEUMANN, PERIODIC])
