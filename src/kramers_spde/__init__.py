@@ -24,7 +24,7 @@ from .stationary import (InstantonProfile, barrier_height, dT_dE, instanton,
                          period_T, turning_points)
 from .spectra import (SpectrumReport, closed_form_product, det_ratio,
                       eigs_constant, eigs_profile)
-from .specialfn import bessel_iv_scaled, bessel_k_scaled, erfcx, psi, theta
+from .specialfn import erfcx, psi, theta
 from .kramers import (KramersPrediction, RegimeTag, c4, predict_time,
                       remainder_scale, saddle_length)
 from .simulate import (GalerkinErrorTable, SimConfig, TransitionSample,

@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import AllCensored, KramersSpdeError, UnsupportedRegime
+from .errors import AllCensored, KramersSpdeError, UnsupportedRegime, require_finite
 from .kramers import RegimeTag, _label_mu, _mu_log_sum, predict_time
 from .potential import LocalPotential, quartic
 from .simulate import SimConfig, mc_stats, run_replicas, _stats_from_samples
@@ -74,18 +74,20 @@ def _parse_list(text: str) -> list[float]:
     return [float(t) for t in str(text).split(",") if t != ""]
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str, flag: str) -> list[float]:
     """start:step:stop inclusive grid, or a comma list."""
-    if ":" in str(text):
-        parts = str(text).split(":")
-        if len(parts) != 3:
-            raise KramersSpdeError(f"grid must be start:step:stop, got {text!r}")
-        a, h, b = (float(p) for p in parts)
-        if h <= 0:
-            raise KramersSpdeError("grid step must be positive")
-        n = int(math.floor((b - a) / h + 1e-9)) + 1
-        return [a + i * h for i in range(max(n, 0))]
-    return _parse_list(text)
+    if ":" not in str(text):
+        return _parse_list(text)
+    try:
+        a, h, b = (float(p) for p in str(text).split(":"))
+        ok = all(map(math.isfinite, (a, h, b))) and h > 0.0 and abs(b - a) / h < math.inf
+    except ValueError:   # not three numbers
+        ok = False
+    if not ok:
+        raise ValueError(f"{flag} must be start:step:stop, finite, with step > 0, "
+                         f"got {text!r}")
+    n = int(math.floor((b - a) / h + 1e-9)) + 1   # none if stop < start
+    return [a + i * h for i in range(n)]
 
 
 def _parse_d(text) -> float:
@@ -309,7 +311,7 @@ def _cmd_eigen(cfg: dict) -> int:
 
 def _cmd_specialfn(cfg: dict) -> int:
     from .specialfn import psi, theta
-    grid = _parse_grid(cfg["grid"])
+    grid = _parse_grid(cfg["grid"], "--grid")
     rows = [[a, psi("+", a), psi("-", a), theta("+", a), theta("-", a)] for a in grid]
     out = cfg["out"]
     manifest = _write_manifest(out, "specialfn", cfg, [f"{out}.csv"],
@@ -334,8 +336,13 @@ def _cmd_sweep(cfg: dict) -> int:
     pot = _parse_potential(cfg["potential"])
     bc = _parse_bc(cfg["bc"])
     d = _parse_d(cfg["d"])
-    Ls = _parse_grid(cfg["L_grid"]) if cfg.get("L_grid") else [cfg["L"]]
-    epss = _parse_grid(cfg["eps_grid"]) if cfg.get("eps_grid") else [cfg["eps"]]
+    Ls = _parse_grid(cfg["L_grid"], "--L-grid") if cfg.get("L_grid") else [cfg["L"]]
+    epss = _parse_grid(cfg["eps_grid"], "--eps-grid") if cfg.get("eps_grid") else [cfg["eps"]]
+    for name, grid in (("L", Ls), ("eps", epss)):
+        for value in grid:
+            require_finite(**{name: value})
+            if value <= 0.0:
+                raise ValueError(f"{name} must be > 0, got {value}")
     with_mc = bool(cfg.get("with_mc"))
     header = list(_PREDICT_HEADER)
     if with_mc:

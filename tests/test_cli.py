@@ -240,6 +240,13 @@ def test_stationary_too_long_names_the_input(tmp_path, capsys, bc, L):
     (["simulate", "--eps", "nan"], "eps must be finite, got nan"),
     (["simulate", "--dt", "nan"], "dt must be finite, got nan"),
     (["simulate", "--tmax", "inf"], "t_max must be finite, got inf"),
+    # a sweep checks its whole grid, and a grid its text, before writing
+    (["sweep", "--L", "nan"], "L must be finite, got nan"),
+    (["sweep", "--eps-grid", "0.1:0:1"], "--eps-grid must be start:step:stop"),
+    (["sweep", "--L-grid", "nan:1:5"], "--L-grid must be start:step:stop"),
+    (["sweep", "--L-grid", "1,0"], "L must be > 0, got 0.0"),
+    (["specialfn", "--grid", "0:0.5:inf"], "--grid must be start:step:stop"),
+    (["specialfn", "--grid", "1:2"], "--grid must be start:step:stop"),
 ])
 def test_bad_numeric_input_names_the_input(tmp_path, capsys, argv, name):
     rc = run(tmp_path, *argv, "--out", "bad")

@@ -6,58 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
-from kramers_spde import DomainError, bessel_iv_scaled, bessel_k_scaled, erfcx, psi, theta
-from kramers_spde.specialfn import _hurwitz_zeta
+from kramers_spde import DomainError, erfcx, psi, theta
+from kramers_spde.specialfn import PSI_AT_ZERO, _hurwitz_zeta
 
 mp.mp.dps = 40
-
-
-def _ive_oracle(nu, x):
-    return float(mp.besseli(nu, mp.mpf(x)) * mp.exp(-mp.mpf(x)))
-
-
-def _kve_oracle(nu, x):
-    return float(mp.besselk(nu, mp.mpf(x)) * mp.exp(mp.mpf(x)))
-
-
-def test_bessel_small_x_limits():
-    # x^{1/4} I_{-1/4}(x) -> 2^{1/4}/Gamma(3/4) as x -> 0 (leading series term)
-    target = 2.0 ** 0.25 / math.gamma(0.75)
-    for x in (1e-6, 1e-8):
-        val = x ** 0.25 * bessel_iv_scaled(-0.25, x) * math.exp(x)
-        assert val == pytest.approx(target, rel=1e-5)
-    assert bessel_iv_scaled(0.25, 0.0) == 0.0
-    assert bessel_iv_scaled(-0.25, 0.0) == math.inf
-
-
-def test_bessel_k_large_x_asymptotics():
-    # e^x K_{1/4}(x) sqrt(2x/pi) -> 1
-    x = 1e3
-    assert bessel_k_scaled(0.25, x) * math.sqrt(2 * x / math.pi) == pytest.approx(1.0, abs=1e-3)
-
-
-def test_bessel_against_series_oracle():
-    # high-precision oracle at unit argument (200-term mpmath series)
-    assert bessel_iv_scaled(0.25, 1.0) == pytest.approx(_ive_oracle(0.25, 1.0), rel=1e-10)
-    assert bessel_iv_scaled(-0.25, 1.0) == pytest.approx(_ive_oracle(-0.25, 1.0), rel=1e-10)
-    assert bessel_k_scaled(0.25, 1.0) == pytest.approx(_kve_oracle(0.25, 1.0), rel=1e-10)
-
-
-def test_bessel_accuracy_dense_grid():
-    for x in np.geomspace(1e-6, 1e4, 400):
-        x = float(x)
-        for nu in (0.25, -0.25):
-            assert bessel_iv_scaled(nu, x) == pytest.approx(_ive_oracle(nu, x), rel=1e-12)
-        assert bessel_k_scaled(0.25, x) == pytest.approx(_kve_oracle(0.25, x), rel=1e-12)
-
-
-def test_bessel_domain_errors():
-    with pytest.raises(DomainError):
-        bessel_iv_scaled(0.25, -1.0)
-    with pytest.raises(DomainError):
-        bessel_k_scaled(0.25, -0.5)
-    with pytest.raises(DomainError):
-        bessel_iv_scaled(0.5, 1.0)
 
 
 def test_erfcx_against_oracle():
@@ -73,7 +25,7 @@ def test_psi_endpoint_value():
     assert abs(float(mp.gamma(0.25) / (2 ** mp.mpf(1.25) * mp.sqrt(mp.pi))) - ref) < 1e-15
     assert psi("+", 0.0) == pytest.approx(ref, abs=1e-12)
     assert psi("-", 0.0) == pytest.approx(ref, abs=1e-12)
-    # continuity through the Bessel branches on both sides
+    # continuity at alpha -> 0 on both branches
     assert psi("+", 1e-7) == pytest.approx(ref, abs=1e-6)
     assert psi("-", 1e-7) == pytest.approx(ref, abs=1e-6)
 
@@ -94,11 +46,15 @@ def test_psi_against_direct_oracle():
 
 def test_psi_limits():
     # O(1/alpha) approach to the limits 1 and 2: verified against the
-    # asymptotics I_nu(x) ~ e^x/sqrt(2 pi x), K_nu(x) ~ sqrt(pi/2x) e^{-x}
-    for a in (200.0, 400.0, 1e8, 1e200):
+    # asymptotics I_nu(x) ~ e^x/sqrt(2 pi x), K_nu(x) ~ sqrt(pi/2x) e^{-x};
+    # exact once 1/alpha is below the rounding
+    for a in (200.0, 400.0, 1e8, 1e200, 1e300):
         assert psi("+", a) == pytest.approx(1.0, abs=3.0 / a)
         assert psi("-", a) == pytest.approx(2.0, abs=6.0 / a)
     assert psi("+", 400.0) - 1.0 < psi("+", 200.0) - 1.0
+    # psi = PSI_AT_ZERO (1 + O(alpha)): the value at 0, however small alpha is
+    for branch in "+-":
+        assert psi(branch, 1e-300) == psi(branch, 0.0) == pytest.approx(PSI_AT_ZERO, rel=1e-15)
 
 
 def test_theta_endpoints_and_oracle():
@@ -132,9 +88,11 @@ def test_psi_theta_bounded_between_positive_constants():
 
 
 def test_domain_errors():
-    for fn in (lambda: psi("+", -0.1), lambda: theta("-", -1e-9)):
-        with pytest.raises(DomainError):
-            fn()
+    for fn in (psi, theta):
+        for branch in "+-":
+            for alpha in (-0.1, -1e-9, math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError, match="alpha"):
+                    fn(branch, alpha)
     with pytest.raises(ValueError):
         psi("x", 1.0)
 
@@ -183,10 +141,12 @@ def _scipy_crossover(name, branch, a):
        alpha=st.floats(0.0, 1000.0))
 @example(name="psi", branch="+", alpha=5.62)      # scipy's kve off by 6.4e-14 here
 @example(name="psi", branch="-", alpha=32.7528)   # scipy's ive pair off by 3.7e-14
-@example(name="psi", branch="+", alpha=4.0)       # series / trapezoid seam, x = 1
-@example(name="psi", branch="-", alpha=8.0)
+@example(name="psi", branch="+", alpha=26.0 * math.sqrt(2.0))   # node switch: u = j/16
+@example(name="psi", branch="-", alpha=26.0 * math.sqrt(2.0))   # from 0, t = j/4 beyond
+@example(name="psi", branch="+", alpha=math.nextafter(26.0 * math.sqrt(2.0), 0.0))
+@example(name="psi", branch="-", alpha=math.nextafter(26.0 * math.sqrt(2.0), 0.0))
 @example(name="theta", branch="+", alpha=20.0 * math.sqrt(2.0))   # erfcx seam, z = 10
-@example(name="psi", branch="+", alpha=1e-200)    # alpha^2 underflows
+@example(name="psi", branch="+", alpha=1e-200)    # alpha^2 would underflow
 def test_crossover_functions_match_mpmath_and_scipy(name, branch, alpha):
     # within 1e-14 of 40-digit mpmath; within 1e-13 of the scipy.special
     # kernels they replace, whose own error reaches 6.7e-14 (kve near x = 2)
