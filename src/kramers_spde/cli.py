@@ -28,11 +28,11 @@ import numpy as np
 
 from . import __version__
 from .errors import AllCensored, KramersSpdeError, UnsupportedRegime, require_finite
-from .kramers import RegimeTag, _label_mu, _mu_log_sum, predict_time
+from .kramers import RegimeTag, _label_mu, predict_time
 from .potential import LocalPotential, quartic
 from .simulate import SimConfig, mc_stats, run_replicas, _stats_from_samples
 from .spectra import _eigenvalue_count, det_ratio, eigs_constant, eigs_orbit
-from .spectral import NEUMANN, BoundaryCondition, write_profile_csv
+from .spectral import NEUMANN, BoundaryCondition, nu, write_profile_csv
 from .stationary import instanton, instanton_orbit
 from . import validate as validate_mod
 
@@ -90,10 +90,25 @@ def _parse_grid(text: str, flag: str) -> list[float]:
     return [a + i * h for i in range(n)]
 
 
+def _parse_int(value, flag: str) -> int:
+    """A whole number (int, float or text) as an int, else a ValueError naming flag."""
+    try:
+        n = int(value)
+        if n == float(value):
+            return n
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{flag} must be an integer, got {value!r}")
+
+
 def _parse_d(text) -> float:
+    """predict's and sweep's --d: 'inf' or an integer >= 1."""
     if str(text).lower() in ("inf", "infinity"):
         return math.inf
-    return int(text)
+    d = _parse_int(text, "--d")
+    if d < 1:
+        raise ValueError(f"--d must be >= 1 or inf, got {d}")
+    return d
 
 
 def _threads(requested) -> int:
@@ -211,7 +226,7 @@ def _cmd_predict(cfg: dict) -> int:
 def _cmd_simulate(cfg: dict) -> int:
     pot = _parse_potential(cfg["potential"])
     bc = _parse_bc(cfg["bc"])
-    sim = SimConfig(pot=pot, bc=bc, L=cfg["L"], d=int(cfg["d"]), eps=cfg["eps"],
+    sim = SimConfig(pot=pot, bc=bc, L=cfg["L"], d=_parse_int(cfg["d"], "--d"), eps=cfg["eps"],
                     dt=cfg["dt"], t_max=cfg["tmax"], rho=cfg["rho"],
                     check_every=cfg["check_every"], refine=cfg["refine"],
                     seed=cfg["seed"], scheme=cfg["scheme"])
@@ -285,8 +300,8 @@ def _cmd_eigen(cfg: dict) -> int:
                              f"--grid-n {cfg['grid_n']} coarse grid has")
         rep = eigs_orbit(instanton_orbit(pot, L, bc), kmax, cfg["grid_n"])
         mu = _label_mu(rep.eigenvalues, bc, kmax)
-        ratio = math.exp(_mu_log_sum(mu, pot, L, bc, k_from=1, d=kmax, kmax_eig=kmax,
-                                     wbar=None))
+        nu_minus = nu(bc, L, np.arange(1, kmax + 1)) + pot.derivative(pot.u_minus, 2)
+        ratio = math.exp(math.fsum(np.log(mu[1:]) - np.log(nu_minus)))
     else:
         minus = eigs_constant(pot, L, bc, "minus", kmax)
         rep = eigs_constant(pot, L, bc, cfg["which"], kmax)
@@ -312,6 +327,9 @@ def _cmd_eigen(cfg: dict) -> int:
 def _cmd_specialfn(cfg: dict) -> int:
     from .specialfn import psi, theta
     grid = _parse_grid(cfg["grid"], "--grid")
+    for a in grid:  # checked before any row, so that a bad grid writes nothing
+        if not 0.0 <= a < math.inf:
+            raise ValueError(f"--grid values must be finite and >= 0, got {_fmt(a)}")
     rows = [[a, psi("+", a), psi("-", a), theta("+", a), theta("-", a)] for a in grid]
     out = cfg["out"]
     manifest = _write_manifest(out, "specialfn", cfg, [f"{out}.csv"],
@@ -336,6 +354,7 @@ def _cmd_sweep(cfg: dict) -> int:
     pot = _parse_potential(cfg["potential"])
     bc = _parse_bc(cfg["bc"])
     d = _parse_d(cfg["d"])
+    mc_d = _parse_int(cfg["mc_d"], "--mc-d")
     Ls = _parse_grid(cfg["L_grid"], "--L-grid") if cfg.get("L_grid") else [cfg["L"]]
     epss = _parse_grid(cfg["eps_grid"], "--eps-grid") if cfg.get("eps_grid") else [cfg["eps"]]
     for name, grid in (("L", Ls), ("eps", epss)):
@@ -364,7 +383,7 @@ def _cmd_sweep(cfg: dict) -> int:
                 predict_s += time.perf_counter() - t0
                 row = _prediction_row(p)
                 if with_mc:
-                    sim = SimConfig(pot=pot, bc=bc, L=L, d=int(cfg["mc_d"]), eps=eps,
+                    sim = SimConfig(pot=pot, bc=bc, L=L, d=mc_d, eps=eps,
                                     dt=cfg["dt"], t_max=cfg["tmax"], rho=cfg["rho"],
                                     seed=cfg["seed"])
                     try:

@@ -24,18 +24,25 @@ and C = c4():
 mu_1/4 carries the 1/2 of two Neumann instantons; ell = L ||u'||_L2 is the
 saddle_length() of the periodic translation orbit, with ||u'|| the
 instanton's own deriv_L2 (from its orbit's quadrature rule).  d is the Galerkin
-truncation (math.inf sums the tail to closed form for the constant spectra
-and to a Weyl-asymptotic tail for instanton spectra, in Hurwitz zeta values
-from specialfn._hurwitz_zeta, scipy.special.zeta's algorithm and bits).
-Instanton spectra are finite differences on the 1024 and 2048 point grids,
-solved in the FD Laplacian's cosine/Fourier eigenbasis (periodic: its
-cosine and sine sectors, the zero mode the sine ground state) from the
-cosine moments of U''(u*) on the instanton's orbit (spectra.eigs_orbit,
+truncation, math.inf for the infinite product.  Past the saddle's resolved
+eigenvalues each factor of S_2 is (nu_k + wbar)/nu_k^-: at the uniform
+saddle wbar = U''(0) = -1, exact for every k; at the instanton mu_k is
+resolved up to kmax_eig and wbar = c_0 / X is the mean of U''(u*) (Weyl
+asymptotics plus first-order perturbation).  So
+
+  S_2 = sum_{k=2}^{min(kmax_eig, d)} log(mu_k / (nu_k + wbar))   (instanton only)
+        + log prod_{k=2}^{d} (nu_k + wbar) / nu_k^-,
+
+the product in sin/sinh closed form at d = inf and a sum of logs below
+(spectra.lambda_ratio_product_infinite, lambda_ratio_log_sum).  Instanton
+spectra are finite differences on the 1024 and 2048 point grids, solved in
+the FD Laplacian's cosine/Fourier eigenbasis (periodic: its cosine and sine
+sectors, the zero mode the sine ground state) from the cosine moments c_m
+of U''(u*) on the instanton's orbit (spectra.eigs_orbit,
 stationary.instanton_orbit), which set one coupling block for both grids
-(they differ only in the FD Laplacian's eigenvalues kappa_k) and whose
-c_0 / X is also the tail's mean curvature.  Neither the spectrum nor the
-d = inf tail depends on eps, so _mu_spectrum keeps the last 64 of both in
-a functools.lru_cache keyed on (U, L, bc, kmax_eig).  Every regime runs on
+(they differ only in the FD Laplacian's eigenvalues kappa_k).  The spectrum
+does not depend on eps, so _mu_spectrum keeps the last 64 in a
+functools.lru_cache keyed on (U, L, bc, kmax_eig).  Every regime runs on
 numpy and the stdlib: the prediction path imports no scipy.
 """
 
@@ -57,7 +64,7 @@ from .stationary import InstantonOrbit, instanton_orbit
 # longer calls them
 from .spectra import eigs_profile  # noqa: F401
 from .stationary import instanton  # noqa: F401
-from .specialfn import _hurwitz_zeta, psi, theta
+from .specialfn import psi, theta
 
 _EXP_MAX = 700.0
 
@@ -166,70 +173,17 @@ def _label_mu(ev: np.ndarray, bc: BoundaryCondition, kmax_eig: int) -> np.ndarra
 def _mu_spectrum(pot: LocalPotential, L: float, bc: BoundaryCondition, kmax_eig: int):
     """Instanton spectrum data for L above the bifurcation length.
 
-    Returns (orbit, _label_mu(eigenvalues), mean_curvature, tail_inf): the
-    instanton's orbit without samples (instanton_orbit), its spectrum from
-    the orbit's cosine moments (eigs_orbit), the mean of U''(u*) (c_0 / X)
-    and the d = inf tail of the log-product beyond kmax_eig
-    (_asymptotic_tail_log_inf).  The array is read-only.  None of it depends
-    on eps, so the last 64 results are kept: a sweep solves each instanton,
-    and sums its tail, once.
+    Returns (orbit, _label_mu(eigenvalues), mean_curvature): the instanton's
+    orbit without samples (instanton_orbit), its spectrum from the orbit's
+    cosine moments (eigs_orbit) and the mean of U''(u*) (c_0 / X), the
+    curvature of S_2's factors past kmax_eig.  The array is read-only.
+    None of it depends on eps, so the last 64 results are kept: a sweep
+    solves each instanton once.
     """
     orbit = instanton_orbit(pot, L, bc)
     mu = _label_mu(eigs_orbit(orbit, kmax=kmax_eig).eigenvalues, bc, kmax_eig)
     mu.flags.writeable = False
-    wbar = orbit.mean_curvature
-    tail_inf = _asymptotic_tail_log_inf(L, bc.mode_factor, wbar,
-                                        pot.derivative(pot.u_minus, 2), kmax_eig + 1)
-    return orbit, mu, wbar, tail_inf
-
-
-def _mu_log_sum(mu_by_label, pot, L, bc, k_from, d, kmax_eig, wbar, tail_inf=None):
-    """sum_{k=k_from}^{d} log(mu_k / nu_k^-), asymptotic tail beyond kmax_eig.
-
-    Beyond the resolved eigenvalues, mu_k ~ nu_k(0) + mean(U''(u*)) (Weyl
-    plus first-order perturbation), so the tail factors are
-    (nu_k0 + wbar)/(nu_k0 + U''(u_-)); for d = inf the tail is tail_inf,
-    _mu_spectrum's closed form in Hurwitz zeta values.
-    """
-    w_minus = pot.derivative(pot.u_minus, 2)
-    k_res = min(kmax_eig, d)
-    total = math.fsum(np.log(mu_by_label[k_from : k_res + 1])
-                      - np.log(nu(bc, L, np.arange(k_from, k_res + 1)) + w_minus))
-    if d == math.inf:
-        total += tail_inf
-    elif d > k_res:
-        nu0 = nu(bc, L, np.arange(k_res + 1, d + 1))
-        total += math.fsum(np.log(nu0 + wbar) - np.log(nu0 + w_minus))
-    return total
-
-
-def _asymptotic_tail_log_inf(L, b, w_num, w_den, k_from):
-    """log prod_{k >= k_from} (nu_k0 + w_num)/(nu_k0 + w_den), in closed form.
-
-    Written as sum_{k >= k_from} log((k^2+p)/(k^2+q)).  Past N, with
-    N^2 >= 64 max(|p|, |q|), the log1p series sums over k to Hurwitz zeta
-    values: sum_{k >= N} log(1 + p/k^2) = sum_m (-1)^(m+1) p^m zeta(2m, N)/m,
-    whose terms fall by 64 or more each; the terms k_from <= k < N are summed
-    directly.  No factor below k_from enters, so the zero factor at the
-    bifurcation length (p = -1, k = 1) does no harm.
-    """
-    s = (L / (b * math.pi)) ** 2
-    p, q = w_num * s, w_den * s
-    N = max(k_from, math.ceil(8.0 * math.sqrt(max(abs(p), abs(q)))))
-    k2 = np.arange(k_from, N, dtype=float) ** 2
-    m = np.arange(1, 13)
-    series = (-1.0) ** (m + 1) * (p ** m - q ** m) / m * _even_zeta(N)
-    return math.fsum(np.log1p(p / k2) - np.log1p(q / k2)) + math.fsum(series)
-
-
-@lru_cache(maxsize=64)
-def _even_zeta(N: int) -> np.ndarray:
-    """Hurwitz zeta(2m, N) for m = 1..12, read-only.  They depend on N alone,
-    which is kmax_eig + 1 unless the potential's curvature is large, so a
-    sweep sums them once."""
-    zeta = np.array([_hurwitz_zeta(2.0 * m, float(N)) for m in range(1, 13)])
-    zeta.flags.writeable = False
-    return zeta
+    return orbit, mu, orbit.mean_curvature
 
 
 def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: float,
@@ -238,12 +192,12 @@ def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: floa
                  kmax_eig: int = 40) -> KramersPrediction:
     """Expected transition time E[tau_+] with regime dispatch on lambda_1.
 
-    d is the Galerkin truncation of the eigenvalue-ratio products (math.inf
-    takes the convergent infinite product).  The regime is selected by the
-    sign and size of lambda_1 against lambda_switch >= 0; force_regime, one
-    of bc's own regimes, overrides the selection (the near-regime formulas
-    stay evaluable on both sides of the bifurcation, which is how the
-    continuity check is run).  The prefactor is the module docstring's one
+    d, an integer >= 1 or math.inf (the convergent infinite product), is
+    the Galerkin truncation of the eigenvalue-ratio products.  The regime is
+    selected by the sign and size of lambda_1 against lambda_switch >= 0;
+    force_regime, one of bc's own regimes, overrides the selection (the
+    near-regime formulas stay evaluable on both sides of the bifurcation,
+    which is how the continuity check is run).  The prefactor is the module docstring's one
     formula; a forced regime whose mode-1 factor x is not positive raises
     OutOfRegime, and so does a near regime unless C4 > 0 (no quartic normal
     form) or at the pole of C4's rational factor.
@@ -254,9 +208,9 @@ def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: floa
     if not lambda_switch >= 0.0:
         raise ValueError(f"lambda_switch must be >= 0, got {lambda_switch}")
     if d != math.inf:
+        if not (d >= 1 and d == int(d)):
+            raise ValueError(f"d must be an integer >= 1 or math.inf, got {d}")
         d = int(d)
-        if d < 1:
-            raise ValueError("d must be >= 1 or math.inf")
     Lc = bc.bifurcation_length
     if L > 2.0 * Lc:
         raise UnsupportedRegime(
@@ -284,10 +238,10 @@ def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: floa
 
     # the saddle supplies sigma_0, sigma_1 and S_2; the regime x and F
     V_minus = L * float(pot.derivative(pot.u_minus, 0))
-    orbit, H0, sigma0, sigma1, mu1 = None, -V_minus, -1.0, lam1, None
+    orbit, H0, sigma0, sigma1, mu1, wbar = None, -V_minus, -1.0, lam1, None, -1.0
     if side in ("near_above", "large_l"):
         if L > Lc:
-            orbit, mu, wbar, tail_inf = _mu_spectrum(pot, L, bc, kmax_eig)
+            orbit, mu, wbar = _mu_spectrum(pot, L, bc, kmax_eig)
             H0, sigma0, sigma1 = orbit.V_value - V_minus, float(mu[0]), float(mu[1])
         mu1 = sigma1
     if side == "small_l":
@@ -304,12 +258,11 @@ def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: floa
     if x <= 0.0:
         raise OutOfRegime(f"{regime.value} does not hold at L = {L}: its mode-1 factor "
                           f"{x:.6g} is not positive")
-    if orbit is not None:
-        s2 = _mu_log_sum(mu, pot, L, bc, 2, d, kmax_eig, wbar, tail_inf)
-    elif d == math.inf:
-        s2 = math.log(lambda_ratio_product_infinite(pot, L, bc, 2))
-    else:
-        s2 = lambda_ratio_log_sum(pot, L, bc, 2, d)
+    s2 = (math.log(lambda_ratio_product_infinite(pot, L, bc, 2, wbar)) if d == math.inf
+          else lambda_ratio_log_sum(pot, L, bc, 2, d, wbar))
+    if orbit is not None:  # the resolved mu_k in place of nu_k + wbar
+        k = np.arange(2, min(kmax_eig, d) + 1)
+        s2 = math.fsum([*(np.log(mu[k]) - np.log(nu(bc, L, k) + wbar)), s2])
     F = 1.0
     if side == "near_below":
         F = (psi if bc is NEUMANN else theta)("+", sigma1 / r)

@@ -38,9 +38,6 @@ theta(+) is erfcx(z) = e^{z^2} erfc(z), z = a/(2 sqrt 2), with z^2 split so
 that the exponential keeps full precision, below z = 10 and Laplace's
 continued fraction above; theta(-) takes Phi(a/2) = 1 - erfc(z)/2 from
 math.erfc.
-
-_hurwitz_zeta is the Cephes algorithm of scipy.special.zeta, operation for
-operation, for the d = infinity tail of kramers; it returns scipy's bits.
 """
 
 from __future__ import annotations
@@ -139,50 +136,3 @@ def theta(branch: str, alpha: float) -> float:
         return math.sqrt(math.pi / 2.0) * (1.0 + alpha) * 0.5 * erfcx(z)
     return math.sqrt(math.pi / 2.0) * (1.0 - 0.5 * math.erfc(z))
 
-
-_MACHEP = 1.11022302462515654042e-16   # Cephes' MACHEP, 2^-53
-# Euler-Maclaurin divisors (2k)!/B_2k of the Cephes zeta, as Cephes writes them
-_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
-           7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
-           -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18)
-
-
-def _hurwitz_zeta(x: float, q: float) -> float:
-    """Hurwitz zeta sum_{k >= 0} (k + q)^{-x} for x > 1, q > 0.
-
-    Cephes' zeta(x, q), the one scipy.special.zeta runs, step for step: past
-    q = 1e8 the two-term asymptotic form, else the terms up to (q + n)^{-x}
-    with n >= 9 and q + n > 9 directly, then Euler-Maclaurin, each part
-    stopping once a term falls below MACHEP of the sum.  Python's float **
-    is the C library's pow, as in Cephes, so the result has the same bits.
-    """
-    if q > 1e8:
-        return (1.0 / (x - 1.0) + 1.0 / (2.0 * q)) * q ** (1.0 - x)
-    s = q ** -x
-    a = q
-    i = 0
-    b = 0.0
-    while i < 9 or a <= 9.0:
-        i += 1
-        a += 1.0
-        b = a ** -x
-        s += b
-        if abs(b / s) < _MACHEP:
-            return s
-    w = a
-    s += b * w / (x - 1.0)
-    s -= 0.5 * b
-    a = 1.0
-    k = 0.0
-    for divisor in _ZETA_A:
-        a *= x + k
-        b /= w
-        t = a * b / divisor
-        s = s + t
-        if abs(t / s) < _MACHEP:
-            return s
-        k += 1.0
-        a *= x + k
-        b /= w
-        k += 1.0
-    return s

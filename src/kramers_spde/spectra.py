@@ -32,8 +32,9 @@ block is solved as its even-k and odd-k halves.  The choice follows the
 coefficients, never a tolerance on U''(u*).
 
 Products of eigenvalue ratios (truncated functional determinants) are summed
-in log space with compensated summation and sign tracking; for the constant
-spectra the d -> infinity limits have sin/sinh closed forms.
+in log space with compensated summation and sign tracking.  Factors
+(nu_k + w)/nu_k^- with one curvature w, the uniform saddle's spectrum and
+the instanton's tail alike, have sin/sinh closed forms for d -> infinity.
 """
 
 from __future__ import annotations
@@ -229,39 +230,54 @@ def _pi_ratio(f, t: float, s: float | None = None) -> float:
     return 1.0 if t == 0.0 else f(math.pi * (t if s is None else s)) / (math.pi * t)
 
 
-def lambda_ratio_product_infinite(pot: LocalPotential, L: float,
-                                  bc: BoundaryCondition, k_from: int) -> float:
-    """prod_{k >= k_from} lambda_k / nu_k^- in closed form (k_from in {1, 2}).
+def _euler_product(a: float, w: float, k_from: int) -> float:
+    """prod_{k >= k_from} (1 + (a / k)^2 w) in closed form (k_from in {1, 2}).
 
-    lambda_k/nu_k^- = (k^2 - a^2)/(k^2 + b^2) with a = L/pi (Neumann) or
-    L/(2 pi) (periodic) and b = a sqrt(U''(u_-)): sin(pi a)/(pi a) over
-    sinh(pi b)/(pi b); the k=1 factor is divided out through the
-    cancellation-free grouping sin(pi(1-a))/(pi(1-a)) * 1/(a(1+a)).
+    With r = a sqrt|w|: sinh(pi r)/(pi r) for w >= 0, sin(pi r)/(pi r) for
+    w < 0, over the k = 1 factor 1 + r^2 resp. (1 - r)(1 + r) for k_from = 2.
+    From r = 1/8 on, sin(pi r) is taken as sin(pi (1 - r)), whose argument
+    rounds by at most 2 ulps of r there and not at all from r = 1/2, and the
+    k = 1 zero at r = 1 cancels in closed form.
     """
-    a = L / (bc.mode_factor * math.pi)
-    w = pot.derivative(pot.u_minus, 2)
-    b = a * math.sqrt(w)
+    r = a * math.sqrt(abs(w))
+    if w >= 0.0:
+        return _pi_ratio(math.sinh, r) / (1.0 if k_from == 1 else 1.0 + r * r)
+    if r < 0.125:
+        return _pi_ratio(math.sin, r) / (1.0 if k_from == 1 else (1.0 - r) * (1.0 + r))
     if k_from == 1:
-        # sin(pi a)/(pi a) as sin(pi (1 - a))/(pi a): no cancellation for a in (0, 2)
-        return _pi_ratio(math.sin, a, 1.0 - a) / _pi_ratio(math.sinh, b)
-    if k_from == 2:
-        num = _pi_ratio(math.sin, 1.0 - a) / (a * (1.0 + a))
-        den = _pi_ratio(math.sinh, b) / (1.0 + b * b)
-        return num / den
-    raise ValueError("k_from must be 1 or 2")
+        return _pi_ratio(math.sin, r, 1.0 - r)
+    return _pi_ratio(math.sin, 1.0 - r) / (r * (1.0 + r))
+
+
+def lambda_ratio_product_infinite(pot: LocalPotential, L: float, bc: BoundaryCondition,
+                                  k_from: int, w: float) -> float:
+    """prod_{k >= k_from} (nu_k + w) / nu_k^- in closed form (k_from in {1, 2}).
+
+    w is the numerator's curvature: U''(0) = -1 for the uniform saddle's
+    lambda_k, the instanton's mean curvature for its tail.  With
+    a = L/pi (Neumann) or L/(2 pi) (periodic) each factor is
+    (k^2 + a^2 w)/(k^2 + a^2 U''(u_-)), so the product is the ratio of two
+    sin/sinh Euler products (_euler_product).
+    """
+    if k_from not in (1, 2):
+        raise ValueError("k_from must be 1 or 2")
+    a = L / (bc.mode_factor * math.pi)
+    return _euler_product(a, w, k_from) / _euler_product(a, pot.derivative(pot.u_minus, 2),
+                                                         k_from)
 
 
 def lambda_ratio_log_sum(pot: LocalPotential, L: float, bc: BoundaryCondition,
-                         k_from: int, k_to: int) -> float:
-    """sum_{k=k_from}^{k_to} log(lambda_k / nu_k^-) for the constant spectra."""
+                         k_from: int, k_to: int, w: float) -> float:
+    """sum_{k=k_from}^{k_to} log((nu_k + w) / nu_k^-), w the numerator's
+    curvature as in lambda_ratio_product_infinite."""
     if k_to < k_from:
         return 0.0
     base = nu(bc, L, np.arange(k_from, k_to + 1))
-    lam = base - 1.0
+    num = base + w
     nv = base + pot.derivative(pot.u_minus, 2)
-    if np.any(lam <= 0.0):
+    if np.any(num <= 0.0):
         raise OutOfRegime("nonpositive numerator eigenvalue in the product range")
-    return math.fsum(np.log(lam) - np.log(nv))
+    return math.fsum(np.log(num) - np.log(nv))
 
 
 def closed_form_product(pot: LocalPotential, L: float, bc: BoundaryCondition) -> float:

@@ -247,12 +247,40 @@ def test_stationary_too_long_names_the_input(tmp_path, capsys, bc, L):
     (["sweep", "--L-grid", "1,0"], "L must be > 0, got 0.0"),
     (["specialfn", "--grid", "0:0.5:inf"], "--grid must be start:step:stop"),
     (["specialfn", "--grid", "1:2"], "--grid must be start:step:stop"),
+    # psi's DomainError exited 3 mid-grid; every alpha is checked first
+    (["specialfn", "--grid", "1,nan"], "--grid values must be finite and >= 0, got nan"),
+    (["specialfn", "--grid=-1,2"], "--grid values must be finite and >= 0, got -1"),
+    (["specialfn", "--grid", "1,inf"], "--grid values must be finite and >= 0, got inf"),
+    (["specialfn", "--grid=-1:1:2"], "--grid values must be finite and >= 0, got -1"),
+    # a truncation is a whole number: 2.5 was refused by int(), naming no flag
+    (["predict", "--d", "2.5"], "--d must be an integer, got '2.5'"),
+    (["predict", "--d", "nan"], "--d must be an integer, got 'nan'"),
+    (["predict", "--d=-inf"], "--d must be an integer, got '-inf'"),
+    (["predict", "--d", "0"], "--d must be >= 1 or inf, got 0"),
+    (["sweep", "--d", "2.5"], "--d must be an integer, got '2.5'"),
+    (["simulate", "--d", "2.5"], "argument --d: invalid int value: '2.5'"),
+    (["sweep", "--with-mc", "--mc-d", "2.5"], "argument --mc-d: invalid int value: '2.5'"),
 ])
 def test_bad_numeric_input_names_the_input(tmp_path, capsys, argv, name):
     rc = run(tmp_path, *argv, "--out", "bad")
     err = capsys.readouterr().err
     assert rc == 2 and f"error: {name}" in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())  # refused before any output is written
+
+
+@pytest.mark.parametrize("command, config, name", [
+    # a config file bypasses argparse's types: 2.5 was truncated to 2
+    ("predict", {"d": 2.5}, "--d must be an integer, got 2.5"),
+    ("simulate", {"d": 2.5}, "--d must be an integer, got 2.5"),
+    ("simulate", {"d": "2.5"}, "--d must be an integer, got '2.5'"),
+    ("sweep", {"with_mc": True, "mc_d": 2.5}, "--mc-d must be an integer, got 2.5"),
+])
+def test_bad_truncation_in_a_config_names_the_flag(tmp_path, capsys, command, config, name):
+    (tmp_path / "cfg.json").write_text(json.dumps({"config": config}))
+    rc = run(tmp_path, command, "--config", "cfg.json", "--out", "bad")
+    err = capsys.readouterr().err
+    assert rc == 2 and f"error: {name}" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_eigen_outputs(tmp_path):

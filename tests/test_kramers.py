@@ -1,8 +1,12 @@
 import json
 import math
+import re
 from collections import Counter
+from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -162,6 +166,37 @@ def test_d_monotone_convergence(pot):
     gaps = [abs(predict_time(pot, 1.0, NEUMANN, 0.05, d=dd).expected_time
                 - pinf.expected_time) for dd in (8, 16, 32, 64, 128)]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
+    # past the resolved modes each factor is (nu_k + wbar)/nu_k^-, so the
+    # prefactor at d misses -h sum_{k > d} log((k^2 + s wbar)/(k^2 + s w_-)),
+    # s = (L / b pi)^2: h (w_- - wbar) s (1/d - 1/(2 d^2)) up to O(s / d^3),
+    # for the uniform saddle (wbar = -1) and the instanton alike
+    d = 20000
+    for p in (pot, _ASYMMETRIC):
+        w_minus = p.derivative(p.u_minus, 2)
+        for bc, lengths in ((NEUMANN, (1.0, 3.0, 3.3, 4.5, 6.0)),
+                            (PERIODIC, (4.0, 6.0, 6.5, 9.0, 12.0))):
+            h = 0.5 if bc is NEUMANN else 1.0
+            for L in lengths:
+                wbar = (kramers._mu_spectrum(p, L, bc, 40)[2]
+                        if L > bc.bifurcation_length else -1.0)
+                s = (L / (bc.mode_factor * math.pi)) ** 2
+                gap = (predict_time(p, L, bc, 0.05, d=d).log_prefactor
+                       - predict_time(p, L, bc, 0.05).log_prefactor)
+                rate = h * (w_minus - wbar) * s * (1.0 / d - 0.5 / d ** 2)
+                assert abs(gap - rate) <= 1e-11, (bc, L)
+
+
+@pytest.mark.parametrize("d", [2.5, math.nan, -math.inf, 0, -3, 0.5])
+def test_truncation_must_be_a_positive_integer_or_inf(pot, d):
+    # a fractional d was truncated silently; NaN and -inf failed in int()
+    with pytest.raises(ValueError, match=re.escape(
+            f"d must be an integer >= 1 or math.inf, got {d}")):
+        predict_time(pot, 4.0, NEUMANN, 0.05, d=d)
+    # a whole number of any numeric type is a truncation
+    want = predict_time(pot, 4.0, NEUMANN, 0.05, d=15)
+    for whole in (15.0, np.int64(15)):
+        got = predict_time(pot, 4.0, NEUMANN, 0.05, d=whole)
+        assert got.log10_expected_time == want.log10_expected_time and got.d_used == 15
 
 
 def test_large_L_neumann_prefactor_vs_small_L_structure(pot):
@@ -214,24 +249,21 @@ def _brute_tail(p, q, k_from):
 
 
 @settings(max_examples=20, deadline=None)
-@given(b=st.sampled_from([1, 2]), s=st.floats(0.1, 3.9),
-       w_num=st.floats(-1.0, 2.0), w_den=st.floats(0.5, 4.0),
-       k_from=st.sampled_from([2, 3, 41]))
-def test_tail_closed_form_matches_brute_force(b, s, w_num, w_den, k_from):
-    L = b * math.pi * math.sqrt(s)
-    got = kramers._asymptotic_tail_log_inf(L, b, w_num, w_den, k_from)
-    assert got == pytest.approx(_brute_tail(w_num * s, w_den * s, k_from), abs=1e-12)
-
-
-@pytest.mark.parametrize("bc", [NEUMANN, PERIODIC])
-def test_tail_finite_at_constant_saddle_fallback(pot, bc):
-    # at the bifurcation length the uniform saddle's k = 1 factor is exactly 0;
-    # a tail from k = 2 with w_num = U''(0) = -1 never meets it
-    L = bc.bifurcation_length
-    w_minus = pot.derivative(pot.u_minus, 2)
-    s = kramers._asymptotic_tail_log_inf(L, bc.mode_factor, -1.0, w_minus, 2)
-    assert s == pytest.approx(math.log(lambda_ratio_product_infinite(pot, L, bc, 2)),
-                              abs=1e-12)
+@given(bc=st.sampled_from([NEUMANN, PERIODIC]), s=st.floats(0.1, 3.9),
+       w_num=st.floats(-1.0, 2.0), w_den=st.floats(0.5, 4.0))
+# at the bifurcation length the uniform saddle's k = 1 factor is exactly 0;
+# a product from k = 2 with w_num = U''(0) = -1 never meets it
+@example(bc=NEUMANN, s=1.0, w_num=-1.0, w_den=2.0)
+@example(bc=PERIODIC, s=1.0, w_num=-1.0, w_den=2.0)
+# sin(pi (1 - r)) keeps no digit of sin(pi r) at tiny r, so small r takes sin(pi r)
+@example(bc=NEUMANN, s=1.0, w_num=-4.490603801025072e-277, w_den=1.0)
+def test_tail_closed_form_matches_brute_force(bc, s, w_num, w_den):
+    # prod_{k >= 2} (nu_k + w_num)/(nu_k + w_den), nu_k = k^2 / s; the
+    # product reads the potential only for its U''(u_-) = w_den
+    L = bc.mode_factor * math.pi * math.sqrt(s)
+    well = SimpleNamespace(u_minus=-1.0, derivative=lambda u, order: w_den)
+    got = math.log(lambda_ratio_product_infinite(well, L, bc, 2, w_num))
+    assert got == pytest.approx(_brute_tail(w_num * s, w_den * s, 2), abs=1e-12)
 
 
 @pytest.fixture()
@@ -254,13 +286,11 @@ def test_instanton_and_spectrum_solved_once_per_length(pot, monkeypatch, cold_me
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("instanton_orbit", "eigs_orbit", "instanton", "eigs_profile",
-                 "_asymptotic_tail_log_inf"):
+    for name in ("instanton_orbit", "eigs_orbit", "instanton", "eigs_profile"):
         monkeypatch.setattr(kramers, name, counted(name))
     for eps in (0.02, 0.05, 0.1):
         assert predict_time(pot, 5.0, NEUMANN, eps).regime is RegimeTag.NEUMANN_LARGE_L
-    # the d = inf tail is summed once too, with the spectrum
-    assert calls == {"instanton_orbit": 1, "eigs_orbit": 1, "_asymptotic_tail_log_inf": 1}
+    assert calls == {"instanton_orbit": 1, "eigs_orbit": 1}
 
 
 @pytest.mark.parametrize("bc, L", [(NEUMANN, 4.0), (PERIODIC, 7.0)])
@@ -446,9 +476,29 @@ def _branch_mu_spectrum(pot, L, bc, kmax_eig):
         prof, wbar = None, -1.0
         ev = mode_frequencies(bc, L, kmax_eig) - 1.0
     else:
-        prof, _, wbar, _ = kramers._mu_spectrum(pot, L, bc, kmax_eig)  # the memoised orbit
+        prof, _, wbar = kramers._mu_spectrum(pot, L, bc, kmax_eig)  # the memoised orbit
         ev = eigs_orbit(prof, kmax=kmax_eig).eigenvalues
     return prof, _branch_label_mu(ev, bc, kmax_eig), wbar
+
+
+@cache
+def _even_zeta(N):
+    """Hurwitz zeta(2m, N), m = 1..12, from mpmath."""
+    return np.array([float(mpmath.zeta(2 * m, N)) for m in range(1, 13)])
+
+
+def _zeta_tail(L, b, w_num, w_den, k_from):
+    """log prod_{k >= k_from} (nu_k0 + w_num)/(nu_k0 + w_den) as sum log((k^2+p)/(k^2+q)):
+    the terms below N, N^2 >= 64 max(|p|, |q|), directly, and past N the log1p
+    series sum_m (-1)^(m+1) (p^m - q^m) zeta(2m, N)/m, whose terms fall by 64
+    or more each."""
+    s = (L / (b * math.pi)) ** 2
+    p, q = w_num * s, w_den * s
+    N = max(k_from, math.ceil(8.0 * math.sqrt(max(abs(p), abs(q)))))
+    k2 = np.arange(k_from, N, dtype=float) ** 2
+    m = np.arange(1, 13)
+    series = (-1.0) ** (m + 1) * (p ** m - q ** m) / m * _even_zeta(N)
+    return math.fsum(np.log1p(p / k2) - np.log1p(q / k2)) + math.fsum(series)
 
 
 def _branch_mu_log_sum(mu_by_label, pot, L, bc, k_from, d, kmax_eig, wbar):
@@ -464,7 +514,7 @@ def _branch_mu_log_sum(mu_by_label, pot, L, bc, k_from, d, kmax_eig, wbar):
         nu_km = (b * k * math.pi / L) ** 2 + w_minus
         total += math.log(mu_of(k)) - math.log(nu_km)
     if d == math.inf:
-        total += kramers._asymptotic_tail_log_inf(L, b, wbar, w_minus, k_res + 1)
+        total += _zeta_tail(L, b, wbar, w_minus, k_res + 1)
     elif d > k_res:
         k = np.arange(k_res + 1, d + 1, dtype=float)
         nu0 = (b * k * math.pi / L) ** 2
@@ -495,8 +545,8 @@ def _branch_predict(pot, L, bc, eps, d, regime, kmax_eig=40):
 
     def lam_sum(k_from):
         if d == math.inf:
-            return math.log(lambda_ratio_product_infinite(pot, L, bc, k_from))
-        return lambda_ratio_log_sum(pot, L, bc, k_from, d)
+            return math.log(lambda_ratio_product_infinite(pot, L, bc, k_from, -1.0))
+        return lambda_ratio_log_sum(pot, L, bc, k_from, d, -1.0)
 
     if regime is RegimeTag.NEUMANN_SMALL_L:
         log_pref = math.log(2.0 * math.pi) + 0.5 * (lam_sum(1) - math.log(w_minus))

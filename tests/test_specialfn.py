@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
 from kramers_spde import DomainError, erfcx, psi, theta
-from kramers_spde.specialfn import PSI_AT_ZERO, _hurwitz_zeta
+from kramers_spde.specialfn import PSI_AT_ZERO
 
 mp.mp.dps = 40
 
@@ -95,13 +95,6 @@ def test_domain_errors():
                     fn(branch, alpha)
     with pytest.raises(ValueError):
         psi("x", 1.0)
-
-
-def test_hurwitz_zeta_has_scipy_bits():
-    # over the d = inf tail's arguments zeta(2m, N), m = 1..12, N = 1..399
-    for s in range(2, 25, 2):
-        want = special.zeta(float(s), np.arange(1.0, 400.0)).tolist()
-        assert [_hurwitz_zeta(float(s), float(N)) for N in range(1, 400)] == want
 
 
 def _mp_crossover(name, branch, a):

@@ -623,10 +623,10 @@ def test_closed_form_values(pot):
 def test_infinite_product_helpers(pot):
     # tail helpers agree with long truncations for both boundary conditions
     for bc, L in ((NEUMANN, 1.0), (NEUMANN, 2.5), (PERIODIC, 3.0)):
-        full = lambda_ratio_product_infinite(pot, L, bc, 1)
-        trunc = math.exp(lambda_ratio_log_sum(pot, L, bc, 1, 200_000))
+        full = lambda_ratio_product_infinite(pot, L, bc, 1, -1.0)
+        trunc = math.exp(lambda_ratio_log_sum(pot, L, bc, 1, 200_000, -1.0))
         assert trunc == pytest.approx(full, rel=1e-4)
-        from2 = lambda_ratio_product_infinite(pot, L, bc, 2)
+        from2 = lambda_ratio_product_infinite(pot, L, bc, 2, -1.0)
         lam1 = (bc.mode_factor * math.pi / L) ** 2 - 1.0
         nu1 = (bc.mode_factor * math.pi / L) ** 2 + pot.derivative(pot.u_minus, 2)
         assert from2 * lam1 / nu1 == pytest.approx(full, rel=1e-13)
