@@ -23,6 +23,7 @@ import platform
 import sys
 import time
 from datetime import datetime, timezone
+from importlib import metadata
 
 import numpy as np
 
@@ -122,10 +123,9 @@ def _threads(requested) -> int:
 
 def _environment(threads: int | None = None) -> dict:
     """What a run's timings depend on besides its configuration."""
-    import scipy  # for its version only: a prediction loads no scipy
     affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
     env = {"python": platform.python_version(), "numpy": np.__version__,
-           "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+           "scipy": metadata.version("scipy"), "cpu_count": os.cpu_count(),
            "affinity_cpus": None if affinity is None else len(affinity)}
     if threads is not None:
         env["threads"] = threads
@@ -363,8 +363,18 @@ def _cmd_sweep(cfg: dict) -> int:
             if value <= 0.0:
                 raise ValueError(f"{name} must be > 0, got {value}")
     with_mc = bool(cfg.get("with_mc"))
+
+    def sim_config(L, eps):
+        return SimConfig(pot=pot, bc=bc, L=L, d=mc_d, eps=eps, dt=cfg["dt"],
+                         t_max=cfg["tmax"], rho=cfg["rho"], seed=cfg["seed"])
     header = list(_PREDICT_HEADER)
     if with_mc:
+        # the first row's Monte Carlo refuses a bad --mc-d, --dt, --tmax or
+        # --rho here, before any output is written
+        if Ls and epss:
+            sim_config(Ls[0], epss[0])
+        if cfg["n"] < 2:
+            raise ValueError(f"--n must be >= 2 with --with-mc, got {cfg['n']}")
         header += ["mc_mean", "mc_stderr", "censored"]
     out = cfg["out"]
     threads = _threads(cfg.get("threads"))
@@ -383,9 +393,7 @@ def _cmd_sweep(cfg: dict) -> int:
                 predict_s += time.perf_counter() - t0
                 row = _prediction_row(p)
                 if with_mc:
-                    sim = SimConfig(pot=pot, bc=bc, L=L, d=mc_d, eps=eps,
-                                    dt=cfg["dt"], t_max=cfg["tmax"], rho=cfg["rho"],
-                                    seed=cfg["seed"])
+                    sim = sim_config(L, eps)
                     try:
                         stats = mc_stats(sim, cfg["n"], threads=threads)
                     except AllCensored:

@@ -105,7 +105,8 @@ class _MatrixForm:
 
     The matrices are the plan applied to identity matrices, so the Galerkin
     basis keeps its one definition in TransformPlan.  work is the output
-    buffer of synthesize.
+    buffer of synthesize.  Its samples are in grid order, which is its FFT
+    order too.
     """
 
     def __init__(self, plan: TransformPlan):
@@ -123,6 +124,12 @@ class _MatrixForm:
 
     def analyze(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.matmul(values, self._proj, out=out)
+
+    synthesize_fft_order = synthesize
+
+    def analyze_fft_order(self, values: np.ndarray, out: np.ndarray,
+                          work: np.ndarray) -> np.ndarray:
+        return self.analyze(values, out)
 
     def endpoint_values(self, coeffs: np.ndarray) -> np.ndarray:
         return coeffs @ self._ends
@@ -145,10 +152,11 @@ class _Engine:
     the same ones either way.  It writes into a caller's buffer and works
     in scratch buffers the engine owns (the transform's work buffer, the
     grid values of U', the linear term), grown to the widest batch seen, so
-    a batch step allocates nothing but the FFTs' outputs.  Its arithmetic
-    is the textbook update (y + dt N + sqrt(2 eps dt) xi) / (1 + nu dt), or
+    a batch step allocates nothing.  Its arithmetic is the textbook update
+    (y + dt N + sqrt(2 eps dt) xi) / (1 + nu dt), or
     e^{-nu dt} y + phi1(nu dt) dt N + sd xi, in that order of operations,
-    with N = -analyze(U'(synthesize(y))) and U' by Horner.  So a replica's
+    with N = -analyze(U'(synthesize(y))) and U' by Horner, on the samples
+    in the FFT's order (U' acts sample by sample).  So a replica's
     trajectory is the same to the bit whatever the buffers or the window of
     normals; folding dt or the denominators into the transform matrices
     would change the roundoff and move hits by a check.
@@ -205,8 +213,8 @@ class _Engine:
         if k > self._rows:
             self._grow(k)
         if self._transform:
-            u = self.plan.synthesize(y, self._work)
-            self.plan.analyze(horner_into(self._dU, u, self._grid[:k]), out=out)
+            u = self.plan.synthesize_fft_order(y, self._work)
+            self.plan.analyze_fft_order(horner_into(self._dU, u, self._grid[:k]), out, self._work)
         elif not self.nonlinear:
             out.fill(0.0)
         else:  # d = 0, a constant field: the transform collapses

@@ -50,6 +50,7 @@ from .spectral import BoundaryCondition, NEUMANN, PERIODIC, nu
 from .stationary import InstantonOrbit, InstantonProfile
 
 _ZERO_MODE_FACTOR = 1e-6
+_LOG_SUM_BLOCK = 1 << 16  # terms per block of lambda_ratio_log_sum
 
 
 @dataclass(frozen=True)
@@ -269,15 +270,21 @@ def lambda_ratio_product_infinite(pot: LocalPotential, L: float, bc: BoundaryCon
 def lambda_ratio_log_sum(pot: LocalPotential, L: float, bc: BoundaryCondition,
                          k_from: int, k_to: int, w: float) -> float:
     """sum_{k=k_from}^{k_to} log((nu_k + w) / nu_k^-), w the numerator's
-    curvature as in lambda_ratio_product_infinite."""
-    if k_to < k_from:
-        return 0.0
-    base = nu(bc, L, np.arange(k_from, k_to + 1))
-    num = base + w
-    nv = base + pot.derivative(pot.u_minus, 2)
-    if np.any(num <= 0.0):
-        raise OutOfRegime("nonpositive numerator eigenvalue in the product range")
-    return math.fsum(np.log(num) - np.log(nv))
+    curvature as in lambda_ratio_product_infinite.
+
+    The terms come in blocks of _LOG_SUM_BLOCK, so memory does not grow with
+    k_to; fsum rounds the whole sum once, whatever the blocks.
+    """
+    w_minus = pot.derivative(pot.u_minus, 2)
+
+    def terms():
+        for lo in range(k_from, k_to + 1, _LOG_SUM_BLOCK):
+            base = nu(bc, L, np.arange(lo, min(lo + _LOG_SUM_BLOCK, k_to + 1)))
+            num = base + w
+            if np.any(num <= 0.0):
+                raise OutOfRegime("nonpositive numerator eigenvalue in the product range")
+            yield from (np.log(num) - np.log(base + w_minus)).tolist()
+    return math.fsum(terms())
 
 
 def closed_form_product(pot: LocalPotential, L: float, bc: BoundaryCondition) -> float:

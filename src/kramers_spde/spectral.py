@@ -19,9 +19,9 @@ local potentials when n >= 2 p0 (d+1).
 
 Transform plans hold no mutable scratch; they may be shared, but the
 documented contract is one plan per task with freely shared immutable states.
-
-scipy.fft loads with the first plan or grid size, not with this module:
-predictions need neither, and importing it costs about 0.2 s.
+The transforms are numpy.fft's real FFTs; the Neumann (DCT-II) pair runs as
+one real FFT of the even/odd-permuted samples (Makhoul, IEEE Trans. ASSP 28
+(1980) 27).
 """
 
 from __future__ import annotations
@@ -92,17 +92,28 @@ def mode_frequencies(bc: BoundaryCondition, L: float, d: int) -> np.ndarray:
     return nu(bc, L, mode_indices(bc, d))
 
 
+def next_fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n: a length the FFT factors into radices 2, 3 and 5."""
+    m = max(n, 1)
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
 def default_grid_size(d: int, p0: int = 2) -> int:
     """Alias-free quadrature size for degree-2*p0 local potentials."""
-    from scipy.fft import next_fast_len
-    return next_fast_len(max(2 * p0 * (d + 1), 2 * d + 2), real=True)
+    return next_fast_len(max(2 * p0 * (d + 1), 2 * d + 2))
 
 
 def refined_grid_size(d: int, refine: int) -> int:
     """Size of the refined grid of sup_dist and of the Monte Carlo hit check:
     refine (2d + 2) points, rounded up to a fast FFT length."""
-    from scipy.fft import next_fast_len
-    return next_fast_len(refine * (2 * d + 2), real=True)
+    return next_fast_len(refine * (2 * d + 2))
 
 
 @dataclass(frozen=True)
@@ -150,7 +161,15 @@ class TransformPlan:
 
     The analyze direction implements the orthonormal-basis inner products by
     the grid's native quadrature (midpoint for Neumann, rectangle for
-    periodic) and truncates to |k| <= d.
+    periodic) and truncates to |k| <= d.  Both directions pass through bins
+    0..d of the real FFT of length n, which its half spectrum holds since
+    n >= 2d + 2.  Up to scale, periodic a_0 and the pair (a_k, b_k) are
+    bin 0 and (Re, -Im) of bin k.  Neumann: y_k is Re(e^{-i pi k / (2n)} V_k), V the
+    FFT of the samples x_0, x_2, x_4, ... followed by the odd ones in
+    reverse order, ..., x_3, x_1.
+
+    synthesize given a buffer from work(), and the FFT-order pair that the
+    Monte Carlo step runs on, allocate nothing.
     """
 
     def __init__(self, bc: BoundaryCondition, L: float, d: int, n_grid: int):
@@ -160,53 +179,60 @@ class TransformPlan:
         self.L = float(L)
         self.d = d
         self.n = int(n_grid)
-        # bound once here, so that a step imports nothing
-        from scipy.fft import dct, idct, irfft, rfft
-        self._forward, self._inverse = (dct, idct) if bc is NEUMANN else (rfft, irfft)
         n, L = self.n, self.L
-        # synthesize and analyze scales of coefficient 0 (Neumann: of every coefficient)
+        # synthesize and analyze scales of bin 0, then of the pair in bin k >= 1
+        self._synth0, self._analyze0 = n / math.sqrt(L), math.sqrt(L) / n
+        pair_synth, pair_analyze = 0.5 * n * math.sqrt(2.0 / L), math.sqrt(2.0 * L) / n
+        # irfft is fastest on the whole half spectrum, so synthesize's keeps
+        # its bins above d at zero, and analyze's is another array
+        m = n // 2 + 1
+        self._work_shapes = {"synthesis": (m, complex), "analysis": (m, complex),
+                             "samples": (n, float)}
         if bc is NEUMANN:
-            self._synth0, self._analyze0 = math.sqrt(n / L), math.sqrt(L / n)
+            self._work_shapes["permuted"] = (n, float)
+            self._half = (n + 1) // 2  # the even-indexed samples come first
+            twiddle = np.exp(0.5j * np.pi / n * np.arange(d + 1))
+            synth = np.full(d + 1, pair_synth)
+            synth[0] = self._synth0
+            analyze = np.full(d + 1, pair_analyze)
+            analyze[0] = self._analyze0
+            self._synth_twiddle = synth * twiddle
+            self._analyze_re, self._analyze_im = analyze * twiddle.real, analyze * twiddle.imag
         else:
-            self._synth0, self._analyze0 = n / math.sqrt(L), math.sqrt(L) / n
-        # periodic pairs (a_k, b_k) sit at (Re, Im) of rfft bin k, the b_k with a minus sign
-        signs = np.tile([1.0, -1.0], d)
-        self._pair_synth = 0.5 * n * math.sqrt(2.0 / L) * signs
-        self._pair_analyze = math.sqrt(2.0 * L) / n * signs
+            signs = np.tile([1.0, -1.0], d)
+            self._pair_synth = pair_synth * signs
+            self._pair_analyze = pair_analyze * signs
 
     def grid(self) -> np.ndarray:
         if self.bc is NEUMANN:
             return (np.arange(self.n) + 0.5) * (self.L / self.n)
         return np.arange(self.n) * (self.L / self.n)
 
-    def work(self, *lead: int) -> np.ndarray:
-        """A zeroed spectrum buffer of shape (*lead, width), for synthesize(..., work=)."""
-        if self.bc is NEUMANN:
-            return np.zeros((*lead, self.n))
-        return np.zeros((*lead, self.n // 2 + 1), dtype=complex)
+    def work(self, *lead: int) -> dict[str, np.ndarray]:
+        """Zeroed scratch arrays of shape (*lead, width), for the work argument
+        of synthesize and the FFT-order pair: the half spectra of both
+        directions, the samples and, for Neumann, the permuted samples."""
+        return {name: np.zeros((*lead, width), dtype)
+                for name, (width, dtype) in self._work_shapes.items()}
 
-    def synthesize(self, coeffs: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    def synthesize(self, coeffs: np.ndarray,
+                   work: dict[str, np.ndarray] | None = None) -> np.ndarray:
         """Grid samples of the states in coeffs.
 
-        work, from self.work(rows) with rows >= len(coeffs), is reused for
-        the spectrum of 2-D coeffs: only its first d+1 columns are written,
-        so the rest stays zero.
+        work, from self.work(rows) with rows >= len(coeffs), holds the
+        transform of 2-D coeffs; the samples returned are a view of it.
         """
         c = np.asarray(coeffs, dtype=float)
         one = c.ndim == 1
         if one:
             c = c[None]
-        d = self.d
-        spec = self.work(*c.shape[:-1]) if work is None else work[: len(c)]
-        if self.bc is NEUMANN:
-            np.multiply(c, self._synth0, out=spec[..., : d + 1])
-            out = self._inverse(spec, type=2, norm="ortho", axis=-1)
-        else:
-            interleaved = spec.view(float)  # Re, Im of bin 0, then of bin 1, ...
-            np.multiply(c[..., 0], self._synth0, out=interleaved[..., 0])
-            np.multiply(c[..., 1:], self._pair_synth, out=interleaved[..., 2 : 2 * d + 2])
-            out = self._inverse(spec, self.n, axis=-1)
-        return out[0] if one else out
+        buf = self.work(*c.shape[:-1]) if work is None else work
+        u = self.synthesize_fft_order(c, buf)
+        if self.bc is NEUMANN:  # x_0, x_2, ..., x_3, x_1 back to grid order
+            perm, u = u, buf["samples"][: len(c)]
+            u[..., 0::2] = perm[..., : self._half]
+            u[..., 1::2] = perm[..., self._half :][..., ::-1]
+        return u[0] if one else u
 
     def analyze(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Coefficients of grid samples; out, if given, receives those of 2-D values."""
@@ -214,17 +240,51 @@ class TransformPlan:
         one = v.ndim == 1
         if one:
             v = v[None]
-        d = self.d
         if out is None:
-            out = np.empty((*v.shape[:-1], self.bc.n_coeffs(d)))
+            out = np.empty((*v.shape[:-1], self.bc.n_coeffs(self.d)))
+        buf = self.work(*v.shape[:-1])
+        if self.bc is NEUMANN:  # grid order to x_0, x_2, ..., x_3, x_1
+            perm = buf["permuted"]
+            perm[..., : self._half] = v[..., 0::2]
+            perm[..., self._half :] = v[..., 1::2][..., ::-1]
+            v = perm
+        self.analyze_fft_order(v, out, buf)
+        return out[0] if one else out
+
+    def synthesize_fft_order(self, coeffs: np.ndarray,
+                             work: dict[str, np.ndarray]) -> np.ndarray:
+        """synthesize of 2-D coeffs into work, in the order of the FFT's
+        samples: the grid's for periodic, x_0, x_2, ..., x_3, x_1 for Neumann.
+
+        A map applied sample by sample does not see the order, so
+        analyze_fft_order(f(synthesize_fft_order(c))) is
+        analyze(f(synthesize(c))) to the bit, without the permutations.
+        """
+        d = self.d
+        k = len(coeffs)
+        spec = work["synthesis"][:k]
         if self.bc is NEUMANN:
-            spec = self._forward(v, type=2, norm="ortho", axis=-1)
-            np.multiply(spec[..., : d + 1], self._analyze0, out=out)
+            np.multiply(coeffs, self._synth_twiddle, out=spec[..., : d + 1])
+            return np.fft.irfft(spec, self.n, axis=-1, out=work["permuted"][:k])
+        interleaved = spec.view(float)  # Re, Im of bin 0, then of bin 1, ...
+        np.multiply(coeffs[..., 0], self._synth0, out=interleaved[..., 0])
+        np.multiply(coeffs[..., 1:], self._pair_synth, out=interleaved[..., 2 : 2 * d + 2])
+        return np.fft.irfft(spec, self.n, axis=-1, out=work["samples"][:k])
+
+    def analyze_fft_order(self, values: np.ndarray, out: np.ndarray,
+                          work: dict[str, np.ndarray]) -> np.ndarray:
+        """analyze of 2-D values in the order of synthesize_fft_order, into out."""
+        d = self.d
+        spec = np.fft.rfft(values, axis=-1, out=work["analysis"][: len(values)])
+        if self.bc is NEUMANN:
+            low = spec[..., : d + 1]
+            np.multiply(low.real, self._analyze_re, out=out)
+            out += np.multiply(low.imag, self._analyze_im, out=low.imag)
         else:
-            interleaved = self._forward(v, axis=-1).view(float)
+            interleaved = spec.view(float)
             np.multiply(interleaved[..., 0], self._analyze0, out=out[..., 0])
             np.multiply(interleaved[..., 2 : 2 * d + 2], self._pair_analyze, out=out[..., 1:])
-        return out[0] if one else out
+        return out
 
     def endpoint_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Field values at x = 0 and x = L (off the Neumann midpoint grid)."""

@@ -175,28 +175,55 @@ def test_eigen_grids_that_disagree_name_grid_n_and_kmax(tmp_path, capsys, bc, L,
 _EVERY_REGIME = """
 import math, sys
 import kramers_spde.cli
-from kramers_spde import NEUMANN, PERIODIC, SimConfig, predict_time, quartic, run_replicas
+from kramers_spde import (NEUMANN, PERIODIC, FourierState, SimConfig, predict_time, quartic,
+                          run_replicas, sup_dist)
 pot = quartic()
 regimes = {predict_time(pot, L, bc, 0.05, d=d).regime.value
            for bc, lengths in ((NEUMANN, (1.0, 3.0, 3.3, 4.5)), (PERIODIC, (4.0, 6.0, 6.5, 9.0)))
            for L in lengths for d in (math.inf, 15)}
 print(len(regimes), [m in sys.modules for m in LAZY])
-cfg = SimConfig(pot=pot, bc=PERIODIC, L=1.0, d=64, eps=0.5, dt=1e-3, t_max=0.01, seed=1)
-print(len(run_replicas(cfg, 2)), "scipy.fft" in sys.modules)
+for bc, d in ((NEUMANN, 15), (PERIODIC, 64)):
+    cfg = SimConfig(pot=pot, bc=bc, L=1.0, d=d, eps=0.5, dt=1e-3, t_max=0.01, seed=1)
+    print(len(run_replicas(cfg, 2)), end=" ")
+far = [FourierState.constant(u, NEUMANN, 1.0, 40) for u in (-1.0, 1.0)]
+print(sup_dist(*far))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():
-    # nor any other scipy submodule: the CLI and a prediction in each of the
-    # eight regimes, at d = inf and d = 15, run on numpy and the stdlib; the
-    # first transform plan (here a d = 64 simulation) loads scipy.fft
+    # nor any other scipy module: the CLI, a prediction in each of the eight
+    # regimes at d = inf and d = 15, a Monte Carlo run on the matrix form
+    # (Neumann d = 15) and one on the FFTs (periodic d = 64), and a Neumann
+    # d = 40 sup_dist run on numpy and the stdlib
     lazy = ["scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.sparse",
             "scipy.linalg", "scipy.fft", "scipy.special"]
     code = f"LAZY = {lazy!r}" + _EVERY_REGIME
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.splitlines() == [f"8 {[False] * len(lazy)}", "2 True"]
+    assert out.stdout.splitlines() == [f"8 {[False] * len(lazy)}", "2 2 2.0", "[]"]
+
+
+_COMMANDS_RUN = """
+import sys
+from kramers_spde.cli import main
+codes = [main(argv) for argv in (
+    ["predict", "--L", "1,4.5", "--out", "p"],
+    ["simulate", "--eps", "0.3", "--d", "2", "--tmax", "50", "--n", "3", "--threads", "1",
+     "--out", "s"],
+    ["sweep", "--eps", "0.3", "--with-mc", "--mc-d", "2", "--n", "3", "--tmax", "50",
+     "--threads", "1", "--out", "w"])]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_predict_simulate_and_sweep_load_no_scipy(tmp_path):
+    # the manifest reads scipy's version from its installed metadata
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", _COMMANDS_RUN], capture_output=True,
+                         text=True, env=env, cwd=tmp_path, check=True)
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
 def test_stationary_below_threshold_exit_code(tmp_path):
@@ -446,6 +473,19 @@ def test_sweep_mc_d_zero_runs_d_zero(tmp_path):
     cfg = SimConfig(pot=quartic(), bc=NEUMANN, L=1.0, d=0, eps=0.3, dt=1e-3,
                     t_max=200.0, seed=3)
     assert float(row[10]) == mc_stats(cfg, 6).mean
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--mc-d", "-1"], "d must be >= 0, got -1"),
+    (["--n", "1"], "--n must be >= 2 with --with-mc, got 1"),
+    (["--dt", "0"], "dt > 0"),
+    (["--tmax", "inf"], "t_max must be finite, got inf"),
+    (["--rho", "5"], "rho = 5.0 must lie in"),
+])
+def test_sweep_refuses_bad_mc_inputs_before_any_output(tmp_path, capsys, flags, message):
+    rc = run(tmp_path, "sweep", "--L-grid", "1:1:2", "--with-mc", *flags, "--out", "s")
+    assert rc == 2 and message in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "s_manifest.json").exists()
 
 
 def test_simulate_keeps_mc_when_prediction_refused(tmp_path, capsys):

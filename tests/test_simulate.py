@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy.fft import dct, idct, irfft, rfft
+from scipy.fft import irfft, rfft
 
 from kramers_spde import (AllCensored, FourierState, NEUMANN, PERIODIC,
                           SimConfig, TransformPlan, galerkin_error, mc_stats,
@@ -159,13 +159,29 @@ def _fresh_transforms(eng):
         return plan.synthesize, plan.analyze
     n, L, d = plan.n, plan.L, plan.d
     if plan.bc is NEUMANN:
+        # Makhoul's DCT-II: bin k of the FFT of x_0, x_2, x_4, ..., x_3, x_1
+        # is y_k e^{i pi k / (2n)}, scaled like a periodic pair (bin 0 like a_0)
+        h = (n + 1) // 2
+        twiddle = np.exp(0.5j * np.pi / n * np.arange(d + 1))
+        synth_scale = np.full(d + 1, 0.5 * n * math.sqrt(2.0 / L))
+        synth_scale[0] = n / math.sqrt(L)
+        analyze_scale = np.full(d + 1, math.sqrt(2.0 * L) / n)
+        analyze_scale[0] = math.sqrt(L) / n
+
         def synth(c):
-            buf = np.zeros((len(c), n))
-            buf[:, : d + 1] = c * math.sqrt(n / L)
-            return idct(buf, type=2, norm="ortho", axis=-1)
+            spec = np.zeros((len(c), n // 2 + 1), dtype=complex)
+            spec[:, : d + 1] = c * (synth_scale * twiddle)
+            permuted = np.fft.irfft(spec, n, axis=-1)
+            x = np.empty_like(permuted)
+            x[:, 0::2] = permuted[:, :h]
+            x[:, 1::2] = permuted[:, h:][:, ::-1]
+            return x
 
         def ana(v):
-            return dct(v, type=2, norm="ortho", axis=-1)[:, : d + 1] * math.sqrt(L / n)
+            permuted = np.concatenate([v[:, 0::2], v[:, 1::2][:, ::-1]], axis=-1)
+            spec = np.fft.rfft(permuted, axis=-1)[:, : d + 1]
+            return (spec.real * (analyze_scale * twiddle.real)
+                    + spec.imag * (analyze_scale * twiddle.imag))
         return synth, ana
 
     def synth(c):

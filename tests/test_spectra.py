@@ -15,6 +15,7 @@ from kramers_spde import (NEUMANN, LocalPotential, OutOfRegime, PERIODIC, Resolu
                           eigs_profile, instanton, spectra, stationary)
 from kramers_spde.spectra import (eigs_orbit, lambda_ratio_log_sum,
                                   lambda_ratio_product_infinite)
+from kramers_spde.spectral import nu
 from kramers_spde.stationary import InstantonOrbit, instanton_orbit
 
 
@@ -618,6 +619,27 @@ def test_closed_form_values(pot):
         closed_form_product(pot, math.pi, NEUMANN)
     with pytest.raises(OutOfRegime):
         closed_form_product(pot, 2 * math.pi, PERIODIC)
+
+
+@pytest.mark.parametrize("bc, L, w", [(NEUMANN, 1.0, -1.0), (NEUMANN, 4.5, 0.7),
+                                      (PERIODIC, 3.0, -1.0)])
+def test_log_sum_blocks_keep_the_one_block_sum(pot, bc, L, w):
+    # the terms of all blocks go to one fsum, so the result is the one-block
+    # sum's to the bit, also where a block ends just before the last term
+    for k_from, k_to in ((2, 100_000), (2, 2 + spectra._LOG_SUM_BLOCK), (3, 3)):
+        base = nu(bc, L, np.arange(k_from, k_to + 1))
+        want = math.fsum(np.log(base + w) - np.log(base + pot.derivative(pot.u_minus, 2)))
+        assert lambda_ratio_log_sum(pot, L, bc, k_from, k_to, w) == want
+
+
+def test_log_sum_memory_does_not_grow_with_d(pot):
+    tracemalloc.start()
+    try:
+        lambda_ratio_log_sum(pot, 1.0, NEUMANN, 2, 2_000_000, -1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6  # one block; the 2 * 10^6 terms at once took 80 MB
 
 
 def test_infinite_product_helpers(pot):

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from kramers_spde import (FourierState, GridTooSmall, NEUMANN, PERIODIC,
                           from_grid, linearized_eigenvalue, sup_dist, to_grid)
-from kramers_spde.spectral import TransformPlan, default_grid_size, mode_frequencies
+from kramers_spde.spectral import (TransformPlan, default_grid_size, mode_frequencies,
+                                   next_fast_len)
 
 
 def test_linearized_eigenvalues(pot):
@@ -68,6 +69,34 @@ def test_round_trip_matches_direct_summation(case):
     assert np.abs(plan.synthesize(state.coeffs) - direct).max() <= 1e-12
     back = from_grid(plan.synthesize(state.coeffs), bc, L, d)
     assert np.abs(back.coeffs - state.coeffs).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [0, 3, 10, 15, 40, 64])
+@pytest.mark.parametrize("grid", ["even", "odd", "default"])
+def test_neumann_transforms_match_scipy_dct(d, grid):
+    # oracle: scipy.fft's orthonormal DCT-II and its inverse, which the real
+    # FFT of the permuted samples replaced; each row within 8 eps of its
+    # scale, a bound on its largest entry from the magnitudes of its inputs
+    from scipy.fft import dct, idct
+    L = 1.7
+    n = {"even": 2 * d + 2, "odd": 2 * d + 3, "default": default_grid_size(d)}[grid]
+    plan = TransformPlan(NEUMANN, L, d, n)
+    rng = np.random.default_rng(d)
+    c = rng.normal(size=(5, d + 1))
+    spec = np.zeros((5, n))
+    spec[:, : d + 1] = c * math.sqrt(n / L)
+    err = np.abs(plan.synthesize(c) - idct(spec, type=2, norm="ortho", axis=-1)).max(axis=1)
+    assert np.all(err <= 8 * np.finfo(float).eps * math.sqrt(2 / L) * np.abs(c).sum(axis=1))
+    v = rng.normal(size=(5, n))
+    want = dct(v, type=2, norm="ortho", axis=-1)[:, : d + 1] * math.sqrt(L / n)
+    err = np.abs(plan.analyze(v) - want).max(axis=1)
+    assert np.all(err <= 8 * np.finfo(float).eps * math.sqrt(2 * L) / n * np.abs(v).sum(axis=1))
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len as scipy_next_fast_len
+    sizes = range(1, 10_001)
+    assert [next_fast_len(n) for n in sizes] == [scipy_next_fast_len(n, real=True) for n in sizes]
 
 
 def test_projection_kills_high_modes():
