@@ -164,9 +164,9 @@ class TransformPlan:
     periodic) and truncates to |k| <= d.  Both directions pass through bins
     0..d of the real FFT of length n, which its half spectrum holds since
     n >= 2d + 2.  Up to scale, periodic a_0 and the pair (a_k, b_k) are
-    bin 0 and (Re, -Im) of bin k.  Neumann: y_k is Re(e^{-i pi k / (2n)} V_k), V the
-    FFT of the samples x_0, x_2, x_4, ... followed by the odd ones in
-    reverse order, ..., x_3, x_1.
+    bin 0 and (Re, -Im) of bin k, and a Neumann y_k is
+    Re(e^{-i pi k / (2n)} V_k), V the FFT of the samples x_0, x_2, x_4, ...
+    followed by the odd ones in reverse order, ..., x_3, x_1.
 
     synthesize given a buffer from work(), and the FFT-order pair that the
     Monte Carlo step runs on, allocate nothing.
@@ -183,13 +183,7 @@ class TransformPlan:
         # synthesize and analyze scales of bin 0, then of the pair in bin k >= 1
         self._synth0, self._analyze0 = n / math.sqrt(L), math.sqrt(L) / n
         pair_synth, pair_analyze = 0.5 * n * math.sqrt(2.0 / L), math.sqrt(2.0 * L) / n
-        # irfft is fastest on the whole half spectrum, so synthesize's keeps
-        # its bins above d at zero, and analyze's is another array
-        m = n // 2 + 1
-        self._work_shapes = {"synthesis": (m, complex), "analysis": (m, complex),
-                             "samples": (n, float)}
         if bc is NEUMANN:
-            self._work_shapes["permuted"] = (n, float)
             self._half = (n + 1) // 2  # the even-indexed samples come first
             twiddle = np.exp(0.5j * np.pi / n * np.arange(d + 1))
             synth = np.full(d + 1, pair_synth)
@@ -209,11 +203,17 @@ class TransformPlan:
         return np.arange(self.n) * (self.L / self.n)
 
     def work(self, *lead: int) -> dict[str, np.ndarray]:
-        """Zeroed scratch arrays of shape (*lead, width), for the work argument
-        of synthesize and the FFT-order pair: the half spectra of both
+        """Scratch arrays of shape (*lead, width), for the work argument of
+        synthesize and the FFT-order pair: the half spectra of both
         directions, the samples and, for Neumann, the permuted samples."""
-        return {name: np.zeros((*lead, width), dtype)
-                for name, (width, dtype) in self._work_shapes.items()}
+        n, m = self.n, self.n // 2 + 1
+        # irfft is fastest on the whole half spectrum, so synthesize's keeps
+        # its bins above d at zero, and analyze's is another array
+        buf = {"synthesis": np.zeros((*lead, m), complex),
+               "analysis": np.empty((*lead, m), complex), "samples": np.empty((*lead, n))}
+        if self.bc is NEUMANN:
+            buf["permuted"] = np.empty((*lead, n))
+        return buf
 
     def synthesize(self, coeffs: np.ndarray,
                    work: dict[str, np.ndarray] | None = None) -> np.ndarray:
@@ -242,13 +242,10 @@ class TransformPlan:
             v = v[None]
         if out is None:
             out = np.empty((*v.shape[:-1], self.bc.n_coeffs(self.d)))
-        buf = self.work(*v.shape[:-1])
         if self.bc is NEUMANN:  # grid order to x_0, x_2, ..., x_3, x_1
-            perm = buf["permuted"]
-            perm[..., : self._half] = v[..., 0::2]
-            perm[..., self._half :] = v[..., 1::2][..., ::-1]
-            v = perm
-        self.analyze_fft_order(v, out, buf)
+            v = np.concatenate([v[..., 0::2], v[..., 1::2][..., ::-1]], axis=-1)
+        spectrum = np.empty((*v.shape[:-1], self.n // 2 + 1), complex)
+        self.analyze_fft_order(v, out, {"analysis": spectrum})
         return out[0] if one else out
 
     def synthesize_fft_order(self, coeffs: np.ndarray,
