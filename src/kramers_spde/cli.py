@@ -23,7 +23,6 @@ import platform
 import sys
 import time
 from datetime import datetime, timezone
-from importlib import metadata
 
 import numpy as np
 
@@ -123,6 +122,7 @@ def _threads(requested) -> int:
 
 def _environment(threads: int | None = None) -> dict:
     """What a run's timings depend on besides its configuration."""
+    from importlib import metadata  # here: importing the CLI need not load it
     affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "scipy": metadata.version("scipy"), "cpu_count": os.cpu_count(),
