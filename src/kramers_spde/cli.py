@@ -114,10 +114,9 @@ def _parse_d(text) -> float:
 def _threads(requested) -> int:
     if requested is None:
         return os.cpu_count() or 1
-    threads = int(requested)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    return threads
+    if requested < 1:
+        raise ValueError(f"threads must be >= 1, got {requested}")
+    return requested
 
 
 def _environment(threads: int | None = None) -> dict:
@@ -226,7 +225,7 @@ def _cmd_predict(cfg: dict) -> int:
 def _cmd_simulate(cfg: dict) -> int:
     pot = _parse_potential(cfg["potential"])
     bc = _parse_bc(cfg["bc"])
-    sim = SimConfig(pot=pot, bc=bc, L=cfg["L"], d=_parse_int(cfg["d"], "--d"), eps=cfg["eps"],
+    sim = SimConfig(pot=pot, bc=bc, L=cfg["L"], d=cfg["d"], eps=cfg["eps"],
                     dt=cfg["dt"], t_max=cfg["tmax"], rho=cfg["rho"],
                     check_every=cfg["check_every"], refine=cfg["refine"],
                     seed=cfg["seed"], scheme=cfg["scheme"])
@@ -354,7 +353,6 @@ def _cmd_sweep(cfg: dict) -> int:
     pot = _parse_potential(cfg["potential"])
     bc = _parse_bc(cfg["bc"])
     d = _parse_d(cfg["d"])
-    mc_d = _parse_int(cfg["mc_d"], "--mc-d")
     Ls = _parse_grid(cfg["L_grid"], "--L-grid") if cfg.get("L_grid") else [cfg["L"]]
     epss = _parse_grid(cfg["eps_grid"], "--eps-grid") if cfg.get("eps_grid") else [cfg["eps"]]
     for name, grid in (("L", Ls), ("eps", epss)):
@@ -365,7 +363,7 @@ def _cmd_sweep(cfg: dict) -> int:
     with_mc = bool(cfg.get("with_mc"))
 
     def sim_config(L, eps):
-        return SimConfig(pot=pot, bc=bc, L=L, d=mc_d, eps=eps, dt=cfg["dt"],
+        return SimConfig(pot=pot, bc=bc, L=L, d=cfg["mc_d"], eps=eps, dt=cfg["dt"],
                          t_max=cfg["tmax"], rho=cfg["rho"], seed=cfg["seed"])
     header = list(_PREDICT_HEADER)
     if with_mc:
@@ -493,6 +491,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for key, default in args.defaults.items():  # --config values bypass argparse's types
+            if int in (type(default), _TYPES.get(key)) and cfg[key] is not None:
+                cfg[key] = _parse_int(cfg[key], "--" + key.replace("_", "-"))
         return args.func(cfg)
     except KramersSpdeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -100,60 +100,30 @@ class TransitionStats:
     dt: float
 
 
-class _MatrixForm:
-    """A TransformPlan evaluated as matrix products.
-
-    The matrices are the plan applied to identity matrices, so the Galerkin
-    basis keeps its one definition in TransformPlan.  work is the output
-    buffer of synthesize.  Its samples are in grid order, which is its FFT
-    order too.
-    """
-
-    def __init__(self, plan: TransformPlan):
-        ncf = plan.bc.n_coeffs(plan.d)
-        self.n = plan.n
-        self._synth = plan.synthesize(np.eye(ncf))        # (ncf, n)
-        self._proj = plan.analyze(np.eye(plan.n))         # (n, ncf)
-        self._ends = plan.endpoint_values(np.eye(ncf))    # (ncf, 2)
-
-    def work(self, rows: int) -> np.ndarray:
-        return np.empty((rows, self.n))
-
-    def synthesize(self, coeffs: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-        return np.matmul(coeffs, self._synth, out=None if work is None else work[: len(coeffs)])
-
-    def analyze(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.matmul(values, self._proj, out=out)
-
-    synthesize_fft_order = synthesize
-
-    def analyze_fft_order(self, values: np.ndarray, out: np.ndarray,
-                          work: np.ndarray) -> np.ndarray:
-        return self.analyze(values, out)
-
-    def endpoint_values(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs @ self._ends
-
-
 class _Engine:
     """Vectorized stepping over a batch of replicas sharing one SimConfig.
 
-    Up to d = _MATRIX_MAX_D the transforms run in _MatrixForm, above it as
-    FFTs.  Past that cutoff the products are large enough for OpenBLAS to
-    spread them over all cores, so replica worker processes oversubscribe
-    the host.  Measured on a 2-core x86 host, two worker processes, periodic,
-    eps = 0.2, 100 replicas per worker: matrices 9.9 s against FFTs 14.6 s
-    at d = 32, but 37.3 s against 18.1 s at d = 40.  One d = 64 drift over
-    200 replicas: 1.41 ms against 1.30 ms on a quiet host, 22.6 ms against
-    1.07 ms while another process held one core.
+    Up to d = _MATRIX_MAX_D the transforms are matrix products, the plans
+    applied to identity matrices, so the Galerkin basis keeps its one
+    definition in TransformPlan; above it they are the plan's FFT-order
+    pair.  Per replica-step on a 2-core x86 host, OpenBLAS on one thread,
+    matrices against FFTs: 205 against 578 ns at Neumann d = 15 with 200
+    replicas, 3950 against 3044 ns at periodic d = 64 with 20.  Past the
+    cutoff the products are also large enough for OpenBLAS to spread them
+    over all cores, so replica worker processes oversubscribe the host.
+    Two worker processes, periodic, eps = 0.2, 100 replicas per worker:
+    matrices 9.9 s against FFTs 14.6 s at d = 32, but 37.3 s against
+    18.1 s at d = 40.  One d = 64 drift over 200 replicas: 1.41 ms against
+    1.30 ms on a quiet host, 22.6 ms against 1.07 ms while another process
+    held one core.
 
     step() takes the scaled noise increment dw = increments(xi), so a
     caller scales a whole window of normals in one call; the products are
     the same ones either way.  It writes into a caller's buffer and works
-    in scratch buffers the engine owns (the transform's work buffer, the
-    grid values of U', the linear term), grown to the widest batch seen, so
-    a batch step allocates nothing.  Its arithmetic is the textbook update
-    (y + dt N + sqrt(2 eps dt) xi) / (1 + nu dt), or
+    in scratch buffers the engine owns (the transform's samples or work
+    buffers, the grid values of U', the linear term), grown to the widest
+    batch seen, so a batch step allocates nothing.  Its arithmetic is the
+    textbook update (y + dt N + sqrt(2 eps dt) xi) / (1 + nu dt), or
     e^{-nu dt} y + phi1(nu dt) dt N + sd xi, in that order of operations,
     with N = -analyze(U'(synthesize(y))) and U' by Horner, on the samples
     in the FFT's order (U' acts sample by sample).  So a replica's
@@ -165,23 +135,23 @@ class _Engine:
     def __init__(self, cfg: SimConfig, nonlinear: bool = True):
         self.cfg = cfg
         pot = cfg.pot
-        n_ref = refined_grid_size(cfg.d, cfg.refine)
-        self.plan = TransformPlan(cfg.bc, cfg.L, cfg.d, default_grid_size(cfg.d, pot.p0))
-        self.ref_plan = TransformPlan(cfg.bc, cfg.L, cfg.d, n_ref)
-        if cfg.d <= _MATRIX_MAX_D:
-            self.plan, self.ref_plan = _MatrixForm(self.plan), _MatrixForm(self.ref_plan)
+        self.plan = plan = TransformPlan(cfg.bc, cfg.L, cfg.d, default_grid_size(cfg.d, pot.p0))
+        self.ref_plan = ref = TransformPlan(cfg.bc, cfg.L, cfg.d,
+                                            refined_grid_size(cfg.d, cfg.refine))
+        self._matrices = cfg.d <= _MATRIX_MAX_D
+        if self._matrices:
+            eye = np.eye(cfg.bc.n_coeffs(cfg.d))
+            self._synth = plan.synthesize(eye)        # (ncf, n)
+            self._proj = plan.analyze(np.eye(plan.n))  # (n, ncf)
+            self._sup = np.hstack([ref.synthesize(eye), ref.endpoint_values(eye)])
         self.nu = mode_frequencies(cfg.bc, cfg.L, cfg.d)
         self.nonlinear = nonlinear
-        self._transform = nonlinear and cfg.d > 0
         self._dU = pot._deriv_scalar[1]
-        self._rows = 0
+        self._term = self._diff = np.empty((0, len(self.nu)))  # grown by _grow, sup_to_target
         start_u = pot.u_minus if cfg.start_well == "minus" else pot.u_plus
         target_u = pot.u_plus if cfg.start_well == "minus" else pot.u_minus
         self.start = FourierState.constant(start_u, cfg.bc, cfg.L, cfg.d).coeffs
-        tgt = FourierState.constant(target_u, cfg.bc, cfg.L, cfg.d).coeffs
-        self.target_grid = self.ref_plan.synthesize(tgt)
-        self.target_ends = self.ref_plan.endpoint_values(tgt)
-        self.target_grid_mean = tgt[0]
+        self.target = FourierState.constant(target_u, cfg.bc, cfg.L, cfg.d).coeffs
         dt = cfg.dt
         self._implicit = cfg.scheme == "semi_implicit"
         if self._implicit:
@@ -202,26 +172,30 @@ class _Engine:
             self.noise_std = self._noise_scale = np.sqrt(var)
 
     def _grow(self, rows: int) -> None:
-        self._rows = rows
-        self._work = self.plan.work(rows)
         self._grid = np.empty((rows, self.plan.n))
         self._term = np.empty((rows, len(self.nu)))
+        self._work = ({"samples": np.empty((rows, self.plan.n))} if self._matrices
+                      else self.plan.work(rows))
 
     def potential_gradient(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         """analyze(U'(synthesize(y))) into out: minus the nonlinear drift N."""
         k = len(y)
-        if k > self._rows:
+        if k > len(self._term):
             self._grow(k)
-        if self._transform:
-            u = self.plan.synthesize_fft_order(y, self._work)
-            self.plan.analyze_fft_order(horner_into(self._dU, u, self._grid[:k]), out, self._work)
-        elif not self.nonlinear:
+        g = self._grid[:k]
+        if not self.nonlinear:
             out.fill(0.0)
-        else:  # d = 0, a constant field: the transform collapses
+        elif self.cfg.d == 0:  # a constant field: the transform collapses
             s = math.sqrt(self.cfg.L)
             x = np.divide(y, s, out=self._term[:k])
             horner_into(self._dU, x, out)
             out *= s
+        elif self._matrices:
+            horner_into(self._dU, np.matmul(y, self._synth, out=self._work["samples"][:k]), g)
+            np.matmul(g, self._proj, out=out)
+        else:
+            horner_into(self._dU, self.plan.synthesize_fft_order(y, self._work), g)
+            self.plan.analyze_fft_order(g, out, self._work)
         return out
 
     def increments(self, xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -248,12 +222,20 @@ class _Engine:
         return out
 
     def sup_to_target(self, y: np.ndarray) -> np.ndarray:
-        if self.cfg.d == 0:
-            tgt = self.target_grid[0]
-            return np.abs(y[:, 0] / math.sqrt(self.cfg.L) - tgt)
-        grid = np.abs(self.ref_plan.synthesize(y) - self.target_grid).max(axis=-1)
-        ends = np.abs(self.ref_plan.endpoint_values(y) - self.target_ends).max(axis=-1)
-        return np.maximum(grid, ends)
+        """sup |R (y - t)| per row, R the refined grid's samples (in any order)
+        and endpoint values, t the target; its buffers grow to the rows seen."""
+        k = len(y)
+        if k > len(self._diff):
+            self._diff = np.empty((k, len(self.nu)))
+            self._ref = (np.empty((k, self._sup.shape[1])) if self._matrices
+                         else self.ref_plan.work(k))
+        diff = np.subtract(y, self.target, out=self._diff[:k])
+        if self._matrices:
+            r = np.matmul(diff, self._sup, out=self._ref[:k])
+            return np.abs(r, out=r).max(axis=-1)
+        r = self.ref_plan.synthesize_fft_order(diff, self._ref)
+        ends = np.abs(self.ref_plan.endpoint_values(diff)).max(axis=-1)
+        return np.maximum(np.abs(r, out=r).max(axis=-1), ends)
 
     def hit_mask(self, y: np.ndarray, rho: float) -> np.ndarray:
         """sup_to_target(y) < rho, with an exact mean-mode pre-filter.
@@ -262,8 +244,7 @@ class _Engine:
         a lower bound for the sup distance, so rows failing it need no
         transform.
         """
-        mean_dist = np.abs(y[:, 0] - self.target_grid_mean) / math.sqrt(self.cfg.L)
-        cand = mean_dist < rho
+        cand = np.abs(y[:, 0] - self.target[0]) / math.sqrt(self.cfg.L) < rho
         out = np.zeros(len(y), dtype=bool)
         if np.any(cand):
             out[cand] = self.sup_to_target(y[cand]) < rho

@@ -17,8 +17,9 @@ x_j = (j + 1/2) L / n, periodic states on x_j = j L / n.  Both quadratures are
 exact for the trigonometric-polynomial integrands arising from polynomial
 local potentials when n >= 2 p0 (d+1).
 
-Transform plans hold no mutable scratch; they may be shared, but the
-documented contract is one plan per task with freely shared immutable states.
+Transform plans hold no mutable scratch (a caller owns the work() buffers of
+the allocation-free FFT-order pair); they may be shared, but the documented
+contract is one plan per task with freely shared immutable states.
 The transforms are numpy.fft's real FFTs; the Neumann (DCT-II) pair runs as
 one real FFT of the even/odd-permuted samples (Makhoul, IEEE Trans. ASSP 28
 (1980) 27).
@@ -168,8 +169,8 @@ class TransformPlan:
     Re(e^{-i pi k / (2n)} V_k), V the FFT of the samples x_0, x_2, x_4, ...
     followed by the odd ones in reverse order, ..., x_3, x_1.
 
-    synthesize given a buffer from work(), and the FFT-order pair that the
-    Monte Carlo step runs on, allocate nothing.
+    The FFT-order pair that the Monte Carlo engine runs on writes into
+    buffers from work() and allocates nothing.
     """
 
     def __init__(self, bc: BoundaryCondition, L: float, d: int, n_grid: int):
@@ -203,9 +204,8 @@ class TransformPlan:
         return np.arange(self.n) * (self.L / self.n)
 
     def work(self, *lead: int) -> dict[str, np.ndarray]:
-        """Scratch arrays of shape (*lead, width), for the work argument of
-        synthesize and the FFT-order pair: the half spectra of both
-        directions, the samples and, for Neumann, the permuted samples."""
+        """Buffers (*lead, width) of the FFT-order pair: both directions' half
+        spectra, the samples and, for Neumann, the permuted samples."""
         n, m = self.n, self.n // 2 + 1
         # irfft is fastest on the whole half spectrum, so synthesize's keeps
         # its bins above d at zero, and analyze's is another array
@@ -215,38 +215,26 @@ class TransformPlan:
             buf["permuted"] = np.empty((*lead, n))
         return buf
 
-    def synthesize(self, coeffs: np.ndarray,
-                   work: dict[str, np.ndarray] | None = None) -> np.ndarray:
-        """Grid samples of the states in coeffs.
-
-        work, from self.work(rows) with rows >= len(coeffs), holds the
-        transform of 2-D coeffs; the samples returned are a view of it.
-        """
-        c = np.asarray(coeffs, dtype=float)
-        one = c.ndim == 1
-        if one:
-            c = c[None]
-        buf = self.work(*c.shape[:-1]) if work is None else work
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """Grid samples of the states in coeffs."""
+        c = np.atleast_2d(np.asarray(coeffs, dtype=float))
+        buf = self.work(*c.shape[:-1])
         u = self.synthesize_fft_order(c, buf)
         if self.bc is NEUMANN:  # x_0, x_2, ..., x_3, x_1 back to grid order
-            perm, u = u, buf["samples"][: len(c)]
+            perm, u = u, buf["samples"]
             u[..., 0::2] = perm[..., : self._half]
             u[..., 1::2] = perm[..., self._half :][..., ::-1]
-        return u[0] if one else u
+        return u[0] if np.ndim(coeffs) == 1 else u
 
-    def analyze(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Coefficients of grid samples; out, if given, receives those of 2-D values."""
-        v = np.asarray(values, dtype=float)
-        one = v.ndim == 1
-        if one:
-            v = v[None]
-        if out is None:
-            out = np.empty((*v.shape[:-1], self.bc.n_coeffs(self.d)))
+    def analyze(self, values: np.ndarray) -> np.ndarray:
+        """Coefficients of grid samples."""
+        v = np.atleast_2d(np.asarray(values, dtype=float))
+        out = np.empty((*v.shape[:-1], self.bc.n_coeffs(self.d)))
         if self.bc is NEUMANN:  # grid order to x_0, x_2, ..., x_3, x_1
             v = np.concatenate([v[..., 0::2], v[..., 1::2][..., ::-1]], axis=-1)
         spectrum = np.empty((*v.shape[:-1], self.n // 2 + 1), complex)
         self.analyze_fft_order(v, out, {"analysis": spectrum})
-        return out[0] if one else out
+        return out[0] if np.ndim(values) == 1 else out
 
     def synthesize_fft_order(self, coeffs: np.ndarray,
                              work: dict[str, np.ndarray]) -> np.ndarray:
@@ -296,9 +284,8 @@ class TransformPlan:
             w = np.zeros(2 * d + 1)
             w[0] = 1.0 / math.sqrt(L)
             w[1::2] = math.sqrt(2.0 / L)
-            vals = c @ w
-            out = np.stack([vals, vals], axis=-1)
-        return out[0] if np.asarray(coeffs).ndim == 1 else out
+            out = np.stack([c @ w] * 2, axis=-1)
+        return out[0] if np.ndim(coeffs) == 1 else out
 
 
 def to_grid(state: FourierState, n_grid: int) -> np.ndarray:

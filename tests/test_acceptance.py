@@ -213,6 +213,7 @@ def test_criterion_6_regime_continuity(pot):
     assert band_ok
 
 
+@pytest.mark.slow
 def test_criterion_7_1d_oracle_agreement(pot):
     t0 = time.time()
     rho = 0.3

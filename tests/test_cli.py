@@ -301,8 +301,17 @@ def test_bad_numeric_input_names_the_input(tmp_path, capsys, argv, name):
     ("simulate", {"d": 2.5}, "--d must be an integer, got 2.5"),
     ("simulate", {"d": "2.5"}, "--d must be an integer, got '2.5'"),
     ("sweep", {"with_mc": True, "mc_d": 2.5}, "--mc-d must be an integer, got 2.5"),
+    # every integer key: int() raised a TypeError traceback mid-run (sweep's
+    # after writing its manifest and CSV header), or truncated 1.7 to 1
+    ("simulate", {"seed": 1.5}, "--seed must be an integer, got 1.5"),
+    ("simulate", {"n": 10.5}, "--n must be an integer, got 10.5"),
+    ("simulate", {"check_every": 2.5}, "--check-every must be an integer, got 2.5"),
+    ("simulate", {"threads": 1.7}, "--threads must be an integer, got 1.7"),
+    ("stationary", {"samples": 100.5}, "--samples must be an integer, got 100.5"),
+    ("eigen", {"kmax": 4.5}, "--kmax must be an integer, got 4.5"),
+    ("sweep", {"with_mc": True, "n": 3.5}, "--n must be an integer, got 3.5"),
 ])
-def test_bad_truncation_in_a_config_names_the_flag(tmp_path, capsys, command, config, name):
+def test_non_integer_config_values_name_the_flag(tmp_path, capsys, command, config, name):
     (tmp_path / "cfg.json").write_text(json.dumps({"config": config}))
     rc = run(tmp_path, command, "--config", "cfg.json", "--out", "bad")
     err = capsys.readouterr().err

@@ -11,7 +11,7 @@ from kramers_spde import (AllCensored, FourierState, NEUMANN, PERIODIC,
                           oracle_identity_1d, oracle_mfpt_1d, quartic, reduced_potential_1d,
                           run_replicas, sample_path, sample_transition, step, sup_dist)
 from kramers_spde import simulate
-from kramers_spde.simulate import _Engine, _MatrixForm, _run_batch, _stats_from_samples
+from kramers_spde.simulate import _MATRIX_MAX_D, _Engine, _run_batch, _stats_from_samples
 from kramers_spde.spectral import default_grid_size
 
 
@@ -108,10 +108,11 @@ def test_threads_do_not_change_samples(pot):
     assert mc_stats(cfg, 5, threads=2) == mc_stats(cfg, 5, threads=1)
 
 
-@pytest.mark.parametrize("bc, d", [(NEUMANN, 15), (PERIODIC, 64)])
+@pytest.mark.parametrize("bc", [NEUMANN, PERIODIC])
+@pytest.mark.parametrize("d", [0, 15, 32, 33, 64])
 def test_engine_transforms_match_transform_plan(pot, bc, d):
-    # the engine's transforms are TransformPlan, on both sides of its
-    # matrix/FFT cutoff
+    # the engine's transforms and hit check are TransformPlan's, on both
+    # sides of its matrix/FFT cutoff and for the constant field of d = 0
     cfg = _cfg(pot, bc=bc, d=d)
     eng = _Engine(cfg)
     plan = TransformPlan(bc, cfg.L, d, default_grid_size(d, pot.p0))
@@ -127,25 +128,22 @@ def test_engine_transforms_match_transform_plan(pot, bc, d):
 
 @settings(max_examples=150, deadline=None)
 @given(bc=st.sampled_from([NEUMANN, PERIODIC]), L=st.floats(0.3, 20.0),
-       d=st.integers(0, 32), n_extra=st.integers(0, 70), rows=st.integers(1, 64),
+       d=st.integers(0, _MATRIX_MAX_D), refine=st.integers(4, 12), rows=st.integers(1, 64),
        seed=st.integers(0, 2**32 - 1))
-@example(bc=PERIODIC, L=1.0, d=26, n_extra=0, rows=1, seed=231)  # endpoint sum cancels
-def test_matrix_form_matches_transform_plan(bc, L, d, n_extra, rows, seed):
-    # the engine's matrix products are the plan's transforms up to summation
-    # order, with and without the caller's buffers: each row within roundoff
-    # of its largest sum of term magnitudes, |input| @ |matrix|, which does
-    # not shrink when the terms cancel
-    plan = TransformPlan(bc, L, d, 2 * d + 2 + n_extra)
-    mat = _MatrixForm(plan)
+@example(bc=PERIODIC, L=1.0, d=26, refine=8, rows=1, seed=231)  # endpoint sum cancels
+def test_matrix_form_matches_transform_plan(bc, L, d, refine, rows, seed):
+    # the engine's matrix products are the plans' transforms up to summation
+    # order: each row within roundoff of its largest sum of term magnitudes,
+    # |input| @ |matrix|, which does not shrink when the terms cancel
+    eng = _Engine(SimConfig(pot=quartic(), bc=bc, L=L, d=d, eps=0.1, dt=1e-3, t_max=1.0,
+                            refine=refine))
+    plan, ref = eng.plan, eng.ref_plan
     rng = np.random.default_rng(seed)
     y = rng.normal(size=(rows, bc.n_coeffs(d)))
     v = rng.normal(size=(rows, plan.n))
-    cases = [(mat.synthesize(y), plan.synthesize(y), y, mat._synth),
-             (mat.synthesize(y, mat.work(rows + 3)), plan.synthesize(y, plan.work(rows + 3)),
-              y, mat._synth),
-             (mat.analyze(v), plan.analyze(v), v, mat._proj),
-             (mat.analyze(v, np.empty_like(y)), plan.analyze(v, np.empty_like(y)), v, mat._proj),
-             (mat.endpoint_values(y), plan.endpoint_values(y), y, mat._ends)]
+    cases = [(y @ eng._synth, plan.synthesize(y), y, eng._synth),
+             (v @ eng._proj, plan.analyze(v), v, eng._proj),
+             (y @ eng._sup, np.hstack([ref.synthesize(y), ref.endpoint_values(y)]), y, eng._sup)]
     for got, want, x, matrix in cases:
         assert got.shape == want.shape
         terms = (np.abs(x) @ np.abs(matrix)).max(axis=1)
@@ -154,9 +152,9 @@ def test_matrix_form_matches_transform_plan(bc, L, d, n_extra, rows, seed):
 
 def _fresh_transforms(eng):
     """(synthesize, analyze) of the engine's transform as plain expressions on fresh arrays."""
+    if eng.cfg.d <= _MATRIX_MAX_D:  # the matrix form
+        return (lambda c: c @ eng._synth), (lambda v: v @ eng._proj)
     plan = eng.plan
-    if not isinstance(plan, TransformPlan):  # the matrix form
-        return plan.synthesize, plan.analyze
     n, L, d = plan.n, plan.L, plan.d
     if plan.bc is NEUMANN:
         # Makhoul's DCT-II: bin k of the FFT of x_0, x_2, x_4, ..., x_3, x_1
