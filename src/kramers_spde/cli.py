@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import AllCensored, KramersSpdeError, UnsupportedRegime, require_finite
+from .errors import AllCensored, KramersSpdeError, require_finite
 from .kramers import RegimeTag, _label_mu, predict_time
 from .potential import LocalPotential, quartic
 from .simulate import SimConfig, mc_stats, run_replicas, _stats_from_samples
@@ -234,12 +234,12 @@ def _cmd_simulate(cfg: dict) -> int:
     samples = run_replicas(sim, cfg["n"], threads=threads)
     mc_s = time.perf_counter() - t0
     stats = _stats_from_samples(samples, sim)
-    # keep the finished Monte Carlo where predict_time refuses the configuration
+    # keep the finished Monte Carlo where predict_time refuses or fails
     pred, refused = None, f"d = {sim.d}, the prediction needs d >= 1"
     if sim.d >= 1:
         try:
             pred = predict_time(pot, cfg["L"], bc, cfg["eps"], d=sim.d)
-        except UnsupportedRegime as exc:
+        except KramersSpdeError as exc:
             refused = str(exc)
     if pred is None:
         print(f"no prediction: {refused}", file=sys.stderr)

@@ -23,6 +23,7 @@ expected-time = J/capacity identity).
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -60,6 +61,9 @@ class SimConfig:
 
     def __post_init__(self):
         require_finite(L=self.L, eps=self.eps, dt=self.dt, t_max=self.t_max)
+        for name in ("d", "check_every", "refine", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.L <= 0.0:
             raise ValueError(f"L must be > 0, got {self.L}")
         if self.d < 0:
@@ -120,10 +124,10 @@ class _Engine:
     step() takes the scaled noise increment dw = increments(xi), so a
     caller scales a whole window of normals in one call; the products are
     the same ones either way.  It writes into a caller's buffer and works
-    in scratch buffers the engine owns (the transform's samples or work
-    buffers, the grid values of U', the linear term), grown to the widest
-    batch seen, so a batch step allocates nothing.  Its arithmetic is the
-    textbook update (y + dt N + sqrt(2 eps dt) xi) / (1 + nu dt), or
+    in scratch buffers the engine owns (the samples, the FFT form's two
+    half spectra, the grid values of U', the linear term), grown to the
+    widest batch seen, so a batch step allocates nothing.  Its arithmetic
+    is the textbook update (y + dt N + sqrt(2 eps dt) xi) / (1 + nu dt), or
     e^{-nu dt} y + phi1(nu dt) dt N + sd xi, in that order of operations,
     with N = -analyze(U'(synthesize(y))) and U' by Horner, on the samples
     in the FFT's order (U' acts sample by sample).  So a replica's
@@ -172,10 +176,11 @@ class _Engine:
             self.noise_std = self._noise_scale = np.sqrt(var)
 
     def _grow(self, rows: int) -> None:
-        self._grid = np.empty((rows, self.plan.n))
+        n = self.plan.n
+        self._samples, self._grid = np.empty((rows, n)), np.empty((rows, n))
         self._term = np.empty((rows, len(self.nu)))
-        self._work = ({"samples": np.empty((rows, self.plan.n))} if self._matrices
-                      else self.plan.work(rows))
+        if not self._matrices:  # the half spectra of synthesis (bins above d stay 0) and analysis
+            self._spectra = np.zeros((2, rows, n // 2 + 1), complex)
 
     def potential_gradient(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         """analyze(U'(synthesize(y))) into out: minus the nonlinear drift N."""
@@ -191,11 +196,12 @@ class _Engine:
             horner_into(self._dU, x, out)
             out *= s
         elif self._matrices:
-            horner_into(self._dU, np.matmul(y, self._synth, out=self._work["samples"][:k]), g)
+            horner_into(self._dU, np.matmul(y, self._synth, out=self._samples[:k]), g)
             np.matmul(g, self._proj, out=out)
         else:
-            horner_into(self._dU, self.plan.synthesize_fft_order(y, self._work), g)
-            self.plan.analyze_fft_order(g, out, self._work)
+            u = self.plan.synthesize_fft_order(y, self._spectra[0, :k], self._samples[:k])
+            horner_into(self._dU, u, g)
+            self.plan.analyze_fft_order(g, self._spectra[1, :k], out)
         return out
 
     def increments(self, xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -226,14 +232,17 @@ class _Engine:
         and endpoint values, t the target; its buffers grow to the rows seen."""
         k = len(y)
         if k > len(self._diff):
+            n = self.ref_plan.n
             self._diff = np.empty((k, len(self.nu)))
-            self._ref = (np.empty((k, self._sup.shape[1])) if self._matrices
-                         else self.ref_plan.work(k))
+            if self._matrices:  # R's output holds the two endpoint values too
+                self._ref = np.empty((k, n + 2))
+            else:
+                self._ref, self._ref_spectrum = np.empty((k, n)), np.zeros((k, n // 2 + 1), complex)
         diff = np.subtract(y, self.target, out=self._diff[:k])
         if self._matrices:
             r = np.matmul(diff, self._sup, out=self._ref[:k])
             return np.abs(r, out=r).max(axis=-1)
-        r = self.ref_plan.synthesize_fft_order(diff, self._ref)
+        r = self.ref_plan.synthesize_fft_order(diff, self._ref_spectrum[:k], self._ref[:k])
         ends = np.abs(self.ref_plan.endpoint_values(diff)).max(axis=-1)
         return np.maximum(np.abs(r, out=r).max(axis=-1), ends)
 

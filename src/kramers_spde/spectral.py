@@ -17,8 +17,8 @@ x_j = (j + 1/2) L / n, periodic states on x_j = j L / n.  Both quadratures are
 exact for the trigonometric-polynomial integrands arising from polynomial
 local potentials when n >= 2 p0 (d+1).
 
-Transform plans hold no mutable scratch (a caller owns the work() buffers of
-the allocation-free FFT-order pair); they may be shared, but the documented
+Transform plans hold no mutable scratch (the allocation-free FFT-order pair
+writes into the caller's arrays); they may be shared, but the documented
 contract is one plan per task with freely shared immutable states.
 The transforms are numpy.fft's real FFTs; the Neumann (DCT-II) pair runs as
 one real FFT of the even/odd-permuted samples (Makhoul, IEEE Trans. ASSP 28
@@ -169,8 +169,9 @@ class TransformPlan:
     Re(e^{-i pi k / (2n)} V_k), V the FFT of the samples x_0, x_2, x_4, ...
     followed by the odd ones in reverse order, ..., x_3, x_1.
 
-    The FFT-order pair that the Monte Carlo engine runs on writes into
-    buffers from work() and allocates nothing.
+    The FFT-order pair that the Monte Carlo engine runs on writes into the
+    caller's half spectrum and output arrays and allocates nothing.
+    endpoint_values is one product with the basis at x = 0 and L, built once.
     """
 
     def __init__(self, bc: BoundaryCondition, L: float, d: int, n_grid: int):
@@ -184,83 +185,72 @@ class TransformPlan:
         # synthesize and analyze scales of bin 0, then of the pair in bin k >= 1
         self._synth0, self._analyze0 = n / math.sqrt(L), math.sqrt(L) / n
         pair_synth, pair_analyze = 0.5 * n * math.sqrt(2.0 / L), math.sqrt(2.0 * L) / n
+        # basis values at x = 0 and x = L, one column each
+        self._ends = np.full((bc.n_coeffs(d), 2), math.sqrt(2.0 / L))
+        self._ends[0] = 1.0 / math.sqrt(L)
         if bc is NEUMANN:
-            self._half = (n + 1) // 2  # the even-indexed samples come first
+            # the FFT's sample order x_0, x_2, x_4, ..., x_3, x_1, and back
+            self._fft_order = np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)[::-1]])
+            self._grid_order = np.argsort(self._fft_order)
             twiddle = np.exp(0.5j * np.pi / n * np.arange(d + 1))
-            synth = np.full(d + 1, pair_synth)
-            synth[0] = self._synth0
-            analyze = np.full(d + 1, pair_analyze)
-            analyze[0] = self._analyze0
+            synth = np.concatenate(([self._synth0], np.full(d, pair_synth)))
+            analyze = np.concatenate(([self._analyze0], np.full(d, pair_analyze)))
             self._synth_twiddle = synth * twiddle
             self._analyze_re, self._analyze_im = analyze * twiddle.real, analyze * twiddle.imag
+            self._ends[1::2, 1] *= -1.0  # cos(k pi) at odd k
         else:
             signs = np.tile([1.0, -1.0], d)
             self._pair_synth = pair_synth * signs
             self._pair_analyze = pair_analyze * signs
+            self._ends[2::2] = 0.0  # the sines
 
     def grid(self) -> np.ndarray:
         if self.bc is NEUMANN:
             return (np.arange(self.n) + 0.5) * (self.L / self.n)
         return np.arange(self.n) * (self.L / self.n)
 
-    def work(self, *lead: int) -> dict[str, np.ndarray]:
-        """Buffers (*lead, width) of the FFT-order pair: both directions' half
-        spectra, the samples and, for Neumann, the permuted samples."""
-        n, m = self.n, self.n // 2 + 1
-        # irfft is fastest on the whole half spectrum, so synthesize's keeps
-        # its bins above d at zero, and analyze's is another array
-        buf = {"synthesis": np.zeros((*lead, m), complex),
-               "analysis": np.empty((*lead, m), complex), "samples": np.empty((*lead, n))}
-        if self.bc is NEUMANN:
-            buf["permuted"] = np.empty((*lead, n))
-        return buf
-
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Grid samples of the states in coeffs."""
-        c = np.atleast_2d(np.asarray(coeffs, dtype=float))
-        buf = self.work(*c.shape[:-1])
-        u = self.synthesize_fft_order(c, buf)
-        if self.bc is NEUMANN:  # x_0, x_2, ..., x_3, x_1 back to grid order
-            perm, u = u, buf["samples"]
-            u[..., 0::2] = perm[..., : self._half]
-            u[..., 1::2] = perm[..., self._half :][..., ::-1]
-        return u[0] if np.ndim(coeffs) == 1 else u
+        c = np.asarray(coeffs, dtype=float)
+        u = self.synthesize_fft_order(c, np.zeros((*c.shape[:-1], self.n // 2 + 1), complex),
+                                      np.empty((*c.shape[:-1], self.n)))
+        return u[..., self._grid_order] if self.bc is NEUMANN else u
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of grid samples."""
-        v = np.atleast_2d(np.asarray(values, dtype=float))
-        out = np.empty((*v.shape[:-1], self.bc.n_coeffs(self.d)))
-        if self.bc is NEUMANN:  # grid order to x_0, x_2, ..., x_3, x_1
-            v = np.concatenate([v[..., 0::2], v[..., 1::2][..., ::-1]], axis=-1)
-        spectrum = np.empty((*v.shape[:-1], self.n // 2 + 1), complex)
-        self.analyze_fft_order(v, out, {"analysis": spectrum})
-        return out[0] if np.ndim(values) == 1 else out
+        v = np.asarray(values, dtype=float)
+        if self.bc is NEUMANN:
+            v = v[..., self._fft_order]
+        return self.analyze_fft_order(v, np.empty((*v.shape[:-1], self.n // 2 + 1), complex),
+                                      np.empty((*v.shape[:-1], self.bc.n_coeffs(self.d))))
 
-    def synthesize_fft_order(self, coeffs: np.ndarray,
-                             work: dict[str, np.ndarray]) -> np.ndarray:
-        """synthesize of 2-D coeffs into work, in the order of the FFT's
+    def synthesize_fft_order(self, coeffs: np.ndarray, spectrum: np.ndarray,
+                             out: np.ndarray) -> np.ndarray:
+        """synthesize of coeffs into out, in the order of the FFT's
         samples: the grid's for periodic, x_0, x_2, ..., x_3, x_1 for Neumann.
 
-        A map applied sample by sample does not see the order, so
+        spectrum is a complex (..., n // 2 + 1) half spectrum whose bins
+        above d, and for periodic the imaginary part of bin 0, are zero; only
+        the others are written, so irfft runs on the whole array.  A map
+        applied sample by sample does not see the order, so
         analyze_fft_order(f(synthesize_fft_order(c))) is
         analyze(f(synthesize(c))) to the bit, without the permutations.
         """
         d = self.d
-        k = len(coeffs)
-        spec = work["synthesis"][:k]
         if self.bc is NEUMANN:
-            np.multiply(coeffs, self._synth_twiddle, out=spec[..., : d + 1])
-            return np.fft.irfft(spec, self.n, axis=-1, out=work["permuted"][:k])
-        interleaved = spec.view(float)  # Re, Im of bin 0, then of bin 1, ...
-        np.multiply(coeffs[..., 0], self._synth0, out=interleaved[..., 0])
-        np.multiply(coeffs[..., 1:], self._pair_synth, out=interleaved[..., 2 : 2 * d + 2])
-        return np.fft.irfft(spec, self.n, axis=-1, out=work["samples"][:k])
+            np.multiply(coeffs, self._synth_twiddle, out=spectrum[..., : d + 1])
+        else:
+            interleaved = spectrum.view(float)  # Re, Im of bin 0, then of bin 1, ...
+            np.multiply(coeffs[..., 0], self._synth0, out=interleaved[..., 0])
+            np.multiply(coeffs[..., 1:], self._pair_synth, out=interleaved[..., 2 : 2 * d + 2])
+        return np.fft.irfft(spectrum, self.n, axis=-1, out=out)
 
-    def analyze_fft_order(self, values: np.ndarray, out: np.ndarray,
-                          work: dict[str, np.ndarray]) -> np.ndarray:
-        """analyze of 2-D values in the order of synthesize_fft_order, into out."""
+    def analyze_fft_order(self, values: np.ndarray, spectrum: np.ndarray,
+                          out: np.ndarray) -> np.ndarray:
+        """analyze of values in the order of synthesize_fft_order into out,
+        through the complex (..., n // 2 + 1) array spectrum."""
         d = self.d
-        spec = np.fft.rfft(values, axis=-1, out=work["analysis"][: len(values)])
+        spec = np.fft.rfft(values, axis=-1, out=spectrum)
         if self.bc is NEUMANN:
             low = spec[..., : d + 1]
             np.multiply(low.real, self._analyze_re, out=out)
@@ -272,20 +262,8 @@ class TransformPlan:
         return out
 
     def endpoint_values(self, coeffs: np.ndarray) -> np.ndarray:
-        """Field values at x = 0 and x = L (off the Neumann midpoint grid)."""
-        c = np.atleast_2d(np.asarray(coeffs, dtype=float))
-        L, d = self.L, self.d
-        if self.bc is NEUMANN:
-            w0 = np.full(d + 1, math.sqrt(2.0 / L))
-            w0[0] = 1.0 / math.sqrt(L)
-            wL = w0 * (-1.0) ** np.arange(d + 1)
-            out = np.stack([c @ w0, c @ wL], axis=-1)
-        else:
-            w = np.zeros(2 * d + 1)
-            w[0] = 1.0 / math.sqrt(L)
-            w[1::2] = math.sqrt(2.0 / L)
-            out = np.stack([c @ w] * 2, axis=-1)
-        return out[0] if np.ndim(coeffs) == 1 else out
+        """Field values at x = 0 and x = L (off the Neumann midpoint grid), last axis."""
+        return np.asarray(coeffs, dtype=float) @ self._ends
 
 
 def to_grid(state: FourierState, n_grid: int) -> np.ndarray:
@@ -304,8 +282,10 @@ def from_grid(samples: np.ndarray, bc: BoundaryCondition, L: float, d: int) -> F
 def sup_dist(a: FourierState, b: FourierState, refine: int = 8) -> float:
     """Sup-norm distance |u_a - u_b| approximated on a refined grid.
 
-    Uses refine*(2d+2) points (plus the interval endpoints, which the Neumann
-    midpoint grid misses).  Under-approximates the true sup norm by
+    The Monte Carlo hit check's formula: sup |R c|, c the difference of the
+    coefficients (the lower cutoff's zero-padded) and R one plan's synthesis
+    on refine*(2d+2) points plus the interval endpoints, which the Neumann
+    midpoint grid misses.  Under-approximates the true sup norm by
     O((d / (refine d))^2) times the coefficient norm; refine=8 keeps that
     below ~1% for the profiles arising here.
     """
@@ -313,14 +293,12 @@ def sup_dist(a: FourierState, b: FourierState, refine: int = 8) -> float:
         raise ValueError("states must share boundary condition and length")
     if refine < 4:
         raise ValueError("refine must be >= 4")
-    n = refined_grid_size(max(a.d, b.d), refine)
-    pa = TransformPlan(a.bc, a.L, a.d, n)
-    pb = TransformPlan(b.bc, b.L, b.d, n)
-    diff = np.abs(pa.synthesize(a.coeffs) - pb.synthesize(b.coeffs))
-    best = float(diff.max())
-    ea = pa.endpoint_values(a.coeffs)
-    eb = pb.endpoint_values(b.coeffs)
-    return max(best, float(np.abs(ea - eb).max()))
+    d = max(a.d, b.d)
+    diff = np.zeros(a.bc.n_coeffs(d))
+    diff[: len(a.coeffs)] = a.coeffs
+    diff[: len(b.coeffs)] -= b.coeffs
+    plan = TransformPlan(a.bc, a.L, d, refined_grid_size(d, refine))
+    return float(np.abs(np.concatenate([plan.synthesize(diff), plan.endpoint_values(diff)])).max())
 
 
 def write_profile_csv(path, x: np.ndarray, u: np.ndarray, **meta) -> None:

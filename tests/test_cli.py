@@ -519,15 +519,32 @@ def test_simulate_keeps_mc_beyond_second_bifurcation(tmp_path, capsys):
     assert json.loads((tmp_path / "s.json").read_text())["prediction"] is None
 
 
-def test_simulate_prediction_failure_exits_nonzero(tmp_path, monkeypatch):
-    # only refused configurations keep the Monte Carlo; a failing prediction is an error
+def test_simulate_keeps_mc_when_prediction_fails(tmp_path, monkeypatch, capsys):
+    # a prediction that fails numerically keeps the finished Monte Carlo too
     def fail(*args, **kwargs):
         raise QuadratureNotConverged("forced")
 
     monkeypatch.setattr(cli, "predict_time", fail)
     rc = run(tmp_path, "simulate", "--L", "1", "--eps", "0.3", "--d", "1", "--tmax", "50",
              "--n", "3", "--seed", "5", "--threads", "1", "--out", "s")
-    assert rc == 3
+    assert rc == 0 and "no prediction: forced" in capsys.readouterr().err
+    assert json.loads((tmp_path / "s.json").read_text())["prediction"] is None
+
+
+def test_simulate_keeps_mc_where_the_normal_form_is_out_of_regime(tmp_path, capsys):
+    # L = 3.1 is near-below the Neumann bifurcation, where this potential's
+    # quartic normal-form coefficient C4 is negative: predict_time raises
+    # OutOfRegime, and the Monte Carlo is still written
+    rc = run(tmp_path, "simulate", "--L", "3.1", "--eps", "0.5", "--d", "3", "--n", "4",
+             "--tmax", "200", "--potential", "0,0,-0.5,0,-0.5,0,0.3", "--threads", "1",
+             "--out", "s")
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.out.rstrip().endswith("predicted=")
+    assert "no prediction: neumann_near_below needs C4 > 0" in captured.err
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 2 + 4
+    assert json.loads((tmp_path / "s.json").read_text())["prediction"] is None
+    assert (tmp_path / "s_manifest.json").exists()
 
 
 def test_old_manifest_with_start_radius_still_runs(tmp_path):

@@ -358,6 +358,16 @@ def test_scheme_consistency_order(pot):
     assert slope >= 0.9
 
 
+@pytest.mark.parametrize("field, value", [("d", 2.5), ("d", 3.0), ("check_every", 2.5),
+                                          ("refine", 8.5), ("refine", math.inf), ("seed", 1.5)])
+def test_non_integer_fields_name_the_field(pot, field, value):
+    # refused up front, where a TypeError naming no field would come later
+    # (d, check_every, seed), refine = 8.5 would silently run on a 68-point
+    # grid and refine = inf would never finish sizing the grid
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
+        _cfg(pot, **{field: value})
+
+
 def test_ball_overlap_rejected(pot):
     # rho must stay below u_+ - u_- = 2, or the target ball swallows the start
     with pytest.raises(ValueError, match="rho"):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from kramers_spde import (FourierState, GridTooSmall, NEUMANN, PERIODIC,
                           from_grid, linearized_eigenvalue, sup_dist, to_grid)
 from kramers_spde.spectral import (TransformPlan, default_grid_size, mode_frequencies,
-                                   next_fast_len)
+                                   next_fast_len, refined_grid_size)
 
 
 def test_linearized_eigenvalues(pot):
@@ -41,6 +41,18 @@ def test_grid_too_small():
         to_grid(s, 9)
 
 
+def _basis_at(bc, L, d, x):
+    """The basis functions at the points x, one row per stored coordinate."""
+    rows = [np.full(len(x), 1.0 / math.sqrt(L))]
+    for k in range(1, d + 1):
+        if bc is NEUMANN:
+            rows.append(math.sqrt(2 / L) * np.cos(k * math.pi * x / L))
+        else:
+            rows += [math.sqrt(2 / L) * np.cos(2 * math.pi * k * x / L),
+                     math.sqrt(2 / L) * np.sin(2 * math.pi * k * x / L)]
+    return np.array(rows)
+
+
 @st.composite
 def transform_cases(draw):
     """(bc, L, d, n, seed) with any grid n >= 2d+2 the transforms accept."""
@@ -58,14 +70,7 @@ def test_round_trip_matches_direct_summation(case):
     bc, L, d, n, seed = case
     state = FourierState(bc, L, d, np.random.default_rng(seed).normal(size=bc.n_coeffs(d)))
     plan = TransformPlan(bc, L, d, n)
-    x = plan.grid()
-    direct = np.full(n, state.coeffs[0] / math.sqrt(L))
-    for k in range(1, d + 1):
-        if bc is NEUMANN:
-            direct += state.coeffs[k] * math.sqrt(2 / L) * np.cos(k * math.pi * x / L)
-        else:
-            direct += state.coeffs[2 * k - 1] * math.sqrt(2 / L) * np.cos(2 * math.pi * k * x / L)
-            direct += state.coeffs[2 * k] * math.sqrt(2 / L) * np.sin(2 * math.pi * k * x / L)
+    direct = state.coeffs @ _basis_at(bc, L, d, plan.grid())
     assert np.abs(plan.synthesize(state.coeffs) - direct).max() <= 1e-12
     back = from_grid(plan.synthesize(state.coeffs), bc, L, d)
     assert np.abs(back.coeffs - state.coeffs).max() <= 1e-12
@@ -172,6 +177,39 @@ def test_sup_dist_mixed_cutoffs(rng):
     a = FourierState(PERIODIC, 2.0, 3, rng.normal(size=7))
     b = FourierState(PERIODIC, 2.0, 6, np.concatenate([a.coeffs, np.zeros(6)]))
     assert sup_dist(a, b) == 0.0
+
+
+@pytest.mark.parametrize("bc", [NEUMANN, PERIODIC])
+@pytest.mark.parametrize("d", [0, 1, 5, 40])
+@pytest.mark.parametrize("L", [0.3, 1.0, 2 * math.pi, 17.5])
+def test_endpoint_values_are_the_basis_at_the_ends(rng, bc, L, d):
+    # oracle: each basis function evaluated at x = 0 and x = L, so a value
+    # on the wrong coordinate (a periodic cosine's on a sine) shows
+    basis = _basis_at(bc, L, d, np.array([0.0, L]))
+    plan = TransformPlan(bc, L, d, default_grid_size(d))
+    assert np.abs(plan.endpoint_values(np.eye(bc.n_coeffs(d))) - basis).max() <= 1e-12
+    c = rng.normal(size=(3, bc.n_coeffs(d)))
+    for x in (c, c[0]):
+        got = plan.endpoint_values(x)
+        assert got.shape == x.shape[:-1] + (2,)
+        assert np.all(np.abs(got - x @ basis) <= 1e-13 * (np.abs(x) @ np.abs(basis) + 1.0))
+
+
+@pytest.mark.parametrize("bc", [NEUMANN, PERIODIC])
+@pytest.mark.parametrize("refine", [4, 8])
+def test_sup_dist_across_cutoffs_is_symmetric(rng, bc, refine):
+    # one synthesis of the zero-padded difference: the same value either
+    # way round, and within roundoff of each state synthesized on its own plan
+    L = 1.7
+    a = FourierState(bc, L, 8, rng.normal(size=bc.n_coeffs(8)))
+    b = FourierState(bc, L, 128, rng.normal(size=bc.n_coeffs(128)))
+    n = refined_grid_size(128, refine)
+    pa, pb = TransformPlan(bc, L, 8, n), TransformPlan(bc, L, 128, n)
+    two_plans = max(np.abs(pa.synthesize(a.coeffs) - pb.synthesize(b.coeffs)).max(),
+                    np.abs(pa.endpoint_values(a.coeffs) - pb.endpoint_values(b.coeffs)).max())
+    padded = np.concatenate([a.coeffs, np.zeros(len(b.coeffs) - len(a.coeffs))])
+    assert sup_dist(a, b, refine) == sup_dist(b, a, refine)
+    assert abs(sup_dist(a, b, refine) - two_plans) <= 1e-14 * np.linalg.norm(padded - b.coeffs)
 
 
 def test_mode_frequencies_layout():

@@ -59,3 +59,14 @@ def test_stationary_spectra_probe_runs_on_the_library(monkeypatch):
                         "stationary.instanton_ms.periodic_L7",
                         "spectra.eigs_profile_ms.neumann", "spectra.eigs_profile_ms.periodic"}
     assert all(value > 0.0 for value, _ in out.values())
+
+
+def test_spectral_probe_runs_on_the_library(monkeypatch):
+    # the per-layer probe times plan.analyze(plan.synthesize(c)) at Neumann
+    # d = 15 and periodic d = 64 through the public TransformPlan names
+    monkeypatch.setitem(sys.modules, "library", _load("library"))
+    out = {}
+    _load("probes")._spectral(kramers_spde, quartic(), out)
+    assert set(out) == {"spectral.transform_ns_per_row.d15",
+                        "spectral.transform_ns_per_row.d64"}
+    assert all(value > 0.0 for value, _ in out.values())
