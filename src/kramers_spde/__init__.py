@@ -18,8 +18,7 @@ from .errors import (AllCensored, DomainError, EnergyOutOfRange, GridTooSmall,
 from .potential import (AssumptionReport, LocalPotential, check_assumptions, energy_V,
                         grad_V, quartic)
 from .spectral import (BoundaryCondition, NEUMANN, PERIODIC, FourierState,
-                       TransformPlan, from_grid, linearized_eigenvalue, sup_dist,
-                       to_grid)
+                       TransformPlan, from_grid, sup_dist, to_grid)
 from .stationary import (InstantonProfile, barrier_height, dT_dE, instanton,
                          period_T, turning_points)
 from .spectra import (SpectrumReport, closed_form_product, det_ratio,

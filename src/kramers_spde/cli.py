@@ -34,7 +34,6 @@ from .simulate import SimConfig, mc_stats, run_replicas, _stats_from_samples
 from .spectra import _eigenvalue_count, det_ratio, eigs_constant, eigs_orbit
 from .spectral import NEUMANN, BoundaryCondition, nu, write_profile_csv
 from .stationary import instanton, instanton_orbit
-from . import validate as validate_mod
 
 _FLOAT_FMT = ".17g"
 
@@ -341,7 +340,8 @@ def _cmd_specialfn(cfg: dict) -> int:
 
 
 def _cmd_validate(cfg: dict) -> int:
-    results = validate_mod.run_suite(quick=not cfg.get("full", False))
+    from .validate import run_suite  # only this command loads the invariant suite
+    results = run_suite(quick=not cfg.get("full", False))
     failed = [r for r in results if not r.passed]
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")

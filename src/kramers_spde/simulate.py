@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -388,6 +387,7 @@ def run_replicas(cfg: SimConfig, n_replicas: int, threads: int = 1) -> list[Tran
     indices = list(range(n_replicas))
     if threads <= 1 or n_replicas < 2 * threads:
         return _run_batch(cfg, indices)
+    from concurrent.futures import ProcessPoolExecutor  # only the fan-out starts processes
     with ProcessPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(_run_batch, [cfg] * threads,
                               [indices[i::threads] for i in range(threads)]))
@@ -446,8 +446,10 @@ def galerkin_error(cfg: SimConfig, d_list: list[int], T: float,
     truncation of the reference noise).  Reports sup over checked times of
     the sup-norm distance to the reference, plus the log-log slope in d.
     """
-    if sorted(d_list) != list(d_list) or len(d_list) < 2:
-        raise ValueError("d_list must be ascending with at least two entries")
+    if (len(d_list) < 2 or not all(isinstance(d, numbers.Integral) for d in d_list)
+            or d_list[0] < 1 or any(a >= b for a, b in zip(d_list, d_list[1:]))):
+        raise ValueError(f"d_list must hold at least two strictly ascending integers >= 1, "
+                         f"got {list(d_list)!r}")
     d_ref = 2 * max(d_list)
     dims = list(d_list) + [d_ref]
     engines = [_Engine(replace(cfg, d=di)) for di in dims]

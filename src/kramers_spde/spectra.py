@@ -47,7 +47,7 @@ import numpy as np
 from .errors import OutOfRegime, ResolutionTooLow, ZeroDenominator, require_finite
 from .potential import LocalPotential
 from .spectral import BoundaryCondition, NEUMANN, PERIODIC, nu
-from .stationary import InstantonOrbit, InstantonProfile
+from .stationary import InstantonOrbit
 
 _ZERO_MODE_FACTOR = 1e-6
 _LOG_SUM_BLOCK = 1 << 16  # terms per block of lambda_ratio_log_sum
@@ -55,15 +55,11 @@ _LOG_SUM_BLOCK = 1 << 16  # terms per block of lambda_ratio_log_sum
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Ascending eigenvalues of -Q[u0] with their sign counts and kmax."""
+    """Ascending eigenvalues of -Q[u0] with their sign counts."""
 
-    bc: BoundaryCondition
-    L: float
-    profile: str
     eigenvalues: np.ndarray = field(repr=False)
     negative_count: int
     zero_modes: int
-    kmax: int
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
@@ -94,7 +90,7 @@ def eigs_constant(pot: LocalPotential, L: float, bc: BoundaryCondition,
              "plus": pot.derivative(pot.u_plus, 2)}[which]
     base = nu(bc, L, np.arange(kmax + 1)) + shift
     ev = np.sort(np.concatenate([base, base[1:]])) if bc is PERIODIC else base
-    return SpectrumReport(bc, L, which, ev, *_classify(ev), kmax)
+    return SpectrumReport(ev, *_classify(ev))
 
 
 def _sectors(n: int, L: float, X: float, bc: BoundaryCondition):
@@ -192,14 +188,11 @@ def eigs_orbit(orbit: InstantonOrbit, kmax: int, n: int = 1024) -> SpectrumRepor
         raise ResolutionTooLow(
             f"grids {n}/{2 * n} disagree beyond 1% of the eigenvalue scale at kmax = {kmax}: "
             "use a larger grid or a smaller kmax")
-    return SpectrumReport(orbit.bc, orbit.L, "instanton", extrap, *_classify(extrap), kmax)
+    return SpectrumReport(extrap, *_classify(extrap))
 
 
-def eigs_profile(profile: InstantonProfile, kmax: int) -> SpectrumReport:
-    """eigs_orbit on an instanton profile of N = n_samples samples, which is
-    its orbit, at n = N/4: the spectrum of its n and 2n = N/2 point grids.
-    It reads the orbit, not the samples."""
-    return eigs_orbit(profile, kmax, profile.n_samples // 4)
+# an InstantonProfile is its orbit, and its spectrum reads the orbit, not the samples
+eigs_profile = eigs_orbit
 
 
 def det_ratio(numerator: SpectrumReport, denominator: SpectrumReport, d: int,

@@ -28,6 +28,7 @@ one real FFT of the even/odd-permuted samples (Makhoul, IEEE Trans. ASSP 28
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -65,23 +66,6 @@ def nu(bc: BoundaryCondition, L: float, k: int | np.ndarray):
     return x * x
 
 
-def linearized_eigenvalue(bc: BoundaryCondition, L: float, k: int,
-                          at: str = "origin", pot=None) -> float:
-    """Eigenvalue of -Q[u*] for the constant states.
-
-    at="origin": lambda_k = nu_k - 1 (the uniform saddle).
-    at="minus_well": nu_k^- = nu_k + U''(u_-); requires pot.
-    """
-    base = nu(bc, L, k)
-    if at == "origin":
-        return base - 1.0
-    if at == "minus_well":
-        if pot is None:
-            raise ValueError("minus_well eigenvalue needs the potential")
-        return base + pot.derivative(pot.u_minus, 2)
-    raise ValueError(f"unknown linearization point {at!r}")
-
-
 def mode_indices(bc: BoundaryCondition, d: int) -> np.ndarray:
     """Wavenumber k per stored coordinate (cos/sin pairs share their k)."""
     k = np.arange(d + 1)
@@ -113,7 +97,10 @@ def default_grid_size(d: int, p0: int = 2) -> int:
 
 def refined_grid_size(d: int, refine: int) -> int:
     """Size of the refined grid of sup_dist and of the Monte Carlo hit check:
-    refine (2d + 2) points, rounded up to a fast FFT length."""
+    refine (2d + 2) points, rounded up to a fast FFT length; refine must be
+    an integer >= 4."""
+    if not isinstance(refine, numbers.Integral) or refine < 4:
+        raise ValueError(f"refine must be an integer >= 4, got {refine!r}")
     return next_fast_len(refine * (2 * d + 2))
 
 
@@ -291,8 +278,6 @@ def sup_dist(a: FourierState, b: FourierState, refine: int = 8) -> float:
     """
     if a.bc is not b.bc or a.L != b.L:
         raise ValueError("states must share boundary condition and length")
-    if refine < 4:
-        raise ValueError("refine must be >= 4")
     d = max(a.d, b.d)
     diff = np.zeros(a.bc.n_coeffs(d))
     diff[: len(a.coeffs)] = a.coeffs

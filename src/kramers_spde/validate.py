@@ -15,8 +15,7 @@ import numpy as np
 
 from .potential import (quartic, energy_V, grad_V,
                         energy_lower_bound_constants, h1_norm_squared)
-from .spectral import (NEUMANN, PERIODIC, FourierState, from_grid, to_grid,
-                       sup_dist, linearized_eigenvalue, nu)
+from .spectral import NEUMANN, PERIODIC, FourierState, from_grid, to_grid, sup_dist, nu
 from .stationary import InstantonProfile, dT_dE, instanton
 from .spectra import closed_form_product, eigs_constant, eigs_orbit, det_ratio
 from .specialfn import psi, theta, PSI_AT_ZERO, THETA_AT_ZERO
@@ -101,8 +100,8 @@ def _check_spectral() -> CheckResult:
                                        - st.l2_norm()))
             back = from_grid(g, bc, L, d)
             worst_rt = max(worst_rt, float(np.abs(back.coeffs - st.coeffs).max()))
-    lam = linearized_eigenvalue(NEUMANN, 1.3, 4, "origin")
-    nv = linearized_eigenvalue(NEUMANN, 1.3, 4, "minus_well", pot=q)
+    lam, nv = (eigs_constant(q, 1.3, NEUMANN, which, 4).eigenvalues[4]
+               for which in ("origin", "minus"))
     ident = abs((nv - lam) - (q.derivative(q.u_minus, 2) + 1.0))
     ok = worst_p <= 1e-12 and worst_rt <= 1e-12 and ident <= 1e-12
     return CheckResult("spectral.parseval_roundtrip", ok,

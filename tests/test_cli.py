@@ -214,7 +214,8 @@ codes = [main(argv) for argv in (
      "--out", "s"],
     ["sweep", "--eps", "0.3", "--with-mc", "--mc-d", "2", "--n", "3", "--tmax", "50",
      "--threads", "1", "--out", "w"])]
-print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+      [m in sys.modules for m in ("concurrent.futures.process", "kramers_spde.validate")])
 """
 
 
@@ -223,7 +224,8 @@ def test_predict_simulate_and_sweep_load_no_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", _COMMANDS_RUN], capture_output=True,
                          text=True, env=env, cwd=tmp_path, check=True)
-    assert out.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    # nor the process pool (single-thread runs) or the validation suite
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0] [] [False, False]"
 
 
 def test_stationary_below_threshold_exit_code(tmp_path):

@@ -396,6 +396,18 @@ def test_galerkin_coupled_noise_decreasing(pot):
     assert tab.d_reference == 32
 
 
+@pytest.mark.parametrize("d_list", [[0, 4], [2, 2], [4], [2, 4.0], [8, 4]])
+def test_galerkin_error_refuses_a_d_list_it_cannot_fit(pot, monkeypatch, d_list):
+    # refused before any engine is built: the log-log fit takes log d, so
+    # d = 0 fails its SVD only after the whole coupled simulation, and a
+    # repeated d gives a meaningless slope
+    monkeypatch.setattr(simulate, "_Engine", None)
+    cfg = SimConfig(pot, NEUMANN, 1.0, 4, 0.1, 1e-3, 1.0, seed=1)
+    with pytest.raises(ValueError, match="d_list must hold at least two strictly ascending "
+                                         "integers >= 1"):
+        galerkin_error(cfg, d_list, T=0.05)
+
+
 @pytest.mark.slow
 def test_mc_vs_prediction_asymmetric_potential():
     # end-to-end check away from the symmetric special case: the barrier is

@@ -95,23 +95,22 @@ def _sample_spectrum(profile, kmax):
 @settings(max_examples=25, deadline=None)
 @given(bc=st.sampled_from([NEUMANN, PERIODIC]), above=st.floats(1e-4, 1.0),
        n_samples=st.sampled_from([1024, 2048, 4096]), even=st.booleans())
-def test_eigs_profile_is_eigs_orbit_at_a_quarter_of_the_samples(pot, bc, above, n_samples,
-                                                                 even):
+def test_eigs_profile_is_eigs_orbit_of_the_profile(pot, bc, above, n_samples, even):
     # a profile is its orbit: its orbit fields are instanton_orbit's and its
-    # spectrum is the orbit's on the n = N/4 and N/2 grids, bit for bit;
+    # spectrum is the orbit's, bit for bit, whatever its sample count;
     # translating or reflecting the samples keeps the rule and the spectrum
+    assert eigs_profile is eigs_orbit
     prof = instanton(pot if even else ASYMMETRIC, bc.bifurcation_length * (1.0 + above), bc,
                      n_samples=n_samples)
     orbit = instanton_orbit(prof.pot, prof.L, bc)
     assert isinstance(prof, InstantonOrbit)
     assert (np.array([prof.E, *prof.turning, prof.V_value, prof.deriv_L2]).tobytes()
             == np.array([orbit.E, *orbit.turning, orbit.V_value, orbit.deriv_L2]).tobytes())
-    want = eigs_orbit(orbit, 6, n_samples // 4).eigenvalues
+    want = eigs_orbit(orbit, 6).eigenvalues
     moved = [prof.reflected()] + ([prof.translated(1.0)] if bc is PERIODIC else [])
     assert all(m.rule is prof.rule for m in moved)
     for profile in (prof, *moved):
-        for spectrum in (eigs_profile(profile, kmax=6), eigs_orbit(profile, 6, n_samples // 4)):
-            assert spectrum.eigenvalues.tobytes() == want.tobytes()
+        assert eigs_orbit(profile, 6).eigenvalues.tobytes() == want.tobytes()
 
 
 def _fd_matrix(W, L, bc):
@@ -510,15 +509,13 @@ def test_rough_potential_grows_to_the_whole_basis(bc):
 
 
 @pytest.mark.parametrize("bc, kmax", [(NEUMANN, 255), (PERIODIC, 127)])
-def test_eigs_profile_refuses_kmax_beyond_the_coarse_grid(pot, bc, kmax):
+def test_eigs_orbit_refuses_kmax_beyond_the_coarse_grid(pot, bc, kmax):
     # kmax + 2 (Neumann) or 2 kmax + 3 (periodic) values, one more than the
-    # 256 nodes of the coarse grid: of 1024 samples, or asked for directly
-    prof = instanton(pot, 1.3 * bc.bifurcation_length, bc, n_samples=1024)
-    for spectrum in (lambda: eigs_profile(prof, kmax=kmax),
-                     lambda: eigs_orbit(prof, kmax, 256)):
-        with pytest.raises(ValueError, match=f"kmax = {kmax} needs 257 eigenvalues, more "
-                                             "than the 256-node coarse grid"):
-            spectrum()
+    # 256 nodes of the coarse grid
+    orbit = instanton_orbit(pot, 1.3 * bc.bifurcation_length, bc)
+    with pytest.raises(ValueError, match=f"kmax = {kmax} needs 257 eigenvalues, more "
+                                         "than the 256-node coarse grid"):
+        eigs_orbit(orbit, kmax, 256)
 
 
 @pytest.mark.parametrize("bc, L, kmax", [(NEUMANN, 4.0, 40), (PERIODIC, 6.5, 16)])
@@ -587,8 +584,8 @@ def test_det_ratio_identity_and_errors(pot):
 def test_det_ratio_monotone_property(pot, rng):
     from kramers_spde.spectra import SpectrumReport
     base = np.sort(rng.uniform(1.0, 5.0, 12))
-    num = SpectrumReport(NEUMANN, 1.0, "x", base * 1.3, 0, 0, 11)
-    den = SpectrumReport(NEUMANN, 1.0, "x", base, 0, 0, 11)
+    num = SpectrumReport(base * 1.3, 0, 0)
+    den = SpectrumReport(base, 0, 0)
     assert det_ratio(num, den, 12) > 1.0
 
 

@@ -4,23 +4,31 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kramers_spde import (FourierState, GridTooSmall, NEUMANN, PERIODIC,
-                          from_grid, linearized_eigenvalue, sup_dist, to_grid)
+from kramers_spde import (FourierState, GridTooSmall, NEUMANN, PERIODIC, eigs_constant,
+                          from_grid, sup_dist, to_grid)
 from kramers_spde.spectral import (TransformPlan, default_grid_size, mode_frequencies,
                                    next_fast_len, refined_grid_size)
 
 
+def _constant_eigenvalue(pot, bc, L, k, which):
+    """The mode-k eigenvalue at a constant state: index k (Neumann), or the
+    first of the cos/sin pair at 2k - 1 (periodic, k >= 1)."""
+    return eigs_constant(pot, L, bc, which, max(k, 1)).eigenvalues[
+        k if bc is NEUMANN else max(2 * k - 1, 0)]
+
+
 def test_linearized_eigenvalues(pot):
-    assert linearized_eigenvalue(NEUMANN, math.pi / 2, 1, "origin") == pytest.approx(3.0)
-    assert linearized_eigenvalue(NEUMANN, 1.0, 0, "minus_well", pot=pot) == pytest.approx(2.0)
-    assert linearized_eigenvalue(PERIODIC, 2 * math.pi, 1, "origin") == pytest.approx(0.0, abs=1e-14)
+    assert _constant_eigenvalue(pot, NEUMANN, math.pi / 2, 1, "origin") == pytest.approx(3.0)
+    assert _constant_eigenvalue(pot, NEUMANN, 1.0, 0, "minus") == pytest.approx(2.0)
+    assert _constant_eigenvalue(pot, PERIODIC, 2 * math.pi, 1, "origin") == pytest.approx(
+        0.0, abs=1e-14)
 
 
 def test_eigenvalue_identities(pot):
     for bc in (NEUMANN, PERIODIC):
         for k in range(4):
-            lam = linearized_eigenvalue(bc, 1.3, k, "origin")
-            nv = linearized_eigenvalue(bc, 1.3, k, "minus_well", pot=pot)
+            lam = _constant_eigenvalue(pot, bc, 1.3, k, "origin")
+            nv = _constant_eigenvalue(pot, bc, 1.3, k, "minus")
             assert nv - lam == pytest.approx(pot.derivative(pot.u_minus, 2) + 1.0)
 
 
@@ -210,6 +218,16 @@ def test_sup_dist_across_cutoffs_is_symmetric(rng, bc, refine):
     padded = np.concatenate([a.coeffs, np.zeros(len(b.coeffs) - len(a.coeffs))])
     assert sup_dist(a, b, refine) == sup_dist(b, a, refine)
     assert abs(sup_dist(a, b, refine) - two_plans) <= 1e-14 * np.linalg.norm(padded - b.coeffs)
+
+
+@pytest.mark.parametrize("refine", [float("nan"), float("inf"), 8.5, 3])
+def test_refine_that_is_not_an_integer_of_at_least_4_is_refused(refine):
+    # refused where the refined grid is sized, before any plan: next_fast_len
+    # never returns on NaN or inf, and 8.5 would size a float grid
+    a = FourierState.zeros(NEUMANN, 1.0, 3)
+    for size in (lambda: refined_grid_size(3, refine), lambda: sup_dist(a, a, refine)):
+        with pytest.raises(ValueError, match=f"refine must be an integer >= 4, got {refine!r}"):
+            size()
 
 
 def test_mode_frequencies_layout():

@@ -70,3 +70,17 @@ def test_spectral_probe_runs_on_the_library(monkeypatch):
     assert set(out) == {"spectral.transform_ns_per_row.d15",
                         "spectral.transform_ns_per_row.d64"}
     assert all(value > 0.0 for value, _ in out.values())
+
+
+def test_potential_specialfn_and_kramers_probes_run_on_the_library(monkeypatch):
+    # the remaining cheap per-layer probes: LocalPotential.derivative, psi
+    # and theta, and one prediction per regime through perfbench's library.py
+    monkeypatch.setitem(sys.modules, "library", _load("library"))
+    probes = _load("probes")
+    out = {}
+    for probe in (probes._potential, probes._specialfn, probes._kramers):
+        probe(kramers_spde, quartic(), out)
+    assert set(out) == {"potential.derivative_ns.batch", "potential.derivative_ns.scalar",
+                        "specialfn.psi_us", "specialfn.theta_us",
+                        *(f"kramers.predict_ms.{regime}" for regime in probes._REGIME_CASES)}
+    assert all(value > 0.0 for value, _ in out.values())
