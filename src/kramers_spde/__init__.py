@@ -10,6 +10,8 @@ quadrature oracles.
 
 __version__ = "0.1.0"
 
+import types
+
 from .errors import (AllCensored, DomainError, EnergyOutOfRange, GridTooSmall,
                      InvalidPotential, KramersSpdeError, NoInstanton, NonFinite,
                      NotMonotone, OutOfRegime, QuadratureNotConverged,
@@ -31,4 +33,5 @@ from .simulate import (GalerkinErrorTable, SimConfig, TransitionSample,
                        oracle_identity_1d, oracle_mfpt_1d, reduced_potential_1d,
                        run_replicas, sample_path, sample_transition, step)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)]

@@ -35,26 +35,12 @@ from .spectra import _eigenvalue_count, det_ratio, eigs_constant, eigs_orbit
 from .spectral import NEUMANN, BoundaryCondition, nu, write_profile_csv
 from .stationary import instanton, instanton_orbit
 
-_FLOAT_FMT = ".17g"
-
 
 def _fmt(x) -> str:
+    """'' for None, '.17g' for a float (nan, inf and -inf included), else str."""
     if x is None:
         return ""
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return format(x, _FLOAT_FMT)
-    return str(x)
-
-
-def _parse_bc(name: str) -> BoundaryCondition:
-    try:
-        return BoundaryCondition(name.lower())
-    except ValueError:
-        raise KramersSpdeError(f"unknown boundary condition {name!r}") from None
+    return format(x, ".17g") if isinstance(x, float) else str(x)
 
 
 def _parse_potential(spec) -> LocalPotential:
@@ -203,7 +189,7 @@ def _prediction_row(p) -> list:
 
 def _cmd_predict(cfg: dict) -> int:
     pot = _parse_potential(cfg["potential"])
-    bc = _parse_bc(cfg["bc"])
+    bc = BoundaryCondition(cfg["bc"])
     d = _parse_d(cfg["d"])
     rows = []
     t0 = time.perf_counter()
@@ -223,7 +209,7 @@ def _cmd_predict(cfg: dict) -> int:
 
 def _cmd_simulate(cfg: dict) -> int:
     pot = _parse_potential(cfg["potential"])
-    bc = _parse_bc(cfg["bc"])
+    bc = BoundaryCondition(cfg["bc"])
     sim = SimConfig(pot=pot, bc=bc, L=cfg["L"], d=cfg["d"], eps=cfg["eps"],
                     dt=cfg["dt"], t_max=cfg["tmax"], rho=cfg["rho"],
                     check_every=cfg["check_every"], refine=cfg["refine"],
@@ -267,7 +253,7 @@ def _cmd_simulate(cfg: dict) -> int:
 
 def _cmd_stationary(cfg: dict) -> int:
     pot = _parse_potential(cfg["potential"])
-    bc = _parse_bc(cfg["bc"])
+    bc = BoundaryCondition(cfg["bc"])
     L = cfg["L"]
     prof = instanton(pot, L, bc, n_samples=cfg["samples"])
     H0 = prof.V_value - L * float(pot.derivative(pot.u_minus, 0))
@@ -287,7 +273,7 @@ def _cmd_stationary(cfg: dict) -> int:
 
 def _cmd_eigen(cfg: dict) -> int:
     pot = _parse_potential(cfg["potential"])
-    bc = _parse_bc(cfg["bc"])
+    bc = BoundaryCondition(cfg["bc"])
     L, kmax = cfg["L"], cfg["kmax"]
     if cfg["which"] == "instanton":
         if cfg["grid_n"] < 256:
@@ -351,7 +337,7 @@ def _cmd_validate(cfg: dict) -> int:
 
 def _cmd_sweep(cfg: dict) -> int:
     pot = _parse_potential(cfg["potential"])
-    bc = _parse_bc(cfg["bc"])
+    bc = BoundaryCondition(cfg["bc"])
     d = _parse_d(cfg["d"])
     Ls = _parse_grid(cfg["L_grid"], "--L-grid") if cfg.get("L_grid") else [cfg["L"]]
     epss = _parse_grid(cfg["eps_grid"], "--eps-grid") if cfg.get("eps_grid") else [cfg["eps"]]
@@ -491,9 +477,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        for key, default in args.defaults.items():  # --config values bypass argparse's types
+        for key, default in args.defaults.items():  # --config values bypass argparse's checks
+            flag = "--" + key.replace("_", "-")
             if int in (type(default), _TYPES.get(key)) and cfg[key] is not None:
-                cfg[key] = _parse_int(cfg[key], "--" + key.replace("_", "-"))
+                cfg[key] = _parse_int(cfg[key], flag)
+            if key in _CHOICES and cfg[key] not in _CHOICES[key]:
+                raise ValueError(f"{flag} must be one of {', '.join(_CHOICES[key])}, "
+                                 f"got {cfg[key]!r}")
         return args.func(cfg)
     except KramersSpdeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -258,8 +258,8 @@ def predict_time(pot: LocalPotential, L: float, bc: BoundaryCondition, eps: floa
     if x <= 0.0:
         raise OutOfRegime(f"{regime.value} does not hold at L = {L}: its mode-1 factor "
                           f"{x:.6g} is not positive")
-    s2 = (math.log(lambda_ratio_product_infinite(pot, L, bc, 2, wbar)) if d == math.inf
-          else lambda_ratio_log_sum(pot, L, bc, 2, d, wbar))
+    s2 = (math.log(lambda_ratio_product_infinite(pot, L, bc, wbar)) if d == math.inf
+          else lambda_ratio_log_sum(pot, L, bc, d, wbar))
     if orbit is not None:  # the resolved mu_k in place of nu_k + wbar
         k = np.arange(2, min(kmax_eig, d) + 1)
         s2 = math.fsum([*(np.log(mu[k]) - np.log(nu(bc, L, k) + wbar)), s2])

@@ -224,26 +224,20 @@ def check_assumptions(pot: LocalPotential) -> AssumptionReport:
     )
 
 
-def _quadrature_plan(state: FourierState, pot: LocalPotential, n_quad: int | None) -> TransformPlan:
-    n = n_quad if n_quad is not None else default_grid_size(state.d, pot.p0)
-    if n < 2 * pot.p0 * (state.d + 1):
-        raise ValueError(
-            f"quadrature grid {n} < 2 p0 (d+1) = {2 * pot.p0 * (state.d + 1)}; "
-            "polynomial energy would alias")
-    return TransformPlan(state.bc, state.L, state.d, n)
-
-
-def energy_V(state: FourierState, pot: LocalPotential, n_quad: int | None = None) -> float:
-    """Potential energy V = 1/2 sum nu_k y_k^2 + int U(u(x)) dx."""
-    plan = _quadrature_plan(state, pot, n_quad)
+def energy_V(state: FourierState, pot: LocalPotential) -> float:
+    """Potential energy V = 1/2 sum nu_k y_k^2 + int U(u(x)) dx, the integral
+    on the default_grid_size(d, p0) grid: at least 2 p0 (d+1) points, exact
+    for U(u(x)), a trigonometric polynomial of degree 2 p0 d."""
+    plan = TransformPlan(state.bc, state.L, state.d, default_grid_size(state.d, pot.p0))
     u = plan.synthesize(state.coeffs)
     quad = (state.L / plan.n) * float(np.sum(pot.derivative(u, 0)))
     return 0.5 * float(np.dot(state.mode_nu, state.coeffs ** 2)) + quad
 
 
-def grad_V(state: FourierState, pot: LocalPotential, n_quad: int | None = None) -> np.ndarray:
-    """Coefficient-space gradient: nu_k y_k + (U'(u(.)) projected on e_k)."""
-    plan = _quadrature_plan(state, pot, n_quad)
+def grad_V(state: FourierState, pot: LocalPotential) -> np.ndarray:
+    """Coefficient-space gradient: nu_k y_k + (U'(u(.)) projected on e_k),
+    U' sampled on energy_V's default_grid_size(d, p0) grid."""
+    plan = TransformPlan(state.bc, state.L, state.d, default_grid_size(state.d, pot.p0))
     u = plan.synthesize(state.coeffs)
     return state.mode_nu * state.coeffs + plan.analyze(pot.derivative(u, 1))
 

@@ -409,6 +409,8 @@ def sample_path(cfg: SimConfig, n_steps: int, linear_only: bool = False) -> np.n
     (diagnostics: OU variance, equilibrium histograms, scheme consistency).
     linear_only drops the nonlinear drift, leaving independent
     Ornstein-Uhlenbeck modes."""
+    if not isinstance(n_steps, numbers.Integral) or n_steps < 0:
+        raise ValueError(f"n_steps must be an integer >= 0, got {n_steps!r}")
     eng = _Engine(cfg, nonlinear=not linear_only)
     gen = _replica_generator(cfg.seed, 0)
     y = eng.start[None, :].copy()
@@ -450,6 +452,10 @@ def galerkin_error(cfg: SimConfig, d_list: list[int], T: float,
             or d_list[0] < 1 or any(a >= b for a, b in zip(d_list, d_list[1:]))):
         raise ValueError(f"d_list must hold at least two strictly ascending integers >= 1, "
                          f"got {list(d_list)!r}")
+    require_finite(T=T)
+    n_steps = int(round(T / cfg.dt))
+    if n_steps < 1:
+        raise ValueError(f"T = {T} is {n_steps} steps of dt = {cfg.dt}: need at least one")
     d_ref = 2 * max(d_list)
     dims = list(d_list) + [d_ref]
     engines = [_Engine(replace(cfg, d=di)) for di in dims]
@@ -460,7 +466,6 @@ def galerkin_error(cfg: SimConfig, d_list: list[int], T: float,
             raise ValueError(f"u0 must live at the reference dimension d={d_ref}")
         states = [u0.coeffs[None, : e.nu.shape[0]].copy() for e in engines]
     gen = _replica_generator(cfg.seed, 0)
-    n_steps = int(round(T / cfg.dt))
     ncf_ref = engines[-1].nu.shape[0]
     errs = np.zeros(len(d_list))
     for start_step in range(0, n_steps, cfg.check_every):

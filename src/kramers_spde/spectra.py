@@ -34,7 +34,8 @@ coefficients, never a tolerance on U''(u*).
 Products of eigenvalue ratios (truncated functional determinants) are summed
 in log space with compensated summation and sign tracking.  Factors
 (nu_k + w)/nu_k^- with one curvature w, the uniform saddle's spectrum and
-the instanton's tail alike, have sin/sinh closed forms for d -> infinity.
+the instanton's tail alike, run over k >= 2 (the prefactor treats mode 1 on
+its own) and have sin/sinh closed forms for d -> infinity.
 """
 
 from __future__ import annotations
@@ -85,9 +86,9 @@ def eigs_constant(pot: LocalPotential, L: float, bc: BoundaryCondition,
     require_finite(L=L)
     if L <= 0.0:
         raise ValueError(f"L must be > 0, got {L}")
-    shift = {"origin": -1.0,
-             "minus": pot.derivative(pot.u_minus, 2),
-             "plus": pot.derivative(pot.u_plus, 2)}[which]
+    if which not in ("origin", "minus", "plus"):
+        raise ValueError(f"which must be 'origin', 'minus' or 'plus', got {which!r}")
+    shift = -1.0 if which == "origin" else pot.derivative(getattr(pot, f"u_{which}"), 2)
     base = nu(bc, L, np.arange(kmax + 1)) + shift
     ev = np.sort(np.concatenate([base, base[1:]])) if bc is PERIODIC else base
     return SpectrumReport(ev, *_classify(ev))
@@ -219,33 +220,31 @@ def det_ratio(numerator: SpectrumReport, denominator: SpectrumReport, d: int,
     return sign * math.exp(log_sum)
 
 
-def _pi_ratio(f, t: float, s: float | None = None) -> float:
-    """f(pi s)/(pi t), s = t unless given; 1 at t = 0 (f is sin or sinh)."""
-    return 1.0 if t == 0.0 else f(math.pi * (t if s is None else s)) / (math.pi * t)
+def _pi_ratio(f, t: float) -> float:
+    """f(pi t)/(pi t); 1 at t = 0 (f is sin or sinh)."""
+    return 1.0 if t == 0.0 else f(math.pi * t) / (math.pi * t)
 
 
-def _euler_product(a: float, w: float, k_from: int) -> float:
-    """prod_{k >= k_from} (1 + (a / k)^2 w) in closed form (k_from in {1, 2}).
+def _euler_product(a: float, w: float) -> float:
+    """prod_{k >= 2} (1 + (a / k)^2 w) in closed form.
 
-    With r = a sqrt|w|: sinh(pi r)/(pi r) for w >= 0, sin(pi r)/(pi r) for
-    w < 0, over the k = 1 factor 1 + r^2 resp. (1 - r)(1 + r) for k_from = 2.
-    From r = 1/8 on, sin(pi r) is taken as sin(pi (1 - r)), whose argument
-    rounds by at most 2 ulps of r there and not at all from r = 1/2, and the
-    k = 1 zero at r = 1 cancels in closed form.
+    With r = a sqrt|w|: sinh(pi r)/(pi r) over the k = 1 factor 1 + r^2 for
+    w >= 0, sin(pi r)/(pi r) over (1 - r)(1 + r) for w < 0.  From r = 1/8 on,
+    sin(pi r) is taken as sin(pi (1 - r)), whose argument rounds by at most
+    2 ulps of r there and not at all from r = 1/2, and the k = 1 zero at
+    r = 1 cancels in closed form.
     """
     r = a * math.sqrt(abs(w))
     if w >= 0.0:
-        return _pi_ratio(math.sinh, r) / (1.0 if k_from == 1 else 1.0 + r * r)
+        return _pi_ratio(math.sinh, r) / (1.0 + r * r)
     if r < 0.125:
-        return _pi_ratio(math.sin, r) / (1.0 if k_from == 1 else (1.0 - r) * (1.0 + r))
-    if k_from == 1:
-        return _pi_ratio(math.sin, r, 1.0 - r)
+        return _pi_ratio(math.sin, r) / ((1.0 - r) * (1.0 + r))
     return _pi_ratio(math.sin, 1.0 - r) / (r * (1.0 + r))
 
 
 def lambda_ratio_product_infinite(pot: LocalPotential, L: float, bc: BoundaryCondition,
-                                  k_from: int, w: float) -> float:
-    """prod_{k >= k_from} (nu_k + w) / nu_k^- in closed form (k_from in {1, 2}).
+                                  w: float) -> float:
+    """prod_{k >= 2} (nu_k + w) / nu_k^- in closed form (the prefactor's S_2).
 
     w is the numerator's curvature: U''(0) = -1 for the uniform saddle's
     lambda_k, the instanton's mean curvature for its tail.  With
@@ -253,17 +252,14 @@ def lambda_ratio_product_infinite(pot: LocalPotential, L: float, bc: BoundaryCon
     (k^2 + a^2 w)/(k^2 + a^2 U''(u_-)), so the product is the ratio of two
     sin/sinh Euler products (_euler_product).
     """
-    if k_from not in (1, 2):
-        raise ValueError("k_from must be 1 or 2")
     a = L / (bc.mode_factor * math.pi)
-    return _euler_product(a, w, k_from) / _euler_product(a, pot.derivative(pot.u_minus, 2),
-                                                         k_from)
+    return _euler_product(a, w) / _euler_product(a, pot.derivative(pot.u_minus, 2))
 
 
 def lambda_ratio_log_sum(pot: LocalPotential, L: float, bc: BoundaryCondition,
-                         k_from: int, k_to: int, w: float) -> float:
-    """sum_{k=k_from}^{k_to} log((nu_k + w) / nu_k^-), w the numerator's
-    curvature as in lambda_ratio_product_infinite.
+                         k_to: int, w: float) -> float:
+    """sum_{k=2}^{k_to} log((nu_k + w) / nu_k^-), the truncated
+    lambda_ratio_product_infinite in log space, w the numerator's curvature.
 
     The terms come in blocks of _LOG_SUM_BLOCK, so memory does not grow with
     k_to; fsum rounds the whole sum once, whatever the blocks.
@@ -271,7 +267,7 @@ def lambda_ratio_log_sum(pot: LocalPotential, L: float, bc: BoundaryCondition,
     w_minus = pot.derivative(pot.u_minus, 2)
 
     def terms():
-        for lo in range(k_from, k_to + 1, _LOG_SUM_BLOCK):
+        for lo in range(2, k_to + 1, _LOG_SUM_BLOCK):
             base = nu(bc, L, np.arange(lo, min(lo + _LOG_SUM_BLOCK, k_to + 1)))
             num = base + w
             if np.any(num <= 0.0):

@@ -321,6 +321,28 @@ def test_non_integer_config_values_name_the_flag(tmp_path, capsys, command, conf
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("command, key", [
+    (name, key) for name, _, _, defaults in cli._COMMANDS for key in defaults
+    if key in cli._CHOICES])
+def test_config_values_outside_the_choices_name_the_flag(tmp_path, capsys, command, key):
+    # a config file bypasses argparse's choices: eigen's which died in a
+    # KeyError traceback, predict's bc exited 3, simulate's scheme named no flag
+    (tmp_path / "cfg.json").write_text(json.dumps({"config": {key: "bogus"}}))
+    rc = run(tmp_path, command, "--config", "cfg.json", "--out", "bad")
+    err = capsys.readouterr().err
+    flag = "--" + key.replace("_", "-")
+    assert rc == 2 and "Traceback" not in err
+    assert f"error: {flag} must be one of {', '.join(cli._CHOICES[key])}, got 'bogus'" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("value, text", [
+    (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (-0.0, "-0"),
+    (None, ""), (12, "12"), (0.1, "0.10000000000000001")])
+def test_fmt_writes_every_field(value, text):
+    assert cli._fmt(value) == text
+
+
 def test_eigen_outputs(tmp_path):
     rc = run(tmp_path, "eigen", "--bc", "periodic", "--L", "7", "--which",
              "instanton", "--kmax", "5", "--out", "e")

@@ -262,7 +262,7 @@ def test_tail_closed_form_matches_brute_force(bc, s, w_num, w_den):
     # product reads the potential only for its U''(u_-) = w_den
     L = bc.mode_factor * math.pi * math.sqrt(s)
     well = SimpleNamespace(u_minus=-1.0, derivative=lambda u, order: w_den)
-    got = math.log(lambda_ratio_product_infinite(well, L, bc, 2, w_num))
+    got = math.log(lambda_ratio_product_infinite(well, L, bc, w_num))
     assert got == pytest.approx(_brute_tail(w_num * s, w_den * s, 2), abs=1e-12)
 
 
@@ -522,6 +522,21 @@ def _branch_mu_log_sum(mu_by_label, pot, L, bc, k_from, d, kmax_eig, wbar):
     return total
 
 
+def _lambda_log_sum_from_1(pot, L, bc, d):
+    """log prod_{k=1}^{d} lambda_k / nu_k^-: from closed_form_product, which is
+    2 pi (prod / W)^(1/2) (Neumann) or 2 pi prod / W^(1/2) (periodic), at
+    d = inf, else a direct fsum."""
+    w_minus = float(pot.derivative(pot.u_minus, 2))
+    if d == math.inf:
+        log_cf = math.log(closed_form_product(pot, L, bc) / (2.0 * math.pi))
+        return (2.0 * log_cf + math.log(w_minus) if bc is NEUMANN
+                else log_cf + 0.5 * math.log(w_minus))
+    base = nu(bc, L, np.arange(1, d + 1))
+    if base[0] <= 1.0:
+        raise OutOfRegime("lambda_1 <= 0")
+    return math.fsum(np.log(base - 1.0) - np.log(base + w_minus))
+
+
 def _branch_predict(pot, L, bc, eps, d, regime, kmax_eig=40):
     """(regime, H0, mu1, log_prefactor) from the eight branches."""
     w_minus = float(pot.derivative(pot.u_minus, 2))
@@ -544,9 +559,11 @@ def _branch_predict(pot, L, bc, eps, d, regime, kmax_eig=40):
         H0 = H0_const
 
     def lam_sum(k_from):
+        if k_from == 1:
+            return _lambda_log_sum_from_1(pot, L, bc, d)
         if d == math.inf:
-            return math.log(lambda_ratio_product_infinite(pot, L, bc, k_from, -1.0))
-        return lambda_ratio_log_sum(pot, L, bc, k_from, d, -1.0)
+            return math.log(lambda_ratio_product_infinite(pot, L, bc, -1.0))
+        return lambda_ratio_log_sum(pot, L, bc, d, -1.0)
 
     if regime is RegimeTag.NEUMANN_SMALL_L:
         log_pref = math.log(2.0 * math.pi) + 0.5 * (lam_sum(1) - math.log(w_minus))

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -406,6 +407,22 @@ def test_galerkin_error_refuses_a_d_list_it_cannot_fit(pot, monkeypatch, d_list)
     with pytest.raises(ValueError, match="d_list must hold at least two strictly ascending "
                                          "integers >= 1"):
         galerkin_error(cfg, d_list, T=0.05)
+
+
+@pytest.mark.parametrize("call, name", [
+    # 0.1 steps rounded to none: errors [0, 0], slope nan and a RuntimeWarning
+    (lambda cfg: galerkin_error(cfg, [2, 4], T=1e-4), "T = 0.0001 is 0 steps"),
+    (lambda cfg: galerkin_error(cfg, [2, 4], T=-1.0), "T = -1.0 is -1000 steps"),
+    (lambda cfg: galerkin_error(cfg, [2, 4], T=math.nan), "T must be finite"),
+    (lambda cfg: galerkin_error(cfg, [2, 4], T=math.inf), "T must be finite"),
+    (lambda cfg: sample_path(cfg, -1), "n_steps must be an integer >= 0, got -1"),
+    (lambda cfg: sample_path(cfg, 2.5), "n_steps must be an integer >= 0, got 2.5"),
+])
+def test_run_lengths_that_cannot_run_are_refused(pot, monkeypatch, call, name):
+    # refused before any engine is built, by a ValueError that names the input
+    monkeypatch.setattr(simulate, "_Engine", None)
+    with pytest.raises(ValueError, match=re.escape(name)):
+        call(SimConfig(pot, NEUMANN, 1.0, 4, 0.1, 1e-3, 1.0, seed=1))
 
 
 @pytest.mark.slow

@@ -40,6 +40,13 @@ def test_eigs_constant_periodic_degeneracy(pot):
     assert rep.eigenvalues[1] == rep.eigenvalues[2]
 
 
+@pytest.mark.parametrize("which", ["instanton", "Origin", "bogus"])
+def test_eigs_constant_refuses_an_unknown_which(pot, which):
+    with pytest.raises(ValueError, match=f"which must be 'origin', 'minus' or 'plus', "
+                                         f"got '{which}'"):
+        eigs_constant(pot, 1.0, NEUMANN, which, 3)
+
+
 ASYMMETRIC = LocalPotential.from_coefficients([0, 0, -0.5, 0.1, 0.25])
 
 
@@ -623,16 +630,16 @@ def test_closed_form_values(pot):
 def test_log_sum_blocks_keep_the_one_block_sum(pot, bc, L, w):
     # the terms of all blocks go to one fsum, so the result is the one-block
     # sum's to the bit, also where a block ends just before the last term
-    for k_from, k_to in ((2, 100_000), (2, 2 + spectra._LOG_SUM_BLOCK), (3, 3)):
-        base = nu(bc, L, np.arange(k_from, k_to + 1))
+    for k_to in (100_000, 2 + spectra._LOG_SUM_BLOCK, 2):
+        base = nu(bc, L, np.arange(2, k_to + 1))
         want = math.fsum(np.log(base + w) - np.log(base + pot.derivative(pot.u_minus, 2)))
-        assert lambda_ratio_log_sum(pot, L, bc, k_from, k_to, w) == want
+        assert lambda_ratio_log_sum(pot, L, bc, k_to, w) == want
 
 
 def test_log_sum_memory_does_not_grow_with_d(pot):
     tracemalloc.start()
     try:
-        lambda_ratio_log_sum(pot, 1.0, NEUMANN, 2, 2_000_000, -1.0)
+        lambda_ratio_log_sum(pot, 1.0, NEUMANN, 2_000_000, -1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -640,12 +647,16 @@ def test_log_sum_memory_does_not_grow_with_d(pot):
 
 
 def test_infinite_product_helpers(pot):
-    # tail helpers agree with long truncations for both boundary conditions
+    # with the k = 1 factor the k >= 2 product is the one in closed_form_product,
+    # 2 pi (prod / W)^(1/2) (Neumann) or 2 pi prod / W^(1/2) (periodic); a long
+    # truncation agrees for both boundary conditions
+    w = pot.derivative(pot.u_minus, 2)
     for bc, L in ((NEUMANN, 1.0), (NEUMANN, 2.5), (PERIODIC, 3.0)):
-        full = lambda_ratio_product_infinite(pot, L, bc, 1, -1.0)
-        trunc = math.exp(lambda_ratio_log_sum(pot, L, bc, 1, 200_000, -1.0))
+        nu1 = (bc.mode_factor * math.pi / L) ** 2
+        k1 = (nu1 - 1.0) / (nu1 + w)
+        full = k1 * lambda_ratio_product_infinite(pot, L, bc, -1.0)
+        cf = closed_form_product(pot, L, bc) / (2.0 * math.pi)
+        assert full == pytest.approx(cf ** 2 * w if bc is NEUMANN else cf * math.sqrt(w),
+                                     rel=1e-13)
+        trunc = k1 * math.exp(lambda_ratio_log_sum(pot, L, bc, 200_000, -1.0))
         assert trunc == pytest.approx(full, rel=1e-4)
-        from2 = lambda_ratio_product_infinite(pot, L, bc, 2, -1.0)
-        lam1 = (bc.mode_factor * math.pi / L) ** 2 - 1.0
-        nu1 = (bc.mode_factor * math.pi / L) ** 2 + pot.derivative(pot.u_minus, 2)
-        assert from2 * lam1 / nu1 == pytest.approx(full, rel=1e-13)
