@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -122,7 +123,9 @@ class _Engine:
 
     step() takes the scaled noise increment dw = increments(xi), so a
     caller scales a whole window of normals in one call; the products are
-    the same ones either way.  It writes into a caller's buffer and works
+    the same ones either way.  _run_batch has a helper thread draw and
+    scale the next window while it steps the current one: increments()
+    only reads the noise scale, so it may run beside step().  It writes into a caller's buffer and works
     in scratch buffers the engine owns (the samples, the FFT form's two
     half spectra, the grid values of U', the linear term), grown to the
     widest batch seen, so a batch step allocates nothing.  Its arithmetic
@@ -280,7 +283,67 @@ def _replica_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_replica_key(seed, index)))
 
 
-def _run_batch(cfg: SimConfig, replica_indices: list[int]) -> list[TransitionSample]:
+def _fill(eng: _Engine, gens: list[np.random.Generator], noise: np.ndarray) -> None:
+    """Row r of noise from gens[r]'s stream in one draw, then the whole of it
+    scaled to step()'s increments."""
+    for gen, row in zip(gens, noise):
+        gen.standard_normal(out=row)
+    eng.increments(noise, out=noise)
+
+
+class _Helper:
+    """One thread that runs the calls handed to it by submit(), one at a time.
+
+    wait() returns when the submitted call has finished and raises what it
+    raised; close() ends the thread, after a wait() for a call still
+    pending.  The thread starts at the first submit(), so a run that
+    submits nothing starts none.
+    """
+
+    def __init__(self):
+        self._job = self._error = self._thread = None  # _job: the call submitted, not yet waited for
+        self._todo, self._done = threading.Semaphore(0), threading.Semaphore(0)
+
+    def _serve(self) -> None:
+        while True:
+            self._todo.acquire()
+            if self._job is None:
+                return
+            fn, args = self._job
+            try:
+                fn(*args)
+            except BaseException as exc:  # raised again in the caller by wait()
+                self._error = exc
+            self._done.release()
+
+    def submit(self, fn, *args) -> None:
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._serve, daemon=True)
+            self._thread.start()
+        self._job = fn, args
+        self._todo.release()
+
+    def wait(self) -> None:
+        self._done.acquire()
+        self._job = None
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+    def close(self) -> None:
+        if self._thread is None:
+            return
+        try:
+            if self._job is not None:
+                self.wait()
+        finally:
+            self._job = None  # with nothing submitted, _serve returns
+            self._todo.release()
+            self._thread.join()
+
+
+def _run_batch(cfg: SimConfig, replica_indices: list[int],
+               prefetch: bool = True) -> list[TransitionSample]:
     """Samples of the given replicas, run side by side.
 
     The k live replicas are the first k rows of the state, of its swap
@@ -289,64 +352,93 @@ def _run_batch(cfg: SimConfig, replica_indices: list[int]) -> list[TransitionSam
     of its draw (at least one check, at most _MAX_WINDOW_CHECKS), so memory
     does not grow with the replica count beyond one check per replica.
     Each replica fills its row in one call on its own stream, consumed in
-    order, and the window is scaled once; so the samples do not depend on
-    the window.  A hit moves the later rows up in one indexed copy.
-    Checks come every check_every steps and at max_steps, where the run
-    ends.
+    order, and the window is scaled once (_fill); so the samples do not
+    depend on the window.  A hit moves the later rows up in one indexed
+    copy.  Checks come every check_every steps and at max_steps, where the
+    run ends.
+
+    With prefetch, a helper thread fills the next window, for the replicas
+    live when the current one starts, into a second buffer while this
+    thread steps the current one; the rows of replicas that hit meanwhile
+    are dropped when it becomes current.  Philox streams are counter-based,
+    so which thread draws them moves no sample, and numpy draws without
+    the GIL.  Without prefetch (replica worker processes, which hold a core
+    each) every window is filled here when it starts.
     """
     eng = _Engine(cfg)
     m = len(replica_indices)
     gens = [_replica_generator(cfg.seed, i) for i in replica_indices]
     order = np.arange(m)
+    alive = np.ones(m, dtype=bool)
     y = np.tile(eng.start, (m, 1))
     y_next = np.empty_like(y)
     ncf = y.shape[1]
     max_steps = int(math.ceil(cfg.t_max / cfg.dt))
 
-    def window(rows: int) -> int:
-        """Steps per window for rows live replicas: the whole checks that fit
-        _WINDOW_BYTES, at least one, at most _MAX_WINDOW_CHECKS and max_steps."""
+    def window(rows: int, start: int) -> int:
+        """Steps of the window from step start for rows live replicas: the
+        whole checks that fit _WINDOW_BYTES, at least one, at most
+        _MAX_WINDOW_CHECKS, and none past max_steps."""
         checks = _WINDOW_BYTES // (8 * rows * ncf * cfg.check_every)
-        return min(cfg.check_every * min(max(checks, 1), _MAX_WINDOW_CHECKS), max_steps)
+        return min(cfg.check_every * min(max(checks, 1), _MAX_WINDOW_CHECKS), max_steps - start)
 
-    buf = np.empty(max(rows * window(rows) for rows in range(1, m + 1)) * ncf)
+    size = max(rows * window(rows, 0) for rows in range(1, m + 1)) * ncf
+    bufs = [np.empty(size) for _ in range(2 if prefetch else 1)]
+    side = 0
+    helper = _Helper() if prefetch else None
     results: dict[int, TransitionSample] = {}
     k = m
     step_no = 0
-    while k and step_no < max_steps:
-        b = min(window(k), max_steps - step_no)
-        noise = buf[: k * b * ncf].reshape(k, b, ncf)
-        for row in range(k):
-            gens[order[row]].standard_normal(out=noise[row])
-        eng.increments(noise, out=noise)
-        j = 0
-        while j < b:
-            for _ in range(min(cfg.check_every, b - j)):
-                eng.step(y[:k], noise[:k, j], out=y_next[:k])
-                y, y_next = y_next, y
-                j += 1
-            step_no_check = step_no + j
-            live = y[:k]
-            if not np.all(np.isfinite(live)):
-                bad = order[~np.all(np.isfinite(live), axis=1)][0]
-                raise NonFinite(
-                    f"replica {replica_indices[bad]} diverged at step {step_no_check}")
-            hit = eng.hit_mask(live, cfg.rho)
-            if np.any(hit):
-                for pos in order[:k][hit]:
-                    results[pos] = TransitionSample(
-                        tau=step_no_check * cfg.dt, censored=False,
-                        steps=step_no_check,
-                        seed_used=_replica_key(cfg.seed, replica_indices[pos]))
-                kept = np.flatnonzero(~hit)
-                first = int(np.argmax(hit))
-                noise[first : len(kept), j:] = noise[kept[first:], j:]
-                k = len(kept)
-                y[:k] = live[kept]
-                order[:k] = order[kept]
-                if not k:
-                    break
-        step_no += b
+    try:
+        while k and step_no < max_steps:
+            if helper is None or step_no == 0:
+                b = window(k, step_no)
+                noise = bufs[side][: k * b * ncf].reshape(k, b, ncf)
+                _fill(eng, [gens[i] for i in order[:k]], noise)
+            else:  # the prefetched window, less the rows of replicas that hit since
+                helper.wait()
+                who, noise = ahead
+                b = noise.shape[1]
+                if len(who) > k:
+                    noise[:k] = noise[alive[who]]
+                    noise = noise[:k]
+            if helper is not None and step_no + b < max_steps:
+                side ^= 1
+                nb = window(k, step_no + b)
+                ahead = order[:k].copy(), bufs[side][: k * nb * ncf].reshape(k, nb, ncf)
+                helper.submit(_fill, eng, [gens[i] for i in ahead[0]], ahead[1])
+            j = 0
+            while j < b:
+                for _ in range(min(cfg.check_every, b - j)):
+                    eng.step(y[:k], noise[:k, j], out=y_next[:k])
+                    y, y_next = y_next, y
+                    j += 1
+                step_no_check = step_no + j
+                live = y[:k]
+                if not np.all(np.isfinite(live)):
+                    bad = order[:k][~np.all(np.isfinite(live), axis=1)][0]
+                    raise NonFinite(
+                        f"replica {replica_indices[bad]} diverged at step {step_no_check}")
+                hit = eng.hit_mask(live, cfg.rho)
+                if np.any(hit):
+                    for pos in order[:k][hit]:
+                        results[pos] = TransitionSample(
+                            tau=step_no_check * cfg.dt, censored=False,
+                            steps=step_no_check,
+                            seed_used=_replica_key(cfg.seed, replica_indices[pos]))
+                    alive[order[:k][hit]] = False
+                    kept = np.flatnonzero(~hit)
+                    first = int(np.argmax(hit))
+                    noise[first : len(kept), j:] = noise[kept[first:], j:]
+                    k = len(kept)
+                    y[:k] = live[kept]
+                    order[:k] = order[kept]
+                    if not k:
+                        break
+            step_no += b
+    finally:
+        if helper is not None:
+            helper.close()
     for pos in order[:k]:
         results[pos] = TransitionSample(
             tau=None, censored=True, steps=max_steps,
@@ -380,7 +472,7 @@ def run_replicas(cfg: SimConfig, n_replicas: int, threads: int = 1) -> list[Tran
 
     Replica i uses the stream keyed by seed XOR i, so the samples do not
     depend on threads; threads > 1 deals replicas round robin to worker
-    processes.
+    processes, which draw their noise without a helper thread.
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
@@ -390,7 +482,7 @@ def run_replicas(cfg: SimConfig, n_replicas: int, threads: int = 1) -> list[Tran
     from concurrent.futures import ProcessPoolExecutor  # only the fan-out starts processes
     with ProcessPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(_run_batch, [cfg] * threads,
-                              [indices[i::threads] for i in range(threads)]))
+                              [indices[i::threads] for i in range(threads)], [False] * threads))
     return [parts[i % threads][i // threads] for i in indices]
 
 
@@ -412,14 +504,20 @@ def sample_path(cfg: SimConfig, n_steps: int, linear_only: bool = False) -> np.n
     if not isinstance(n_steps, numbers.Integral) or n_steps < 0:
         raise ValueError(f"n_steps must be an integer >= 0, got {n_steps!r}")
     eng = _Engine(cfg, nonlinear=not linear_only)
-    gen = _replica_generator(cfg.seed, 0)
+    gens = [_replica_generator(cfg.seed, 0)]
     y = eng.start[None, :].copy()
-    y_next, xi = np.empty_like(y), np.empty_like(y)
-    out = np.empty((n_steps, y.shape[1]))
-    for i in range(n_steps):
-        eng.step(y, eng.increments(gen.standard_normal(out=xi), out=xi), out=y_next)
-        y, y_next = y_next, y
-        out[i] = y[0]
+    y_next = np.empty_like(y)
+    ncf = y.shape[1]
+    out = np.empty((n_steps, ncf))
+    w = max(min(_WINDOW_BYTES // (8 * ncf), n_steps), 1)  # steps per window of normals
+    buf = np.empty(w * ncf)
+    for start in range(0, n_steps, w):
+        noise = buf[: min(w, n_steps - start) * ncf].reshape(1, -1, ncf)
+        _fill(eng, gens, noise)
+        for i, dw in enumerate(noise.swapaxes(0, 1), start):
+            eng.step(y, dw, out=y_next)
+            y, y_next = y_next, y
+            out[i] = y[0]
     if not np.all(np.isfinite(y)):
         raise NonFinite("trajectory diverged")
     return out

@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.fft import irfft, rfft
 
-from kramers_spde import (AllCensored, FourierState, NEUMANN, PERIODIC,
+from kramers_spde import (AllCensored, FourierState, NEUMANN, NonFinite, PERIODIC,
                           SimConfig, TransformPlan, galerkin_error, mc_stats,
                           oracle_identity_1d, oracle_mfpt_1d, quartic, reduced_potential_1d,
                           run_replicas, sample_path, sample_transition, step, sup_dist)
@@ -294,6 +295,83 @@ def test_samples_do_not_depend_on_the_noise_window(monkeypatch, d, bc, scheme):
     for budget in (1, 1 << 40):
         monkeypatch.setattr(simulate, "_WINDOW_BYTES", budget)
         assert _run_batch(cfg, list(range(8))) == default
+
+
+def _recorded_fills(monkeypatch) -> list:
+    """Patch simulate._fill to note (thread, rows, steps) of each window it fills."""
+    fills, fill = [], simulate._fill
+
+    def recording_fill(eng, gens, noise):
+        fills.append((threading.current_thread(), *noise.shape[:2]))
+        fill(eng, gens, noise)
+
+    monkeypatch.setattr(simulate, "_fill", recording_fill)
+    return fills
+
+
+@pytest.mark.parametrize("budget", [1, simulate._WINDOW_BYTES])
+@pytest.mark.parametrize("scheme", ["semi_implicit", "exponential"])
+@pytest.mark.parametrize("bc", [NEUMANN, PERIODIC])
+@pytest.mark.parametrize("d", [0, 15, 64])
+def test_prefetched_window_drops_the_rows_of_replicas_that_hit(monkeypatch, d, bc, scheme,
+                                                              budget):
+    # window w+1 is drawn for the replicas live when window w starts; a
+    # replica that hits in window w leaves its row behind, and the survivors'
+    # rows are gathered when w+1 becomes current
+    cfg = SimConfig(pot=quartic(), bc=bc, L=1.0, d=d, eps=0.5, dt=1e-3, t_max=1.497,
+                    rho=1.5, seed=5, scheme=scheme)
+    monkeypatch.setattr(simulate, "_WINDOW_BYTES", budget)
+    fills = _recorded_fills(monkeypatch)
+    batch = _run_batch(cfg, list(range(8)))
+    starts = np.cumsum([0] + [b for _, _, b in fills])
+    live = [sum(s.steps > start for s in batch) for start in starts]
+    assert any(rows > live[w] for w, (_, rows, _) in enumerate(fills) if w)  # a gather ran
+    assert batch == [_run_batch(cfg, [i])[0] for i in range(8)]
+    assert batch == _run_batch(cfg, list(range(8)), prefetch=False)
+
+
+class _FillFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("prefetch", [True, False])
+def test_a_failing_fill_reaches_the_caller(pot, monkeypatch, prefetch):
+    # replica 2's stream fails at its second draw: with prefetch that is the
+    # helper thread's draw of window 1, made while window 0 is stepped
+    raised_on = []
+
+    class FailingStream:
+        def __init__(self, gen):
+            self.gen, self.draws = gen, 0
+
+        def standard_normal(self, out):
+            self.draws += 1
+            if self.draws == 2:
+                raised_on.append(threading.current_thread())
+                raise _FillFailed("no normals")
+            return self.gen.standard_normal(out=out)
+
+    make = simulate._replica_generator
+    monkeypatch.setattr(simulate, "_replica_generator",
+                        lambda seed, i: FailingStream(make(seed, i)) if i == 2 else make(seed, i))
+    before = threading.active_count()
+    with pytest.raises(_FillFailed, match="no normals"):
+        _run_batch(_cfg(pot, eps=0.05), list(range(4)), prefetch=prefetch)
+    assert threading.active_count() == before
+    assert (raised_on[0] is threading.main_thread()) is not prefetch
+
+
+def test_a_diverging_batch_leaves_no_helper_thread(pot, monkeypatch):
+    # 2000 steps of 640-step windows: window 1 is being drawn on the helper
+    # thread when a replica diverges, after another one hit
+    cfg = _cfg(pot, dt=0.5, eps=0.5, t_max=1000.0)
+    fills = _recorded_fills(monkeypatch)
+    before = threading.active_count()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFinite, match="diverged at step"):
+            _run_batch(cfg, list(range(4)))
+    assert threading.active_count() == before
+    assert len(fills) == 2 and fills[1][0] is not threading.main_thread()
 
 
 def test_noise_window_memory_is_bounded(pot):
