@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import queue
 import threading
 from dataclasses import dataclass, replace
 
@@ -123,13 +124,15 @@ class _Engine:
 
     step() takes the scaled noise increment dw = increments(xi), so a
     caller scales a whole window of normals in one call; the products are
-    the same ones either way.  _run_batch has a helper thread draw and
+    the same ones either way.  _run_batch has a second thread draw and
     scale the next window while it steps the current one: increments()
-    only reads the noise scale, so it may run beside step().  It writes into a caller's buffer and works
-    in scratch buffers the engine owns (the samples, the FFT form's two
-    half spectra, the grid values of U', the linear term), grown to the
-    widest batch seen, so a batch step allocates nothing.  Its arithmetic
-    is the textbook update (y + dt N + sqrt(2 eps dt) xi) / (1 + nu dt), or
+    only reads the noise scale, so it may run beside step().
+
+    step() writes into a caller's buffer and works in scratch buffers the
+    engine owns (the samples, the FFT form's two half spectra, the grid
+    values of U', the linear term), grown to the widest batch seen, so a
+    batch step allocates nothing.  Its arithmetic is the textbook update
+    (y + dt N + sqrt(2 eps dt) xi) / (1 + nu dt), or
     e^{-nu dt} y + phi1(nu dt) dt N + sd xi, in that order of operations,
     with N = -analyze(U'(synthesize(y))) and U' by Horner, on the samples
     in the FFT's order (U' acts sample by sample).  So a replica's
@@ -291,55 +294,16 @@ def _fill(eng: _Engine, gens: list[np.random.Generator], noise: np.ndarray) -> N
     eng.increments(noise, out=noise)
 
 
-class _Helper:
-    """One thread that runs the calls handed to it by submit(), one at a time.
-
-    wait() returns when the submitted call has finished and raises what it
-    raised; close() ends the thread, after a wait() for a call still
-    pending.  The thread starts at the first submit(), so a run that
-    submits nothing starts none.
-    """
-
-    def __init__(self):
-        self._job = self._error = self._thread = None  # _job: the call submitted, not yet waited for
-        self._todo, self._done = threading.Semaphore(0), threading.Semaphore(0)
-
-    def _serve(self) -> None:
-        while True:
-            self._todo.acquire()
-            if self._job is None:
-                return
-            fn, args = self._job
-            try:
-                fn(*args)
-            except BaseException as exc:  # raised again in the caller by wait()
-                self._error = exc
-            self._done.release()
-
-    def submit(self, fn, *args) -> None:
-        if self._thread is None:
-            self._thread = threading.Thread(target=self._serve, daemon=True)
-            self._thread.start()
-        self._job = fn, args
-        self._todo.release()
-
-    def wait(self) -> None:
-        self._done.acquire()
-        self._job = None
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
-
-    def close(self) -> None:
-        if self._thread is None:
-            return
+def _fill_thread(jobs: queue.SimpleQueue, done: queue.SimpleQueue) -> None:
+    """Run _fill on each job from jobs until a None, putting what it raised,
+    or None, into done: a thread's own exception would only be printed."""
+    for job in iter(jobs.get, None):
         try:
-            if self._job is not None:
-                self.wait()
-        finally:
-            self._job = None  # with nothing submitted, _serve returns
-            self._todo.release()
-            self._thread.join()
+            _fill(*job)
+        except BaseException as exc:
+            done.put(exc)
+        else:
+            done.put(None)
 
 
 def _run_batch(cfg: SimConfig, replica_indices: list[int],
@@ -357,13 +321,21 @@ def _run_batch(cfg: SimConfig, replica_indices: list[int],
     copy.  Checks come every check_every steps and at max_steps, where the
     run ends.
 
-    With prefetch, a helper thread fills the next window, for the replicas
-    live when the current one starts, into a second buffer while this
-    thread steps the current one; the rows of replicas that hit meanwhile
-    are dropped when it becomes current.  Philox streams are counter-based,
-    so which thread draws them moves no sample, and numpy draws without
-    the GIL.  Without prefetch (replica worker processes, which hold a core
-    each) every window is filled here when it starts.
+    With prefetch, a second thread (_fill_thread) fills the next window,
+    for the replicas live when the current one starts, into a second
+    buffer while this thread steps the current one; the rows of replicas
+    that hit meanwhile are dropped when it becomes current.  Philox streams
+    are counter-based, so which thread draws them moves no sample, and
+    numpy draws without the GIL.  The thread serves the whole batch: a
+    thread per window (about 80 us to start and join, some 2800 windows in
+    the mc benchmark) ran that benchmark slower in 8 of 10 rounds
+    (BENCH_34.json).  It is joined on every exit, and what a fill raised is
+    raised here unless the batch is already raising (NonFinite, say),
+    whose exception then leaves unchanged.  Without prefetch (replica
+    worker processes, which hold a core each) every window is filled here
+    when it starts: criterion 8's fan-out over two workers ran in 12.2 s
+    against 13.2 s with a fill thread in each (medians of 10 rounds, lower
+    in 8), and each worker peaked 1.7 MB lower (BENCH_34.json).
     """
     eng = _Engine(cfg)
     m = len(replica_indices)
@@ -385,28 +357,35 @@ def _run_batch(cfg: SimConfig, replica_indices: list[int],
     size = max(rows * window(rows, 0) for rows in range(1, m + 1)) * ncf
     bufs = [np.empty(size) for _ in range(2 if prefetch else 1)]
     side = 0
-    helper = _Helper() if prefetch else None
+    ahead = None  # the replicas and the buffer of the window drawn in the background
+    jobs, done = queue.SimpleQueue(), queue.SimpleQueue()
+    thread = None  # runs the jobs; started with the first, so a one-window run starts none
     results: dict[int, TransitionSample] = {}
     k = m
     step_no = 0
     try:
         while k and step_no < max_steps:
-            if helper is None or step_no == 0:
+            if ahead is None:
                 b = window(k, step_no)
                 noise = bufs[side][: k * b * ncf].reshape(k, b, ncf)
                 _fill(eng, [gens[i] for i in order[:k]], noise)
             else:  # the prefetched window, less the rows of replicas that hit since
-                helper.wait()
-                who, noise = ahead
+                (who, noise), ahead = ahead, None
+                error = done.get()
+                if error is not None:
+                    raise error
                 b = noise.shape[1]
                 if len(who) > k:
                     noise[:k] = noise[alive[who]]
                     noise = noise[:k]
-            if helper is not None and step_no + b < max_steps:
+            if prefetch and step_no + b < max_steps:
                 side ^= 1
                 nb = window(k, step_no + b)
                 ahead = order[:k].copy(), bufs[side][: k * nb * ncf].reshape(k, nb, ncf)
-                helper.submit(_fill, eng, [gens[i] for i in ahead[0]], ahead[1])
+                if thread is None:
+                    thread = threading.Thread(target=_fill_thread, args=(jobs, done), daemon=True)
+                    thread.start()
+                jobs.put((eng, [gens[i] for i in ahead[0]], ahead[1]))
             j = 0
             while j < b:
                 for _ in range(min(cfg.check_every, b - j)):
@@ -436,9 +415,12 @@ def _run_batch(cfg: SimConfig, replica_indices: list[int],
                     if not k:
                         break
             step_no += b
-    finally:
-        if helper is not None:
-            helper.close()
+    finally:  # a draw still running ends first; if the loop raises, its exception leaves
+        if thread is not None:
+            jobs.put(None)
+            thread.join()
+    if ahead is not None and (error := done.get()) is not None:  # drawn past the last hit
+        raise error
     for pos in order[:k]:
         results[pos] = TransitionSample(
             tau=None, censored=True, steps=max_steps,
@@ -472,7 +454,7 @@ def run_replicas(cfg: SimConfig, n_replicas: int, threads: int = 1) -> list[Tran
 
     Replica i uses the stream keyed by seed XOR i, so the samples do not
     depend on threads; threads > 1 deals replicas round robin to worker
-    processes, which draw their noise without a helper thread.
+    processes, which draw their noise without a second thread.
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")

@@ -334,10 +334,9 @@ class _FillFailed(Exception):
     pass
 
 
-@pytest.mark.parametrize("prefetch", [True, False])
-def test_a_failing_fill_reaches_the_caller(pot, monkeypatch, prefetch):
-    # replica 2's stream fails at its second draw: with prefetch that is the
-    # helper thread's draw of window 1, made while window 0 is stepped
+def _failing_stream(monkeypatch, replica: int, draw: int) -> list:
+    """Patch simulate._replica_generator so that the stream of replica fails
+    at its draw-th call; the list returned receives the thread it failed on."""
     raised_on = []
 
     class FailingStream:
@@ -346,14 +345,23 @@ def test_a_failing_fill_reaches_the_caller(pot, monkeypatch, prefetch):
 
         def standard_normal(self, out):
             self.draws += 1
-            if self.draws == 2:
+            if self.draws == draw:
                 raised_on.append(threading.current_thread())
                 raise _FillFailed("no normals")
             return self.gen.standard_normal(out=out)
 
     make = simulate._replica_generator
     monkeypatch.setattr(simulate, "_replica_generator",
-                        lambda seed, i: FailingStream(make(seed, i)) if i == 2 else make(seed, i))
+                        lambda seed, i: FailingStream(make(seed, i)) if i == replica
+                        else make(seed, i))
+    return raised_on
+
+
+@pytest.mark.parametrize("prefetch", [True, False])
+def test_a_failing_fill_reaches_the_caller(pot, monkeypatch, prefetch):
+    # replica 2's stream fails at its second draw: with prefetch that is the
+    # fill thread's draw of window 1, made while window 0 is stepped
+    raised_on = _failing_stream(monkeypatch, replica=2, draw=2)
     before = threading.active_count()
     with pytest.raises(_FillFailed, match="no normals"):
         _run_batch(_cfg(pot, eps=0.05), list(range(4)), prefetch=prefetch)
@@ -361,22 +369,43 @@ def test_a_failing_fill_reaches_the_caller(pot, monkeypatch, prefetch):
     assert (raised_on[0] is threading.main_thread()) is not prefetch
 
 
-def test_a_diverging_batch_leaves_no_helper_thread(pot, monkeypatch):
-    # 2000 steps of 640-step windows: window 1 is being drawn on the helper
-    # thread when a replica diverges, after another one hit
+def test_a_fill_that_fails_after_the_last_hit_reaches_the_caller(pot, monkeypatch):
+    # every replica hits in window 0, while window 1 is drawn on the fill
+    # thread; that draw's failure is raised although no replica uses it
+    cfg = _cfg(pot, d=0, eps=5.0, dt=1e-2, rho=1.99, seed=1)
+    fills = _recorded_fills(monkeypatch)
+    assert max(s.steps for s in _run_batch(cfg, list(range(4)))) <= fills[0][2]
+    assert len(fills) == 2
+    raised_on = _failing_stream(monkeypatch, replica=1, draw=2)
+    before = threading.active_count()
+    with pytest.raises(_FillFailed, match="no normals"):
+        _run_batch(cfg, list(range(4)))
+    assert threading.active_count() == before
+    assert raised_on[0] is not threading.main_thread()
+
+
+@pytest.mark.parametrize("fill_fails", [False, True])
+def test_a_diverging_batch_raises_nonfinite_and_leaves_no_thread(pot, monkeypatch, fill_fails):
+    # 2000 steps of 640-step windows: window 1 is being drawn on the fill
+    # thread when a replica diverges, after another one hit; when that draw
+    # fails too, the caller still gets NonFinite
     cfg = _cfg(pot, dt=0.5, eps=0.5, t_max=1000.0)
     fills = _recorded_fills(monkeypatch)
+    raised_on = _failing_stream(monkeypatch, replica=0, draw=2) if fill_fails else []
     before = threading.active_count()
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFinite, match="diverged at step"):
             _run_batch(cfg, list(range(4)))
     assert threading.active_count() == before
     assert len(fills) == 2 and fills[1][0] is not threading.main_thread()
+    assert len(raised_on) == fill_fails and threading.main_thread() not in raised_on
 
 
 def test_noise_window_memory_is_bounded(pot):
     # every replica is censored at 700 steps, longer than a 64-check window;
-    # one check of normals for all 200 replicas is 2 MB
+    # one check of normals for all 200 replicas is 2 MB, and a batch holds
+    # two windows of it (4.1 MB); with the engine's per-row scratch the run
+    # peaks at about 7.7 MB, close to the bound
     cfg = SimConfig(pot=pot, bc=PERIODIC, L=1.0, d=64, eps=1e-4, dt=1e-3, t_max=0.7)
     tracemalloc.start()
     try:
